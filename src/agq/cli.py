@@ -285,7 +285,8 @@ def cmd_reproduce(args) -> int:
     if not args.skip_sim:
         rates = (0.0, 0.05, 0.1, 0.2)
         runs = []
-        for code_i, dist_i in benchmarks.sweep_codes():
+        sweep = benchmarks.sweep_codes()
+        for code_i, dist_i in sweep:
             config = SimConfig(code=code_i, error_rates=rates,
                                num_transmissions=args.trials, master_seed=seed)
             result = run_simulation(config)
@@ -306,11 +307,11 @@ def cmd_reproduce(args) -> int:
                     bands_ok = False
         _check(results, "simulation-error-bands", bands_ok)
         rerun = run_simulation(
-            SimConfig(code=benchmarks.sweep_codes()[0][0], error_rates=rates[:2],
+            SimConfig(code=sweep[0][0], error_rates=rates[:2],
                       num_transmissions=min(args.trials, 2000), master_seed=seed)
         )
         base = run_simulation(
-            SimConfig(code=benchmarks.sweep_codes()[0][0], error_rates=rates[:2],
+            SimConfig(code=sweep[0][0], error_rates=rates[:2],
                       num_transmissions=min(args.trials, 2000), master_seed=seed),
             chunk_size=199,
         )

@@ -19,10 +19,17 @@ degree e with the smallest coefficient encoding such that the class of
 x generates the multiplicative group.  For GF(4) this is x^2 + x + 1,
 so a satisfies a^2 + a + 1 = 0.  Fields larger than 2^16 are rejected;
 this module targets desk-scale experimentation, not cryptography.
+
+The tables come from one vectorized shift-register step, x*a for every
+a.  The orbit of 1 under it is the exp table of x, and reaching every
+nonzero element certifies x primitive and the modulus irreducible.  If
+a given modulus has a non-primitive x-class, the smallest index of full
+order is used instead, its table built from the x-step by Horner's rule.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -80,15 +87,6 @@ def _poly_trim(f: Sequence[int]) -> tuple[int, ...]:
     return tuple(f)
 
 
-def _poly_mul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _poly_trim(out)
-
-
 def _poly_divmod(f, g, p):
     f = list(f)
     dg = len(g) - 1
@@ -121,48 +119,48 @@ def _is_irreducible(f: Sequence[int], p: int) -> bool:
     return True
 
 
-def _search_default_modulus(p: int, e: int) -> tuple[int, ...]:
+def _times_x(digits: np.ndarray, modulus: Sequence[int], p: int) -> np.ndarray:
+    """Index of x*a for every index a: one shift-register step.
+
+    The digits move up one place; the digit carried out of the top is
+    reduced by x^e = -(m_0 + m_1 x + ... + m_{e-1} x^{e-1}), which changes
+    only the places where m_i is nonzero.
+    """
+    order, e = digits.shape
+    top = digits[:, e - 1]
+    out = np.arange(order, dtype=np.int64) % (order // p) * p
+    for i, m in enumerate(modulus[:e]):
+        if m:
+            shifted = digits[:, i - 1] if i else 0
+            out += ((shifted - top * m) % p - shifted) * p**i
+    return out
+
+
+def _powers(times: np.ndarray) -> np.ndarray | None:
+    """[1, g, ..., g^(N-2)] from the table a -> g*a of a ring with N
+    elements, or None unless g has order N - 1, which makes every nonzero
+    element a unit and so certifies that the modulus is irreducible."""
+    step = times.tolist()
+    full = len(step) - 1
+    out = [1]
+    cur = step[1]
+    while cur != 1 and len(out) < full:
+        out.append(cur)
+        cur = step[cur]
+    if cur != 1 or len(out) != full:
+        return None
+    return np.array(out, dtype=np.int64)
+
+
+def _search_default_modulus(digits: np.ndarray, p: int) -> tuple[int, ...]:
     """Smallest monic degree-e polynomial whose x-class is primitive."""
-    order = p**e
+    order, e = digits.shape
     for enc in range(order):
-        modulus = tuple((enc // p**i) % p for i in range(e)) + (1,)
-        if _x_class_order(modulus, p, e) == order - 1:
+        modulus = tuple(int(c) for c in digits[enc]) + (1,)
+        # x is not a unit when m_0 = 0; skip the walk that would show it
+        if modulus[0] and _powers(_times_x(digits, modulus, p)) is not None:
             return modulus
     raise FieldError(f"no primitive modulus found for GF({p}^{e})")
-
-
-def _x_class_order(modulus, p, e):
-    """Multiplicative order of the class of x in GF(p)[x]/(modulus), 0 if not a unit.
-
-    If the order is p^e - 1 the quotient ring has p^e - 1 distinct units and is
-    therefore a field, so a full-order result certifies irreducibility as well.
-    """
-    order = p**e
-    one = (1,) + (0,) * (e - 1)
-    x = tuple(1 if i == 1 else 0 for i in range(e)) if e > 1 else ((-modulus[0]) % p,)
-
-    def mul(a, b):
-        prod = [0] * (2 * e - 1) if e > 1 else [0]
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    prod[i + j] = (prod[i + j] + u * v) % p
-        for d in range(len(prod) - 1, e - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for i in range(e):
-                    prod[d - e + i] = (prod[d - e + i] - c * modulus[i]) % p
-        return tuple(prod[:e])
-
-    cur = one
-    for k in range(1, order):
-        cur = mul(cur, x)
-        if cur == one:
-            return k
-        if not any(cur):
-            return 0
-    return 0
 
 
 class Field:
@@ -188,8 +186,13 @@ class Field:
         self.p = p
         self.e = e
         self.order = order
+
+        # digit table: index -> base-p coefficient vector
+        idx = np.arange(order, dtype=np.int64)
+        self._digits = np.stack([(idx // p**i) % p for i in range(e)], axis=-1)
+        self._pows = np.array([p**i for i in range(e)], dtype=np.int64)
         if modulus is None:
-            modulus = _search_default_modulus(p, e)
+            modulus = _search_default_modulus(self._digits, p)
         else:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != e + 1 or modulus[-1] != 1:
@@ -198,60 +201,33 @@ class Field:
                 raise FieldError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.modulus = tuple(modulus)
 
-        # digit table: index -> base-p coefficient vector
-        idx = np.arange(order, dtype=np.int64)
-        self._digits = np.stack([(idx // p**i) % p for i in range(e)], axis=-1)
-        self._pows = np.array([p**i for i in range(e)], dtype=np.int64)
-
-        # exp/log tables for the fixed primitive element
-        self.primitive = self._find_primitive()
-        self._exp = np.zeros(order - 1, dtype=np.int64)
-        self._log = np.zeros(order, dtype=np.int64)
-        acc = 1
-        for k in range(order - 1):
-            self._exp[k] = acc
-            self._log[acc] = k
-            acc = self._mul_raw(acc, self.primitive)
-        if acc != 1:
-            raise FieldError("primitive element does not have full order")
+        # exp/log tables for the fixed primitive element: the x-class when it
+        # has full order, else the smallest index that does
+        times_x = _times_x(self._digits, self.modulus, p)
+        x_class = int(times_x[1])
+        for g in itertools.chain([x_class], range(1, order)):
+            powers = _powers(times_x if g == x_class else self._times(times_x, g))
+            if powers is not None:
+                self._set_primitive(g, powers)
+                break
+        else:
+            raise FieldError("no primitive element found")
 
     # -- construction internals --------------------------------------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Table-free multiply, used while building the log tables."""
-        da = self._digits[a]
-        db = self._digits[b]
-        prod = [0] * (2 * self.e - 1) if self.e > 1 else [0]
-        for i, u in enumerate(da):
-            if u:
-                for j, v in enumerate(db):
-                    prod[i + j] = (prod[i + j] + int(u) * int(v)) % self.p
-        for d in range(len(prod) - 1, self.e - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for i in range(self.e):
-                    prod[d - self.e + i] = (prod[d - self.e + i] - c * self.modulus[i]) % self.p
-        return int(sum(c * self.p**i for i, c in enumerate(prod[: self.e])))
+    def _times(self, times_x: np.ndarray, g: int) -> np.ndarray:
+        """Table a -> g*a by Horner's rule over the digits of g."""
+        out = np.zeros(self.order, dtype=np.int64)
+        for c in self._digits[g][::-1]:
+            out = self.vadd(times_x[out], (c * self._digits % self.p) @ self._pows)
+        return out
 
-    def _element_order(self, a: int) -> int:
-        cur = a
-        for k in range(1, self.order):
-            if cur == 1:
-                return k
-            cur = self._mul_raw(cur, a)
-        return 0
-
-    def _find_primitive(self) -> int:
-        x_class = self.p if self.e > 1 else (-self.modulus[0]) % self.p
-        if self.order == 2:
-            return 1
-        if self._element_order(x_class) == self.order - 1:
-            return x_class
-        for a in range(2, self.order):
-            if self._element_order(a) == self.order - 1:
-                return a
-        raise FieldError("no primitive element found")
+    def _set_primitive(self, g: int, powers: np.ndarray) -> None:
+        """Make g, with powers [1, g, g^2, ...], the primitive element."""
+        self.primitive = g
+        self._exp = powers
+        self._log = np.zeros(self.order, dtype=np.int64)
+        self._log[powers] = np.arange(self.order - 1, dtype=np.int64)
 
     # -- scalar operations ---------------------------------------------------
 
@@ -412,15 +388,11 @@ class Field:
         f = cls(data["p"], data["e"], modulus=data["modulus"])
         if "primitive" in data:
             prim = f.element(data["primitive"]).index
-            if f._element_order(prim) != f.order - 1:
-                raise FieldError("declared primitive element does not have full order")
             if prim != f.primitive:
-                f.primitive = prim
-                acc = 1
-                for k in range(f.order - 1):
-                    f._exp[k] = acc
-                    f._log[acc] = k
-                    acc = f._mul_raw(acc, prim)
+                powers = _powers(f._times(_times_x(f._digits, f.modulus, f.p), prim))
+                if powers is None:
+                    raise FieldError("declared primitive element does not have full order")
+                f._set_primitive(prim, powers)
         return f
 
     def __eq__(self, other) -> bool:

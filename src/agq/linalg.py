@@ -39,9 +39,9 @@ def rref(F: Field, A):
         if piv != row:
             R[[row, piv]] = R[[piv, row]]
         R[row] = F.vscale(F.inv(int(R[row, col])), R[row])
-        for i in range(m):
-            if i != row and R[i, col] != 0:
-                R[i] = F.vsub(R[i], F.vscale(int(R[i, col]), R[row]))
+        others = np.nonzero(R[:, col])[0]
+        others = others[others != row]
+        R[others] = F.vsub(R[others], F.vmul(R[others, col][:, None], R[row]))
         pivots.append(col)
         row += 1
     return R, pivots
@@ -68,10 +68,8 @@ def right_nullspace(F: Field, A):
     R, pivots = rref(F, A)
     free = [c for c in range(n) if c not in pivots]
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[k, pc] = F.neg(int(R[row_idx, fc]))
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = F.vneg(R[: len(pivots)][:, free].T)
     return basis
 
 
@@ -87,35 +85,12 @@ def in_row_space(F: Field, A, v) -> bool:
     return rank(F, stacked) == rank(F, A)
 
 
-class GreedyRowFilter:
-    """Incrementally keeps rows that enlarge the row space.
+def normalize_rows(F: Field, A):
+    """Scale each nonzero row so that its first nonzero entry is 1.
 
-    Rows are offered in order; `offer` returns True when the row was
-    independent of everything kept so far.  Used to turn an ordered
-    candidate list into a deterministic basis.
+    Zero rows stay zero.  Two nonzero rows are parallel iff their
+    normalized forms are equal.
     """
-
-    def __init__(self, F: Field, ncols: int):
-        self.F = F
-        self.ncols = ncols
-        self._rows = np.zeros((0, ncols), dtype=np.int64)
-        self._pivots: list[int] = []
-
-    def offer(self, v) -> bool:
-        F = self.F
-        v = np.asarray(v, dtype=np.int64).copy()
-        for row, pc in zip(self._rows, self._pivots):
-            if v[pc] != 0:
-                v = F.vsub(v, F.vscale(int(v[pc]), row))
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
-            return False
-        pc = int(nz[0])
-        v = F.vscale(F.inv(int(v[pc])), v)
-        self._rows = np.vstack([self._rows, v.reshape(1, -1)])
-        self._pivots.append(pc)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
+    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+    lead = A[np.arange(A.shape[0]), (A != 0).argmax(axis=1)]
+    return F.vmul(F.vinv(np.where(lead == 0, 1, lead))[:, None], A)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .curve import CurvePoint, CurveSpec, affine_points
-from .linalg import GreedyRowFilter, rank as matrix_rank
+from .linalg import rank as matrix_rank, rref
 
 @dataclass(frozen=True)
 class MonomialBasis:
@@ -102,29 +102,23 @@ def verified_basis(curve: CurveSpec, r: int, points: Sequence[CurvePoint]) -> Mo
 
     The retained monomials have linearly independent evaluation vectors
     at `points`; the retained count equals the rank of the full
-    candidate evaluation matrix.
+    candidate evaluation matrix E.  A candidate is kept iff its row of E
+    is independent of the rows before it, i.e. iff it is a pivot column
+    of rref(E^T).
     """
     if not points:
         raise ValueError("evaluation point set is empty")
     if any(p.at_infinity for p in points):
         raise ValueError("evaluation points must be affine")
     cand = candidate_monomials(curve, r)
-    F = curve.tower.ext
-    filt = GreedyRowFilter(F, len(points))
-    kept, kept_po, dropped = [], [], []
-    for mon, po in zip(cand.monomials, cand.pole_orders):
-        row = evaluation_matrix(curve, [mon], points)[0]
-        if filt.offer(row):
-            kept.append(mon)
-            kept_po.append(po)
-        else:
-            dropped.append(mon)
+    E = evaluation_matrix(curve, cand.monomials, points)
+    kept = set(rref(curve.tower.ext, E.T)[1])
     return MonomialBasis(
         r=r,
-        monomials=tuple(kept),
-        pole_orders=tuple(kept_po),
+        monomials=tuple(m for k, m in enumerate(cand.monomials) if k in kept),
+        pole_orders=tuple(po for k, po in enumerate(cand.pole_orders) if k in kept),
         verified=True,
-        dropped=tuple(dropped),
+        dropped=tuple(m for k, m in enumerate(cand.monomials) if k not in kept),
     )
 
 

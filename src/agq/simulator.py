@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .agcode import LinearCode
-from .linalg import matmul
+from .linalg import matmul, normalize_rows
 
 SUCCESS, CORRECTED, FAILURE = 0, 1, 2
 _STATUS_NAMES = {SUCCESS: "success", CORRECTED: "corrected", FAILURE: "failure"}
@@ -157,17 +157,12 @@ def _column_match_table(code: LinearCode) -> dict[bytes, tuple[int, int]]:
     the substituted symbol, is then unique.  The earliest such position
     is exactly the first hit of the position-then-symbol scan.
     """
-    F = code.field
-    H = code.parity_check
+    columns = normalize_rows(code.field, code.parity_check.T)
+    leads = (columns != 0).argmax(axis=1)
     table: dict[bytes, tuple[int, int]] = {}
-    for i in range(code.n):
-        col = H[:, i]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        lead = int(nz[0])
-        key = F.vscale(F.inv(int(col[lead])), col).astype(np.uint16).tobytes()
-        table.setdefault(key, (i, lead))
+    for i, col in enumerate(columns.astype(np.uint16)):
+        if col.any():
+            table.setdefault(col.tobytes(), (i, int(leads[i])))
     return table
 
 
@@ -194,9 +189,7 @@ def _decode_batch(code: LinearCode, received: np.ndarray):
         return decoded, statuses
     table = _column_match_table(code)
     targets = F.vneg(syndromes[todo])
-    lead_idx = (targets != 0).argmax(axis=1)
-    leads = targets[np.arange(len(todo)), lead_idx]
-    normalized = F.vmul(F.vinv(leads)[:, None], targets).astype(np.uint16)
+    normalized = normalize_rows(F, targets).astype(np.uint16)
     for row, target, norm in zip(todo, targets, normalized):
         hit = table.get(norm.tobytes())
         if hit is None:

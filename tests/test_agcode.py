@@ -267,6 +267,27 @@ def test_se33_verdicts_match_allpairs_oracle(se33):
         assert is_hermitian_self_orthogonal(code) is direct is want
 
 
+def test_row_scaling_keeps_hermitian_verdict(se33):
+    # <lam a, b> = lam <a, b>: scaling a generator row by any nonzero scalar
+    # cannot change whether all row products vanish
+    F = se33.tower.ext
+    nf = NaiveField(3, 2, F.modulus)
+    for r in range(3):
+        code = build_onepoint_code(se33, r)
+        verdict = is_hermitian_self_orthogonal(code)
+        for i in range(code.k):
+            for lam in range(1, F.order):
+                G = code.generator.copy()
+                G[i] = F.vscale(lam, G[i])
+                direct = all(
+                    naive_hermitian_inner(nf, 3, gi, gj) == 0
+                    for gi in G.tolist()
+                    for gj in G.tolist()
+                )
+                scaled = LinearCode(field=F, generator=G, tower=code.tower)
+                assert is_hermitian_self_orthogonal(scaled) is direct is verdict
+
+
 def test_hermitian_containment_exhaustive(se33):
     # if self-orthogonal, every codeword (not only rows) is orthogonal to
     # every row; q^k <= 10^4 here so check all codewords

@@ -49,6 +49,26 @@ def test_reducible_modulus_rejected():
         Field(2, 2, modulus=[0, 1, 1])  # x^2 + x = x(x+1)
 
 
+@pytest.mark.parametrize("p,e,modulus,primitive", [
+    (3, 2, (1, 0, 1), 4),         # x^2 + 1: the x-class has order 4
+    (2, 4, (1, 1, 1, 1, 1), 3),   # x^4 + x^3 + x^2 + x + 1: order 5
+    (5, 2, (2, 0, 1), 6),         # x^2 + 2: order 8
+])
+def test_custom_modulus_without_primitive_x_class(p, e, modulus, primitive):
+    F = Field(p, e, modulus=modulus)
+    assert F.primitive == primitive
+    nf = NaiveField(p, e, modulus)
+    for a in range(F.order):
+        for b in range(F.order):
+            assert F.mul(a, b) == nf.mul(a, b)
+
+
+def test_gf2_16_default_modulus():
+    F = field(2, 16)
+    assert F.modulus == (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,)
+    assert F.primitive == 2
+
+
 def test_factor_prime_power():
     assert factor_prime_power(9) == (3, 2)
     assert factor_prime_power(2) == (2, 1)
@@ -257,6 +277,16 @@ def test_json_round_trip(f4):
     restored = Field.from_json(f4.to_json())
     assert restored == f4
     assert restored.primitive == f4.primitive
+
+
+def test_json_non_default_primitive(f9):
+    text = json.dumps({"p": 3, "e": 2, "modulus": list(f9.modulus), "primitive": [0, 2]})
+    F = Field.from_json(text)
+    assert F.primitive == 6
+    assert F._exp.tolist() == [1, 6, 7, 4, 2, 3, 5, 8]
+    for a in range(1, 9):
+        assert F.mul(a, F.inv(a)) == 1
+        assert F.mul(a, 6) == f9.mul(a, 6)
 
 
 def test_json_rejects_non_generator():

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from agq.gf import field
 from agq.linalg import (
-    GreedyRowFilter,
     in_row_space,
     matmul,
     matvec,
+    normalize_rows,
     rank,
     right_nullspace,
     row_basis,
@@ -102,11 +102,29 @@ def test_greedy_filter_matches_full_rank():
     rng = np.random.default_rng(11)
     for _ in range(20):
         A = rng.integers(0, 9, size=(6, 5))
-        filt = GreedyRowFilter(F, 5)
-        kept = [i for i, row in enumerate(A) if filt.offer(row)]
+        # pivot columns of rref(A^T): the rows independent of those before them
+        kept = rref(F, A.T)[1]
+        assert kept == [i for i in range(len(A)) if rank(F, A[: i + 1]) > rank(F, A[:i])]
         assert len(kept) == rank(F, A)
         # the kept subset itself has full rank
         assert rank(F, A[kept]) == len(kept)
         # and every row is in the span of the kept subset
         for row in A:
             assert in_row_space(F, A[kept], row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(9))
+def test_normalize_rows_leads_with_one_and_keeps_row_space(A):
+    F = field(3, 2)
+    A = A.copy()
+    A[0] = 0  # always include a zero row
+    N = normalize_rows(F, A)
+    assert not N[0].any()
+    for row, norm in zip(A, N):
+        nz = np.nonzero(row)[0]
+        assert np.array_equal(np.nonzero(norm)[0], nz)
+        if len(nz):
+            assert norm[nz[0]] == 1
+            assert row_space_equal(F, row.reshape(1, -1), norm.reshape(1, -1))
+    assert row_space_equal(F, A, N)

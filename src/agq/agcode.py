@@ -20,7 +20,7 @@ import numpy as np
 from .curve import CurvePoint, CurveSpec, affine_points
 from .gf import Felt, Field, FieldError, QuadraticTower, factor_prime_power, field, quadratic_tower
 from .linalg import matmul, normalize_rows, rank, right_nullspace, row_basis, row_space_equal
-from .rrspace import dimension_by_cases, evaluation_matrix, verified_basis
+from .rrspace import dimension_by_cases, verified_basis
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -114,12 +114,9 @@ def build_onepoint_code(curve: CurveSpec, r: int, eval_set="all", name: str = ""
     if not points:
         raise ValueError("evaluation set is empty")
     basis = verified_basis(curve, r, points)
-    G = evaluation_matrix(curve, basis.monomials, points)
-    if len(basis) == 0:
-        G = np.zeros((0, len(points)), dtype=np.int64)
     return LinearCode(
         field=curve.tower.ext,
-        generator=G,
+        generator=basis.rows,
         tower=curve.tower,
         points=tuple(points),
         curve=curve,

@@ -14,6 +14,14 @@ form over numpy index arrays (`Field.vadd`, `Field.vmul`, ...).  The
 `Felt` wrapper provides operator syntax and guards against mixing
 elements of different fields.
 
+Vectorized addition avoids the digits where it can.  In characteristic
+2 the digits are bits, so a + b and a - b are the XOR of the indices and
+negation is the identity, at every order.  Other fields of order at most
+ADD_TABLE_MAX look sums up in an (order, order) addition table and
+differences as a + (-b) with a negation table.  Both tables are built on
+first use, so a field that never adds pays nothing for them at
+construction.  Larger odd-characteristic fields add digit by digit.
+
 Default moduli are chosen deterministically: the monic polynomial of
 degree e with the smallest coefficient encoding such that the class of
 x generates the multiplicative group.  For GF(4) this is x^2 + x + 1,
@@ -32,11 +40,14 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
 MAX_FIELD_SIZE = 1 << 16
+# Largest odd-characteristic order whose vadd/vsub/vneg use addition tables.
+ADD_TABLE_MAX = 256
 
 
 class FieldError(Exception):
@@ -191,6 +202,7 @@ class Field:
         idx = np.arange(order, dtype=np.int64)
         self._digits = np.stack([(idx // p**i) % p for i in range(e)], axis=-1)
         self._pows = np.array([p**i for i in range(e)], dtype=np.int64)
+        self._residue_table = np.zeros(1, dtype=np.int64)
         if modulus is None:
             modulus = _search_default_modulus(self._digits, p)
         else:
@@ -228,6 +240,38 @@ class Field:
         self._exp = powers
         self._log = np.zeros(self.order, dtype=np.int64)
         self._log[powers] = np.arange(self.order - 1, dtype=np.int64)
+
+    # -- tables built on first use -------------------------------------------
+
+    @cached_property
+    def _add_table(self) -> np.ndarray:
+        """(order, order) table a, b -> a + b."""
+        d = self._digits
+        return ((d[:, None, :] + d[None, :, :]) % self.p) @ self._pows
+
+    @cached_property
+    def _neg_table(self) -> np.ndarray:
+        return ((-self._digits) % self.p) @ self._pows
+
+    @cached_property
+    def _digit_floats(self) -> np.ndarray:
+        """The digit table in float64, for the BLAS product of `linalg.matmul`."""
+        return self._digits.astype(np.float64)
+
+    @cached_property
+    def _x_multiples(self) -> np.ndarray:
+        """(order, e) table whose column i holds the index of x^i * a."""
+        step = _times_x(self._digits, self.modulus, self.p)
+        cols = [np.arange(self.order, dtype=np.int64)]
+        for _ in range(1, self.e):
+            cols.append(step[cols[-1]])
+        return np.stack(cols, axis=1)
+
+    def _residues(self, top: int) -> np.ndarray:
+        """Table v -> v mod p covering 0 <= v <= top, kept and grown as needed."""
+        if len(self._residue_table) <= top:
+            self._residue_table = np.arange(top + 1, dtype=np.int64) % self.p
+        return self._residue_table
 
     # -- scalar operations ---------------------------------------------------
 
@@ -278,15 +322,27 @@ class Field:
     def vadd(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.p == 2:
+            return a ^ b
+        if self.order <= ADD_TABLE_MAX:
+            return self._add_table[a, b]
         return ((self._digits[a] + self._digits[b]) % self.p) @ self._pows
 
     def vsub(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.p == 2:
+            return a ^ b
+        if self.order <= ADD_TABLE_MAX:
+            return self._add_table[a, self._neg_table[b]]
         return ((self._digits[a] - self._digits[b]) % self.p) @ self._pows
 
     def vneg(self, a):
         a = np.asarray(a, dtype=np.int64)
+        if self.p == 2:
+            return +a
+        if self.order <= ADD_TABLE_MAX:
+            return self._neg_table[a]
         return ((-self._digits[a]) % self.p) @ self._pows
 
     def vmul(self, a, b):

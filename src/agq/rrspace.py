@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -29,13 +29,18 @@ from .linalg import rank as matrix_rank, rref
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Exponent pairs (i, j) for x^i y^j, with pole orders i*px + j*py."""
+    """Exponent pairs (i, j) for x^i y^j, with pole orders i*px + j*py.
+
+    A verified basis also carries `rows`, the evaluation vectors of its
+    monomials at the points it was verified on.
+    """
 
     r: int
     monomials: tuple[tuple[int, int], ...]
     pole_orders: tuple[int, ...]
     verified: bool
     dropped: tuple[tuple[int, int], ...] = ()
+    rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -112,13 +117,15 @@ def verified_basis(curve: CurveSpec, r: int, points: Sequence[CurvePoint]) -> Mo
         raise ValueError("evaluation points must be affine")
     cand = candidate_monomials(curve, r)
     E = evaluation_matrix(curve, cand.monomials, points)
-    kept = set(rref(curve.tower.ext, E.T)[1])
+    pivots = rref(curve.tower.ext, E.T)[1]
+    kept = set(pivots)
     return MonomialBasis(
         r=r,
         monomials=tuple(m for k, m in enumerate(cand.monomials) if k in kept),
         pole_orders=tuple(po for k, po in enumerate(cand.pole_orders) if k in kept),
         verified=True,
         dropped=tuple(m for k, m in enumerate(cand.monomials) if k not in kept),
+        rows=E[pivots],
     )
 
 

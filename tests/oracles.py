@@ -118,6 +118,21 @@ def naive_rank(nf: NaiveField, rows) -> int:
     return rank
 
 
+def naive_matmul(nf: NaiveField, A, B):
+    """Schoolbook product of (m, k) and (k, n) index matrices, as row lists."""
+    (m, k), n = A.shape, B.shape[1]
+    out = []
+    for i in range(m):
+        row = []
+        for j in range(n):
+            acc = 0
+            for t in range(k):
+                acc = nf.add(acc, nf.mul(int(A[i, t]), int(B[t, j])))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
 def naive_codewords(nf: NaiveField, generator):
     """All q^k codewords of the code spanned by `generator` (lists of indices)."""
     k = len(generator)

@@ -319,3 +319,51 @@ def _fold_add(F, values):
     for v in values:
         acc = F.add(acc, int(v))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# vadd / vsub / vneg shortcuts against the naive field
+
+
+def _prime_powers(limit):
+    return [(p, e) for p in range(2, limit + 1) if all(p % d for d in range(2, p))
+            for e in range(1, 17) if p**e <= limit]
+
+
+# every odd-characteristic field on addition tables, every characteristic-2
+# field up to 256, and XOR and digit-path fields above 256
+ADDITION_FIELDS = _prime_powers(256) + [(2, 9), (2, 12), (3, 6), (7, 3), (257, 1)]
+
+
+@pytest.mark.parametrize("p,e", ADDITION_FIELDS)
+@settings(max_examples=4, deadline=None)
+@given(st.data())
+def test_vadd_vsub_vneg_match_naive(p, e, data):
+    F = field(p, e)
+    nf = NaiveField(p, e, F.modulus)
+    elements = st.integers(0, F.order - 1)
+    a = data.draw(st.lists(elements, min_size=0, max_size=12))
+    b = data.draw(st.lists(elements, min_size=len(a), max_size=len(a)))
+    c = data.draw(elements)
+    assert F.vadd(a, b).tolist() == [nf.add(x, y) for x, y in zip(a, b)]
+    assert F.vsub(a, b).tolist() == [nf.sub(x, y) for x, y in zip(a, b)]
+    assert F.vneg(a).tolist() == [nf.neg(x) for x in a]
+    # a scalar operand broadcasts against an array, and two scalars give one
+    assert F.vadd(c, a).tolist() == [nf.add(c, x) for x in a]
+    assert F.vsub(a, c).tolist() == [nf.sub(x, c) for x in a]
+    assert F.vsub(c, np.array(a, dtype=np.int64).reshape(-1, 1)).tolist() == [[nf.sub(c, x)] for x in a]
+    assert int(F.vadd(c, c)) == nf.add(c, c) and int(F.vneg(c)) == nf.neg(c)
+
+
+def test_vneg_returns_a_new_array():
+    a = np.arange(5, dtype=np.int64)
+    for p, e in [(2, 3), (3, 2), (3, 6)]:
+        field(p, e).vneg(a)[0] = 1
+        assert a[0] == 0
+
+
+def test_addition_tables_are_built_on_first_use():
+    F = Field(3, 2)
+    assert "_add_table" not in vars(F) and "_neg_table" not in vars(F)
+    F.vsub(1, 2)
+    assert "_add_table" in vars(F) and "_neg_table" in vars(F)

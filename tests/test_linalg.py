@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agq.gf import field
+import agq.linalg
+from agq.gf import Field, field
 from agq.linalg import (
     in_row_space,
     matmul,
@@ -15,7 +18,7 @@ from agq.linalg import (
     row_space_equal,
     rref,
 )
-from oracles import NaiveField, naive_rank
+from oracles import NaiveField, naive_matmul, naive_rank
 
 
 @st.composite
@@ -128,3 +131,98 @@ def test_normalize_rows_leads_with_one_and_keeps_row_space(A):
             assert norm[nz[0]] == 1
             assert row_space_equal(F, row.reshape(1, -1), norm.reshape(1, -1))
     assert row_space_equal(F, A, N)
+
+
+# ---------------------------------------------------------------------------
+# the subfield-expansion matmul against the schoolbook product
+
+MATMUL_FIELDS = [(p, e) for p in (2, 3, 5, 7) for e in range(1, 5)]
+
+
+def _index_matrix(draw, order, rows, cols):
+    data = draw(st.lists(st.integers(0, order - 1), min_size=rows * cols, max_size=rows * cols))
+    return np.array(data, dtype=np.int64).reshape(rows, cols)
+
+
+def _check_matmul(F, A, B):
+    C = matmul(F, A, B)
+    assert C.shape == (A.shape[0], B.shape[1]) and C.dtype == np.int64
+    assert C.tolist() == naive_matmul(NaiveField(F.p, F.e, F.modulus), A, B)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MATMUL_FIELDS), st.sampled_from([1, 5, 40, agq.linalg.BLOCK_ENTRIES]), st.data())
+def test_matmul_matches_schoolbook(pe, block_entries, data):
+    F = field(*pe)
+    m, k, n = (data.draw(st.integers(0, 6)) for _ in range(3))
+    A = _index_matrix(data.draw, F.order, m, k)
+    B = _index_matrix(data.draw, F.order, k, n)
+    # small blocks put the m rows into several row blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(agq.linalg, "BLOCK_ENTRIES", block_entries)
+        _check_matmul(F, A, B)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 2]), st.integers(1, 3), st.data())
+def test_matmul_inner_split_matches_schoolbook(e, slice_len, data):
+    # a lowered exactness bound cuts the inner dimension into slices of
+    # slice_len indices, each reduced mod 7 before the next is added
+    F = Field(7, e)  # a fresh residue table
+    bound = slice_len * e * 6**2 + 7
+    m, k, n = data.draw(st.integers(1, 4)), data.draw(st.integers(4, 10)), data.draw(st.integers(1, 4))
+    A = _index_matrix(data.draw, F.order, m, k)
+    B = _index_matrix(data.draw, F.order, k, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(agq.linalg, "EXACT_SUM_BOUND", bound)
+        _check_matmul(F, A, B)
+    # no value reduced reached the bound
+    assert len(F._residue_table) <= bound
+
+
+@pytest.mark.parametrize("p", [257, 1031, 65521])
+def test_matmul_large_prime_fields(p):
+    # 1031 and 65521 have sums past the residue table and reduce with `%`;
+    # a row and a column of -1 give the largest sums
+    F = field(p)
+    rng = np.random.default_rng(p)
+    A = rng.integers(0, p, size=(3, 40))
+    B = rng.integers(0, p, size=(40, 2))
+    A[0], B[:, 0] = p - 1, p - 1
+    _check_matmul(F, A, B)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)])
+def test_matmul_empty_shapes(shape):
+    F = field(3, 2)
+    m, k, n = shape
+    C = matmul(F, np.zeros((m, k), dtype=np.int64), np.zeros((k, n), dtype=np.int64) + 1)
+    assert C.shape == (m, n) and not C.any()
+
+
+def test_matmul_many_row_blocks_at_the_default_block_size():
+    # m spans several row blocks; each row is one of the 16 rows of GF(4)^2,
+    # so the schoolbook product of those 16 rows checks all of them
+    F = field(2, 2)
+    B = np.array([[1, 2, 3], [3, 0, 2]], dtype=np.int64)
+    rows = np.array([[a, b] for a in range(4) for b in range(4)], dtype=np.int64)
+    m = 3 * agq.linalg.BLOCK_ENTRIES // (B.shape[1] * F.e) + 5
+    which = np.random.default_rng(2).integers(0, len(rows), size=m)
+    want = np.array(naive_matmul(NaiveField(2, 2, F.modulus), rows, B))
+    assert np.array_equal(matmul(F, rows[which], B), want[which])
+
+
+def test_matmul_memory_is_bounded():
+    # the Hermitian q=8 syndrome shape over GF(256); a product that held the
+    # (m, k, n, e) digit array would need 0.54 GB
+    F = field(2, 8)
+    rng = np.random.default_rng(3)
+    A = rng.integers(0, 256, size=(2048, 8))
+    B = rng.integers(0, 256, size=(8, 512))
+    tracemalloc.start()
+    try:
+        matmul(F, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20

@@ -58,7 +58,7 @@ def _resolve_seed(value) -> int:
 
 
 def _write_manifest(path: Path, command: str, parameters: dict, outputs: list[str],
-                    seed: int | None = None) -> None:
+                    seed: int | None = None, codes: list[dict] | None = None) -> None:
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -67,7 +67,26 @@ def _write_manifest(path: Path, command: str, parameters: dict, outputs: list[st
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    if codes is not None:
+        manifest["codes"] = codes
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _simulated(code, dist, result) -> tuple[SimRun, dict]:
+    """The CSV run of one simulated code, and its manifest record: the
+    CSV's `d` column holds the lower bound when the distance is not
+    exact, so the record names the method and both bounds, and the exact
+    counts behind each rate."""
+    run = SimRun(code_name=code.name, n=code.n, k=code.k,
+                 d=dist.d if dist.exact else dist.lower, result=result)
+    record = {
+        "code": code.name, "n": code.n, "k": code.k,
+        "d_method": dist.method, "d_lower": dist.lower, "d_upper": dist.upper,
+        "rates": [{"rate": row.rate, "trials": row.trials, "successes": row.successes,
+                   "uncorrectable": row.uncorrectable, "miscorrected": row.miscorrected}
+                  for row in result.rows],
+    }
+    return run, record
 
 
 def _curve_from_args(args):
@@ -141,6 +160,7 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     rates = _parse_rates(args.rates)
     runs: list[SimRun] = []
+    records: list[dict] = []
     if args.preset == "sweep":
         entries = benchmarks.sweep_codes()
         print("preset sweep: substituted three constructible codes over "
@@ -161,8 +181,9 @@ def cmd_simulate(args) -> int:
         config = SimConfig(code=code, error_rates=rates,
                            num_transmissions=args.trials, master_seed=seed)
         result = run_simulation(config, chunk_size=args.chunk_size)
-        runs.append(SimRun(code_name=code.name, n=code.n, k=code.k,
-                           d=dist.d if dist.exact else dist.lower, result=result))
+        run, record = _simulated(code, dist, result)
+        runs.append(run)
+        records.append(record)
         for row in result.rows:
             print(f"{code.name} rate={row.rate}: success={row.success_rate:.4f} "
                   f"uncorrectable={row.uncorrectable_rate:.4f} avg_errors={row.avg_errors:.4f} "
@@ -183,7 +204,7 @@ def cmd_simulate(args) -> int:
                 "q": args.q, "m": args.m, "r": args.r, "rates": list(rates),
                 "trials": args.trials, "budget": args.budget, "chunk_size": args.chunk_size,
             },
-            outputs, seed,
+            outputs, seed, records,
         )
     return 0
 
@@ -200,6 +221,7 @@ def cmd_reproduce(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     results: list[tuple[str, bool, str]] = []
     outputs: list[str] = []
+    records: list[dict] | None = None
 
     # benchmark [8,3,5] code and its dual
     code = benchmarks.benchmark_code_8_3()
@@ -284,14 +306,14 @@ def cmd_reproduce(args) -> int:
 
     if not args.skip_sim:
         rates = (0.0, 0.05, 0.1, 0.2)
-        runs = []
+        runs, records = [], []
         sweep = benchmarks.sweep_codes()
         for code_i, dist_i in sweep:
             config = SimConfig(code=code_i, error_rates=rates,
                                num_transmissions=args.trials, master_seed=seed)
-            result = run_simulation(config)
-            runs.append(SimRun(code_name=code_i.name, n=code_i.n, k=code_i.k,
-                               d=dist_i.d if dist_i.exact else dist_i.lower, result=result))
+            run, record = _simulated(code_i, dist_i, run_simulation(config))
+            runs.append(run)
+            records.append(record)
         write_results_csv(runs, out_dir / "results.csv")
         write_series_csv(runs, out_dir / "series.csv")
         outputs += [str(out_dir / "results.csv"), str(out_dir / "series.csv")]
@@ -318,7 +340,7 @@ def cmd_reproduce(args) -> int:
         _check(results, "simulation-determinism", rerun == base)
 
     _write_manifest(out_dir / "manifest.json", "reproduce",
-                    {"trials": args.trials, "skip_sim": args.skip_sim}, outputs, seed)
+                    {"trials": args.trials, "skip_sim": args.skip_sim}, outputs, seed, records)
 
     failures = [name for name, ok, _ in results if not ok]
     if failures:

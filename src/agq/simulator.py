@@ -12,9 +12,27 @@ syndrome ("corrected"), else reporting "failure".  Both "success" and
 than the transmitted one (possible once errors exceed the search
 radius), without changing the two headline metrics.
 
-Randomness is drawn from counter-based per-trial Philox streams keyed
-by (master_seed, rate index, trial index), so results are bit-identical
-for a given seed regardless of chunking or execution order.
+Randomness: trial t at rate index i reads its own Philox4x64-10 stream
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
+keyed by (master_seed, ((i + 1) << 44) | t), so results are bit-identical
+for a given seed regardless of chunking or execution order.  The stream
+is numpy's `Generator(Philox(key))` (`_trial_rng`), which draws k message
+symbols with `integers(0, q)`, n uniforms with `random`, and n
+replacement offsets with `integers(0, q - 1)`.  `_draw_chunk` computes
+the same values for a whole chunk of trials at once, with Philox on
+uint64 arrays over the block counters 1, 2, ... of each key:
+
+* message and replacement draws are Lemire-bounded uint32s,
+  (u * range) >> 32, taken from the low then the high half of each
+  word; the n uniforms, (word >> 11) * 2^-53, sit between them, and
+  when k is odd the first replacement draw is the buffered high half
+  of the last message word;
+* over GF(2) the replacement range is 1 and consumes no words.
+
+Lemire's method rejects u when the low half of u * range falls below
+(2^32 - range) mod range, which is less than range.  A trial with any
+low half below range is drawn again from `_trial_rng` itself, so every
+trial matches numpy exactly, not just with high probability.
 """
 
 from __future__ import annotations
@@ -95,10 +113,102 @@ def encode(code: LinearCode, message) -> np.ndarray:
 
 
 def _trial_rng(master_seed: int, rate_index: int, trial: int) -> np.random.Generator:
-    if trial >= 1 << 44 or rate_index >= 1 << 20:
-        raise ValueError("trial or rate index out of stream-key range")
-    key = [master_seed, ((rate_index + 1) << 44) | trial]
+    """The reference stream of one trial, a numpy Generator over Philox."""
+    _check_stream_range(rate_index, trial + 1)
+    key = np.array([master_seed, ((rate_index + 1) << 44) | trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _check_stream_range(rate_index: int, trial_stop: int) -> None:
+    if trial_stop > 1 << 44 or not 0 <= rate_index < (1 << 20) - 1:
+        raise ValueError("trial or rate index out of stream-key range")
+
+
+def _reference_draw(master_seed: int, rate_index: int, trial: int, k: int, n: int, q: int):
+    """(message, uniforms, replacement offsets) of one trial, read literally
+    from `_trial_rng`; `_draw_chunk` reproduces these values."""
+    rng = _trial_rng(master_seed, rate_index, trial)
+    message = rng.integers(0, q, size=k) if k else np.zeros(0, dtype=np.int64)
+    return message, rng.random(n), rng.integers(0, q - 1, size=n)
+
+
+# Philox4x64-10 multipliers and Weyl key increments, as in Random123 and numpy.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = 0xFFFFFFFF
+# Philox blocks (four uint64 words each) that `_draw_chunk` computes at
+# once: its round temporaries stay at 128 KB per array for any code length.
+PHILOX_BLOCKS = 1 << 14
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products a * m, from 32-bit halves."""
+    a_lo, a_hi = a & _LOW32, a >> 32
+    m_lo, m_hi = m & _LOW32, m >> 32
+    lo_lo, lo_hi, hi_lo = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    mid = (lo_lo >> 32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
+    return a_hi * m_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32), a * m
+
+
+def _philox_words(key0: np.ndarray, key1: np.ndarray, blocks: int) -> np.ndarray:
+    """The first 4 * blocks words of the Philox4x64-10 stream of each key.
+
+    key0 and key1 are uint64 arrays of shape (b, 1) or (1, 1); the result
+    is (b, 4 * blocks).  Block j is the cipher of the counter (j + 1, 0,
+    0, 0), the order in which numpy's Philox increments its counter
+    before each block.
+    """
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (key1.shape[0], blocks))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(-1, 4 * blocks)
+
+
+def _lemire(u32: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw in [0, bound) from uint32s, and a mask of the
+    draws that Lemire's method might have rejected."""
+    product = u32 * bound
+    return (product >> 32).astype(np.int64), (product & _LOW32) < bound
+
+
+def _draw_chunk(master_seed: int, rate_index: int, lo: int, hi: int, k: int, n: int, q: int):
+    """Messages (b, k), uniforms (b, n) and replacement offsets (b, n) of
+    trials lo..hi-1, equal to `_reference_draw` for every trial."""
+    _check_stream_range(rate_index, hi)
+    b = hi - lo
+    messages = np.empty((b, k), dtype=np.int64)
+    uniforms = np.empty((b, n))
+    repl = np.zeros((b, n), dtype=np.int64)
+    suspect = np.zeros(b, dtype=bool)
+    # word layout of one trial: message words, uniform words, replacement words
+    msg_words = (k + 1) // 2
+    repl_words = (k + n + 1) // 2 - msg_words if q > 2 else 0
+    blocks = -(-(msg_words + n + repl_words) // 4)
+    key0 = np.full((1, 1), master_seed, dtype=np.uint64)
+    key1 = np.arange(lo, hi, dtype=np.uint64).reshape(-1, 1) | np.uint64((rate_index + 1) << 44)
+    rows = max(1, PHILOX_BLOCKS // max(blocks, 1))
+    for r0 in range(0, b, rows):
+        part = slice(r0, r0 + rows)
+        words = _philox_words(key0, key1[part], blocks)
+        uniforms[part] = (words[:, msg_words:msg_words + n] >> 11) * 2.0**-53
+        u32_words = np.concatenate(
+            [words[:, :msg_words], words[:, msg_words + n:msg_words + n + repl_words]], axis=1)
+        u32 = np.stack([u32_words & _LOW32, u32_words >> 32], axis=-1).reshape(len(words), -1)
+        messages[part], bad = _lemire(u32[:, :k], q)
+        suspect[part] = bad.any(axis=1)
+        if repl_words:
+            repl[part], bad = _lemire(u32[:, k:k + n], q - 1)
+            suspect[part] |= bad.any(axis=1)
+    for row in np.nonzero(suspect)[0]:
+        messages[row], uniforms[row], repl[row] = _reference_draw(
+            master_seed, rate_index, lo + int(row), k, n, q)
+    return messages, uniforms, repl
 
 
 def apply_random_errors(field, codeword, rate: float, rng: np.random.Generator):
@@ -148,26 +258,16 @@ def decode_word(code: LinearCode, received):
     return None, _STATUS_NAMES[FAILURE]
 
 
-def _column_match_table(code: LinearCode) -> dict[bytes, tuple[int, int]]:
-    """Map normalized parity-check columns to (first position, lead row).
+def _decode_batch(code: LinearCode, received: np.ndarray):
+    """Vectorized decoder; identical results to decode_word row by row.
 
     A substitution at position i changes the syndrome by a nonzero
     multiple of column H[:, i], so a nonzero syndrome s is killable at
     position i iff -s is parallel to that column; the scalar, and hence
     the substituted symbol, is then unique.  The earliest such position
-    is exactly the first hit of the position-then-symbol scan.
-    """
-    columns = normalize_rows(code.field, code.parity_check.T)
-    leads = (columns != 0).argmax(axis=1)
-    table: dict[bytes, tuple[int, int]] = {}
-    for i, col in enumerate(columns.astype(np.uint16)):
-        if col.any():
-            table.setdefault(col.tobytes(), (i, int(leads[i])))
-    return table
-
-
-def _decode_batch(code: LinearCode, received: np.ndarray):
-    """Vectorized decoder; identical results to decode_word row by row.
+    is exactly the first hit of the position-then-symbol scan.  The
+    normalized nonzero columns are sorted stably as byte strings, so a
+    left `searchsorted` lands on the first position among equal columns.
 
     Returns (decoded, statuses); rows with status FAILURE hold the
     received word unchanged in `decoded` and must be ignored there.
@@ -187,18 +287,29 @@ def _decode_batch(code: LinearCode, received: np.ndarray):
     todo = np.nonzero(~zero)[0]
     if len(todo) == 0:
         return decoded, statuses
-    table = _column_match_table(code)
+    columns = normalize_rows(F, H.T).astype(np.uint16)
+    positions = np.nonzero(columns.any(axis=1))[0]
+    if len(positions) == 0:
+        return decoded, statuses
+    keys = _row_bytes(columns[positions])
+    order = np.argsort(keys, kind="stable")
+    keys, positions = keys[order], positions[order]
     targets = F.vneg(syndromes[todo])
-    normalized = normalize_rows(F, targets).astype(np.uint16)
-    for row, target, norm in zip(todo, targets, normalized):
-        hit = table.get(norm.tobytes())
-        if hit is None:
-            continue
-        i, lead = hit
-        lam = F.div(int(target[lead]), int(H[lead, i]))
-        decoded[row, i] = F.add(int(received[row, i]), lam)
-        statuses[row] = CORRECTED
+    queries = _row_bytes(normalize_rows(F, targets).astype(np.uint16))
+    slot = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    hit = keys[slot] == queries
+    rows, cols, targets = todo[hit], positions[slot[hit]], targets[hit]
+    leads = (targets != 0).argmax(axis=1)
+    lam = F.vmul(targets[np.arange(len(rows)), leads], F.vinv(H[leads, cols]))
+    decoded[rows, cols] = F.vadd(received[rows, cols], lam)
+    statuses[rows] = CORRECTED
     return decoded, statuses
+
+
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one opaque byte string, for sorting and lookup."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))[:, 0]
 
 
 def simulate_transmission(code: LinearCode, rate: float, trials: int, master_seed: int,
@@ -206,29 +317,21 @@ def simulate_transmission(code: LinearCode, rate: float, trials: int, master_see
     """Run `trials` independent transmissions at one error rate.
 
     Every trial draws (message, uniforms, replacements) from its own
-    keyed stream, so the result does not depend on `chunk_size`.
+    keyed stream, so the result does not depend on `chunk_size`; each
+    chunk's streams are computed at once by `_draw_chunk`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     F = code.field
     n, k, q = code.n, code.k, F.order
     successes = uncorrectable = miscorrected = 0
     total_errors = 0
     for lo in range(0, trials, chunk_size):
         hi = min(lo + chunk_size, trials)
-        b = hi - lo
-        messages = np.zeros((b, k), dtype=np.int64)
-        uniforms = np.zeros((b, n))
-        repl = np.zeros((b, n), dtype=np.int64)
-        for t in range(lo, hi):
-            rng = _trial_rng(master_seed, rate_index, t)
-            if k:
-                messages[t - lo] = rng.integers(0, q, size=k)
-            uniforms[t - lo] = rng.random(n)
-            repl[t - lo] = rng.integers(0, q - 1, size=n)
-        codewords = (
-            matmul(F, messages, code.generator) if k else np.zeros((b, n), dtype=np.int64)
-        )
+        messages, uniforms, repl = _draw_chunk(master_seed, rate_index, lo, hi, k, n, q)
+        codewords = matmul(F, messages, code.generator)
         mask = uniforms < rate
         alts = repl + (repl >= codewords)
         received = np.where(mask, alts, codewords)

@@ -178,6 +178,49 @@ def test_simulate_preset_sweep(capsys, tmp_path):
     assert len(rows) == 1 + 3 * 2
 
 
+def test_simulate_manifest_records_distance_and_counts(capsys, tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, "simulate", "--preset", "sweep",
+                         "--rates", "0,0.2", "--trials", "300", "--seed", "3",
+                         "--out", str(out_path))
+    assert code == 0
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert_code_records(manifest["codes"], out_path)
+    bounded = {rec["code"]: rec for rec in manifest["codes"]}["super-q5-m2-r7"]
+    # the CSV prints d = 28 for this code; the manifest says it is a lower bound
+    assert (bounded["d_method"], bounded["d_lower"], bounded["d_upper"]) == ("bounds-only", 28, 29)
+
+
+def assert_code_records(records, results_csv):
+    """Schema of the manifest's per-code records, and agreement with the CSV."""
+    with open(results_csv) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [rec["code"] for rec in records] == list(dict.fromkeys(r["code"] for r in rows))
+    for rec in records:
+        assert set(rec) == {"code", "n", "k", "d_method", "d_lower", "d_upper", "rates"}
+        csv_rows = [r for r in rows if r["code"] == rec["code"]]
+        assert len(rec["rates"]) == len(csv_rows)
+        assert int(csv_rows[0]["d"]) == rec["d_lower"] <= rec["d_upper"]
+        assert (rec["d_method"] == "bounds-only") == (rec["d_lower"] != rec["d_upper"])
+        for entry, row in zip(rec["rates"], csv_rows):
+            assert set(entry) == {"rate", "trials", "successes", "uncorrectable", "miscorrected"}
+            assert entry["rate"] == float(row["rate"])
+            assert entry["trials"] == int(row["trials"])
+            assert entry["successes"] + entry["uncorrectable"] == entry["trials"]
+            assert 0 <= entry["miscorrected"] <= entry["successes"]
+            assert entry["successes"] / entry["trials"] == float(row["success_rate"])
+
+
+@pytest.mark.parametrize("chunk", ["0", "-5"])
+def test_simulate_rejects_bad_chunk_size(capsys, chunk):
+    code, out, err = run_cli(capsys, "simulate", "--family", "hermitian", "--q", "2",
+                             "--r", "3", "--rates", "0.1", "--trials", "100",
+                             "--chunk-size", chunk)
+    assert code == 1
+    assert err.strip() == "error: chunk_size must be >= 1"
+    assert "success=" not in out
+
+
 def test_simulate_requires_r(capsys):
     code, _, err = run_cli(capsys, "simulate", "--family", "hermitian", "--q", "2",
                            "--rates", "0")
@@ -205,6 +248,7 @@ def test_reproduce_skip_sim(capsys, tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "reproduce"
     assert str(out_dir / "report_8_3.json") in manifest["outputs"]
+    assert "codes" not in manifest
 
 
 def test_reproduce_with_sim_byte_identical_csvs(capsys, tmp_path):
@@ -216,3 +260,5 @@ def test_reproduce_with_sim_byte_identical_csvs(capsys, tmp_path):
         assert code == 0, out
     assert (dir_a / "results.csv").read_bytes() == (dir_b / "results.csv").read_bytes()
     assert (dir_a / "series.csv").read_bytes() == (dir_b / "series.csv").read_bytes()
+    manifest = json.loads((dir_a / "manifest.json").read_text())
+    assert_code_records(manifest["codes"], dir_a / "results.csv")

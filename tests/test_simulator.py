@@ -1,15 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agq import benchmarks
+from agq import benchmarks, simulator
 from agq.agcode import LinearCode, build_onepoint_code
 from agq.gf import field
+from agq.linalg import right_nullspace
 from agq.simulator import (
     SimConfig,
     SimRun,
     _decode_batch,
+    _draw_chunk,
     _trial_rng,
     apply_random_errors,
     decode_word,
@@ -58,6 +62,135 @@ def test_encode_is_linear(m1, m2):
     lhs = encode(code, F.vadd(np.array(m1), np.array(m2)))
     rhs = F.vadd(encode(code, m1), encode(code, m2))
     assert np.array_equal(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# streams
+
+
+def numpy_draw(seed, rate_index, trial, k, n, q):
+    """One trial's draws from numpy's own Philox Generator."""
+    key = np.array([seed, ((rate_index + 1) << 44) | trial], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    message = rng.integers(0, q, size=k) if k else np.zeros(0, dtype=np.int64)
+    return message, rng.random(n), rng.integers(0, q - 1, size=n)
+
+
+def assert_chunk_matches_numpy(seed, rate_index, lo, hi, k, n, q):
+    drawn = _draw_chunk(seed, rate_index, lo, hi, k, n, q)
+    for row, t in enumerate(range(lo, hi)):
+        for got, want in zip(drawn, numpy_draw(seed, rate_index, t, k, n, q)):
+            assert got[row].dtype == want.dtype
+            assert np.array_equal(got[row], want), (seed, rate_index, t, k, n, q)
+
+
+# (k, n, q): k = 0, odd and even k, GF(2) with no replacement draws, a
+# message range that is not a power of two, a long Hermitian-sized word
+STREAM_SHAPES = [(0, 8, 4), (1, 8, 4), (2, 8, 4), (3, 15, 9), (7, 35, 25),
+                 (1, 7, 2), (4, 9, 2), (0, 5, 2), (5, 6, 27), (4, 512, 4096)]
+
+
+def test_vectorised_draw_matches_numpy_streams():
+    # 9 shapes x 5 seeds x 200 trials, plus 5 x 20 + 1000 trials of the
+    # long word: 10 100 (key, trial) pairs; the seeds include both sides
+    # of 2^63 and the largest 64-bit seed
+    seeds = [0, 7, 2**62 + 1, 2**63 + 5, 2**64 - 1]
+    for i, (k, n, q) in enumerate(STREAM_SHAPES):
+        for j, seed in enumerate(seeds):
+            lo = (i * 7919 + j * 104729) % 50_000
+            trials = 20 if n > 100 else 200
+            assert_chunk_matches_numpy(seed, (i + j) % 5, lo, lo + trials, k, n, q)
+    assert_chunk_matches_numpy(2**64 - 1, 3, 0, 1000, 4, 512, 4096)
+
+
+def test_draw_rows_do_not_depend_on_philox_block_size(monkeypatch):
+    whole = _draw_chunk(5, 1, 100, 400, 7, 35, 25)
+    monkeypatch.setattr(simulator, "PHILOX_BLOCKS", 7)
+    parts = _draw_chunk(5, 1, 100, 400, 7, 35, 25)
+    for a, b in zip(whole, parts):
+        assert np.array_equal(a, b)
+
+
+def test_draw_temporaries_are_bounded():
+    # a Hermitian q=8 sized chunk: n = 512 over GF(4096); the outputs are
+    # 18 MB, while one unblocked Philox pass would hold ~7 MB per array
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        drawn = _draw_chunk(3, 0, 0, 2048, 100, 512, 4096)
+        outputs, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(a.nbytes for a in drawn) <= outputs
+    assert peak - outputs < 8 << 20
+
+
+def lemire_rejections(seed, rate_index, trial, k, n, q):
+    """Whether numpy rejected one of the trial's bounded uint32 draws.
+
+    Up to the first rejection the stream is read in the plain layout:
+    message halves, n uniform words, replacement halves.  Lemire's method
+    rejects u for range m when (u * m) mod 2^32 < (2^32 - m) mod m.
+    """
+    key = np.array([seed, ((rate_index + 1) << 44) | trial], dtype=np.uint64)
+    msg_words = (k + 1) // 2
+    words = np.random.Philox(key=key).random_raw(msg_words + n + (k + n + 1) // 2)
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).reshape(-1)
+    repl = halves[2 * (msg_words + n):]
+    if k % 2:
+        repl = np.concatenate([halves[k:k + 1], repl])
+    draws = [(halves[:k], q), (repl[:n], q - 1)]
+    return any(((u * m) & 0xFFFFFFFF < (2**32 - m) % m).any() for u, m in draws if m > 1)
+
+
+def test_lemire_rejections_are_redrawn_from_the_reference(monkeypatch):
+    # GF(3^10): ranges near 2^16 make real rejections likely in 10^4 trials
+    k, n, q, seed = 3, 200, 3**10, 2024
+    rejected = [t for t in range(10_000) if lemire_rejections(seed, 0, t, k, n, q)]
+    assert rejected, "no trial exercises the rejection redraw"
+    redrawn = []
+    reference = simulator._reference_draw
+
+    def spy(master_seed, rate_index, trial, *shape):
+        redrawn.append(trial)
+        return reference(master_seed, rate_index, trial, *shape)
+
+    monkeypatch.setattr(simulator, "_reference_draw", spy)
+    drawn = _draw_chunk(seed, 0, 0, 10_000, k, n, q)
+    assert set(rejected) <= set(redrawn)
+    for t in rejected + redrawn[:20]:
+        for got, want in zip(drawn, numpy_draw(seed, 0, t, k, n, q)):
+            assert np.array_equal(got[t], want)
+
+
+def test_seeds_above_2_63_are_distinct_and_warning_free(code):
+    # a key given as a Python list is cast through float64 by numpy, which
+    # merges seeds >= 2^63 that differ in their low bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = simulate_transmission(code, 0.3, 500, master_seed=2**63)
+        b = simulate_transmission(code, 0.3, 500, master_seed=2**63 + 5)
+        simulate_transmission(code, 0.3, 500, master_seed=2**64 - 1)
+        first = [_trial_rng(2**63 + d, 0, 0).integers(0, 2**32, size=4).tolist()
+                 for d in (0, 5)]
+    assert a != b
+    assert first[0] != first[1]
+
+
+def test_reference_stream_below_2_63_is_numpys_list_keyed_stream():
+    for seed in (0, 123456789, 2**63 - 1):
+        listed = np.random.Generator(np.random.Philox(key=[seed, (3 << 44) | 17]))
+        assert np.array_equal(_trial_rng(seed, 2, 17).random(9), listed.random(9))
+
+
+def test_stream_key_range_is_checked():
+    with pytest.raises(ValueError):
+        _trial_rng(0, 0, 1 << 44)
+    with pytest.raises(ValueError):
+        _draw_chunk(0, (1 << 20) - 1, 0, 1, 2, 8, 4)
+    with pytest.raises(ValueError):
+        _draw_chunk(0, 0, (1 << 44) - 1, (1 << 44) + 1, 2, 8, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +341,56 @@ def test_batch_decoder_matches_reference(seed):
             assert np.array_equal(dec, ref_word)
 
 
+def code_with_parity_check(F, H):
+    H = np.asarray(H, dtype=np.int64)
+    return LinearCode(field=F, generator=right_nullspace(F, H), parity_check=H)
+
+
+def assert_batch_matches_reference(code, words):
+    decoded, statuses = _decode_batch(code, words)
+    names = {0: "success", 1: "corrected", 2: "failure"}
+    for word, dec, status in zip(words, decoded, statuses):
+        ref_word, ref_status = decode_word(code, word)
+        assert names[int(status)] == ref_status
+        if ref_status != "failure":
+            assert np.array_equal(dec, ref_word)
+    return decoded, statuses
+
+
+def test_batch_decoder_first_of_duplicate_columns_wins():
+    # GF(4): column 0 is zero, columns 1, 2 and 4 are parallel (2 = a * 1,
+    # 4 = 1), column 3 stands alone; every word of length 5 is decoded
+    F = field(2, 2)
+    H = [[0, 1, 2, 0, 1],
+         [0, 1, 2, 1, 1]]
+    code = code_with_parity_check(F, H)
+    words = np.array(np.meshgrid(*[range(4)] * 5, indexing="ij")).reshape(5, -1).T
+    decoded, statuses = assert_batch_matches_reference(code, words)
+    changed = (decoded != words).any(axis=1) & (statuses == 1)
+    # the parallel class {1, 2, 4} is always fixed at position 1
+    positions = set(np.nonzero(decoded[changed] != words[changed])[1].tolist())
+    assert positions == {1, 3}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2), (5, 1)]), st.integers(0, 2**32 - 1))
+def test_batch_decoder_matches_reference_with_repeated_columns(fe, seed):
+    F = field(*fe)
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, 4))
+    base = rng.integers(0, F.order, size=(r, 3))
+    # columns: random, scaled repeats of earlier ones, and zero columns
+    cols = [base[:, 0], np.zeros(r, dtype=np.int64), base[:, 1]]
+    for _ in range(4):
+        src = cols[int(rng.integers(0, len(cols)))]
+        cols.append(F.vmul(int(rng.integers(1, F.order)), src))
+    cols.append(base[:, 2])
+    H = np.stack(cols, axis=1)
+    code = code_with_parity_check(F, H)
+    words = rng.integers(0, F.order, size=(24, H.shape[1]))
+    assert_batch_matches_reference(code, words)
+
+
 # ---------------------------------------------------------------------------
 # transmission statistics
 
@@ -243,6 +426,12 @@ def test_success_rate_lower_bound_at_low_rate(code):
     floor = (1 - p) ** n + n * p * (1 - p) ** (n - 1)
     sigma = (floor * (1 - floor) / trials) ** 0.5
     assert res.success_rate >= floor - 5 * sigma
+
+
+def test_chunk_size_must_be_positive(code):
+    for chunk in (0, -5):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            simulate_transmission(code, 0.1, 100, master_seed=1, chunk_size=chunk)
 
 
 def test_run_simulation_orders_rates(code):

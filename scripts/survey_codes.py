@@ -9,7 +9,8 @@ computed ground truth part ways.
 
 import argparse
 
-from agq.agcode import build_onepoint_code, check_duality_claim, is_euclidean_self_orthogonal, is_hermitian_self_orthogonal, min_distance
+from agq.agcode import (DEFAULT_BUDGET, build_onepoint_code, check_duality_claim,
+                        is_euclidean_self_orthogonal, is_hermitian_self_orthogonal, min_distance)
 from agq.curve import hermitian_curve, superelliptic_curve
 from agq.rrspace import dimension_by_cases
 
@@ -21,7 +22,7 @@ def main() -> None:
     parser.add_argument("--q", type=int, default=3)
     parser.add_argument("--m", type=int, default=3)
     parser.add_argument("--r-max", type=int, default=12)
-    parser.add_argument("--budget", type=int, default=1 << 18)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = parser.parse_args()
 
     curve = (hermitian_curve(args.q) if args.family == "hermitian"

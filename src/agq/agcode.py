@@ -154,13 +154,43 @@ def _message_block(order: int, k: int, start: int, stop: int) -> np.ndarray:
 
 
 def iter_codeword_blocks(code: LinearCode, block: int = 4096, skip_zero: bool = False):
-    """Yield codeword index matrices covering all q^k messages in canonical order."""
-    total = code.field.order**code.k
+    """Yield codeword index matrices covering all q^k messages in canonical order.
+
+    Message m = sum_i m_i q^i encodes to sum_i m_i G[i]; words come in
+    order of m, in nonempty blocks of at most `block` rows, and
+    `skip_zero` leaves out m = 0.  When q^k <= block the words are one
+    `matmul` of all messages.  Otherwise the code is the union of the
+    cosets h + C_low, where C_low is spanned by the first j rows of G,
+    j the largest with q^(j+1) <= block (0 if q > block).  The low table
+    L of all q^j words of C_low is one `matmul`; then each chunk of
+    c = block // q^j high messages gives its c offsets H by a `matmul`
+    with G[j:], and its block is H[t] + L[s] for all (t, s), one field
+    addition per symbol.  Row (t, s) is message (lo + t) q^j + s, so the
+    order is the canonical one.  Memory: L holds at most block/q rows,
+    and each step allocates only its c offsets and one block with the
+    temporaries of its `vadd`; no q^k-row array exists.
+    """
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    F, G, q, k = code.field, code.generator, code.field.order, code.k
     start = 1 if skip_zero else 0
-    for lo in range(start, total, block):
-        hi = min(lo + block, total)
-        msgs = _message_block(code.field.order, code.k, lo, hi)
-        yield matmul(code.field, msgs, code.generator)
+    total = q**k
+    if total <= block:
+        if start < total:
+            yield matmul(F, _message_block(q, k, start, total), G)
+        return
+    j = 0
+    while q ** (j + 2) <= block:
+        j += 1
+    low = matmul(F, _message_block(q, j, 0, q**j), G[:j])
+    chunk, highs = block // q**j, total // q**j
+    for lo in range(0, highs, chunk):
+        high = matmul(F, _message_block(q, k - j, lo, min(lo + chunk, highs)), G[j:])
+        words = F.vadd(high[:, None, :], low[None, :, :]).reshape(-1, code.n)
+        if lo == 0 and skip_zero:
+            words = words[1:]
+        if len(words):
+            yield words
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ arithmetic or vectorized linear algebra.  Slow and obvious on purpose.
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
 
 def digits(index: int, p: int, e: int) -> tuple[int, ...]:
@@ -166,3 +168,19 @@ def naive_hermitian_inner(nf: NaiveField, q: int, a, b):
     for x, y in zip(a, b):
         acc = nf.add(acc, nf.mul(x, nf.pow(y, q)))
     return acc
+
+
+def krawtchouk(j: int, i: int, n: int, q: int) -> int:
+    """K_j(i) = sum_s (-1)^s (q-1)^(j-s) C(i, s) C(n-i, j-s)."""
+    return sum((-1) ** s * (q - 1) ** (j - s) * math.comb(i, s) * math.comb(n - i, j - s)
+               for s in range(j + 1))
+
+
+def macwilliams_transform(counts, q: int) -> list[Fraction]:
+    """Weight distribution of the dual of a code with distribution `counts`
+    (counts[i] words of weight i, length n = len(counts) - 1), by
+    B_j = (1/|C|) sum_i A_i K_j(i)."""
+    n = len(counts) - 1
+    size = sum(counts)
+    return [Fraction(sum(a * krawtchouk(j, i, n, q) for i, a in enumerate(counts)), size)
+            for j in range(n + 1)]

@@ -1,9 +1,13 @@
+import functools
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agq import benchmarks
+from agq import agcode, benchmarks
 from agq.agcode import (
     BudgetExceededError,
     LinearCode,
@@ -16,6 +20,7 @@ from agq.agcode import (
     hermitian_violation,
     is_euclidean_self_orthogonal,
     is_hermitian_self_orthogonal,
+    iter_codeword_blocks,
     load_code,
     min_distance,
     resolve_eval_set,
@@ -24,9 +29,11 @@ from agq.agcode import (
 )
 from agq.curve import hermitian_curve, superelliptic_curve
 from agq.gf import FieldError, field, quadratic_tower
-from agq.linalg import matmul, rank, row_space_equal
+from agq.linalg import matmul, rank, row_basis, row_space_equal
 from oracles import (
     NaiveField,
+    macwilliams_transform,
+    naive_codewords,
     naive_hermitian_inner,
     naive_min_distance,
     naive_weight_distribution,
@@ -153,6 +160,84 @@ def test_dual_of_full_code_is_zero_code():
     code = benchmarks.saturated_code_4_4()
     d = dual(code)
     assert (d.n, d.k) == (4, 0)
+
+
+# ---------------------------------------------------------------------------
+# codeword enumeration
+
+# p in {2, 3, 5, 7} with e <= 3 covers the XOR and add-table paths of
+# `vadd`; GF(3^6), of odd order above 256, covers its digit path
+ENUMERATION_FIELDS = [(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3)] + [(3, 6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ENUMERATION_FIELDS), st.integers(1, 6), st.data())
+def test_codeword_blocks_match_naive_enumeration(pe, n, data):
+    F = field(*pe)
+    q = F.order
+    k = data.draw(st.integers(1, max(k for k in range(1, 5) if q**k <= 1024 or k == 1)))
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=k * n, max_size=k * n))
+    G = np.array(entries, dtype=np.int64).reshape(k, n)
+    code = LinearCode(field=F, generator=G)
+    # agq's message index is sum_i m_i q^i, so its first symbol varies
+    # fastest; itertools.product varies the last one fastest, so the naive
+    # enumeration of the reversed rows comes out in agq's order
+    expected = np.array(list(naive_codewords(NaiveField(F.p, F.e, F.modulus), G[::-1].tolist())))
+    for block in {1, 2, q - 1, q, q + 1, q * q, q**k - 1, 4096}:
+        for skip_zero in (False, True):
+            blocks = list(iter_codeword_blocks(code, block, skip_zero))
+            assert all(0 < len(words) <= block for words in blocks)
+            assert np.array_equal(np.concatenate(blocks), expected[int(skip_zero):])
+
+
+def test_codeword_blocks_reject_nonpositive_block(code_8_3):
+    for block in (0, -3):
+        with pytest.raises(ValueError, match="block"):
+            list(iter_codeword_blocks(code_8_3, block))
+
+
+def _assert_macwilliams(code, block):
+    """dual(code)'s weights equal the MacWilliams transform of code's, both
+    enumerated in blocks of `block` rows."""
+    small = functools.partial(iter_codeword_blocks, block=block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(agcode, "iter_codeword_blocks", small)
+        counts = [int(c) for c in weight_distribution(code)]
+        dual_counts = [Fraction(int(c)) for c in weight_distribution(dual(code))]
+    assert dual_counts == macwilliams_transform(counts, code.field.order)
+
+
+def test_macwilliams_identity_benchmark_pair(code_8_3):
+    assert dual(code_8_3).k == 5
+    for block in (3, 5, 16, 4096):
+        _assert_macwilliams(code_8_3, block)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2), (5, 1)]), st.data())
+def test_macwilliams_identity_random_codes(pe, data):
+    F = field(*pe)
+    q = F.order
+    n = data.draw(st.integers(2, max(n for n in range(2, 7) if q**n <= 6561)))
+    k = data.draw(st.integers(1, n - 1))
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=k * n, max_size=k * n))
+    G = row_basis(F, np.array(entries, dtype=np.int64).reshape(k, n)).reshape(-1, n)
+    _assert_macwilliams(LinearCode(field=F, generator=G), data.draw(st.integers(1, q * q)))
+
+
+def test_weight_distribution_memory_is_bounded():
+    # [512, 3] over GF(64): 2^18 words, so a q^k x n array would be 1 GiB
+    code = build_onepoint_code(hermitian_curve(8), 9)
+    assert (code.n, code.k) == (512, 3)
+    tracemalloc.start()
+    try:
+        counts = weight_distribution(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 64**3 and counts[0] == 1
+    assert not counts[1:code.designed_distance].any()
+    assert peak < 48 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .curve import CurvePoint, CurveSpec, affine_points
 from .gf import Felt, Field, FieldError, QuadraticTower, factor_prime_power, field, quadratic_tower
-from .linalg import matmul, normalize_rows, rank, right_nullspace, row_basis, row_space_equal
+from .linalg import matmul, normalize_rows, rank, right_nullspace, row_basis
 from .rrspace import dimension_by_cases, verified_basis
 
 DEFAULT_BUDGET = 1 << 20
@@ -191,6 +191,8 @@ def iter_codeword_blocks(code: LinearCode, block: int = 4096, skip_zero: bool = 
             words = words[1:]
         if len(words):
             yield words
+        # drop the block just yielded before building the next one
+        del words
 
 
 @dataclass(frozen=True)
@@ -226,6 +228,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceResu
             weights = weights[weights > 0]
             if len(weights):
                 best = min(best, int(weights.min()))
+            del block  # else the loop variable holds it while the next is built
         return DistanceResult(d=best, method="exhaustive", lower=best, upper=best)
 
     H = code.parity_check
@@ -252,6 +255,7 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> np.nd
     for block in iter_codeword_blocks(code):
         w = np.count_nonzero(block, axis=1)
         counts += np.bincount(w, minlength=code.n + 1)
+        del block  # else the loop variable holds it while the next is built
     return counts
 
 
@@ -376,6 +380,8 @@ def check_duality_claim(curve: CurveSpec, r: int, eval_set="all") -> DualityClai
     F = curve.tower.ext
     stacked = np.vstack([code_dual.generator, companion.generator])
     stacked_rank = rank(F, stacked)
+    # dim(U + V) = dim U = dim V holds iff U = V: the stacked rank decides
+    # equality as well as both containments, with no further elimination
     return DualityClaim(
         q=curve.q,
         m=curve.m,
@@ -385,7 +391,7 @@ def check_duality_claim(curve: CurveSpec, r: int, eval_set="all") -> DualityClai
         dim_code=code.k,
         dim_dual=code_dual.k,
         dim_companion=companion.k,
-        row_spaces_equal=row_space_equal(F, code_dual.generator, companion.generator),
+        row_spaces_equal=stacked_rank == code_dual.k == companion.k,
         companion_inside_dual=stacked_rank == code_dual.k,
         dual_inside_companion=stacked_rank == companion.k,
     )

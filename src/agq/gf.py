@@ -7,12 +7,12 @@ therefore the canonical element order (zero first, then 1, then the
 class of x, ...), and GF(4) enumerates as [0, 1, a, a+1] where a is the
 class of x modulo the default modulus x^2 + x + 1.
 
-Multiplication uses discrete log/antilog tables with respect to a fixed
-primitive element; addition works on the base-p digit vectors.  Both are
-exposed in scalar form (`Field.add`, `Field.mul`, ...) and in vectorized
-form over numpy index arrays (`Field.vadd`, `Field.vmul`, ...).  The
-`Felt` wrapper provides operator syntax and guards against mixing
-elements of different fields.
+Arithmetic is exposed in scalar form (`Field.add`, `Field.mul`, ...)
+and in vectorized form over numpy index arrays (`Field.vadd`,
+`Field.vmul`, ...).  Scalar multiplication uses discrete log/antilog
+tables with respect to a fixed primitive element, and scalar addition
+works on the base-p digit vectors.  The `Felt` wrapper provides
+operator syntax and guards against mixing elements of different fields.
 
 Vectorized addition avoids the digits where it can.  In characteristic
 2 the digits are bits, so a + b and a - b are the XOR of the indices and
@@ -21,6 +21,11 @@ ADD_TABLE_MAX look sums up in an (order, order) addition table and
 differences as a + (-b) with a negation table.  Both tables are built on
 first use, so a field that never adds pays nothing for them at
 construction.  Larger odd-characteristic fields add digit by digit.
+
+Vectorized multiplication in a field of order at most ADD_TABLE_MAX is
+one gather from an (order, order) multiplication table, built on first
+use from the log/antilog tables.  Larger fields multiply through the
+log/antilog tables, masking the products with a zero factor.
 
 Default moduli are chosen deterministically: the monic polynomial of
 degree e with the smallest coefficient encoding such that the class of
@@ -46,7 +51,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 MAX_FIELD_SIZE = 1 << 16
-# Largest odd-characteristic order whose vadd/vsub/vneg use addition tables.
+# Largest order whose vmul gathers from a multiplication table, and whose
+# vadd/vsub/vneg, in odd characteristic, gather from addition tables.
 ADD_TABLE_MAX = 256
 
 
@@ -250,6 +256,13 @@ class Field:
         return ((d[:, None, :] + d[None, :, :]) % self.p) @ self._pows
 
     @cached_property
+    def _mul_table(self) -> np.ndarray:
+        """(order, order) table a, b -> a * b, flattened to a * order + b."""
+        prod = self._exp[(self._log[:, None] + self._log[None, :]) % (self.order - 1)]
+        prod[0, :] = prod[:, 0] = 0
+        return prod.ravel()
+
+    @cached_property
     def _neg_table(self) -> np.ndarray:
         return ((-self._digits) % self.p) @ self._pows
 
@@ -348,6 +361,10 @@ class Field:
     def vmul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.order <= ADD_TABLE_MAX:
+            # a flat `take`, not 2-D fancy indexing: faster past a few
+            # hundred entries, and as fast below on rref's shapes
+            return self._mul_table.take(a * self.order + b)
         prod = self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
 

@@ -79,7 +79,12 @@ def matvec(F: Field, A, v):
 
 
 def rref(F: Field, A):
-    """Reduced row echelon form; returns (R, pivot_columns)."""
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    Rows at or below the pivot row are zero left of the pivot column, so
+    the pivot row's scaling and the update of the other rows touch only
+    the columns from the pivot column on.
+    """
     R = np.atleast_2d(np.asarray(A, dtype=np.int64)).copy()
     m, n = R.shape
     pivots = []
@@ -93,10 +98,11 @@ def rref(F: Field, A):
         piv = row + int(nz[0])
         if piv != row:
             R[[row, piv]] = R[[piv, row]]
-        R[row] = F.vscale(F.inv(int(R[row, col])), R[row])
+        R[row, col:] = F.vscale(F.inv(int(R[row, col])), R[row, col:])
         others = np.nonzero(R[:, col])[0]
         others = others[others != row]
-        R[others] = F.vsub(R[others], F.vmul(R[others, col][:, None], R[row]))
+        tail = R[others, col:]
+        R[others, col:] = F.vsub(tail, F.vmul(tail[:, :1], R[row, col:]))
         pivots.append(col)
         row += 1
     return R, pivots

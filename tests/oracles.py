@@ -94,14 +94,18 @@ class NaiveField:
         return self.mul(a, self.inv(b))
 
 
-def naive_rank(nf: NaiveField, rows) -> int:
-    """Gaussian elimination over the naive field; rows = lists of indices."""
+def naive_rref(nf: NaiveField, rows):
+    """Gauss-Jordan elimination over the naive field; rows = lists of indices.
+
+    Returns (rows, pivots): the reduced rows, each pivot entry 1 and alone
+    in its column, with zero rows last, and the pivot column of each
+    nonzero row.
+    """
     rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = None
         for i in range(rank, len(rows)):
             if rows[i][col] != 0:
@@ -116,8 +120,12 @@ def naive_rank(nf: NaiveField, rows) -> int:
             if i != rank and rows[i][col] != 0:
                 f = rows[i][col]
                 rows[i] = [nf.sub(v, nf.mul(f, w)) for v, w in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return rows, pivots
+
+
+def naive_rank(nf: NaiveField, rows) -> int:
+    return len(naive_rref(nf, rows)[1])
 
 
 def naive_matmul(nf: NaiveField, A, B):

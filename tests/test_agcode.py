@@ -29,7 +29,7 @@ from agq.agcode import (
 )
 from agq.curve import hermitian_curve, superelliptic_curve
 from agq.gf import FieldError, field, quadratic_tower
-from agq.linalg import matmul, rank, row_basis, row_space_equal
+from agq.linalg import matmul, rank, right_nullspace, row_basis, row_space_equal
 from oracles import (
     NaiveField,
     macwilliams_transform,
@@ -240,6 +240,20 @@ def test_weight_distribution_memory_is_bounded():
     assert peak < 48 << 20
 
 
+def test_enumeration_holds_one_block_at_a_time():
+    # one 4096 x 512 int64 block is 16 MiB; holding the previous block
+    # while the next is built would take the peak past 32 MiB
+    code = build_onepoint_code(hermitian_curve(8), 9)
+    for run in (weight_distribution, min_distance):
+        tracemalloc.start()
+        try:
+            run(code)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 << 20, run.__name__
+
+
 # ---------------------------------------------------------------------------
 # distances: budgets and bounds
 
@@ -434,6 +448,75 @@ def test_duality_claim_midpoint_hermitian_q3():
     # self-dual iff row spaces equal; dims 4 vs 23 make it impossible
     assert claim.dim_code == 4
     assert claim.row_spaces_equal is False
+
+
+# the report-exhaustive families: Hermitian q=3 r=0..7, superelliptic
+# q=3 m=3 r=0..5, Hermitian q=4 r=5..8
+DUALITY_FAMILIES = ([(hermitian_curve, (3,), r) for r in range(8)]
+                    + [(superelliptic_curve, (3, 3), r) for r in range(6)]
+                    + [(hermitian_curve, (4,), r) for r in range(5, 9)])
+
+
+@pytest.mark.parametrize("make,args,r", DUALITY_FAMILIES)
+def test_duality_verdict_matches_row_space_comparison(make, args, r):
+    curve = make(*args)
+    claim = check_duality_claim(curve, r)
+    if not claim.applicable:
+        return
+    code_dual = dual(build_onepoint_code(curve, r))
+    companion = build_onepoint_code(curve, claim.r_prime)
+    F = curve.tower.ext
+    assert claim.row_spaces_equal == row_space_equal(F, code_dual.generator, companion.generator)
+
+
+def _matrix(draw, F, rows, cols):
+    entries = draw(st.lists(st.integers(0, F.order - 1), min_size=rows * cols, max_size=rows * cols))
+    return np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+def _space(draw, F, n):
+    """Canonical basis of the span of up to n + 1 random rows of length n."""
+    return row_basis(F, _matrix(draw, F, draw(st.integers(0, n + 1)), n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 6),
+       st.sampled_from(["equal", "nested", "disjoint", "random"]), st.data())
+def test_duality_verdicts_on_drawn_row_spaces(q, n, relation, data):
+    # check_duality_claim on a curve whose code builds are replaced: the
+    # code at r has dual U and the companion at r' = q^2 + q(q-1)/2 spans V
+    curve = hermitian_curve(q)
+    F = curve.tower.ext
+    if relation == "disjoint":
+        # U on the first s coordinates and V on the others meet only in 0
+        s = data.draw(st.integers(0, n))
+        U = np.pad(_space(data.draw, F, s), ((0, 0), (0, n - s)))
+        V = np.pad(_space(data.draw, F, n - s), ((0, 0), (s, 0)))
+    else:
+        U = _space(data.draw, F, n)
+        k = len(U)
+        if relation == "equal":
+            # a change of basis by a unit upper-triangular, so invertible, matrix
+            T = np.triu(_matrix(data.draw, F, k, k), 1) + np.eye(k, dtype=np.int64)
+            V = matmul(F, T, U)
+        elif relation == "nested":
+            V = U[np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool)]
+        else:
+            V = _space(data.draw, F, n)
+    codes = {0: LinearCode(field=F, generator=right_nullspace(F, U)),
+             q * q + q * (q - 1) // 2: LinearCode(field=F, generator=V)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(agcode, "build_onepoint_code", lambda curve, r, eval_set="all": codes[r])
+        claim = check_duality_claim(curve, 0)
+    equal = row_space_equal(F, U, V)
+    assert claim.applicable and claim.dim_dual == len(U) and claim.dim_companion == rank(F, V)
+    assert claim.row_spaces_equal == equal
+    if relation == "equal":
+        assert equal
+    if relation == "disjoint":
+        assert equal == (len(U) == len(V) == 0)
+    if relation == "nested":
+        assert claim.dual_inside_companion == equal and claim.companion_inside_dual
 
 
 # ---------------------------------------------------------------------------

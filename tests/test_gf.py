@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agq import gf
 from agq.gf import (
     Felt,
     Field,
@@ -367,3 +368,52 @@ def test_addition_tables_are_built_on_first_use():
     assert "_add_table" not in vars(F) and "_neg_table" not in vars(F)
     F.vsub(1, 2)
     assert "_add_table" in vars(F) and "_neg_table" in vars(F)
+
+
+# ---------------------------------------------------------------------------
+# vmul / vscale / vdot against the naive field
+
+# every field of order at most 256 multiplies by table; GF(2^9), GF(3^6),
+# GF(7^3) and GF(257) multiply through the log/antilog tables
+MULTIPLICATION_FIELDS = _prime_powers(256) + [(2, 9), (3, 6), (7, 3), (257, 1)]
+
+
+@pytest.mark.parametrize("p,e", MULTIPLICATION_FIELDS)
+@settings(max_examples=4, deadline=None)
+@given(st.data())
+def test_vmul_vscale_vdot_match_naive(p, e, data):
+    F = field(p, e)
+    nf = NaiveField(p, e, F.modulus)
+    # zero drawn as often as all other elements together
+    elements = st.one_of(st.just(0), st.integers(0, F.order - 1))
+    a = data.draw(st.lists(elements, min_size=0, max_size=12))
+    b = data.draw(st.lists(elements, min_size=len(a), max_size=len(a)))
+    c = data.draw(elements)
+    assert F.vmul(a, b).tolist() == [nf.mul(x, y) for x, y in zip(a, b)]
+    assert F.vscale(c, a).tolist() == [nf.mul(c, x) for x in a]
+    assert F.vmul(a, c).tolist() == [nf.mul(x, c) for x in a]
+    # a column against a row broadcasts to the table of all products
+    column = np.array(a, dtype=np.int64).reshape(-1, 1)
+    assert F.vmul(column, b).tolist() == [[nf.mul(x, y) for y in b] for x in a]
+    assert int(F.vmul(c, c)) == nf.mul(c, c)
+    dot = 0
+    for x, y in zip(a, b):
+        dot = nf.add(dot, nf.mul(x, y))
+    assert int(F.vdot(a, b)) == dot
+
+
+def test_multiplication_table_is_built_on_first_use(monkeypatch):
+    # fresh caches, so the tower builds its own fields
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    monkeypatch.setattr(gf, "_TOWER_CACHE", {})
+    F = Field(7, 2)
+    tower = quadratic_tower(5)
+    fields = [F, tower.base, tower.ext]
+    assert not any("_mul_table" in vars(f) for f in fields)
+    for f in fields:
+        f.vmul(2, [1, 3])
+    assert all("_mul_table" in vars(f) for f in fields)
+    # a field above the table bound never builds one
+    big = Field(3, 6)
+    big.vscale(2, [1, 3])
+    assert "_mul_table" not in vars(big)

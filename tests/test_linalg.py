@@ -18,7 +18,7 @@ from agq.linalg import (
     row_space_equal,
     rref,
 )
-from oracles import NaiveField, naive_matmul, naive_rank
+from oracles import NaiveField, naive_matmul, naive_rank, naive_rref
 
 
 @st.composite
@@ -226,3 +226,38 @@ def test_matmul_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 << 20
+
+
+# ---------------------------------------------------------------------------
+# rref against a literal Gauss-Jordan elimination
+
+# GF(4) and GF(256) in characteristic 2, GF(9), GF(25) and GF(49) on the
+# addition tables, GF(3^6) on the digit path and log/antilog products
+RREF_FIELDS = [(2, 2), (3, 2), (5, 2), (7, 2), (2, 8), (3, 6)]
+
+
+@st.composite
+def rref_cases(draw):
+    """A field and an (m, n) matrix, m <= 8 and n <= 9, of rank at most r:
+    the product of random (m, r) and (r, n) matrices, with some rows and
+    columns then set to zero."""
+    F = field(*draw(st.sampled_from(RREF_FIELDS)))
+    nf = NaiveField(F.p, F.e, F.modulus)
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 9))
+    r = draw(st.integers(0, min(m, n)))
+    X = _index_matrix(draw, F.order, m, r)
+    Y = _index_matrix(draw, F.order, r, n)
+    A = np.array(naive_matmul(nf, X, Y), dtype=np.int64).reshape(m, n)
+    A[draw(st.lists(st.integers(0, m - 1), max_size=2)) if m else []] = 0
+    A[:, draw(st.lists(st.integers(0, n - 1), max_size=2)) if n else []] = 0
+    return F, nf, A
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_cases())
+def test_rref_matches_naive_gauss_jordan(case):
+    F, nf, A = case
+    R, pivots = rref(F, A)
+    want, want_pivots = naive_rref(nf, A.tolist())
+    assert R.shape == A.shape and R.dtype == np.int64
+    assert R.tolist() == want and pivots == want_pivots

@@ -328,16 +328,14 @@ def cmd_reproduce(args) -> int:
                 if abs(row.avg_errors - run.n * row.rate) > 5 * sigma:
                     bands_ok = False
         _check(results, "simulation-error-bands", bands_ok)
-        rerun = run_simulation(
-            SimConfig(code=sweep[0][0], error_rates=rates[:2],
-                      num_transmissions=min(args.trials, 2000), master_seed=seed)
-        )
-        base = run_simulation(
-            SimConfig(code=sweep[0][0], error_rates=rates[:2],
-                      num_transmissions=min(args.trials, 2000), master_seed=seed),
-            chunk_size=199,
-        )
-        _check(results, "simulation-determinism", rerun == base)
+        # the first code at rates 0 and 0.05 over at most 2000 trials, in
+        # chunks of 199 and of the default size; up to 2000 trials the
+        # default-chunk run is the sweep's own first two rows
+        first = SimConfig(code=sweep[0][0], error_rates=rates[:2],
+                          num_transmissions=min(args.trials, 2000), master_seed=seed)
+        rerun = run_simulation(first, chunk_size=199)
+        base = runs[0].result if args.trials <= 2000 else run_simulation(first)
+        _check(results, "simulation-determinism", rerun.rows == base.rows[:2])
 
     _write_manifest(out_dir / "manifest.json", "reproduce",
                     {"trials": args.trials, "skip_sim": args.skip_sim}, outputs, seed, records)

@@ -29,6 +29,10 @@ uint64 arrays over the block counters 1, 2, ... of each key:
   of the last message word;
 * over GF(2) the replacement range is 1 and consumes no words.
 
+The ten Philox rounds run in place on arrays allocated once per call,
+and the high word of each 64x64-bit product comes from three 32-bit
+partial products (the `mulhu` identity of Hacker's Delight, section 8-2).
+
 Lemire's method rejects u when the low half of u * range falls below
 (2^32 - range) mod range, which is less than range.  A trial with any
 low half below range is drawn again from `_trial_rng` itself, so every
@@ -142,13 +146,35 @@ _LOW32 = 0xFFFFFFFF
 PHILOX_BLOCKS = 1 << 14
 
 
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products a * m, from 32-bit halves."""
-    a_lo, a_hi = a & _LOW32, a >> 32
-    m_lo, m_hi = m & _LOW32, m >> 32
-    lo_lo, lo_hi, hi_lo = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
-    mid = (lo_lo >> 32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
-    return a_hi * m_hi + (lo_hi >> 32) + (hi_lo >> 32) + (mid >> 32), a * m
+def _mulhilo(a: np.ndarray, m: int, hi: np.ndarray, lo: np.ndarray,
+             s: np.ndarray, s2: np.ndarray) -> None:
+    """Write the high and low words of the 128-bit products a * m into hi
+    and lo, overwriting a and the scratch arrays s and s2.
+
+    The low word is a * m, which wraps mod 2^64.  The high word is the
+    three-product mulhu of Hacker's Delight (section 8-2): with a_lo, a_hi
+    and m_lo, m_hi the 32-bit halves,
+        t  = a_lo * m_hi + (a_lo * m_lo >> 32)
+        w  = (t & 0xFFFFFFFF) + a_hi * m_lo
+        hi = a_hi * m_hi + (t >> 32) + (w >> 32),
+    and neither t nor w exceeds 2^64 - 2^32, so no sum wraps.
+    """
+    m_lo, m_hi = np.uint64(m & _LOW32), np.uint64(m >> 32)
+    np.multiply(a, np.uint64(m), out=lo)
+    np.right_shift(a, 32, out=s)                   # a_hi
+    a &= _LOW32                                    # a_lo
+    np.multiply(a, m_lo, out=hi)
+    hi >>= 32
+    a *= m_hi
+    a += hi                                        # t
+    np.bitwise_and(a, _LOW32, out=hi)
+    a >>= 32                                       # t >> 32
+    np.multiply(s, m_lo, out=s2)
+    hi += s2                                       # w
+    hi >>= 32
+    hi += a
+    s *= m_hi
+    hi += s
 
 
 def _philox_words(key0: np.ndarray, key1: np.ndarray, blocks: int) -> np.ndarray:
@@ -158,15 +184,27 @@ def _philox_words(key0: np.ndarray, key1: np.ndarray, blocks: int) -> np.ndarray
     is (b, 4 * blocks).  Block j is the cipher of the counter (j + 1, 0,
     0, 0), the order in which numpy's Philox increments its counter
     before each block.
+
+    The rounds run in place on ten (b, blocks) arrays allocated once: the
+    four counter words, the four products that become the next round's
+    counter words, and two scratch arrays.  After a round the spent
+    counter words are renamed to hold the next round's products.
     """
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (key1.shape[0], blocks))
-    c1 = c2 = c3 = np.zeros_like(c0)
+    shape = (key1.shape[0], blocks)
+    c0 = np.empty(shape, dtype=np.uint64)
+    c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
+    c1, c2, c3 = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
+    hi0, lo0, hi1, lo1, s, s2 = (np.empty(shape, dtype=np.uint64) for _ in range(6))
     for r in range(_PHILOX_ROUNDS):
         if r:
             key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+        _mulhilo(c0, _PHILOX_M[0], hi0, lo0, s, s2)
+        _mulhilo(c2, _PHILOX_M[1], hi1, lo1, s, s2)
+        hi1 ^= c1
+        hi1 ^= key0
+        hi0 ^= c3
+        hi0 ^= key1
+        c0, c1, c2, c3, hi0, lo0, hi1, lo1 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(-1, 4 * blocks)
 
 

@@ -1,10 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from agq import benchmarks
+from agq import benchmarks, cli, simulator
 from agq.agcode import save_code
 from agq.cli import main
 
@@ -262,3 +263,34 @@ def test_reproduce_with_sim_byte_identical_csvs(capsys, tmp_path):
     assert (dir_a / "series.csv").read_bytes() == (dir_b / "series.csv").read_bytes()
     manifest = json.loads((dir_a / "manifest.json").read_text())
     assert_code_records(manifest["codes"], dir_a / "results.csv")
+
+
+@pytest.mark.parametrize("trials", ["400", "2001"])  # sweep rows reused; two runs
+def test_reproduce_determinism_check_fails_on_chunk_dependence(capsys, tmp_path, monkeypatch,
+                                                                trials):
+    real = simulator.simulate_transmission
+
+    def chunk_dependent(*args, chunk_size=2048, **kwargs):
+        result = real(*args, chunk_size=chunk_size, **kwargs)
+        return dataclasses.replace(result, total_errors=result.total_errors + chunk_size)
+
+    monkeypatch.setattr(simulator, "simulate_transmission", chunk_dependent)
+    code, out, _ = run_cli(capsys, "reproduce", "--out-dir", str(tmp_path),
+                           "--trials", trials, "--seed", "5")
+    assert code == 1
+    assert "[FAIL] simulation-determinism" in out
+
+
+def test_reproduce_simulates_each_sweep_code_once_plus_one_rerun(capsys, tmp_path, monkeypatch):
+    calls = []
+    real = cli.run_simulation
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("chunk_size", 2048))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", counted)
+    code, out, _ = run_cli(capsys, "reproduce", "--out-dir", str(tmp_path),
+                           "--trials", "2000", "--seed", "5")
+    assert code == 0, out
+    assert sorted(calls) == [199, 2048, 2048, 2048]

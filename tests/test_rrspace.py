@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -246,3 +247,57 @@ def test_dimension_report_se33():
     # the printed formula agrees exactly at r in {0, 1, 2} and nowhere else
     agree = [row.r for row in rows if row.prediction_matches_rank]
     assert agree == [0, 1, 2]
+
+
+class _TabledField(NaiveField):
+    """NaiveField with its operations memoised, so that per-r naive ranks
+    over GF(25) stay quick."""
+
+    @functools.cache
+    def pow(self, a, n):
+        return super().pow(a, n)
+
+    @functools.cache
+    def mul(self, a, b):
+        return super().mul(a, b)
+
+    @functools.cache
+    def sub(self, a, b):
+        return super().sub(a, b)
+
+    @functools.cache
+    def inv(self, a):
+        return super().inv(a)
+
+
+def naive_candidate_rank(curve, nf, r, points):
+    """Rank of the evaluation matrix of every x^i y^j with pole order <= r
+    and j < q, built and reduced over the naive field."""
+    rows = []
+    for j in range(curve.q):
+        for i in range(max(0, r) + 1):
+            if i * curve.pole_order_x + j * curve.pole_order_y <= r:
+                rows.append([nf.mul(nf.pow(p.x.index, i), nf.pow(p.y.index, j)) for p in points])
+    return naive_rank(nf, rows)
+
+
+@pytest.mark.parametrize("make, r_max, first", [
+    (lambda: superelliptic_curve(3, 3), 30, None),
+    (lambda: hermitian_curve(3), 40, None),
+    (lambda: superelliptic_curve(5, 2), 40, None),
+    (lambda: superelliptic_curve(5, 3), 40, None),  # pole orders (3, 3): gcd warning
+    (lambda: superelliptic_curve(3, 3), 30, 7),     # 7 points saturate at r = 7
+], ids=["se-q3-m3", "herm-q3", "se-q5-m2", "se-q5-m3", "se-q3-m3-7pts"])
+def test_dimension_report_matches_per_r_and_naive_ranks(make, r_max, first):
+    curve = make()
+    points = affine_points(curve)[:first]
+    F = curve.tower.ext
+    nf = _TabledField(F.p, F.e, F.modulus)
+    rows = dimension_report(curve, r_max, None if first is None else points)
+    assert [row.r for row in rows] == list(range(r_max + 1))
+    for row in rows:
+        kept = len(verified_basis(curve, row.r, points))
+        assert row.candidates == len(candidate_monomials(curve, row.r))
+        assert row.rank == row.verified_count == kept
+        assert row.rank == naive_candidate_rank(curve, nf, row.r, points)
+    assert rows[-1].rank == len(points)

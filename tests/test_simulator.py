@@ -111,6 +111,26 @@ def test_draw_rows_do_not_depend_on_philox_block_size(monkeypatch):
         assert np.array_equal(a, b)
 
 
+KEY_WORDS = [0, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("key0", KEY_WORDS, ids=hex)
+@pytest.mark.parametrize("key1", KEY_WORDS, ids=hex)
+def test_philox_words_equal_numpys_raw_stream(key0, key1):
+    # both key words at the edges of the uint64 range, so the Weyl key
+    # increments between rounds wrap; one key, and 50 keys counting up
+    # from key1 (wrapping past 2^64 - 1)
+    keys1 = (key1 + np.arange(50, dtype=object)) % 2**64
+    for blocks in range(1, 17):
+        for ks in (keys1[:1], keys1):
+            got = simulator._philox_words(np.full((1, 1), key0, dtype=np.uint64),
+                                          np.array(ks, dtype=np.uint64).reshape(-1, 1), blocks)
+            assert got.shape == (len(ks), 4 * blocks)
+            for row, k1 in zip(got, ks):
+                key = np.array([key0, k1], dtype=np.uint64)
+                assert np.array_equal(row, np.random.Philox(key=key).random_raw(4 * blocks))
+
+
 def test_draw_temporaries_are_bounded():
     # a Hermitian q=8 sized chunk: n = 512 over GF(4096); the outputs are
     # 18 MB, while one unblocked Philox pass would hold ~7 MB per array

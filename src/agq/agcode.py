@@ -5,8 +5,11 @@ space attached to r*Pinf at a chosen set of affine points.  Everything
 the construction claims about a code (dimension, minimum distance,
 duality, self-orthogonality) is checked by explicit linear algebra at
 desk scale rather than assumed: distances are brute-forced within a
-codeword budget, duals are null spaces, and the closed-form duality
-relation is compared against computed row spaces, never asserted.
+codeword budget, and the closed-form duality relation is compared
+against computed row spaces, never asserted.  A code carries a
+generator G and a parity check H, a basis of the null space of G, so its
+Euclidean dual is the code with G and H traded, and its Hermitian dual
+trades their entrywise conjugates.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .curve import CurvePoint, CurveSpec, affine_points
 from .gf import Felt, Field, FieldError, QuadraticTower, factor_prime_power, field, quadratic_tower
-from .linalg import matmul, normalize_rows, rank, right_nullspace, row_basis
+from .linalg import matmul, normalize_rows, rank, right_nullspace
 from .rrspace import dimension_by_cases, verified_basis
 
 DEFAULT_BUDGET = 1 << 20
@@ -33,9 +36,13 @@ class BudgetExceededError(Exception):
 class LinearCode:
     """A linear [n, k] code over `field`, held as a full-row-rank generator.
 
-    `tower` is present when the field is a quadratic extension GF(q^2)
-    with its designated GF(q), enabling Hermitian operations.  `points`
-    and `r` record provenance for codes built from a curve.
+    `parity_check` is a basis of the dual C^perp: n - k rows whose null
+    space is C.  It is computed from the generator when not supplied; a
+    supplied one must meet that contract, which `dual` and
+    `hermitian_dual` rely on.  `tower` is present when the field is a
+    quadratic extension GF(q^2) with its designated GF(q), enabling
+    Hermitian operations.  `points` and `r` record provenance for codes
+    built from a curve.
     """
 
     field: Field
@@ -71,16 +78,21 @@ class LinearCode:
 
     @classmethod
     def from_generator(cls, F: Field, rows, **kwargs) -> "LinearCode":
-        """Construct from explicit rows, rejecting rank-deficient input."""
+        """Construct from explicit rows, rejecting rank-deficient input.
+
+        The rank is read off the null space that construction computes:
+        rank = n - rows of the parity check.
+        """
         G = np.atleast_2d(np.asarray(rows, dtype=np.int64))
         if np.any((G < 0) | (G >= F.order)):
             raise ValueError(f"matrix entries must be indices in [0, {F.order})")
-        rk = rank(F, G)
-        if rk != G.shape[0]:
-            raise ValueError(f"generator has rank {rk} < {G.shape[0]} rows; not a basis")
         if kwargs.get("tower") is None and F.e % 2 == 0:
             kwargs["tower"] = quadratic_tower(F.p ** (F.e // 2))
-        return cls(field=F, generator=G, **kwargs)
+        code = cls(field=F, generator=G, **kwargs)
+        rk = code.n - len(code.parity_check)
+        if rk != code.k:
+            raise ValueError(f"generator has rank {rk} < {code.k} rows; not a basis")
+        return code
 
 
 def resolve_eval_set(curve: CurveSpec, policy) -> list[CurvePoint]:
@@ -126,19 +138,30 @@ def build_onepoint_code(curve: CurveSpec, r: int, eval_set="all", name: str = ""
     )
 
 
-def dual(code: LinearCode) -> LinearCode:
-    """Euclidean dual: generator = null space of the generator."""
-    G_dual = row_basis(code.field, right_nullspace(code.field, code.generator))
+def _traded(code: LinearCode, generator, parity_check, kind: str, prefix: str) -> LinearCode:
+    """A dual of `code`, given its generator and parity check: `code`'s
+    parity check and generator, or their conjugates, as fresh arrays.
+    The parity check becomes a generator, so it must hold n - k rows."""
+    if len(code.parity_check) != code.n - code.k:
+        raise ValueError(
+            f"parity check has {len(code.parity_check)} rows, not n - k = {code.n - code.k}; "
+            "not a basis of the dual"
+        )
     return LinearCode(
         field=code.field,
-        generator=G_dual.reshape(-1, code.n),
-        parity_check=code.generator.copy() if code.k else None,
+        generator=generator,
+        parity_check=parity_check,
         tower=code.tower,
         points=code.points,
         curve=code.curve,
-        source=f"dual({code.source})",
-        name=f"dual-{code.name}",
+        source=f"{kind}({code.source})",
+        name=f"{prefix}-{code.name}",
     )
+
+
+def dual(code: LinearCode) -> LinearCode:
+    """Euclidean dual C^perp: the code with generator and parity check traded."""
+    return _traded(code, code.parity_check.copy(), code.generator.copy(), "dual", "dual")
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +347,12 @@ def is_euclidean_self_orthogonal(code: LinearCode) -> bool:
 
 
 def hermitian_dual(code: LinearCode) -> LinearCode:
-    """Null space of the entrywise-conjugated generator."""
+    """Hermitian dual C^perp_h = (C^q)^perp.  Frobenius is a field
+    automorphism, so conj(G) generates C^q and conj(H) checks it: the dual
+    is the code with the conjugated generator and parity check traded."""
     tower = _require_tower(code)
-    conj = tower.vfrobenius(code.generator)
-    G_dual = row_basis(code.field, right_nullspace(code.field, conj))
-    return LinearCode(
-        field=code.field,
-        generator=G_dual.reshape(-1, code.n),
-        tower=tower,
-        points=code.points,
-        curve=code.curve,
-        source=f"hermitian-dual({code.source})",
-        name=f"hdual-{code.name}",
-    )
+    return _traded(code, tower.vfrobenius(code.parity_check), tower.vfrobenius(code.generator),
+                   "hermitian-dual", "hdual")
 
 
 # ---------------------------------------------------------------------------

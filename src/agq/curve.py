@@ -15,7 +15,6 @@ x = infinity the reported point count refers to this plane model.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -130,14 +129,6 @@ def _maximality_criterion_covers(p: int, s: int, m: int) -> bool:
     return mm == 1 and b >= 1 and s % b == 0
 
 
-def curve_from_json(text: str) -> CurveSpec:
-    data = json.loads(text)
-    family = Family(data["family"])
-    if family is Family.HERMITIAN:
-        return hermitian_curve(data["q"])
-    return superelliptic_curve(data["q"], data["m"])
-
-
 def _lhs_rhs_tables(curve: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
     """Index tables: lhs[y] and rhs[x] of the defining equation."""
     F = curve.tower.ext
@@ -203,15 +194,3 @@ def maximality_check(curve: CurveSpec) -> MaximalityReport:
         genus=curve.genus,
         warnings=curve.warnings,
     )
-
-
-def write_points_csv(curve: CurveSpec, path) -> None:
-    F = curve.tower.ext
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y"])
-        for pt in enumerate_points(curve):
-            if pt.at_infinity:
-                writer.writerow(["inf", "inf"])
-            else:
-                writer.writerow([F.format_element(pt.x.index), F.format_element(pt.y.index)])

@@ -134,18 +134,6 @@ def right_nullspace(F: Field, A):
     return basis
 
 
-def row_space_equal(F: Field, A, B) -> bool:
-    RA = row_basis(F, A)
-    RB = row_basis(F, B)
-    return RA.shape == RB.shape and bool(np.array_equal(RA, RB))
-
-
-def in_row_space(F: Field, A, v) -> bool:
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    stacked = np.vstack([A, np.asarray(v, dtype=np.int64).reshape(1, -1)])
-    return rank(F, stacked) == rank(F, A)
-
-
 def normalize_rows(F: Field, A):
     """Scale each nonzero row so that its first nonzero entry is 1.
 

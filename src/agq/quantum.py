@@ -185,9 +185,8 @@ def parameter_table(q: int, m: int, r_values: Iterable[int],
     return rows
 
 
-def write_table_csv(rows: Sequence[TableRow], path, include_comparison: bool | None = None) -> None:
-    if include_comparison is None:
-        include_comparison = any(row.params.comparison for row in rows)
+def write_table_csv(rows: Sequence[TableRow], path) -> None:
+    include_comparison = any(row.params.comparison for row in rows)
     header = ["q", "m", "r", "n", "k", "d", "singleton_ok", "source"]
     if include_comparison:
         header.append("comparison")

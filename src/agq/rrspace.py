@@ -19,7 +19,6 @@ that elimination against per-r ranks over a naive field.
 
 from __future__ import annotations
 
-import csv
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -202,19 +201,6 @@ def semigroup(gen_a: int, gen_b: int, bound: int) -> SemigroupTable:
     elements = tuple(v for v in range(bound + 1) if reachable[v])
     gaps = tuple(v for v in range(bound + 1) if not reachable[v])
     return SemigroupTable(generators=(gen_a, gen_b), bound=bound, elements=elements, gaps=gaps)
-
-
-def semigroup_at_infinity(curve: CurveSpec, bound: int) -> SemigroupTable:
-    return semigroup(curve.pole_order_x, curve.pole_order_y, bound)
-
-
-def write_semigroup_csv(table: SemigroupTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "in_semigroup"])
-        in_sg = set(table.elements)
-        for v in range(table.bound + 1):
-            writer.writerow([v, int(v in in_sg)])
 
 
 @dataclass(frozen=True)

@@ -92,10 +92,6 @@ class RateResult:
         return self.uncorrectable / self.trials
 
     @property
-    def miscorrected_rate(self) -> float:
-        return self.miscorrected / self.trials
-
-    @property
     def avg_errors(self) -> float:
         return self.total_errors / self.trials
 

@@ -7,6 +7,7 @@ arithmetic or vectorized linear algebra.  Slow and obvious on purpose.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -94,6 +95,27 @@ class NaiveField:
         return self.mul(a, self.inv(b))
 
 
+class TabledField(NaiveField):
+    """NaiveField with its operations memoised, so that naive ranks of
+    matrices with thousands of entries over GF(16) or GF(25) stay quick."""
+
+    @functools.cache
+    def pow(self, a, n):
+        return super().pow(a, n)
+
+    @functools.cache
+    def mul(self, a, b):
+        return super().mul(a, b)
+
+    @functools.cache
+    def sub(self, a, b):
+        return super().sub(a, b)
+
+    @functools.cache
+    def inv(self, a):
+        return super().inv(a)
+
+
 def naive_rref(nf: NaiveField, rows):
     """Gauss-Jordan elimination over the naive field; rows = lists of indices.
 
@@ -126,6 +148,16 @@ def naive_rref(nf: NaiveField, rows):
 
 def naive_rank(nf: NaiveField, rows) -> int:
     return len(naive_rref(nf, rows)[1])
+
+
+def naive_row_space_equal(nf: NaiveField, A, B) -> bool:
+    """Whether the rows of A and of B span the same space.  The reduced
+    echelon form of a row space is unique, so compare its nonzero rows."""
+    def basis(rows):
+        reduced, pivots = naive_rref(nf, [[int(v) for v in row] for row in rows])
+        return reduced[:len(pivots)]
+
+    return basis(A) == basis(B)
 
 
 def naive_matmul(nf: NaiveField, A, B):

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import agq.linalg
 from agq import agcode, benchmarks
 from agq.agcode import (
     BudgetExceededError,
@@ -29,13 +30,17 @@ from agq.agcode import (
 )
 from agq.curve import hermitian_curve, superelliptic_curve
 from agq.gf import FieldError, field, quadratic_tower
-from agq.linalg import matmul, rank, right_nullspace, row_basis, row_space_equal
+from agq.linalg import matmul, rank, right_nullspace, row_basis
 from oracles import (
     NaiveField,
+    TabledField,
     macwilliams_transform,
     naive_codewords,
     naive_hermitian_inner,
+    naive_matmul,
     naive_min_distance,
+    naive_rank,
+    naive_row_space_equal,
     naive_weight_distribution,
 )
 
@@ -153,13 +158,69 @@ def test_double_dual_recovers_row_space(k, n, data):
     dd = dual(dual(code))
     assert dd.k == code.k
     if code.k:
-        assert row_space_equal(F, dd.generator, code.generator)
+        assert naive_row_space_equal(NaiveField(2, 2, F.modulus), dd.generator, code.generator)
 
 
 def test_dual_of_full_code_is_zero_code():
     code = benchmarks.saturated_code_4_4()
     d = dual(code)
     assert (d.n, d.k) == (4, 0)
+
+
+@st.composite
+def full_rank_codes(draw):
+    """A random full-rank [n, k] code over GF(4), GF(9) or GF(25), n <= 7,
+    carrying its tower, with the naive field of its extension."""
+    tower = quadratic_tower(draw(st.sampled_from([2, 3, 5])))
+    F = tower.ext
+    nf = NaiveField(F.p, F.e, F.modulus)
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n))
+    G = _matrix(draw, F, k, n)
+    assume(naive_rank(nf, G.tolist()) == k)
+    return nf, LinearCode(field=F, generator=G, tower=tower)
+
+
+@settings(max_examples=80, deadline=None)
+@given(full_rank_codes())
+def test_duals_against_naive_oracles(case):
+    nf, code = case
+    n, k, q = code.n, code.k, code.tower.q
+    d, hd = dual(code), hermitian_dual(code)
+    for other in (d, hd):
+        assert other.generator.shape == (n - k, n)
+        assert naive_rank(nf, other.generator.tolist()) == n - k
+        # fresh arrays: a dual never aliases its source's matrices
+        for mine in (other.generator, other.parity_check):
+            for theirs in (code.generator, code.parity_check):
+                assert not np.shares_memory(mine, theirs)
+    assert not any(any(row) for row in naive_matmul(nf, code.generator, d.generator.T))
+    for h in hd.generator.tolist():
+        for g in code.generator.tolist():
+            assert naive_hermitian_inner(nf, q, h, g) == 0
+    assert naive_row_space_equal(nf, dual(d).generator, code.generator)
+    assert naive_row_space_equal(nf, hermitian_dual(hd).generator, code.generator)
+
+
+def test_duals_make_no_elimination(monkeypatch, code_8_3):
+    # `rank` and `right_nullspace` reach `rref` through the module global
+    calls = []
+    rref = agq.linalg.rref
+
+    def counted(F, A):
+        calls.append(np.shape(A))
+        return rref(F, A)
+
+    monkeypatch.setattr(agq.linalg, "rref", counted)
+    large = build_onepoint_code(hermitian_curve(5), 24)
+    for code in (code_8_3, large):
+        calls.clear()
+        dual(code)
+        hermitian_dual(code)
+        assert calls == []
+    # from_generator ranks G by the one null space its construction computes
+    LinearCode.from_generator(field(2, 2), benchmarks.REFERENCE_G_8_3)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +527,9 @@ def test_duality_verdict_matches_row_space_comparison(make, args, r):
     code_dual = dual(build_onepoint_code(curve, r))
     companion = build_onepoint_code(curve, claim.r_prime)
     F = curve.tower.ext
-    assert claim.row_spaces_equal == row_space_equal(F, code_dual.generator, companion.generator)
+    nf = TabledField(F.p, F.e, F.modulus)
+    equal = naive_row_space_equal(nf, code_dual.generator, companion.generator)
+    assert claim.row_spaces_equal == equal
 
 
 def _matrix(draw, F, rows, cols):
@@ -508,7 +571,7 @@ def test_duality_verdicts_on_drawn_row_spaces(q, n, relation, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(agcode, "build_onepoint_code", lambda curve, r, eval_set="all": codes[r])
         claim = check_duality_claim(curve, 0)
-    equal = row_space_equal(F, U, V)
+    equal = naive_row_space_equal(NaiveField(F.p, F.e, F.modulus), U, V)
     assert claim.applicable and claim.dim_dual == len(U) and claim.dim_companion == rank(F, V)
     assert claim.row_spaces_equal == equal
     if relation == "equal":
@@ -583,6 +646,12 @@ def test_identity_matrix_is_full_code(tmp_path):
     code = load_code(path)
     assert (code.n, code.k) == (3, 3)
     assert min_distance(code).d == 1
+
+
+def test_from_generator_rejects_rank_deficient():
+    # the second row is a times the first
+    with pytest.raises(ValueError, match=r"rank 1 < 2 rows; not a basis"):
+        LinearCode.from_generator(field(2, 2), [[1, 2, 3], [2, 3, 1]])
 
 
 def test_from_generator_rejects_out_of_range():

@@ -152,6 +152,16 @@ def test_simulate_matrix_file_equivalent(capsys, tmp_path):
     assert rows_a == rows_b
 
 
+def test_simulate_matrix_rejects_dependent_rows(capsys, tmp_path):
+    matrix = tmp_path / "code.txt"
+    matrix.write_text("q2=4 n=3 k=2\n1 2 3\n2 3 1\n")  # row 2 = a * row 1
+    code, out, err = run_cli(capsys, "simulate", "--matrix", str(matrix),
+                             "--rates", "0.1", "--trials", "10")
+    assert code == 1
+    assert err.startswith("error: ") and err.strip().endswith("not a basis")
+    assert "success=" not in out
+
+
 def test_simulate_seed_env_fallback(capsys, tmp_path, monkeypatch):
     out1 = tmp_path / "e1.csv"
     out2 = tmp_path / "e2.csv"

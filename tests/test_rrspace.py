@@ -1,4 +1,3 @@
-import functools
 from fractions import Fraction
 
 import pytest
@@ -13,11 +12,9 @@ from agq.rrspace import (
     dimension_report,
     evaluation_matrix,
     semigroup,
-    semigroup_at_infinity,
     verified_basis,
-    write_semigroup_csv,
 )
-from oracles import NaiveField, naive_rank
+from oracles import NaiveField, TabledField, naive_rank
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +189,7 @@ def test_semigroup_gap_count_equals_genus():
     for make in (lambda: superelliptic_curve(3, 3), lambda: hermitian_curve(2),
                  lambda: hermitian_curve(3), lambda: superelliptic_curve(5, 5)):
         curve = make()
-        table = semigroup_at_infinity(curve, 4 * curve.genus + 4)
+        table = semigroup(curve.pole_order_x, curve.pole_order_y, 4 * curve.genus + 4)
         assert len(table.gaps) == curve.genus
 
 
@@ -215,15 +212,8 @@ def test_semigroup_gcd_error():
     with pytest.raises(ValueError):
         semigroup(3, 3, 10)
     with pytest.raises(ValueError):
-        semigroup_at_infinity(superelliptic_curve(5, 3), 10)  # pole orders (3, 3)
-
-
-def test_semigroup_csv(tmp_path):
-    path = tmp_path / "sg.csv"
-    write_semigroup_csv(semigroup(2, 3, 4), path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "value,in_semigroup"
-    assert lines[2] == "1,0"
+        curve = superelliptic_curve(5, 3)
+        semigroup(curve.pole_order_x, curve.pole_order_y, 10)  # pole orders (3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -249,27 +239,6 @@ def test_dimension_report_se33():
     assert agree == [0, 1, 2]
 
 
-class _TabledField(NaiveField):
-    """NaiveField with its operations memoised, so that per-r naive ranks
-    over GF(25) stay quick."""
-
-    @functools.cache
-    def pow(self, a, n):
-        return super().pow(a, n)
-
-    @functools.cache
-    def mul(self, a, b):
-        return super().mul(a, b)
-
-    @functools.cache
-    def sub(self, a, b):
-        return super().sub(a, b)
-
-    @functools.cache
-    def inv(self, a):
-        return super().inv(a)
-
-
 def naive_candidate_rank(curve, nf, r, points):
     """Rank of the evaluation matrix of every x^i y^j with pole order <= r
     and j < q, built and reduced over the naive field."""
@@ -292,7 +261,7 @@ def test_dimension_report_matches_per_r_and_naive_ranks(make, r_max, first):
     curve = make()
     points = affine_points(curve)[:first]
     F = curve.tower.ext
-    nf = _TabledField(F.p, F.e, F.modulus)
+    nf = TabledField(F.p, F.e, F.modulus)
     rows = dimension_report(curve, r_max, None if first is None else points)
     assert [row.r for row in rows] == list(range(r_max + 1))
     for row in rows:

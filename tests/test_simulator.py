@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agq import benchmarks, simulator
-from agq.agcode import LinearCode, build_onepoint_code
-from agq.gf import field
+from agq.agcode import LinearCode, build_onepoint_code, dual, hermitian_dual
+from agq.gf import field, quadratic_tower
 from agq.linalg import right_nullspace
 from agq.simulator import (
     SimConfig,
@@ -364,6 +365,18 @@ def test_batch_decoder_matches_reference(seed):
 def code_with_parity_check(F, H):
     H = np.asarray(H, dtype=np.int64)
     return LinearCode(field=F, generator=right_nullspace(F, H), parity_check=H)
+
+
+def test_dual_rejects_a_redundant_parity_check():
+    # a repeated row: H has 3 rows but the code has n - k = 2, so the rows
+    # of H are no basis of the dual and cannot be its generator
+    F = field(2, 2)
+    code = code_with_parity_check(F, [[1, 2, 0, 1], [1, 2, 0, 1], [0, 1, 3, 2]])
+    code = dataclasses.replace(code, tower=quadratic_tower(2))
+    assert (code.n, code.k, len(code.parity_check)) == (4, 2, 3)
+    for make in (dual, hermitian_dual):
+        with pytest.raises(ValueError, match="not a basis"):
+            make(code)
 
 
 def assert_batch_matches_reference(code, words):

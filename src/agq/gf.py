@@ -17,9 +17,10 @@ operator syntax and guards against mixing elements of different fields.
 Vectorized addition avoids the digits where it can.  In characteristic
 2 the digits are bits, so a + b and a - b are the XOR of the indices and
 negation is the identity, at every order.  Other fields of order at most
-ADD_TABLE_MAX look sums up in an (order, order) addition table and
-differences as a + (-b) with a negation table.  Both tables are built on
-first use, so a field that never adds pays nothing for them at
+ADD_TABLE_MAX look sums up in an (order, order) addition table,
+differences in a subtraction table, gathered flat at a * order + b, and
+negatives in a negation table.  Each table is built on first use, so a
+field that never adds, subtracts or negates pays nothing for it at
 construction.  Larger odd-characteristic fields add digit by digit.
 
 Vectorized multiplication in a field of order at most ADD_TABLE_MAX is
@@ -52,7 +53,8 @@ import numpy as np
 
 MAX_FIELD_SIZE = 1 << 16
 # Largest order whose vmul gathers from a multiplication table, and whose
-# vadd/vsub/vneg, in odd characteristic, gather from addition tables.
+# vadd/vsub/vneg, in odd characteristic, gather from addition, subtraction
+# and negation tables.
 ADD_TABLE_MAX = 256
 
 
@@ -263,6 +265,12 @@ class Field:
         return prod.ravel()
 
     @cached_property
+    def _sub_table(self) -> np.ndarray:
+        """(order, order) table a, b -> a - b, flattened to a * order + b."""
+        d = self._digits
+        return (((d[:, None, :] - d[None, :, :]) % self.p) @ self._pows).ravel()
+
+    @cached_property
     def _neg_table(self) -> np.ndarray:
         return ((-self._digits) % self.p) @ self._pows
 
@@ -347,7 +355,7 @@ class Field:
         if self.p == 2:
             return a ^ b
         if self.order <= ADD_TABLE_MAX:
-            return self._add_table[a, self._neg_table[b]]
+            return self._sub_table.take(a * self.order + b)
         return ((self._digits[a] - self._digits[b]) % self.p) @ self._pows
 
     def vneg(self, a):

@@ -78,12 +78,22 @@ def matvec(F: Field, A, v):
     return matmul(F, A, np.asarray(v, dtype=np.int64).reshape(-1, 1))[:, 0]
 
 
-def rref(F: Field, A):
-    """Reduced row echelon form; returns (R, pivot_columns).
+def _eliminate(F: Field, A, full: bool):
+    """Gaussian elimination on a copy of A; returns (R, pivot_columns).
 
-    Rows at or below the pivot row are zero left of the pivot column, so
-    the pivot row's scaling and the update of the other rows touch only
-    the columns from the pivot column on.
+    The one elimination loop of the package.  At each pivot the pivot
+    row is scaled to lead with 1, and then every row of the slice
+    R[lo:, col:] has its factor times the pivot row subtracted, with one
+    outer-product `vmul` and one `vsub`.  The pivot row's own factor is
+    zeroed, so it stays as it is, and rows whose factor is 0 subtract
+    zeros: the update selects no rows and scatters nothing.  Rows at or
+    below the pivot row are zero left of the pivot column, so the columns
+    from the pivot column on are all that change.
+
+    With `full`, lo = 0 and every other row is cleared, which gives the
+    reduced row echelon form.  Otherwise lo is the pivot row and only the
+    rows below it are cleared, which leaves a row echelon form with the
+    same pivot columns.
     """
     R = np.atleast_2d(np.asarray(A, dtype=np.int64)).copy()
     m, n = R.shape
@@ -92,28 +102,44 @@ def rref(F: Field, A):
     for col in range(n):
         if row >= m:
             break
-        nz = np.nonzero(R[row:, col])[0]
+        nz = np.flatnonzero(R[row:, col])
         if len(nz) == 0:
             continue
         piv = row + int(nz[0])
         if piv != row:
             R[[row, piv]] = R[[piv, row]]
         R[row, col:] = F.vscale(F.inv(int(R[row, col])), R[row, col:])
-        others = np.nonzero(R[:, col])[0]
-        others = others[others != row]
-        tail = R[others, col:]
-        R[others, col:] = F.vsub(tail, F.vmul(tail[:, :1], R[row, col:]))
+        lo = 0 if full else row
+        factors = R[lo:, col].copy()
+        factors[row - lo] = 0
+        R[lo:, col:] = F.vsub(R[lo:, col:], F.vmul(factors[:, None], R[row, col:]))
         pivots.append(col)
         row += 1
     return R, pivots
 
 
+def rref(F: Field, A):
+    """Reduced row echelon form; returns (R, pivot_columns).
+
+    R is unique for the row space of A: each pivot row leads with 1 and
+    every other row is zero in its pivot column.
+    """
+    return _eliminate(F, A, full=True)
+
+
+def pivot_columns(F: Field, A) -> list[int]:
+    """The pivot columns of rref(A): the columns of A that are not in the
+    span of the columns before them.
+
+    Forward elimination alone finds them, clearing only the rows below
+    each pivot, which saves rref's clearing of the rows above it.
+    """
+    return _eliminate(F, A, full=False)[1]
+
+
 def rank(F: Field, A) -> int:
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    if A.size == 0:
-        return 0
-    _, pivots = rref(F, A)
-    return len(pivots)
+    """Rank of A, the number of its pivot columns."""
+    return len(pivot_columns(F, A))
 
 
 def row_basis(F: Field, A):

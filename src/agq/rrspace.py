@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .curve import CurvePoint, CurveSpec, affine_points
-from .linalg import rank as matrix_rank, rref  # noqa: F401 (matrix_rank stays public)
+from .linalg import pivot_columns, rank as matrix_rank  # noqa: F401 (matrix_rank stays public)
 
 @dataclass(frozen=True)
 class MonomialBasis:
@@ -96,13 +96,19 @@ def candidate_count(curve: CurveSpec, r) -> int:
 
 def evaluation_matrix(curve: CurveSpec, monomials: Sequence[tuple[int, int]],
                       points: Sequence[CurvePoint]) -> np.ndarray:
-    """Rows = monomials evaluated at the affine points (index matrix)."""
+    """Rows = monomials evaluated at the affine points (index matrix).
+
+    x^i y^j is g^(i log x + j log y) for the primitive element g, so all
+    rows are one gather from the antilog table.  A zero base with a
+    positive exponent makes the entry 0; 0^0 = 1.
+    """
     F = curve.tower.ext
     xs = np.array([p.x.index for p in points], dtype=np.int64)
     ys = np.array([p.y.index for p in points], dtype=np.int64)
-    rows = np.zeros((len(monomials), len(points)), dtype=np.int64)
-    for k, (i, j) in enumerate(monomials):
-        rows[k] = F.vmul(F.vpow(xs, i), F.vpow(ys, j))
+    exps = np.array(monomials, dtype=np.int64).reshape(-1, 2)
+    i, j = exps[:, :1], exps[:, 1:]
+    rows = F._exp[(F._log[xs] * i + F._log[ys] * j) % (F.order - 1)]
+    rows[((xs == 0) & (i > 0)) | ((ys == 0) & (j > 0))] = 0
     return rows
 
 
@@ -116,7 +122,7 @@ def _candidate_pivots(curve: CurveSpec, r: int, points: Sequence[CurvePoint]):
         raise ValueError("evaluation points must be affine")
     cand = candidate_monomials(curve, r)
     E = evaluation_matrix(curve, cand.monomials, points)
-    return cand, E, rref(curve.tower.ext, E.T)[1]
+    return cand, E, pivot_columns(curve.tower.ext, E.T)
 
 
 def verified_basis(curve: CurveSpec, r: int, points: Sequence[CurvePoint]) -> MonomialBasis:

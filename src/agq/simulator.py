@@ -226,18 +226,26 @@ def _draw_chunk(master_seed: int, rate_index: int, lo: int, hi: int, k: int, n: 
     blocks = -(-(msg_words + n + repl_words) // 4)
     key0 = np.full((1, 1), master_seed, dtype=np.uint64)
     key1 = np.arange(lo, hi, dtype=np.uint64).reshape(-1, 1) | np.uint64((rate_index + 1) << 44)
+    # the 32-bit halves the draws read, low half first: k message halves,
+    # then n replacement halves from the words after the uniforms, the
+    # first of which is the buffered high half of the last message word
+    # when k is odd
+    first = 2 * (msg_words + n)
+    repl_at = np.arange(first, first + n) - (k & 1)
+    if k & 1:
+        repl_at[:1] = k
+    halves = np.concatenate([np.arange(k), repl_at]) if q > 2 else np.arange(k)
     rows = max(1, PHILOX_BLOCKS // max(blocks, 1))
     for r0 in range(0, b, rows):
         part = slice(r0, r0 + rows)
         words = _philox_words(key0, key1[part], blocks)
         uniforms[part] = (words[:, msg_words:msg_words + n] >> 11) * 2.0**-53
-        u32_words = np.concatenate(
-            [words[:, :msg_words], words[:, msg_words + n:msg_words + n + repl_words]], axis=1)
-        u32 = np.stack([u32_words & _LOW32, u32_words >> 32], axis=-1).reshape(len(words), -1)
+        # uint64 before the bound: a uint32 product u * bound would wrap
+        u32 = words.astype("<u8", copy=False).view("<u4").take(halves, axis=1).astype(np.uint64)
         messages[part], bad = _lemire(u32[:, :k], q)
         suspect[part] = bad.any(axis=1)
-        if repl_words:
-            repl[part], bad = _lemire(u32[:, k:k + n], q - 1)
+        if q > 2:
+            repl[part], bad = _lemire(u32[:, k:], q - 1)
             suspect[part] |= bad.any(axis=1)
     for row in np.nonzero(suspect)[0]:
         messages[row], uniforms[row], repl[row] = _reference_draw(
@@ -292,16 +300,35 @@ def decode_word(code: LinearCode, received):
     return None, _STATUS_NAMES[FAILURE]
 
 
-def _decode_batch(code: LinearCode, received: np.ndarray):
+def _column_table(code: LinearCode):
+    """(keys, positions): the normalized nonzero columns of the parity
+    check as byte strings, sorted stably, and the position of each.
+
+    It depends only on the code, so `simulate_transmission` builds it
+    once for all its chunks.  None when the parity check has no rows, so
+    that every syndrome is zero.
+    """
+    H = code.parity_check
+    if H.shape[0] == 0:
+        return None
+    columns = normalize_rows(code.field, H.T).astype(np.uint16)
+    positions = np.nonzero(columns.any(axis=1))[0]
+    keys = _row_bytes(columns[positions])
+    order = np.argsort(keys, kind="stable")
+    return keys[order], positions[order]
+
+
+def _decode_batch(code: LinearCode, received: np.ndarray, table):
     """Vectorized decoder; identical results to decode_word row by row.
 
     A substitution at position i changes the syndrome by a nonzero
     multiple of column H[:, i], so a nonzero syndrome s is killable at
     position i iff -s is parallel to that column; the scalar, and hence
     the substituted symbol, is then unique.  The earliest such position
-    is exactly the first hit of the position-then-symbol scan.  The
-    normalized nonzero columns are sorted stably as byte strings, so a
-    left `searchsorted` lands on the first position among equal columns.
+    is exactly the first hit of the position-then-symbol scan.  `table`
+    is the code's `_column_table`: its normalized nonzero columns sorted
+    stably as byte strings, so a left `searchsorted` lands on the first
+    position among equal columns.
 
     Returns (decoded, statuses); rows with status FAILURE hold the
     received word unchanged in `decoded` and must be ignored there.
@@ -319,15 +346,9 @@ def _decode_batch(code: LinearCode, received: np.ndarray):
     statuses[zero] = SUCCESS
 
     todo = np.nonzero(~zero)[0]
-    if len(todo) == 0:
+    keys, positions = table
+    if len(todo) == 0 or len(positions) == 0:
         return decoded, statuses
-    columns = normalize_rows(F, H.T).astype(np.uint16)
-    positions = np.nonzero(columns.any(axis=1))[0]
-    if len(positions) == 0:
-        return decoded, statuses
-    keys = _row_bytes(columns[positions])
-    order = np.argsort(keys, kind="stable")
-    keys, positions = keys[order], positions[order]
     targets = F.vneg(syndromes[todo])
     queries = _row_bytes(normalize_rows(F, targets).astype(np.uint16))
     slot = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
@@ -362,6 +383,7 @@ def simulate_transmission(code: LinearCode, rate: float, trials: int, master_see
     n, k, q = code.n, code.k, F.order
     successes = uncorrectable = miscorrected = 0
     total_errors = 0
+    table = _column_table(code)
     for lo in range(0, trials, chunk_size):
         hi = min(lo + chunk_size, trials)
         messages, uniforms, repl = _draw_chunk(master_seed, rate_index, lo, hi, k, n, q)
@@ -370,7 +392,7 @@ def simulate_transmission(code: LinearCode, rate: float, trials: int, master_see
         alts = repl + (repl >= codewords)
         received = np.where(mask, alts, codewords)
         total_errors += int(mask.sum())
-        decoded, statuses = _decode_batch(code, received)
+        decoded, statuses = _decode_batch(code, received, table)
         ok = statuses != FAILURE
         successes += int(ok.sum())
         uncorrectable += int((~ok).sum())

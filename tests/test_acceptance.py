@@ -177,11 +177,12 @@ def test_criterion_8_simulator_statistics(tmp_path):
 
 
 def test_criterion_9_single_error_correction_exhaustive():
-    from agq.simulator import _decode_batch
+    from agq.simulator import _column_table, _decode_batch
 
     with Budget(5.0) as b:
         code = build_onepoint_code(hermitian_curve(2), 3)
         F = code.field
+        table = _column_table(code)
         # all 64 codewords x 8 positions x 3 wrong symbols
         from agq.agcode import iter_codeword_blocks
 
@@ -195,7 +196,7 @@ def test_criterion_9_single_error_correction_exhaustive():
                         received = word.copy()
                         received[i] = c
                         total += 1
-                        decoded, statuses = _decode_batch(code, received.reshape(1, -1))
+                        decoded, statuses = _decode_batch(code, received.reshape(1, -1), table)
                         if statuses[0] == 1 and np.array_equal(decoded[0], word):
                             corrected += 1
     ok = total == 64 * 8 * 3 and corrected == total

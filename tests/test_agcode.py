@@ -203,15 +203,16 @@ def test_duals_against_naive_oracles(case):
 
 
 def test_duals_make_no_elimination(monkeypatch, code_8_3):
-    # `rank` and `right_nullspace` reach `rref` through the module global
+    # `rref`, `pivot_columns` and so `rank` and `right_nullspace` reach the
+    # one elimination loop through the module global
     calls = []
-    rref = agq.linalg.rref
+    eliminate = agq.linalg._eliminate
 
-    def counted(F, A):
+    def counted(F, A, full):
         calls.append(np.shape(A))
-        return rref(F, A)
+        return eliminate(F, A, full)
 
-    monkeypatch.setattr(agq.linalg, "rref", counted)
+    monkeypatch.setattr(agq.linalg, "_eliminate", counted)
     large = build_onepoint_code(hermitian_curve(5), 24)
     for code in (code_8_3, large):
         calls.clear()

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,32 @@ def test_code_report_negative_r(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["k"] == 0 and data["d_method"] == "empty"
+
+
+# the benchmark's report-large tasks: codes past the enumeration budget over
+# GF(49) (n = 91) and GF(25) (n = 125), whose reports rest on eliminations
+LARGE_REPORTS = ([("superelliptic", 7, r, 3) for r in (6, 12, 20, 30, 40)]
+                 + [("hermitian", 5, r, None) for r in (16, 24, 32)])
+EXPECTED_REPORTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text())["reports"]
+
+
+@pytest.mark.parametrize("family, q, r, m", LARGE_REPORTS,
+                         ids=[f"{f}-q{q}-r{r}" for f, q, r, _ in LARGE_REPORTS])
+def test_code_report_matches_recorded_large_reports(capsys, family, q, r, m):
+    argv = ["code-report", "--family", family, "--q", str(q), "--r", str(r)]
+    if m is not None:
+        argv += ["--m", str(m)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    got = json.loads(out)
+    want = EXPECTED_REPORTS[f"{family}-q{q}" + (f"-m{m}" if m is not None else "") + f"-r{r}"]
+    for key in ("n", "k", "euclidean_self_orthogonal", "hermitian_self_orthogonal",
+                "duality_claim"):
+        assert got[key] == want[key], key
+    # the recorded interval is bounds-only: a tighter one may replace it
+    assert want["d_method"] == "bounds-only"
+    assert want["d_lower"] <= got["d_lower"] <= got["d_upper"] <= want["d_upper"]
 
 
 def test_code_report_invalid_family_params(capsys):

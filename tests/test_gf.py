@@ -366,8 +366,21 @@ def test_vneg_returns_a_new_array():
 def test_addition_tables_are_built_on_first_use():
     F = Field(3, 2)
     assert "_add_table" not in vars(F) and "_neg_table" not in vars(F)
-    F.vsub(1, 2)
+    F.vadd(1, 2)
+    F.vneg(2)
     assert "_add_table" in vars(F) and "_neg_table" in vars(F)
+
+
+def test_subtraction_table_is_built_on_first_use():
+    F = Field(7, 2)
+    assert "_sub_table" not in vars(F)
+    assert int(F.vsub(1, 2)) == F.sub(1, 2)
+    assert "_sub_table" in vars(F)
+    assert "_add_table" not in vars(F) and "_neg_table" not in vars(F)
+    # GF(3^6), of order above ADD_TABLE_MAX, subtracts digit by digit
+    big = Field(3, 6)
+    assert int(big.vsub(1, 2)) == big.sub(1, 2)
+    assert "_sub_table" not in vars(big)
 
 
 # ---------------------------------------------------------------------------

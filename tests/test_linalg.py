@@ -11,6 +11,7 @@ from agq.linalg import (
     matmul,
     matvec,
     normalize_rows,
+    pivot_columns,
     rank,
     right_nullspace,
     rref,
@@ -252,3 +253,28 @@ def test_rref_matches_naive_gauss_jordan(case):
     want, want_pivots = naive_rref(nf, A.tolist())
     assert R.shape == A.shape and R.dtype == np.int64
     assert R.tolist() == want and pivots == want_pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_cases())
+def test_pivot_columns_and_rank_match_naive_pivots(case):
+    # forward elimination alone; A.T puts every wide matrix in tall form
+    F, nf, A = case
+    for M in (A, A.T):
+        want = naive_rref(nf, M.tolist())[1]
+        assert pivot_columns(F, M) == want
+        assert rank(F, M) == len(want)
+
+
+def test_rank_memory_is_bounded():
+    # the generator shape of the Hermitian q=8 codes' duals over GF(64):
+    # the elimination holds a few (m, n) temporaries at most, each 2 MB
+    F = field(2, 6)
+    A = np.random.default_rng(4).integers(0, 64, size=(496, 512))
+    tracemalloc.start()
+    try:
+        assert rank(F, A) == 496
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agq.curve import affine_points, hermitian_curve, superelliptic_curve
+from agq.curve import CurvePoint, affine_points, hermitian_curve, superelliptic_curve
 from agq.rrspace import (
     candidate_count,
     candidate_monomials,
@@ -270,3 +270,26 @@ def test_dimension_report_matches_per_r_and_naive_ranks(make, r_max, first):
         assert row.rank == row.verified_count == kept
         assert row.rank == naive_candidate_rank(curve, nf, row.r, points)
     assert rows[-1].rank == len(points)
+
+
+@pytest.mark.parametrize("make, r", [
+    (lambda: hermitian_curve(2), 20),        # GF(4)
+    (lambda: hermitian_curve(3), 30),        # GF(9)
+    (lambda: superelliptic_curve(7, 3), 40),  # GF(49)
+    (lambda: hermitian_curve(27), 60),       # GF(3^6)
+], ids=["GF4", "GF9", "GF49", "GF729"])
+def test_evaluation_matrix_matches_naive_powers(make, r):
+    # off-curve points too: every pair of zero, one, the primitive element
+    # and the largest index, so x = 0 and y = 0 meet 0^0 and 0^i, i > 0
+    curve = make()
+    F = curve.tower.ext
+    nf = NaiveField(F.p, F.e, F.modulus)
+    values = sorted({0, 1, F.primitive, F.order - 1})
+    points = [CurvePoint(F.felt(x), F.felt(y)) for x in values for y in values]
+    points += affine_points(curve)[:5]
+    # over GF(4) and GF(9) some exponents i pass order - 1
+    monomials = candidate_monomials(curve, r).monomials
+    E = evaluation_matrix(curve, monomials, points)
+    assert E.shape == (len(monomials), len(points))
+    for row, (i, j) in zip(E.tolist(), monomials):
+        assert row == [nf.mul(nf.pow(p.x.index, i), nf.pow(p.y.index, j)) for p in points]

@@ -13,6 +13,7 @@ from agq.linalg import right_nullspace
 from agq.simulator import (
     SimConfig,
     SimRun,
+    _column_table,
     _decode_batch,
     _draw_chunk,
     _trial_rng,
@@ -86,14 +87,17 @@ def assert_chunk_matches_numpy(seed, rate_index, lo, hi, k, n, q):
 
 
 # (k, n, q): k = 0, odd and even k, GF(2) with no replacement draws, a
-# message range that is not a power of two, a long Hermitian-sized word
+# message range that is not a power of two, one-symbol words with odd k
+# (their one replacement draw is the buffered half of the last message
+# word, and no replacement word follows), a long Hermitian-sized word
 STREAM_SHAPES = [(0, 8, 4), (1, 8, 4), (2, 8, 4), (3, 15, 9), (7, 35, 25),
-                 (1, 7, 2), (4, 9, 2), (0, 5, 2), (5, 6, 27), (4, 512, 4096)]
+                 (1, 7, 2), (4, 9, 2), (0, 5, 2), (5, 6, 27), (1, 1, 4), (3, 1, 9),
+                 (4, 512, 4096)]
 
 
 def test_vectorised_draw_matches_numpy_streams():
-    # 9 shapes x 5 seeds x 200 trials, plus 5 x 20 + 1000 trials of the
-    # long word: 10 100 (key, trial) pairs; the seeds include both sides
+    # 11 shapes x 5 seeds x 200 trials, plus 5 x 20 + 1000 trials of the
+    # long word: 12 100 (key, trial) pairs; the seeds include both sides
     # of 2^63 and the largest 64-bit seed
     seeds = [0, 7, 2**62 + 1, 2**63 + 5, 2**64 - 1]
     for i, (k, n, q) in enumerate(STREAM_SHAPES):
@@ -293,6 +297,7 @@ def test_single_errors_corrected_for_second_code(se33):
     # corruptions must decode back to the transmitted codeword
     code15 = build_onepoint_code(se33, 2)
     F = code15.field
+    table = _column_table(code15)
     from agq.agcode import iter_codeword_blocks
 
     for block in iter_codeword_blocks(code15):
@@ -304,7 +309,7 @@ def test_single_errors_corrected_for_second_code(se33):
                         v = word.copy()
                         v[i] = c
                         variants.append(v)
-            decoded, statuses = _decode_batch(code15, np.array(variants))
+            decoded, statuses = _decode_batch(code15, np.array(variants), table)
             assert (statuses == 1).all()
             assert np.array_equal(decoded, np.tile(word, (len(variants), 1)))
 
@@ -353,7 +358,7 @@ def test_batch_decoder_matches_reference(seed):
     code = benchmarks.benchmark_code_8_3()
     rng = np.random.default_rng(seed)
     words = rng.integers(0, 4, size=(32, 8)).astype(np.int64)
-    decoded, statuses = _decode_batch(code, words)
+    decoded, statuses = _decode_batch(code, words, _column_table(code))
     names = {0: "success", 1: "corrected", 2: "failure"}
     for word, dec, status in zip(words, decoded, statuses):
         ref_word, ref_status = decode_word(code, word)
@@ -380,7 +385,7 @@ def test_dual_rejects_a_redundant_parity_check():
 
 
 def assert_batch_matches_reference(code, words):
-    decoded, statuses = _decode_batch(code, words)
+    decoded, statuses = _decode_batch(code, words, _column_table(code))
     names = {0: "success", 1: "corrected", 2: "failure"}
     for word, dec, status in zip(words, decoded, statuses):
         ref_word, ref_status = decode_word(code, word)

@@ -19,7 +19,6 @@ from .agcode import (
     weight_distribution,
 )
 from .curve import (
-    CurvePoint,
     CurveSpec,
     Family,
     enumerate_points,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from .curve import CurvePoint, CurveSpec, affine_points
+from .curve import CurveSpec, check_points, enumerate_points
 from .gf import Felt, Field, FieldError, QuadraticTower, factor_prime_power, field, quadratic_tower
 from .linalg import matmul, normalize_rows, rank, right_nullspace
 from .rrspace import dimension_by_cases, verified_basis
@@ -41,15 +41,15 @@ class LinearCode:
     supplied one must meet that contract, which `dual` and
     `hermitian_dual` rely on.  `tower` is present when the field is a
     quadratic extension GF(q^2) with its designated GF(q), enabling
-    Hermitian operations.  `points` and `r` record provenance for codes
-    built from a curve.
+    Hermitian operations.  `points` (an (N, 2) index array) and `r`
+    record provenance for codes built from a curve.
     """
 
     field: Field
     generator: np.ndarray
     parity_check: np.ndarray | None = None
     tower: QuadraticTower | None = None
-    points: tuple[CurvePoint, ...] | None = None
+    points: np.ndarray | None = None
     curve: CurveSpec | None = None
     r: int | None = None
     source: str = "explicit"
@@ -95,42 +95,33 @@ class LinearCode:
         return code
 
 
-def resolve_eval_set(curve: CurveSpec, policy) -> list[CurvePoint]:
+def resolve_eval_set(curve: CurveSpec, policy) -> np.ndarray:
     """Point-selection policy: 'all', 'first:N', 'exclude-subfield',
-    or an explicit sequence of affine points."""
-    if isinstance(policy, str):
-        pts = affine_points(curve)
-        if policy == "all":
-            return pts
-        if policy.startswith("first:"):
-            count = int(policy.split(":", 1)[1])
-            if count < 1 or count > len(pts):
-                raise ValueError(f"cannot select {count} of {len(pts)} affine points")
-            return pts[:count]
-        if policy == "exclude-subfield":
-            tower = curve.tower
-            return [
-                p for p in pts
-                if not (tower.in_subfield(p.x.index) and tower.in_subfield(p.y.index))
-            ]
-        raise ValueError(f"unknown evaluation-set policy {policy!r}")
-    pts = list(policy)
-    if not pts or any(p.at_infinity for p in pts):
-        raise ValueError("explicit evaluation set must be nonempty and affine")
-    return pts
+    or an explicit (N, 2) array of affine (x, y) indices."""
+    if not isinstance(policy, str):
+        return check_points(curve, policy)
+    pts = enumerate_points(curve)
+    if policy == "all":
+        return pts
+    if policy.startswith("first:"):
+        count = int(policy.split(":", 1)[1])
+        if count < 1 or count > len(pts):
+            raise ValueError(f"cannot select {count} of {len(pts)} affine points")
+        return pts[:count]
+    if policy == "exclude-subfield":
+        return pts[~np.isin(pts, curve.tower.embed_table).all(axis=1)]
+    raise ValueError(f"unknown evaluation-set policy {policy!r}")
 
 
 def build_onepoint_code(curve: CurveSpec, r: int, eval_set="all", name: str = "") -> LinearCode:
     """Evaluation code of the verified basis of r*Pinf at the chosen points."""
     points = resolve_eval_set(curve, eval_set)
-    if not points:
-        raise ValueError("evaluation set is empty")
     basis = verified_basis(curve, r, points)
     return LinearCode(
         field=curve.tower.ext,
         generator=basis.rows,
         tower=curve.tower,
-        points=tuple(points),
+        points=points,
         curve=curve,
         r=r,
         source=f"onepoint:{curve.label()}:r={r}",
@@ -519,4 +510,6 @@ def load_code(path) -> LinearCode:
             rows.append([int(tok) for tok in line.split()])
         if len(rows) != k or any(len(row) != n for row in rows):
             raise ValueError(f"expected {k} rows of {n} entries")
-    return LinearCode.from_generator(F, rows, source=f"explicit:{path}")
+    # reshaped, so that a k = 0 file gives a (0, n) generator
+    return LinearCode.from_generator(F, np.array(rows, dtype=np.int64).reshape(k, n),
+                                     source=f"explicit:{path}")

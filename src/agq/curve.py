@@ -11,6 +11,9 @@ The curve is modeled as its affine plane locus plus one abstract point
 at infinity; resolution of singularities is out of scope, so for
 parameter choices where the smooth model has several points above
 x = infinity the reported point count refers to this plane model.
+
+A set of points is an (N, 2) int64 array of affine (x, y) field indices;
+the point at infinity P∞ is implicit and never stored.
 """
 
 from __future__ import annotations
@@ -21,26 +24,12 @@ from enum import Enum
 from math import gcd
 import numpy as np
 
-from .gf import Felt, FieldError, QuadraticTower, quadratic_tower
+from .gf import FieldError, QuadraticTower, quadratic_tower
 
 
 class Family(str, Enum):
     SUPERELLIPTIC = "superelliptic"
     HERMITIAN = "hermitian"
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """Affine point (x, y) or the point at infinity."""
-
-    x: Felt | None
-    y: Felt | None
-    at_infinity: bool = False
-
-    def __repr__(self) -> str:
-        if self.at_infinity:
-            return "Pinf"
-        return f"({self.x!r}, {self.y!r})"
 
 
 @dataclass(frozen=True)
@@ -142,36 +131,46 @@ def _lhs_rhs_tables(curve: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
     return lhs, rhs
 
 
-def is_on_curve(curve: CurveSpec, pt: CurvePoint) -> bool:
-    """Check the defining equation by direct substitution."""
-    if pt.at_infinity:
-        return True
-    F = curve.tower.ext
-    if pt.x.field != F or pt.y.field != F:
-        raise FieldError(f"point coordinates must lie in {F!r}")
+def is_on_curve(curve: CurveSpec, x, y):
+    """Check the defining equation at (x, y) by direct substitution; x and
+    y are field indices, or index arrays of one shape."""
     lhs, rhs = _lhs_rhs_tables(curve)
-    return bool(lhs[pt.y.index] == rhs[pt.x.index])
+    x, y = np.asarray(x), np.asarray(y)
+    if np.any((x < 0) | (x >= len(rhs)) | (y < 0) | (y >= len(lhs))):
+        raise FieldError(f"point coordinates must be indices in [0, {len(lhs)})")
+    return lhs[y] == rhs[x]
 
 
-def enumerate_points(curve: CurveSpec) -> list[CurvePoint]:
-    """All affine GF(q^2)-rational points in lexicographic (x, y) order,
-    followed by the point at infinity."""
-    F = curve.tower.ext
+def check_points(curve: CurveSpec, points) -> np.ndarray:
+    """`points` as an (N, 2) int64 index array, N >= 1, each index in
+    [0, q^2); ValueError otherwise."""
+    pts = np.asarray(points)
+    order = curve.tower.ext.order
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0 or pts.dtype.kind not in "iu":
+        raise ValueError(f"points must be a nonempty (N, 2) integer index array; got shape {pts.shape}")
+    if pts.min() < 0 or pts.max() >= order:
+        raise ValueError(f"point coordinates must be indices in [0, {order})")
+    return pts.astype(np.int64, copy=False)
+
+
+def enumerate_points(curve: CurveSpec) -> np.ndarray:
+    """All affine GF(q^2)-rational points, a read-only (N, 2) array of
+    (x, y) indices in lexicographic order.
+
+    The y with lhs[y] = v form one run of the stable argsort of lhs, in
+    increasing y; each x takes the run of v = rhs[x], found by
+    `searchsorted`.
+    """
     lhs, rhs = _lhs_rhs_tables(curve)
-    # y-values grouped by lhs value, in canonical y order
-    by_value: dict[int, list[int]] = {}
-    for y in range(F.order):
-        by_value.setdefault(int(lhs[y]), []).append(y)
-    points = []
-    for x in range(F.order):
-        for y in by_value.get(int(rhs[x]), ()):
-            points.append(CurvePoint(F.felt(x), F.felt(y)))
-    points.append(CurvePoint(None, None, at_infinity=True))
-    return points
-
-
-def affine_points(curve: CurveSpec) -> list[CurvePoint]:
-    return enumerate_points(curve)[:-1]
+    ys = np.argsort(lhs, kind="stable")
+    lo = np.searchsorted(lhs[ys], rhs, side="left")
+    counts = np.searchsorted(lhs[ys], rhs, side="right") - lo
+    xs = np.repeat(np.arange(len(rhs), dtype=np.int64), counts)
+    # point t is y number t - first[x] of x's run, which starts at ys[lo[x]]
+    first = np.cumsum(counts) - counts
+    pts = np.column_stack([xs, ys[(lo - first)[xs] + np.arange(len(xs))]])
+    pts.setflags(write=False)
+    return pts
 
 
 @dataclass(frozen=True)
@@ -184,8 +183,9 @@ class MaximalityReport:
 
 
 def maximality_check(curve: CurveSpec) -> MaximalityReport:
-    """Compare the exhaustive point count against q^2 + 1 + 2gq."""
-    count = len(enumerate_points(curve))
+    """Compare the exhaustive point count, affine points plus P∞, against
+    q^2 + 1 + 2gq."""
+    count = len(enumerate_points(curve)) + 1
     expected = curve.q**2 + 1 + 2 * curve.genus * curve.q
     return MaximalityReport(
         count_points=count,

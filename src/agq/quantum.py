@@ -25,7 +25,6 @@ from .agcode import (
     LinearCode,
     hermitian_dual,
     hermitian_violation,
-    is_hermitian_self_orthogonal,
     min_distance,
 )
 
@@ -86,8 +85,8 @@ def params_from_code(code: LinearCode, budget: int = DEFAULT_BUDGET,
     when it fits the budget; otherwise the supplied designed value is
     reported with d_verified=False.
     """
-    if not is_hermitian_self_orthogonal(code):
-        pair = hermitian_violation(code)
+    pair = hermitian_violation(code)
+    if pair is not None:
         raise ValueError(
             f"code is not Hermitian self-orthogonal: generator rows {pair[0]} and {pair[1]} "
             "have nonzero Hermitian product"

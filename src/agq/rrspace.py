@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curve import CurvePoint, CurveSpec, affine_points
+from .curve import CurveSpec, check_points, enumerate_points
 from .linalg import pivot_columns, rank as matrix_rank  # noqa: F401 (matrix_rank stays public)
 
 @dataclass(frozen=True)
@@ -95,16 +95,16 @@ def candidate_count(curve: CurveSpec, r) -> int:
 
 
 def evaluation_matrix(curve: CurveSpec, monomials: Sequence[tuple[int, int]],
-                      points: Sequence[CurvePoint]) -> np.ndarray:
-    """Rows = monomials evaluated at the affine points (index matrix).
+                      points: np.ndarray) -> np.ndarray:
+    """Rows = monomials evaluated at the affine points, an (N, 2) array of
+    (x, y) indices (index matrix).
 
     x^i y^j is g^(i log x + j log y) for the primitive element g, so all
     rows are one gather from the antilog table.  A zero base with a
     positive exponent makes the entry 0; 0^0 = 1.
     """
     F = curve.tower.ext
-    xs = np.array([p.x.index for p in points], dtype=np.int64)
-    ys = np.array([p.y.index for p in points], dtype=np.int64)
+    xs, ys = check_points(curve, points).T
     exps = np.array(monomials, dtype=np.int64).reshape(-1, 2)
     i, j = exps[:, :1], exps[:, 1:]
     rows = F._exp[(F._log[xs] * i + F._log[ys] * j) % (F.order - 1)]
@@ -112,20 +112,16 @@ def evaluation_matrix(curve: CurveSpec, monomials: Sequence[tuple[int, int]],
     return rows
 
 
-def _candidate_pivots(curve: CurveSpec, r: int, points: Sequence[CurvePoint]):
+def _candidate_pivots(curve: CurveSpec, r: int, points: np.ndarray):
     """The candidates for r, their evaluation matrix E at `points`, and
     the pivot columns of rref(E^T): the candidates whose row of E is
     independent of the rows before it."""
-    if not points:
-        raise ValueError("evaluation point set is empty")
-    if any(p.at_infinity for p in points):
-        raise ValueError("evaluation points must be affine")
     cand = candidate_monomials(curve, r)
     E = evaluation_matrix(curve, cand.monomials, points)
     return cand, E, pivot_columns(curve.tower.ext, E.T)
 
 
-def verified_basis(curve: CurveSpec, r: int, points: Sequence[CurvePoint]) -> MonomialBasis:
+def verified_basis(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasis:
     """Greedy rank-filtered subset of the candidates, in (pole, i, j) order.
 
     The retained monomials have linearly independent evaluation vectors
@@ -222,7 +218,7 @@ class DimensionRow:
 
 
 def dimension_report(curve: CurveSpec, r_max: int,
-                     points: Sequence[CurvePoint] | None = None) -> list[DimensionRow]:
+                     points: np.ndarray | None = None) -> list[DimensionRow]:
     """Ground-truth ranks vs the case formula for r = 0..r_max.
 
     The candidates are sorted by (pole order, i, j), so those of r are
@@ -237,7 +233,7 @@ def dimension_report(curve: CurveSpec, r_max: int,
     saturated (deg + 1 - g < #points), else None.
     """
     if points is None:
-        points = affine_points(curve)
+        points = enumerate_points(curve)
     g = curve.genus
     npts = len(points)
     if r_max < 0:

@@ -64,6 +64,8 @@ class SimConfig:
     master_seed: int
 
     def __post_init__(self):
+        if not self.error_rates:
+            raise ValueError("error_rates must name at least one rate")
         if any(not 0.0 <= r <= 1.0 for r in self.error_rates):
             raise ValueError("error rates must lie in [0, 1]")
         if self.num_transmissions < 1:

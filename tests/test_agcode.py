@@ -29,6 +29,7 @@ from agq.agcode import (
     weight_distribution,
 )
 from agq.curve import hermitian_curve, superelliptic_curve
+from agq.rrspace import evaluation_matrix
 from agq.gf import FieldError, field, quadratic_tower
 from agq.linalg import matmul, rank, right_nullspace, row_basis
 from oracles import (
@@ -117,6 +118,42 @@ def test_eval_set_policies(se33):
         resolve_eval_set(se33, "first:99")
     with pytest.raises(ValueError):
         resolve_eval_set(se33, "bogus")
+
+
+@pytest.mark.parametrize("make", [lambda: superelliptic_curve(3, 3), lambda: hermitian_curve(3),
+                                  lambda: hermitian_curve(4), lambda: superelliptic_curve(5, 3)])
+def test_exclude_subfield_matches_per_point_filter(make):
+    curve = make()
+    tower = curve.tower
+    kept = [(x, y) for x, y in resolve_eval_set(curve, "all").tolist()
+            if not (tower.in_subfield(x) and tower.in_subfield(y))]
+    assert [tuple(p) for p in resolve_eval_set(curve, "exclude-subfield").tolist()] == kept
+
+
+def test_explicit_eval_set_validated(se33):
+    pts = np.array([[0, 0], [1, 2]])
+    assert resolve_eval_set(se33, pts).tolist() == pts.tolist()
+    bad = [
+        [],                                  # empty
+        np.zeros((0, 2), dtype=np.int64),    # empty, right shape
+        np.array([0, 0]),                    # one pair, not an (N, 2) array
+        np.zeros((3, 3), dtype=np.int64),    # wrong shape
+        np.array([[0.0, 1.0]]),              # not indices
+        np.array([[0, 9]]),                  # outside GF(9)
+        np.array([[-1, 0]]),
+    ]
+    for points in bad:
+        with pytest.raises(ValueError):
+            resolve_eval_set(se33, points)
+        with pytest.raises(ValueError):
+            evaluation_matrix(se33, [(0, 0), (1, 0)], points)
+
+
+def test_code_points_shared_read_only(se33):
+    code = build_onepoint_code(se33, 4)
+    assert code.points.shape == (15, 2) and not code.points.flags.writeable
+    assert dual(code).points is code.points
+    assert hermitian_dual(code).points is code.points
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +655,16 @@ def test_save_load_round_trip(tmp_path, code_8_3):
     assert (loaded.n, loaded.k) == (8, 3)
     assert np.array_equal(loaded.generator, code_8_3.generator)
     assert loaded.tower is not None  # GF(4) = GF(2^2) gets its tower back
+
+
+def test_save_load_round_trip_empty_code(tmp_path):
+    path = tmp_path / "empty.txt"
+    save_code(build_onepoint_code(hermitian_curve(2), -1), path)
+    assert path.read_text() == "q2=4 n=8 k=0\n"
+    loaded = load_code(path)
+    assert (loaded.n, loaded.k) == (8, 0)
+    assert loaded.generator.shape == (0, 8)
+    assert loaded.parity_check.shape == (8, 8)
 
 
 def test_load_rejects_rank_deficient(tmp_path):

@@ -259,6 +259,18 @@ def test_simulate_rejects_bad_chunk_size(capsys, chunk):
     assert "success=" not in out
 
 
+def test_simulate_rejects_empty_rate_list(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--family", "hermitian", "--q", "2",
+                             "--r", "3", "--rates", "", "--trials", "100")
+    assert code == 1
+    assert err.strip() == "error: error_rates must name at least one rate"
+    assert "success=" not in out
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_simulate_requires_r(capsys):
     code, _, err = run_cli(capsys, "simulate", "--family", "hermitian", "--q", "2",
                            "--rates", "0")

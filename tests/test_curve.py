@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from agq.curve import (
-    CurvePoint,
     Family,
     enumerate_points,
     hermitian_curve,
@@ -77,40 +78,57 @@ def test_unproven_m_flagged():
 
 
 def test_on_curve_examples(se33, herm2):
-    F9 = se33.tower.ext
-    F4 = herm2.tower.ext
-    assert is_on_curve(se33, CurvePoint(F9.felt(0), F9.felt(0)))  # 0 = 0
-    assert not is_on_curve(se33, CurvePoint(F9.felt(1), F9.felt(1)))  # 1 != 2
-    assert is_on_curve(herm2, CurvePoint(F4.felt(0), F4.felt(1)))  # 1+1 = 0 = 0^3
-    assert is_on_curve(herm2, CurvePoint(None, None, at_infinity=True))
+    assert is_on_curve(se33, 0, 0)  # 0 = 0
+    assert not is_on_curve(se33, 1, 1)  # 1 != 2
+    assert is_on_curve(herm2, 0, 1)  # 1+1 = 0 = 0^3
+    # index arrays are checked entrywise
+    assert is_on_curve(se33, np.array([0, 1]), np.array([0, 1])).tolist() == [True, False]
 
 
-def test_on_curve_field_mismatch(se33, f4):
+def test_on_curve_field_mismatch(se33):
+    # index 9 names an element of a larger field, not of GF(9)
     with pytest.raises(FieldError):
-        is_on_curve(se33, CurvePoint(f4.felt(1), f4.felt(1)))
+        is_on_curve(se33, 9, 1)
+    with pytest.raises(FieldError):
+        is_on_curve(se33, np.array([1, 2]), np.array([3, -1]))
 
 
 @pytest.mark.parametrize("make", [lambda: hermitian_curve(2), lambda: superelliptic_curve(3, 3),
-                                  lambda: hermitian_curve(3), lambda: superelliptic_curve(5, 2)])
+                                  lambda: hermitian_curve(3), lambda: superelliptic_curve(5, 2),
+                                  lambda: hermitian_curve(4), lambda: superelliptic_curve(5, 3),
+                                  lambda: superelliptic_curve(7, 3)])
 def test_enumerated_points_satisfy_equation(make):
     curve = make()
     pts = enumerate_points(curve)
-    assert pts[-1].at_infinity
-    affine = pts[:-1]
-    assert all(is_on_curve(curve, p) for p in affine)
+    assert pts.dtype == np.int64 and pts.ndim == 2 and pts.shape[1] == 2
+    assert not pts.flags.writeable  # a code and its duals share it
+    assert is_on_curve(curve, pts[:, 0], pts[:, 1]).all()
     # matches the naive exhaustive scan exactly, including order
-    assert [(p.x.index, p.y.index) for p in affine] == naive_affine_points(curve)
+    assert [tuple(p) for p in pts.tolist()] == naive_affine_points(curve)
 
 
 def test_point_counts(se33, herm2):
-    assert len(enumerate_points(herm2)) == 9     # 8 affine + infinity
-    assert len(enumerate_points(se33)) == 16     # 15 affine + infinity
+    # affine points only: the point at infinity is implicit
+    assert len(enumerate_points(herm2)) == 8
+    assert len(enumerate_points(se33)) == 15
 
 
 def test_enumeration_deterministic(se33):
-    a = enumerate_points(se33)
-    b = enumerate_points(se33)
-    assert [(p.x, p.y, p.at_infinity) for p in a] == [(p.x, p.y, p.at_infinity) for p in b]
+    assert np.array_equal(enumerate_points(se33), enumerate_points(se33))
+
+
+def test_enumeration_memory_bounded():
+    # 262 144 points over GF(4096); an order x order comparison table
+    # alone would take 16.8 MB
+    curve = hermitian_curve(64)
+    tracemalloc.start()
+    try:
+        pts = enumerate_points(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pts.shape == (64**3, 2)
+    assert peak < 16 * 2**20
 
 
 def test_fiber_symmetry(se33):
@@ -118,10 +136,9 @@ def test_fiber_symmetry(se33):
     F = se33.tower.ext
     roots = [l for l in range(F.order) if F.pow(l, se33.n) == 1]
     assert len(roots) >= 1
-    for pt in enumerate_points(se33)[:-1]:
-        for l in roots:
-            moved = CurvePoint(pt.x, F.felt(F.mul(l, pt.y.index)))
-            assert is_on_curve(se33, moved)
+    pts = enumerate_points(se33)
+    for l in roots:
+        assert is_on_curve(se33, pts[:, 0], F.vmul(l, pts[:, 1])).all()
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +170,7 @@ def test_maximality_reports(make, count, maximal):
 
 
 def test_maximality_flags_rather_than_aborts():
-    # gcd(n, m) = 3 here; the plane model has 33 affine points + 1, far
+    # gcd(n, m) = 3 here; the plane model has 33 affine points + P∞, far
     # from the would-be bound computed with the printed genus formula.
     rep = maximality_check(superelliptic_curve(5, 3))
     assert rep.count_points == 34

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agq.curve import CurvePoint, affine_points, hermitian_curve, superelliptic_curve
+from agq.curve import enumerate_points, hermitian_curve, superelliptic_curve
 from agq.rrspace import (
     candidate_count,
     candidate_monomials,
@@ -82,7 +83,7 @@ def test_count_matches_list_hypothesis(r):
 
 
 def test_hermitian_r3_all_retained(herm2):
-    pts = affine_points(herm2)
+    pts = enumerate_points(herm2)
     basis = verified_basis(herm2, 3, pts)
     assert basis.verified
     assert basis.monomials == ((0, 0), (1, 0), (0, 1))
@@ -90,14 +91,14 @@ def test_hermitian_r3_all_retained(herm2):
 
 
 def test_saturation_retains_point_count(herm2):
-    pts = affine_points(herm2)
+    pts = enumerate_points(herm2)
     basis = verified_basis(herm2, 30, pts)
     assert len(basis) == len(pts) == 8
     assert len(basis.dropped) == candidate_count(herm2, 30) - 8
 
 
 def test_retained_count_equals_independent_rank(se33):
-    pts = affine_points(se33)
+    pts = enumerate_points(se33)
     F = se33.tower.ext
     nf = NaiveField(F.p, F.e, F.modulus)
     for r in (0, 2, 5, 6, 9, 15, 16):
@@ -110,7 +111,7 @@ def test_retained_count_equals_independent_rank(se33):
 
 def test_dropped_monomial_at_r6(se33):
     # pole order 6 is hit twice ((3,0) and (0,2)); one of them must drop
-    pts = affine_points(se33)
+    pts = enumerate_points(se33)
     basis = verified_basis(se33, 6, pts)
     assert len(basis) == 6
     assert len(basis.dropped) == 1
@@ -118,16 +119,20 @@ def test_dropped_monomial_at_r6(se33):
 
 
 def test_verified_basis_rejects_bad_points(se33):
-    from agq.curve import enumerate_points
-
     with pytest.raises(ValueError):
         verified_basis(se33, 3, [])
     with pytest.raises(ValueError):
-        verified_basis(se33, 3, enumerate_points(se33))  # includes infinity
+        verified_basis(se33, 3, np.zeros((0, 2), dtype=np.int64))  # empty set
+    with pytest.raises(ValueError):
+        verified_basis(se33, 3, np.zeros((4, 3), dtype=np.int64))  # wrong shape
+    with pytest.raises(ValueError):
+        verified_basis(se33, 3, np.array([[0, 0], [1, 9]]))  # 9 is outside GF(9)
+    with pytest.raises(ValueError):
+        verified_basis(se33, 3, np.array([[0, 0], [-1, 1]]))
 
 
 def test_basis_json(se33):
-    pts = affine_points(se33)
+    pts = enumerate_points(se33)
     basis = verified_basis(se33, 6, pts)
     import json
 
@@ -246,7 +251,7 @@ def naive_candidate_rank(curve, nf, r, points):
     for j in range(curve.q):
         for i in range(max(0, r) + 1):
             if i * curve.pole_order_x + j * curve.pole_order_y <= r:
-                rows.append([nf.mul(nf.pow(p.x.index, i), nf.pow(p.y.index, j)) for p in points])
+                rows.append([nf.mul(nf.pow(x, i), nf.pow(y, j)) for x, y in points.tolist()])
     return naive_rank(nf, rows)
 
 
@@ -259,7 +264,7 @@ def naive_candidate_rank(curve, nf, r, points):
 ], ids=["se-q3-m3", "herm-q3", "se-q5-m2", "se-q5-m3", "se-q3-m3-7pts"])
 def test_dimension_report_matches_per_r_and_naive_ranks(make, r_max, first):
     curve = make()
-    points = affine_points(curve)[:first]
+    points = enumerate_points(curve)[:first]
     F = curve.tower.ext
     nf = TabledField(F.p, F.e, F.modulus)
     rows = dimension_report(curve, r_max, None if first is None else points)
@@ -285,11 +290,10 @@ def test_evaluation_matrix_matches_naive_powers(make, r):
     F = curve.tower.ext
     nf = NaiveField(F.p, F.e, F.modulus)
     values = sorted({0, 1, F.primitive, F.order - 1})
-    points = [CurvePoint(F.felt(x), F.felt(y)) for x in values for y in values]
-    points += affine_points(curve)[:5]
+    points = np.array([(x, y) for x in values for y in values] + enumerate_points(curve)[:5].tolist())
     # over GF(4) and GF(9) some exponents i pass order - 1
     monomials = candidate_monomials(curve, r).monomials
     E = evaluation_matrix(curve, monomials, points)
     assert E.shape == (len(monomials), len(points))
     for row, (i, j) in zip(E.tolist(), monomials):
-        assert row == [nf.mul(nf.pow(p.x.index, i), nf.pow(p.y.index, j)) for p in points]
+        assert row == [nf.mul(nf.pow(x, i), nf.pow(y, j)) for x, y in points.tolist()]

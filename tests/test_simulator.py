@@ -487,6 +487,8 @@ def test_sim_config_validation(code):
         SimConfig(code=code, error_rates=(0.1,), num_transmissions=0, master_seed=0)
     with pytest.raises(ValueError):
         SimConfig(code=code, error_rates=(0.1,), num_transmissions=10, master_seed=-1)
+    with pytest.raises(ValueError, match="at least one rate"):
+        SimConfig(code=code, error_rates=(), num_transmissions=10, master_seed=0)
 
 
 # ---------------------------------------------------------------------------

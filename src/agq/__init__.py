@@ -23,18 +23,16 @@ from .curve import (
     Family,
     enumerate_points,
     hermitian_curve,
-    is_on_curve,
     maximality_check,
     superelliptic_curve,
 )
-from .gf import Felt, Field, FieldError, FieldMismatchError, field, quadratic_tower
+from .gf import Field, FieldError, field, quadratic_tower
 from .quantum import designed_params, params_from_code, parameter_table
 from .rrspace import (
     MonomialBasis,
     candidate_count,
     candidate_monomials,
     dimension_by_cases,
-    semigroup,
     verified_basis,
 )
-from .simulator import SimConfig, SimResult, apply_random_errors, decode_word, encode, run_simulation, simulate_transmission
+from .simulator import SimConfig, SimResult, encode, run_simulation, simulate_transmission

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import numpy as np
 
-from .curve import CurveSpec, check_points, enumerate_points
-from .gf import Felt, Field, FieldError, QuadraticTower, factor_prime_power, field, quadratic_tower
+from .curve import CurveSpec, _lhs_rhs_tables, check_points, enumerate_points
+from .gf import Field, FieldError, QuadraticTower, factor_prime_power, field, quadratic_tower
 from .linalg import matmul, normalize_rows, rank, right_nullspace
 from .rrspace import dimension_by_cases, verified_basis
 
@@ -97,9 +97,22 @@ class LinearCode:
 
 def resolve_eval_set(curve: CurveSpec, policy) -> np.ndarray:
     """Point-selection policy: 'all', 'first:N', 'exclude-subfield',
-    or an explicit (N, 2) array of affine (x, y) indices."""
+    or an explicit (N, 2) array of distinct affine (x, y) indices of
+    curve points.
+
+    The designed distance n - r holds only for distinct points on the
+    curve, so an explicit set with an off-curve or repeated point is a
+    ValueError.
+    """
     if not isinstance(policy, str):
-        return check_points(curve, policy)
+        pts = check_points(curve, policy)
+        lhs, rhs = _lhs_rhs_tables(curve)
+        off = np.flatnonzero(lhs[pts[:, 1]] != rhs[pts[:, 0]])
+        if len(off):
+            raise ValueError(f"point {tuple(pts[off[0]].tolist())} is not on the curve")
+        if len(np.unique(pts, axis=0)) < len(pts):
+            raise ValueError("evaluation points must be distinct")
+        return pts
     pts = enumerate_points(curve)
     if policy == "all":
         return pts
@@ -277,27 +290,13 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> np.nd
 # Hermitian structure
 
 
-def hermitian_inner(tower: QuadraticTower, a, b) -> Felt:
-    """<a, b> = sum_i a_i * b_i^q over GF(q^2)."""
-    ai = _as_indices(tower.ext, a)
-    bi = _as_indices(tower.ext, b)
-    if ai.shape != bi.shape:
-        raise ValueError(f"length mismatch: {ai.shape} vs {bi.shape}")
-    return Felt(tower.ext, int(tower.ext.vdot(ai, tower.vfrobenius(bi))))
-
-
-def _as_indices(F: Field, v) -> np.ndarray:
-    if isinstance(v, np.ndarray):
-        return v.astype(np.int64)
-    out = []
-    for item in v:
-        if isinstance(item, Felt):
-            if item.field != F:
-                raise FieldError(f"{item!r} is not in {F!r}")
-            out.append(item.index)
-        else:
-            out.append(int(item))
-    return np.array(out, dtype=np.int64)
+def hermitian_inner(tower: QuadraticTower, a, b) -> int:
+    """<a, b> = sum_i a_i * b_i^q over GF(q^2), for index vectors a and b."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.shape != b.shape:
+        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
+    return int(tower.ext.vdot(a, tower.vfrobenius(b)))
 
 
 def _hermitian_gram(code: LinearCode) -> np.ndarray:

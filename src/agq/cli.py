@@ -297,7 +297,7 @@ def cmd_reproduce(args) -> int:
         c = build_onepoint_code(se, r)
         verdict = is_hermitian_self_orthogonal(c)
         direct = all(
-            hermitian_inner(se.tower, gi, gj).index == 0
+            hermitian_inner(se.tower, gi, gj) == 0
             for gi in c.generator for gj in c.generator
         )
         verdicts[r] = verdict

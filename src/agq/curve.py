@@ -131,16 +131,6 @@ def _lhs_rhs_tables(curve: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
     return lhs, rhs
 
 
-def is_on_curve(curve: CurveSpec, x, y):
-    """Check the defining equation at (x, y) by direct substitution; x and
-    y are field indices, or index arrays of one shape."""
-    lhs, rhs = _lhs_rhs_tables(curve)
-    x, y = np.asarray(x), np.asarray(y)
-    if np.any((x < 0) | (x >= len(rhs)) | (y < 0) | (y >= len(lhs))):
-        raise FieldError(f"point coordinates must be indices in [0, {len(lhs)})")
-    return lhs[y] == rhs[x]
-
-
 def check_points(curve: CurveSpec, points) -> np.ndarray:
     """`points` as an (N, 2) int64 index array, N >= 1, each index in
     [0, q^2); ValueError otherwise."""

@@ -7,12 +7,11 @@ therefore the canonical element order (zero first, then 1, then the
 class of x, ...), and GF(4) enumerates as [0, 1, a, a+1] where a is the
 class of x modulo the default modulus x^2 + x + 1.
 
-Arithmetic is exposed in scalar form (`Field.add`, `Field.mul`, ...)
-and in vectorized form over numpy index arrays (`Field.vadd`,
-`Field.vmul`, ...).  Scalar multiplication uses discrete log/antilog
-tables with respect to a fixed primitive element, and scalar addition
-works on the base-p digit vectors.  The `Felt` wrapper provides
-operator syntax and guards against mixing elements of different fields.
+Arithmetic works on numpy index arrays (`Field.vadd`, `Field.vmul`,
+...).  The scalar `add`, `mul` and `inv` serve table construction and
+elimination pivots: multiplication uses discrete log/antilog tables with
+respect to a fixed primitive element, and addition works on the base-p
+digit vectors.
 
 Vectorized addition avoids the digits where it can.  In characteristic
 2 the digits are bits, so a + b and a - b are the XOR of the indices and
@@ -45,9 +44,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,10 +58,6 @@ ADD_TABLE_MAX = 256
 
 class FieldError(Exception):
     """Invalid field construction or unsupported field operation."""
-
-
-class FieldMismatchError(FieldError):
-    """Operands belong to different fields."""
 
 
 def _is_prime(n: int) -> bool:
@@ -305,14 +299,6 @@ class Field:
         self._check(a, b)
         return int(((self._digits[a] + self._digits[b]) % self.p) @ self._pows)
 
-    def sub(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(((self._digits[a] - self._digits[b]) % self.p) @ self._pows)
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        return int(((-self._digits[a]) % self.p) @ self._pows)
-
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
         if a == 0 or b == 0:
@@ -324,19 +310,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return int(self._exp[(-self._log[a]) % (self.order - 1)])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, k: int) -> int:
-        self._check(a)
-        if a == 0:
-            if k == 0:
-                return 1
-            if k < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return 0
-        return int(self._exp[(self._log[a] * k) % (self.order - 1)])
 
     # -- vectorized operations on index arrays -------------------------------
 
@@ -408,50 +381,11 @@ class Field:
     def vdot(self, a, b):
         return self.vsum(self.vmul(a, b), axis=-1)
 
-    # -- element views ---------------------------------------------------------
-
-    def felt(self, index: int) -> "Felt":
-        self._check(index)
-        return Felt(self, int(index))
-
-    def element(self, coeffs: Sequence[int]) -> "Felt":
-        if len(coeffs) != self.e:
-            raise FieldError(f"expected {self.e} coefficients, got {len(coeffs)}")
-        return Felt(self, int(sum((c % self.p) * self.p**i for i, c in enumerate(coeffs))))
+    # -- serialization -----------------------------------------------------------
 
     def coeffs(self, index: int) -> tuple[int, ...]:
         self._check(index)
         return tuple(int(c) for c in self._digits[index])
-
-    def elements(self) -> Iterator["Felt"]:
-        """All field elements in canonical order (zero first)."""
-        for i in range(self.order):
-            yield Felt(self, i)
-
-    def zero(self) -> "Felt":
-        return Felt(self, 0)
-
-    def one(self) -> "Felt":
-        return Felt(self, 1)
-
-    def format_element(self, index: int) -> str:
-        """Human-readable polynomial form, e.g. 'a+1' in GF(4)."""
-        self._check(index)
-        if self.e == 1:
-            return str(index)
-        terms = []
-        for i in range(self.e - 1, -1, -1):
-            c = int(self._digits[index][i])
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                var = "a" if i == 1 else f"a^{i}"
-                terms.append(var if c == 1 else f"{c}{var}")
-        return "+".join(terms) if terms else "0"
-
-    # -- serialization -----------------------------------------------------------
 
     def to_json(self) -> str:
         return json.dumps(
@@ -462,19 +396,6 @@ class Field:
                 "primitive": list(self.coeffs(self.primitive)),
             }
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Field":
-        data = json.loads(text)
-        f = cls(data["p"], data["e"], modulus=data["modulus"])
-        if "primitive" in data:
-            prim = f.element(data["primitive"]).index
-            if prim != f.primitive:
-                powers = _powers(f._times(_times_x(f._digits, f.modulus, f.p), prim))
-                if powers is None:
-                    raise FieldError("declared primitive element does not have full order")
-                f._set_primitive(prim, powers)
-        return f
 
     def __eq__(self, other) -> bool:
         return (
@@ -504,63 +425,14 @@ def field(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> Field:
     return _FIELD_CACHE[key]
 
 
-@dataclass(frozen=True)
-class Felt:
-    """A single field element: owning field plus canonical index."""
-
-    field: Field
-    index: int
-
-    def _coerce(self, other) -> "Felt":
-        if not isinstance(other, Felt):
-            raise FieldMismatchError(f"cannot combine {self!r} with {other!r}")
-        if other.field != self.field:
-            raise FieldMismatchError(f"field mismatch: {self.field!r} vs {other.field!r}")
-        return other
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.index)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Felt(self.field, self.field.add(self.index, other.index))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Felt(self.field, self.field.sub(self.index, other.index))
-
-    def __neg__(self):
-        return Felt(self.field, self.field.neg(self.index))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return Felt(self.field, self.field.mul(self.index, other.index))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return Felt(self.field, self.field.div(self.index, other.index))
-
-    def __pow__(self, k: int):
-        return Felt(self.field, self.field.pow(self.index, k))
-
-    def inverse(self) -> "Felt":
-        return Felt(self.field, self.field.inv(self.index))
-
-    def __bool__(self) -> bool:
-        return self.index != 0
-
-    def __repr__(self) -> str:
-        return self.field.format_element(self.index)
-
-
 class QuadraticTower:
     """The tower GF(p) < GF(q) < GF(q^2) with q = p^s.
 
-    Exposes the conjugation map a -> a^q on GF(q^2), the embedding of
-    GF(q) into GF(q^2) (sending the x-class of the base field to the
-    canonically smallest root of the base modulus), and O(1) subfield
-    membership tests.
+    Holds, as index tables, the conjugation map a -> a^q on GF(q^2)
+    (`frob_table`, applied by `vfrobenius`), the embedding of GF(q) into
+    GF(q^2) (`embed_table`, sending the x-class of the base field to the
+    canonically smallest root of the base modulus), and the embedded
+    subfield's indices (`subfield_indices`).
     """
 
     def __init__(self, q: int):
@@ -600,23 +472,8 @@ class QuadraticTower:
         if self.subfield_indices != {int(v) for v in fixed}:
             raise FieldError("embedded subfield does not match frobenius fixed set")
 
-    def frobenius(self, a: Felt) -> Felt:
-        """a^q on GF(q^2); an involution fixing exactly the embedded GF(q)."""
-        if a.field != self.ext:
-            raise FieldMismatchError(f"{a!r} is not in {self.ext!r}")
-        return Felt(self.ext, int(self.frob_table[a.index]))
-
     def vfrobenius(self, arr):
         return self.frob_table[np.asarray(arr, dtype=np.int64)]
-
-    def embed(self, a: Felt) -> Felt:
-        if a.field != self.base:
-            raise FieldMismatchError(f"{a!r} is not in {self.base!r}")
-        return Felt(self.ext, int(self.embed_table[a.index]))
-
-    def in_subfield(self, a: Felt | int) -> bool:
-        index = a.index if isinstance(a, Felt) else int(a)
-        return index in self.subfield_indices
 
     def __repr__(self) -> str:
         return f"Tower(GF({self.q}) < GF({self.q**2}))"

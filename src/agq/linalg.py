@@ -74,10 +74,6 @@ def matmul(F: Field, A, B):
     return out
 
 
-def matvec(F: Field, A, v):
-    return matmul(F, A, np.asarray(v, dtype=np.int64).reshape(-1, 1))[:, 0]
-
-
 def _eliminate(F: Field, A, full: bool):
     """Gaussian elimination on a copy of A; returns (R, pivot_columns).
 
@@ -140,12 +136,6 @@ def pivot_columns(F: Field, A) -> list[int]:
 def rank(F: Field, A) -> int:
     """Rank of A, the number of its pivot columns."""
     return len(pivot_columns(F, A))
-
-
-def row_basis(F: Field, A):
-    """Canonical (rref) basis of the row space, zero rows stripped."""
-    R, pivots = rref(F, A)
-    return R[: len(pivots)]
 
 
 def right_nullspace(F: Field, A):

@@ -23,7 +23,6 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 import numpy as np
@@ -176,33 +175,6 @@ def dimension_by_cases(curve: CurveSpec, r: int) -> DimensionPrediction:
         val = Fraction(qq)
         case = 5
     return DimensionPrediction(case=case, value=val, is_integer=val.denominator == 1)
-
-
-@dataclass(frozen=True)
-class SemigroupTable:
-    generators: tuple[int, int]
-    bound: int
-    elements: tuple[int, ...]
-    gaps: tuple[int, ...]
-
-
-def semigroup(gen_a: int, gen_b: int, bound: int) -> SemigroupTable:
-    """The numerical semigroup <gen_a, gen_b> intersected with [0, bound]."""
-    if gcd(gen_a, gen_b) != 1:
-        raise ValueError(
-            f"gcd({gen_a}, {gen_b}) = {gcd(gen_a, gen_b)} != 1: the gap set is infinite"
-        )
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    reachable = [False] * (bound + 1)
-    reachable[0] = True
-    for v in range(1, bound + 1):
-        reachable[v] = (v >= gen_a and reachable[v - gen_a]) or (
-            v >= gen_b and reachable[v - gen_b]
-        )
-    elements = tuple(v for v in range(bound + 1) if reachable[v])
-    gaps = tuple(v for v in range(bound + 1) if not reachable[v])
-    return SemigroupTable(generators=(gen_a, gen_b), bound=bound, elements=elements, gaps=gaps)
 
 
 @dataclass(frozen=True)

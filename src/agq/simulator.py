@@ -51,7 +51,6 @@ from .agcode import LinearCode
 from .linalg import matmul, normalize_rows
 
 SUCCESS, CORRECTED, FAILURE = 0, 1, 2
-_STATUS_NAMES = {SUCCESS: "success", CORRECTED: "corrected", FAILURE: "failure"}
 
 
 @dataclass(frozen=True)
@@ -255,53 +254,6 @@ def _draw_chunk(master_seed: int, rate_index: int, lo: int, hi: int, k: int, n: 
     return messages, uniforms, repl
 
 
-def apply_random_errors(field, codeword, rate: float, rng: np.random.Generator):
-    """Corrupt each position independently with probability `rate`; a hit
-    replaces the symbol by a uniformly random different element of
-    `field`.  Returns (received, number_of_changed_positions).
-
-    Always consumes n uniforms and n replacement draws from `rng`, so
-    the stream layout does not depend on the outcome.
-    """
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError("rate must lie in [0, 1]")
-    word = np.asarray(codeword, dtype=np.int64)
-    n = word.shape[0]
-    mask = rng.random(n) < rate
-    repl = rng.integers(0, field.order - 1, size=n)
-    received = np.where(mask, repl + (repl >= word), word)
-    return received, int(mask.sum())
-
-
-def decode_word(code: LinearCode, received):
-    """Reference single-word decoder; returns (word or None, status string).
-
-    Zero syndrome returns the word unchanged ("success"); otherwise the
-    first single-position substitution (scanning positions in order and
-    alternative symbols in canonical order) with zero syndrome is
-    returned ("corrected"); if none exists the result is (None,
-    "failure").  Deterministic in its input.
-    """
-    F = code.field
-    H = code.parity_check
-    word = np.asarray(received, dtype=np.int64).copy()
-    if word.shape[0] != code.n:
-        raise ValueError(f"received word length {word.shape[0]} != n = {code.n}")
-    syndrome = matmul(F, H, word.reshape(-1, 1))[:, 0] if H.shape[0] else np.zeros(0, np.int64)
-    if not syndrome.any():
-        return word, _STATUS_NAMES[SUCCESS]
-    for i in range(code.n):
-        current = int(word[i])
-        for c in range(F.order):
-            if c == current:
-                continue
-            trial = word.copy()
-            trial[i] = c
-            if not matmul(F, H, trial.reshape(-1, 1))[:, 0].any():
-                return trial, _STATUS_NAMES[CORRECTED]
-    return None, _STATUS_NAMES[FAILURE]
-
-
 def _column_table(code: LinearCode):
     """(keys, positions): the normalized nonzero columns of the parity
     check as byte strings, sorted stably, and the position of each.
@@ -321,7 +273,7 @@ def _column_table(code: LinearCode):
 
 
 def _decode_batch(code: LinearCode, received: np.ndarray, table):
-    """Vectorized decoder; identical results to decode_word row by row.
+    """Vectorized syndrome decoder of the position-then-symbol scan.
 
     A substitution at position i changes the syndrome by a nonzero
     multiple of column H[:, i], so a nonzero syndrome s is killable at

@@ -2,7 +2,8 @@
 
 Everything here works on little-endian coefficient tuples over GF(p)
 and plain Python lists, sharing no code with the package's table-based
-arithmetic or vectorized linear algebra.  Slow and obvious on purpose.
+arithmetic or vectorized linear algebra; the channel reference only
+reads its draws from a numpy Generator.  Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -104,6 +106,10 @@ class TabledField(NaiveField):
         return super().pow(a, n)
 
     @functools.cache
+    def add(self, a, b):
+        return super().add(a, b)
+
+    @functools.cache
     def mul(self, a, b):
         return super().mul(a, b)
 
@@ -150,14 +156,17 @@ def naive_rank(nf: NaiveField, rows) -> int:
     return len(naive_rref(nf, rows)[1])
 
 
+def naive_row_basis(nf: NaiveField, rows):
+    """The nonzero rows of the reduced echelon form of `rows`: the unique
+    reduced basis of their span, as lists of indices."""
+    reduced, pivots = naive_rref(nf, [[int(v) for v in row] for row in rows])
+    return reduced[:len(pivots)]
+
+
 def naive_row_space_equal(nf: NaiveField, A, B) -> bool:
     """Whether the rows of A and of B span the same space.  The reduced
     echelon form of a row space is unique, so compare its nonzero rows."""
-    def basis(rows):
-        reduced, pivots = naive_rref(nf, [[int(v) for v in row] for row in rows])
-        return reduced[:len(pivots)]
-
-    return basis(A) == basis(B)
+    return naive_row_basis(nf, A) == naive_row_basis(nf, B)
 
 
 def naive_matmul(nf: NaiveField, A, B):
@@ -208,6 +217,89 @@ def naive_hermitian_inner(nf: NaiveField, q: int, a, b):
     for x, y in zip(a, b):
         acc = nf.add(acc, nf.mul(x, nf.pow(y, q)))
     return acc
+
+
+def naive_syndrome(nf: NaiveField, H, word):
+    """H w^T, one field sum per row of the parity check H."""
+    out = []
+    for row in H:
+        acc = 0
+        for h, w in zip(row, word):
+            acc = nf.add(acc, nf.mul(int(h), int(w)))
+        out.append(acc)
+    return out
+
+
+def decode_word(nf: NaiveField, H, received):
+    """Single-word decoder by literal search; returns (word or None, status).
+
+    A zero syndrome returns the word unchanged ("success").  Otherwise the
+    first single-position substitution, scanning positions in order and
+    the other symbols in index order, whose word has zero syndrome is
+    returned ("corrected"); if none has, the result is (None, "failure").
+    H is the parity check as rows of indices; every syndrome is computed
+    afresh by `naive_syndrome`.
+    """
+    word = [int(v) for v in received]
+    if not any(naive_syndrome(nf, H, word)):
+        return word, "success"
+    for i, current in enumerate(word):
+        for c in range(nf.order):
+            if c == current:
+                continue
+            trial = word[:i] + [c] + word[i + 1:]
+            if not any(naive_syndrome(nf, H, trial)):
+                return trial, "corrected"
+    return None, "failure"
+
+
+def apply_random_errors(order: int, codeword, rate: float, rng):
+    """Corrupt each position independently with probability `rate`; a hit
+    replaces the symbol by a uniformly random other element of a field of
+    `order` elements.  Returns (received, number_of_changed_positions).
+
+    Reads the channel part of a trial's stream from the numpy Generator
+    `rng`: n uniforms, then n replacement offsets in [0, order - 1),
+    whatever the outcome.  Offset o stands for the o-th element other
+    than the sent symbol.
+    """
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError("rate must lie in [0, 1]")
+    word = [int(v) for v in codeword]
+    hits = [float(u) < rate for u in rng.random(len(word))]
+    offsets = [int(o) for o in rng.integers(0, order - 1, size=len(word))]
+    received = []
+    for sent, hit, o in zip(word, hits, offsets):
+        others = [c for c in range(order) if c != sent]
+        received.append(others[o] if hit else sent)
+    return received, sum(hits)
+
+
+@dataclass(frozen=True)
+class SemigroupTable:
+    generators: tuple[int, int]
+    bound: int
+    elements: tuple[int, ...]
+    gaps: tuple[int, ...]
+
+
+def semigroup(gen_a: int, gen_b: int, bound: int) -> SemigroupTable:
+    """The numerical semigroup <gen_a, gen_b> intersected with [0, bound]."""
+    if math.gcd(gen_a, gen_b) != 1:
+        raise ValueError(
+            f"gcd({gen_a}, {gen_b}) = {math.gcd(gen_a, gen_b)} != 1: the gap set is infinite"
+        )
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    reachable = [False] * (bound + 1)
+    reachable[0] = True
+    for v in range(1, bound + 1):
+        reachable[v] = (v >= gen_a and reachable[v - gen_a]) or (
+            v >= gen_b and reachable[v - gen_b]
+        )
+    elements = tuple(v for v in range(bound + 1) if reachable[v])
+    gaps = tuple(v for v in range(bound + 1) if not reachable[v])
+    return SemigroupTable(generators=(gen_a, gen_b), bound=bound, elements=elements, gaps=gaps)
 
 
 def krawtchouk(j: int, i: int, n: int, q: int) -> int:

@@ -4,11 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from agq.agcode import resolve_eval_set
 from agq.curve import (
     Family,
     enumerate_points,
     hermitian_curve,
-    is_on_curve,
     maximality_check,
     superelliptic_curve,
 )
@@ -78,19 +78,22 @@ def test_unproven_m_flagged():
 
 
 def test_on_curve_examples(se33, herm2):
-    assert is_on_curve(se33, 0, 0)  # 0 = 0
-    assert not is_on_curve(se33, 1, 1)  # 1 != 2
-    assert is_on_curve(herm2, 0, 1)  # 1+1 = 0 = 0^3
-    # index arrays are checked entrywise
-    assert is_on_curve(se33, np.array([0, 1]), np.array([0, 1])).tolist() == [True, False]
+    # an explicit evaluation set is checked against the curve equation
+    assert resolve_eval_set(se33, [[0, 0]]).tolist() == [[0, 0]]  # 0 = 0
+    with pytest.raises(ValueError, match="not on the curve"):
+        resolve_eval_set(se33, [[1, 1]])  # 1 != 2
+    assert resolve_eval_set(herm2, [[0, 1]]).tolist() == [[0, 1]]  # 1+1 = 0 = 0^3
+    # every row is checked, not only the first
+    with pytest.raises(ValueError, match=r"\(1, 1\)"):
+        resolve_eval_set(se33, [[0, 0], [1, 1]])
 
 
 def test_on_curve_field_mismatch(se33):
     # index 9 names an element of a larger field, not of GF(9)
-    with pytest.raises(FieldError):
-        is_on_curve(se33, 9, 1)
-    with pytest.raises(FieldError):
-        is_on_curve(se33, np.array([1, 2]), np.array([3, -1]))
+    with pytest.raises(ValueError):
+        resolve_eval_set(se33, [[9, 1]])
+    with pytest.raises(ValueError):
+        resolve_eval_set(se33, [[1, 3], [2, -1]])
 
 
 @pytest.mark.parametrize("make", [lambda: hermitian_curve(2), lambda: superelliptic_curve(3, 3),
@@ -102,7 +105,8 @@ def test_enumerated_points_satisfy_equation(make):
     pts = enumerate_points(curve)
     assert pts.dtype == np.int64 and pts.ndim == 2 and pts.shape[1] == 2
     assert not pts.flags.writeable  # a code and its duals share it
-    assert is_on_curve(curve, pts[:, 0], pts[:, 1]).all()
+    # distinct points on the curve: valid as an explicit evaluation set
+    assert np.array_equal(resolve_eval_set(curve, pts), pts)
     # matches the naive exhaustive scan exactly, including order
     assert [tuple(p) for p in pts.tolist()] == naive_affine_points(curve)
 
@@ -134,11 +138,13 @@ def test_enumeration_memory_bounded():
 def test_fiber_symmetry(se33):
     # (x, ly) stays on the curve for every l with l^n = 1
     F = se33.tower.ext
-    roots = [l for l in range(F.order) if F.pow(l, se33.n) == 1]
+    roots = [l for l in range(F.order) if int(F.vpow(l, se33.n)) == 1]
     assert len(roots) >= 1
     pts = enumerate_points(se33)
+    on_curve = set(map(tuple, pts.tolist()))
     for l in roots:
-        assert is_on_curve(se33, pts[:, 0], F.vmul(l, pts[:, 1])).all()
+        scaled = np.column_stack([pts[:, 0], F.vmul(l, pts[:, 1])])
+        assert set(map(tuple, scaled.tolist())) == on_curve
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import agq.linalg
 from agq.gf import Field, field
 from agq.linalg import (
     matmul,
-    matvec,
     normalize_rows,
     pivot_columns,
     rank,
@@ -61,7 +60,7 @@ def test_matmul_identity_and_shapes():
     A = np.array([[1, 2], [3, 0]], dtype=np.int64)
     I = np.eye(2, dtype=np.int64)
     assert np.array_equal(matmul(F, A, I), A)
-    assert np.array_equal(matvec(F, A, [1, 0]), A[:, 0])
+    assert np.array_equal(matmul(F, A, [[1], [0]]), A[:, :1])
     with pytest.raises(ValueError):
         matmul(F, A, np.zeros((3, 2), dtype=np.int64))
 

@@ -12,10 +12,9 @@ from agq.rrspace import (
     dimension_by_cases,
     dimension_report,
     evaluation_matrix,
-    semigroup,
     verified_basis,
 )
-from oracles import NaiveField, TabledField, naive_rank
+from oracles import NaiveField, TabledField, naive_rank, semigroup
 
 
 # ---------------------------------------------------------------------------

@@ -21,3 +21,35 @@ def test_survey_codes_gives_exact_distances_within_default_budget():
     assert rows[-1][1:3] == ["15", "6"]
     for row in rows:
         assert row[5].isdigit(), row
+
+
+def test_readme_library_sketch_runs_as_documented():
+    # every line of the README's "Library sketch" block runs, and each value
+    # its comment leads with holds: a tuple or number for an expression (an
+    # array's shape), an [n, k] pair for an assigned code
+    import ast
+    import re
+
+    import numpy as np
+
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library sketch\s+```python\n(.*?)```", readme, re.S).group(1)
+    tree = ast.parse(block)
+    lines = block.splitlines()
+    namespace = {}
+    checked = []
+    for node in tree.body:
+        comment = lines[node.end_lineno - 1].partition("#")[2].strip()
+        leading = re.match(r"(\[[\d, ]+\]|\([\d, ]+\)|\d+)", comment)
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README", "eval"), namespace)
+            got = value.shape if isinstance(value, np.ndarray) else value
+            assert got == ast.literal_eval(leading.group(1)), (ast.unparse(node), comment)
+            checked.append(got)
+        else:
+            exec(compile(ast.Module([node], []), "README", "exec"), namespace)
+            if isinstance(node, ast.Assign) and leading and leading.group(1).startswith("["):
+                code = namespace[node.targets[0].id]
+                assert [code.n, code.k] == ast.literal_eval(leading.group(1)), ast.unparse(node)
+                checked.append((code.n, code.k))
+    assert checked == [(8, 2), (8, 3), 5, 5, (15, 1), (15, 13, 2), (9, 3, 3)]

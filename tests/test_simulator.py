@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -17,19 +18,29 @@ from agq.simulator import (
     _decode_batch,
     _draw_chunk,
     _trial_rng,
-    apply_random_errors,
-    decode_word,
     encode,
     run_simulation,
     simulate_transmission,
     write_results_csv,
     write_series_csv,
 )
+from oracles import TabledField, apply_random_errors, decode_word
 
 
 @pytest.fixture(scope="module")
 def code():
     return benchmarks.benchmark_code_8_3()
+
+
+@functools.cache
+def _tabled(p, e, modulus):
+    return TabledField(p, e, modulus)
+
+
+def reference_decode(code, received):
+    """The oracle's single-word decoder on `code`'s parity check."""
+    F = code.field
+    return decode_word(_tabled(F.p, F.e, F.modulus), code.parity_check.tolist(), received)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +236,15 @@ def test_stream_key_range_is_checked():
 def test_apply_errors_rate_zero(code):
     rng = _trial_rng(1, 0, 0)
     word = encode(code, [1, 2, 3])
-    received, count = apply_random_errors(code.field, word, 0.0, rng)
+    received, count = apply_random_errors(code.field.order, word, 0.0, rng)
     assert np.array_equal(received, word) and count == 0
 
 
 def test_apply_errors_rate_one_changes_every_symbol(code):
     word = encode(code, [1, 2, 3])
     for t in range(50):
-        received, count = apply_random_errors(code.field, word, 1.0, _trial_rng(2, 0, t))
+        received, count = apply_random_errors(code.field.order, word, 1.0, _trial_rng(2, 0, t))
+        received = np.array(received)
         assert count == 8
         assert np.all(received != word)
         assert np.all((received >= 0) & (received < 4))
@@ -244,7 +256,7 @@ def test_apply_errors_mean_count_within_binomial_band(code):
     word = encode(code, [1, 2, 3])
     total = 0
     for t in range(trials):
-        _, count = apply_random_errors(code.field, word, rate, _trial_rng(3, 0, t))
+        _, count = apply_random_errors(code.field.order, word, rate, _trial_rng(3, 0, t))
         total += count
     mean = total / trials
     sigma = (n * rate * (1 - rate) / trials) ** 0.5
@@ -253,7 +265,7 @@ def test_apply_errors_mean_count_within_binomial_band(code):
 
 def test_apply_errors_rejects_bad_rate(code):
     with pytest.raises(ValueError):
-        apply_random_errors(code.field, encode(code, [0, 0, 0]), 1.5, _trial_rng(0, 0, 0))
+        apply_random_errors(code.field.order, encode(code, [0, 0, 0]), 1.5, _trial_rng(0, 0, 0))
 
 
 def test_replacement_symbols_uniform_over_others(code):
@@ -261,7 +273,7 @@ def test_replacement_symbols_uniform_over_others(code):
     word = np.zeros(8, dtype=np.int64)
     seen = set()
     for t in range(300):
-        received, _ = apply_random_errors(code.field, word, 1.0, _trial_rng(4, 0, t))
+        received, _ = apply_random_errors(code.field.order, word, 1.0, _trial_rng(4, 0, t))
         seen.update(int(v) for v in received)
     assert seen == {1, 2, 3}
 
@@ -272,7 +284,7 @@ def test_replacement_symbols_uniform_over_others(code):
 
 def test_decode_valid_codeword_success(code):
     word = encode(code, [2, 1, 3])
-    decoded, status = decode_word(code, word)
+    decoded, status = reference_decode(code, word)
     assert status == "success"
     assert np.array_equal(decoded, word)
 
@@ -287,7 +299,7 @@ def test_decode_single_errors_all_corrected(code):
                 continue
             received = word.copy()
             received[i] = c
-            decoded, status = decode_word(code, received)
+            decoded, status = reference_decode(code, received)
             assert status == "corrected"
             assert np.array_equal(decoded, word)
 
@@ -322,7 +334,7 @@ def test_decode_weight_two_and_three_fail(code):
         received = word.copy()
         for i, s in zip(positions, symbols):
             received[i] = (received[i] + s) % 4
-        decoded, status = decode_word(code, received)
+        decoded, status = reference_decode(code, received)
         assert status == "failure" and decoded is None
 
 
@@ -332,14 +344,14 @@ def test_decode_deterministic_tie_break():
     # substitution at position 1 wins and yields (a, a)
     F = field(2, 2)
     rep = LinearCode.from_generator(F, [[1, 1]])
-    decoded, status = decode_word(rep, np.array([1, 2]))
+    decoded, status = reference_decode(rep, np.array([1, 2]))
     assert status == "corrected"
-    assert decoded.tolist() == [2, 2]
+    assert decoded == [2, 2]
 
 
 def test_decode_full_space_always_success():
     sat = benchmarks.saturated_code_4_4()
-    decoded, status = decode_word(sat, np.array([1, 2, 3, 0]))
+    decoded, status = reference_decode(sat, np.array([1, 2, 3, 0]))
     assert status == "success"
 
 
@@ -347,9 +359,9 @@ def test_decode_zero_code_corrects_weight_one(se33):
     zero_code = build_onepoint_code(se33, -1)
     received = np.zeros(15, dtype=np.int64)
     received[4] = 7
-    decoded, status = decode_word(zero_code, received)
+    decoded, status = reference_decode(zero_code, received)
     assert status == "corrected"
-    assert not decoded.any()
+    assert not any(decoded)
 
 
 @settings(max_examples=30, deadline=None)
@@ -361,7 +373,7 @@ def test_batch_decoder_matches_reference(seed):
     decoded, statuses = _decode_batch(code, words, _column_table(code))
     names = {0: "success", 1: "corrected", 2: "failure"}
     for word, dec, status in zip(words, decoded, statuses):
-        ref_word, ref_status = decode_word(code, word)
+        ref_word, ref_status = reference_decode(code, word)
         assert names[int(status)] == ref_status
         if ref_status != "failure":
             assert np.array_equal(dec, ref_word)
@@ -388,7 +400,7 @@ def assert_batch_matches_reference(code, words):
     decoded, statuses = _decode_batch(code, words, _column_table(code))
     names = {0: "success", 1: "corrected", 2: "failure"}
     for word, dec, status in zip(words, decoded, statuses):
-        ref_word, ref_status = decode_word(code, word)
+        ref_word, ref_status = reference_decode(code, word)
         assert names[int(status)] == ref_status
         if ref_status != "failure":
             assert np.array_equal(dec, ref_word)
@@ -431,6 +443,28 @@ def test_batch_decoder_matches_reference_with_repeated_columns(fe, seed):
 
 # ---------------------------------------------------------------------------
 # transmission statistics
+
+
+@pytest.mark.parametrize("rate_index,rate", [(0, 0.1), (3, 0.3)])
+def test_transmission_matches_literal_trials(code, rate_index, rate):
+    # each trial read literally from its own numpy stream: message, then the
+    # oracle channel, then the oracle decoder
+    trials, seed, q = 300, 31, code.field.order
+    successes = miscorrected = total_errors = 0
+    for t in range(trials):
+        rng = _trial_rng(seed, rate_index, t)
+        sent = encode(code, rng.integers(0, q, size=code.k))
+        received, count = apply_random_errors(q, sent, rate, rng)
+        decoded, status = reference_decode(code, received)
+        total_errors += count
+        if status != "failure":
+            successes += 1
+            miscorrected += decoded != sent.tolist()
+    res = simulate_transmission(code, rate, trials, master_seed=seed, rate_index=rate_index,
+                                chunk_size=128)
+    assert (res.successes, res.miscorrected, res.total_errors) == (
+        successes, miscorrected, total_errors)
+    assert res.uncorrectable == trials - successes
 
 
 def test_rate_zero_exact(code):

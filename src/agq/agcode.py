@@ -239,8 +239,10 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceResu
 
     Over budget, weight-1 and weight-2 codewords are still detected
     exactly from the parity-check columns (zero or pairwise-parallel
-    columns); beyond that the result is an explicit bounds-only report,
-    never an estimate.
+    columns).  Beyond that the bounds are the designed distance (at least
+    3) and Singleton: where they meet, the distance is proven and returned
+    as `bounds-meet`; otherwise the result is an explicit bounds-only
+    report, never an estimate.
     """
     F = code.field
     n, k = code.n, code.k
@@ -266,7 +268,10 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceResu
 
     designed = code.designed_distance
     lower = max(3, designed) if designed is not None and designed > 0 else 3
-    return DistanceResult(d=None, method="bounds-only", lower=lower, upper=n - k + 1)
+    upper = n - k + 1
+    if lower == upper:
+        return DistanceResult(d=lower, method="bounds-meet", lower=lower, upper=upper)
+    return DistanceResult(d=None, method="bounds-only", lower=lower, upper=upper)
 
 
 def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> np.ndarray:
@@ -296,7 +301,7 @@ def hermitian_inner(tower: QuadraticTower, a, b) -> int:
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(tower.ext.vdot(a, tower.vfrobenius(b)))
+    return int(tower.ext.vsum(tower.ext.vmul(a, tower.vfrobenius(b))))
 
 
 def _hermitian_gram(code: LinearCode) -> np.ndarray:

@@ -18,7 +18,6 @@ the point at infinity P∞ is implicit and never stored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from math import gcd
@@ -53,9 +52,6 @@ class CurveSpec:
 
     def label(self) -> str:
         return f"{self.family.value}-q{self.q}-m{self.m}"
-
-    def to_json(self) -> str:
-        return json.dumps({"family": self.family.value, "q": self.q, "m": self.m})
 
 
 def superelliptic_curve(q: int, m: int) -> CurveSpec:

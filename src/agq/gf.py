@@ -5,7 +5,7 @@ an element with polynomial-basis coefficients (c0, c1, ..., c_{e-1})
 over GF(p) has index c0 + c1*p + ... + c_{e-1}*p^(e-1).  Index order is
 therefore the canonical element order (zero first, then 1, then the
 class of x, ...), and GF(4) enumerates as [0, 1, a, a+1] where a is the
-class of x modulo the default modulus x^2 + x + 1.
+class of x modulo the modulus x^2 + x + 1.
 
 Arithmetic works on numpy index arrays (`Field.vadd`, `Field.vmul`,
 ...).  The scalar `add`, `mul` and `inv` serve table construction and
@@ -16,33 +16,33 @@ digit vectors.
 Vectorized addition avoids the digits where it can.  In characteristic
 2 the digits are bits, so a + b and a - b are the XOR of the indices and
 negation is the identity, at every order.  Other fields of order at most
-ADD_TABLE_MAX look sums up in an (order, order) addition table,
-differences in a subtraction table, gathered flat at a * order + b, and
-negatives in a negation table.  Each table is built on first use, so a
-field that never adds, subtracts or negates pays nothing for it at
-construction.  Larger odd-characteristic fields add digit by digit.
+ADD_TABLE_MAX look sums up in an (order, order) addition table and
+differences in a subtraction table, gathered flat at a * order + b, whose
+row 0 holds the negatives.  Each table is built on first use, so a field
+that never adds or subtracts pays nothing for it at construction.
+Larger odd-characteristic fields add digit by digit.
 
 Vectorized multiplication in a field of order at most ADD_TABLE_MAX is
 one gather from an (order, order) multiplication table, built on first
 use from the log/antilog tables.  Larger fields multiply through the
 log/antilog tables, masking the products with a zero factor.
 
-Default moduli are chosen deterministically: the monic polynomial of
+The modulus is chosen deterministically: the monic polynomial of
 degree e with the smallest coefficient encoding such that the class of
-x generates the multiplicative group.  For GF(4) this is x^2 + x + 1,
-so a satisfies a^2 + a + 1 = 0.  Fields larger than 2^16 are rejected;
-this module targets desk-scale experimentation, not cryptography.
+x generates the multiplicative group, and that class is the primitive
+element.  For GF(4) this is x^2 + x + 1, so a satisfies a^2 + a + 1 = 0.
+Fields larger than 2^16 are rejected; this module targets desk-scale
+experimentation, not cryptography.
 
 The tables come from one vectorized shift-register step, x*a for every
 a.  The orbit of 1 under it is the exp table of x, and reaching every
-nonzero element certifies x primitive and the modulus irreducible.  If
-a given modulus has a non-primitive x-class, the smallest index of full
-order is used instead, its table built from the x-step by Horner's rule.
+nonzero element certifies x primitive and the modulus irreducible.  The
+modulus search walks that orbit for each candidate, and the walk that
+succeeds is kept as the exp table.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from functools import cached_property
 from typing import Sequence
@@ -51,8 +51,8 @@ import numpy as np
 
 MAX_FIELD_SIZE = 1 << 16
 # Largest order whose vmul gathers from a multiplication table, and whose
-# vadd/vsub/vneg, in odd characteristic, gather from addition, subtraction
-# and negation tables.
+# vadd/vsub, in odd characteristic, gather from addition and subtraction
+# tables.
 ADD_TABLE_MAX = 256
 
 
@@ -89,47 +89,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over GF(p), used only during field construction.
-# Polynomials are little-endian coefficient tuples.
-
-
-def _poly_trim(f: Sequence[int]) -> tuple[int, ...]:
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return tuple(f)
-
-
-def _poly_divmod(f, g, p):
-    f = list(f)
-    dg = len(g) - 1
-    lead_inv = pow(g[-1], p - 2, p)
-    quot = [0] * max(0, len(f) - dg)
-    while len(_poly_trim(f)) - 1 >= dg and any(f):
-        f = list(_poly_trim(f))
-        shift = len(f) - 1 - dg
-        c = (f[-1] * lead_inv) % p
-        quot[shift] = c
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - c * b) % p
-    return _poly_trim(quot), _poly_trim(f)
-
-
-def _is_irreducible(f: Sequence[int], p: int) -> bool:
-    """Trial division by all monic polynomials up to degree deg(f)//2."""
-    f = _poly_trim(f)
-    deg = len(f) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for enc in range(p**d):
-            g = [(enc // p**i) % p for i in range(d)] + [1]
-            _, rem = _poly_divmod(f, g, p)
-            if not rem:
-                return False
-    return True
+# Field construction.  Moduli are little-endian coefficient tuples.
 
 
 def _times_x(digits: np.ndarray, modulus: Sequence[int], p: int) -> np.ndarray:
@@ -165,14 +125,17 @@ def _powers(times: np.ndarray) -> np.ndarray | None:
     return np.array(out, dtype=np.int64)
 
 
-def _search_default_modulus(digits: np.ndarray, p: int) -> tuple[int, ...]:
-    """Smallest monic degree-e polynomial whose x-class is primitive."""
+def _search_default_modulus(digits: np.ndarray, p: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Smallest monic degree-e polynomial whose x-class is primitive, and
+    the powers [1, x, x^2, ...] of that class."""
     order, e = digits.shape
     for enc in range(order):
         modulus = tuple(int(c) for c in digits[enc]) + (1,)
         # x is not a unit when m_0 = 0; skip the walk that would show it
-        if modulus[0] and _powers(_times_x(digits, modulus, p)) is not None:
-            return modulus
+        if modulus[0]:
+            powers = _powers(_times_x(digits, modulus, p))
+            if powers is not None:
+                return modulus, powers
     raise FieldError(f"no primitive modulus found for GF({p}^{e})")
 
 
@@ -183,12 +146,12 @@ class Field:
     ----------
     p : prime characteristic.
     e : extension degree over GF(p).
-    modulus : optional monic irreducible polynomial of degree e over
-        GF(p), as a little-endian coefficient list of length e+1.
-        Defaults to the canonical primitive modulus for (p, e).
+
+    The modulus and primitive element follow from (p, e) alone; see the
+    module docstring.
     """
 
-    def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
+    def __init__(self, p: int, e: int):
         if not _is_prime(p):
             raise FieldError(f"characteristic {p} is not prime")
         if e < 1:
@@ -205,43 +168,11 @@ class Field:
         self._digits = np.stack([(idx // p**i) % p for i in range(e)], axis=-1)
         self._pows = np.array([p**i for i in range(e)], dtype=np.int64)
         self._residue_table = np.zeros(1, dtype=np.int64)
-        if modulus is None:
-            modulus = _search_default_modulus(self._digits, p)
-        else:
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != e + 1 or modulus[-1] != 1:
-                raise FieldError("modulus must be monic of degree e")
-            if not _is_irreducible(modulus, p):
-                raise FieldError(f"modulus {list(modulus)} is reducible over GF({p})")
-        self.modulus = tuple(modulus)
-
-        # exp/log tables for the fixed primitive element: the x-class when it
-        # has full order, else the smallest index that does
-        times_x = _times_x(self._digits, self.modulus, p)
-        x_class = int(times_x[1])
-        for g in itertools.chain([x_class], range(1, order)):
-            powers = _powers(times_x if g == x_class else self._times(times_x, g))
-            if powers is not None:
-                self._set_primitive(g, powers)
-                break
-        else:
-            raise FieldError("no primitive element found")
-
-    # -- construction internals --------------------------------------------
-
-    def _times(self, times_x: np.ndarray, g: int) -> np.ndarray:
-        """Table a -> g*a by Horner's rule over the digits of g."""
-        out = np.zeros(self.order, dtype=np.int64)
-        for c in self._digits[g][::-1]:
-            out = self.vadd(times_x[out], (c * self._digits % self.p) @ self._pows)
-        return out
-
-    def _set_primitive(self, g: int, powers: np.ndarray) -> None:
-        """Make g, with powers [1, g, g^2, ...], the primitive element."""
-        self.primitive = g
-        self._exp = powers
-        self._log = np.zeros(self.order, dtype=np.int64)
-        self._log[powers] = np.arange(self.order - 1, dtype=np.int64)
+        self.modulus, self._exp = _search_default_modulus(self._digits, p)
+        # the x-class: x^1, or 1 itself in GF(2), whose orbit is [1]
+        self.primitive = int(self._exp[1 % (order - 1)])
+        self._log = np.zeros(order, dtype=np.int64)
+        self._log[self._exp] = np.arange(order - 1, dtype=np.int64)
 
     # -- tables built on first use -------------------------------------------
 
@@ -265,10 +196,6 @@ class Field:
         return (((d[:, None, :] - d[None, :, :]) % self.p) @ self._pows).ravel()
 
     @cached_property
-    def _neg_table(self) -> np.ndarray:
-        return ((-self._digits) % self.p) @ self._pows
-
-    @cached_property
     def _digit_floats(self) -> np.ndarray:
         """The digit table in float64, for the BLAS product of `linalg.matmul`."""
         return self._digits.astype(np.float64)
@@ -276,11 +203,10 @@ class Field:
     @cached_property
     def _x_multiples(self) -> np.ndarray:
         """(order, e) table whose column i holds the index of x^i * a."""
-        step = _times_x(self._digits, self.modulus, self.p)
-        cols = [np.arange(self.order, dtype=np.int64)]
-        for _ in range(1, self.e):
-            cols.append(step[cols[-1]])
-        return np.stack(cols, axis=1)
+        # x is the primitive element, so x^i * a adds i to the log of a
+        out = self._exp[(self._log[:, None] + np.arange(self.e)) % (self.order - 1)]
+        out[0] = 0
+        return out
 
     def _residues(self, top: int) -> np.ndarray:
         """Table v -> v mod p covering 0 <= v <= top, kept and grown as needed."""
@@ -332,12 +258,7 @@ class Field:
         return ((self._digits[a] - self._digits[b]) % self.p) @ self._pows
 
     def vneg(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if self.p == 2:
-            return +a
-        if self.order <= ADD_TABLE_MAX:
-            return self._neg_table[a]
-        return ((-self._digits[a]) % self.p) @ self._pows
+        return self.vsub(0, a)
 
     def vmul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -375,12 +296,6 @@ class Field:
         summed = self._digits[a].sum(axis=digit_axis) % self.p
         return summed @ self._pows
 
-    def vscale(self, c: int, a):
-        return self.vmul(np.int64(c), a)
-
-    def vdot(self, a, b):
-        return self.vsum(self.vmul(a, b), axis=-1)
-
     # -- serialization -----------------------------------------------------------
 
     def coeffs(self, index: int) -> tuple[int, ...]:
@@ -398,15 +313,10 @@ class Field:
         )
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and self.p == other.p
-            and self.e == other.e
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, Field) and (self.p, self.e) == (other.p, other.e)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.e, self.modulus))
+        return hash((self.p, self.e))
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
@@ -415,10 +325,8 @@ class Field:
 _FIELD_CACHE: dict[tuple[int, int], Field] = {}
 
 
-def field(p: int, e: int = 1, modulus: Sequence[int] | None = None) -> Field:
-    """Field constructor with caching of default-modulus instances."""
-    if modulus is not None:
-        return Field(p, e, modulus)
+def field(p: int, e: int = 1) -> Field:
+    """Field constructor, caching one instance per (p, e)."""
     key = (p, e)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = Field(p, e)

@@ -104,7 +104,7 @@ def _eliminate(F: Field, A, full: bool):
         piv = row + int(nz[0])
         if piv != row:
             R[[row, piv]] = R[[piv, row]]
-        R[row, col:] = F.vscale(F.inv(int(R[row, col])), R[row, col:])
+        R[row, col:] = F.vmul(F.inv(int(R[row, col])), R[row, col:])
         lo = 0 if full else row
         factors = R[lo:, col].copy()
         factors[row - lo] = 0

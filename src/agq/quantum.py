@@ -152,10 +152,15 @@ def load_known_codes(path) -> list[KnownCode]:
     """CSV with columns n, k, d, tag (header optional)."""
     out = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or not row[0].strip().isdigit():
                 continue
-            out.append(KnownCode(int(row[0]), int(row[1]), int(row[2]), row[3].strip() if len(row) > 3 else ""))
+            try:
+                n, k, d = (int(c) for c in row[:3])
+            except ValueError:
+                raise ValueError(f"{path}, line {reader.line_num}: expected integers n, k, d, got {row}") from None
+            out.append(KnownCode(n, k, d, row[3].strip() if len(row) > 3 else ""))
     return out
 
 

@@ -19,7 +19,6 @@ that elimination against per-r ranks over a naive field.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,15 +46,6 @@ class MonomialBasis:
 
     def __len__(self) -> int:
         return len(self.monomials)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "r": self.r,
-                "monomials": [list(m) for m in self.monomials],
-                "dropped": [list(m) for m in self.dropped],
-            }
-        )
 
 
 def candidate_monomials(curve: CurveSpec, r: int) -> MonomialBasis:

@@ -11,6 +11,7 @@ import agq.linalg
 from agq import agcode, benchmarks
 from agq.agcode import (
     BudgetExceededError,
+    DistanceResult,
     LinearCode,
     build_onepoint_code,
     check_duality_claim,
@@ -378,6 +379,20 @@ def test_budget_forces_bounds_only(se33):
     assert not res.exact
 
 
+def test_bounds_that_meet_give_the_distance():
+    # Reed-Solomon [8, 6] over GF(16): 16^6 codewords are over the default
+    # budget, no parity-check column is zero or parallel to another, so
+    # d >= 3, and Singleton gives d <= 8 - 6 + 1 = 3
+    F = field(2, 4)
+    points = np.arange(1, 9)
+    G = np.stack([F.vpow(points, i) for i in range(6)])
+    code = LinearCode.from_generator(F, G)
+    assert code.field.order ** code.k > agcode.DEFAULT_BUDGET
+    res = min_distance(code)
+    assert res == DistanceResult(d=3, method="bounds-meet", lower=3, upper=3)
+    assert res.exact
+
+
 def test_weight_distribution_budget_error(se33):
     code = build_onepoint_code(se33, 6)
     with pytest.raises(BudgetExceededError):
@@ -485,7 +500,7 @@ def test_row_scaling_keeps_hermitian_verdict(se33):
         for i in range(code.k):
             for lam in range(1, F.order):
                 G = code.generator.copy()
-                G[i] = F.vscale(lam, G[i])
+                G[i] = F.vmul(lam, G[i])
                 direct = all(
                     naive_hermitian_inner(nf, 3, gi, gj) == 0
                     for gi in G.tolist()

@@ -145,6 +145,16 @@ def test_quantum_table_known_comparison(capsys, tmp_path):
     assert "known [[9,5,3]]" in out
 
 
+@pytest.mark.parametrize("row", ["9,3", "9,x,3"])
+def test_quantum_table_known_row_malformed(capsys, tmp_path, row):
+    known = tmp_path / "known.csv"
+    known.write_text(f"n,k,d,tag\n{row}\n")
+    code, _, err = run_cli(capsys, "quantum-table", "--q", "3", "--m", "3",
+                           "--r-min", "2", "--r-max", "3", "--known", str(known))
+    assert code == 1
+    assert err.startswith("error:") and "line 2" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

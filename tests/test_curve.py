@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 
 import numpy as np
@@ -183,13 +182,3 @@ def test_maximality_flags_rather_than_aborts():
     assert rep.expected == 46
     assert not rep.is_maximal
     assert rep.warnings
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_curve_json_round_trip(se33, herm2):
-    for curve in (se33, herm2):
-        data = json.loads(curve.to_json())
-        assert data == {"family": curve.family.value, "q": curve.q, "m": curve.m}

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from agq import gf
 from agq.gf import Field, FieldError, factor_prime_power, field, quadratic_tower
-from oracles import NaiveField, digits
+from oracles import NaiveField, digits, poly_pow_mod, undigits
+
+
+def _prime_powers(limit):
+    return [(p, e) for p in range(2, limit + 1) if all(p % d for d in range(2, p))
+            for e in range(1, 17) if p**e <= limit]
 
 
 # ---------------------------------------------------------------------------
@@ -37,23 +42,34 @@ def test_desk_scale_limit():
         field(2, 17)
 
 
-def test_reducible_modulus_rejected():
-    with pytest.raises(FieldError):
-        Field(2, 2, modulus=[0, 1, 1])  # x^2 + x = x(x+1)
+def _x_class(modulus, p):
+    """x reduced by the monic modulus, as e coefficients."""
+    e = len(modulus) - 1
+    return ((-modulus[0]) % p,) if e == 1 else (0, 1) + (0,) * (e - 2)
 
 
-@pytest.mark.parametrize("p,e,modulus,primitive", [
-    (3, 2, (1, 0, 1), 4),         # x^2 + 1: the x-class has order 4
-    (2, 4, (1, 1, 1, 1, 1), 3),   # x^4 + x^3 + x^2 + x + 1: order 5
-    (5, 2, (2, 0, 1), 6),         # x^2 + 2: order 8
-])
-def test_custom_modulus_without_primitive_x_class(p, e, modulus, primitive):
-    F = Field(p, e, modulus=modulus)
-    assert F.primitive == primitive
-    nf = NaiveField(p, e, modulus)
-    for a in range(F.order):
-        for b in range(F.order):
-            assert F.mul(a, b) == nf.mul(a, b)
+def _has_full_order(a, p, modulus):
+    """Whether a has multiplicative order p^e - 1 modulo the modulus."""
+    n = p ** (len(modulus) - 1) - 1
+    one = digits(1, p, len(a))
+    primes = {r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))}
+    return poly_pow_mod(a, n, p, modulus) == one and all(
+        poly_pow_mod(a, n // r, p, modulus) != one for r in primes)
+
+
+@pytest.mark.parametrize("p,e", _prime_powers(256))
+def test_canonical_modulus_and_primitive_match_oracle(p, e):
+    # the smallest monic degree-e encoding whose x-class has full order,
+    # which also makes the modulus irreducible
+    modulus = next(m for m in (digits(enc, p, e) + (1,) for enc in range(p**e))
+                   if _has_full_order(_x_class(m, p), p, m))
+    F = field(p, e)
+    assert F.modulus == modulus
+    x = _x_class(modulus, p)
+    assert F.primitive == undigits(x, p)
+    n = p**e - 1
+    for i in {n // 2, n - 1} | set(range(0, n, max(1, n // 7))):
+        assert int(F._exp[i]) == undigits(poly_pow_mod(x, i, p, modulus), p)
 
 
 def test_gf2_16_default_modulus():
@@ -235,16 +251,10 @@ def test_embed_image_is_frobenius_fixed(tower3):
 def test_json_round_trip(f4):
     data = json.loads(f4.to_json())
     assert data == {"p": 2, "e": 2, "modulus": [1, 1, 1], "primitive": [0, 1]}
-    assert Field(data["p"], data["e"], modulus=data["modulus"]) == f4
 
 
 # ---------------------------------------------------------------------------
 # vadd / vsub / vneg shortcuts against the naive field
-
-
-def _prime_powers(limit):
-    return [(p, e) for p in range(2, limit + 1) if all(p % d for d in range(2, p))
-            for e in range(1, 17) if p**e <= limit]
 
 
 # every odd-characteristic field on addition tables, every characteristic-2
@@ -281,10 +291,12 @@ def test_vneg_returns_a_new_array():
 
 def test_addition_tables_are_built_on_first_use():
     F = Field(3, 2)
-    assert "_add_table" not in vars(F) and "_neg_table" not in vars(F)
+    assert "_add_table" not in vars(F) and "_sub_table" not in vars(F)
     F.vadd(1, 2)
+    assert "_add_table" in vars(F) and "_sub_table" not in vars(F)
+    # negation reads row 0 of the subtraction table
     F.vneg(2)
-    assert "_add_table" in vars(F) and "_neg_table" in vars(F)
+    assert "_sub_table" in vars(F)
 
 
 def test_subtraction_table_is_built_on_first_use():
@@ -292,7 +304,7 @@ def test_subtraction_table_is_built_on_first_use():
     assert "_sub_table" not in vars(F)
     assert int(F.vsub(1, 2)) == NaiveField(7, 2, F.modulus).sub(1, 2)
     assert "_sub_table" in vars(F)
-    assert "_add_table" not in vars(F) and "_neg_table" not in vars(F)
+    assert "_add_table" not in vars(F)
     # GF(3^6), of order above ADD_TABLE_MAX, subtracts digit by digit
     big = Field(3, 6)
     assert int(big.vsub(1, 2)) == NaiveField(3, 6, big.modulus).sub(1, 2)
@@ -300,7 +312,7 @@ def test_subtraction_table_is_built_on_first_use():
 
 
 # ---------------------------------------------------------------------------
-# vmul / vscale / vdot / vpow / vinv against the naive field
+# vmul / vsum / vpow / vinv against the naive field
 
 # every field of order at most 256 multiplies by table; GF(2^9), GF(3^6),
 # GF(7^3) and GF(257) multiply through the log/antilog tables
@@ -319,7 +331,7 @@ def test_vmul_vscale_vdot_match_naive(p, e, data):
     b = data.draw(st.lists(elements, min_size=len(a), max_size=len(a)))
     c = data.draw(elements)
     assert F.vmul(a, b).tolist() == [nf.mul(x, y) for x, y in zip(a, b)]
-    assert F.vscale(c, a).tolist() == [nf.mul(c, x) for x in a]
+    assert F.vmul(c, a).tolist() == [nf.mul(c, x) for x in a]
     assert F.vmul(a, c).tolist() == [nf.mul(x, c) for x in a]
     # a column against a row broadcasts to the table of all products
     column = np.array(a, dtype=np.int64).reshape(-1, 1)
@@ -328,7 +340,7 @@ def test_vmul_vscale_vdot_match_naive(p, e, data):
     dot = 0
     for x, y in zip(a, b):
         dot = nf.add(dot, nf.mul(x, y))
-    assert int(F.vdot(a, b)) == dot
+    assert int(F.vsum(F.vmul(a, b))) == dot
     # powers of both signs and the zeroth; a negative power needs a unit
     units = [x for x in a if x]
     up = data.draw(st.integers(1, 2 * F.order))
@@ -352,5 +364,5 @@ def test_multiplication_table_is_built_on_first_use(monkeypatch):
     assert all("_mul_table" in vars(f) for f in fields)
     # a field above the table bound never builds one
     big = Field(3, 6)
-    big.vscale(2, [1, 3])
+    big.vmul(2, [1, 3])
     assert "_mul_table" not in vars(big)

@@ -133,12 +133,9 @@ def test_verified_basis_rejects_bad_points(se33):
 def test_basis_json(se33):
     pts = enumerate_points(se33)
     basis = verified_basis(se33, 6, pts)
-    import json
-
-    data = json.loads(basis.to_json())
-    assert data["r"] == 6
-    assert len(data["monomials"]) == 6
-    assert len(data["dropped"]) == 1
+    assert basis.r == 6
+    assert len(basis) == 6
+    assert len(basis.dropped) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,16 @@ element.  For GF(4) this is x^2 + x + 1, so a satisfies a^2 + a + 1 = 0.
 Fields larger than 2^16 are rejected; this module targets desk-scale
 experimentation, not cryptography.
 
-The tables come from one vectorized shift-register step, x*a for every
-a.  The orbit of 1 under it is the exp table of x, and reaching every
-nonzero element certifies x primitive and the modulus irreducible.  The
-modulus search walks that orbit for each candidate, and the walk that
-succeeds is kept as the exp table.
+The modulus search tests candidates in batches of MODULUS_BATCH, in
+encoding order.  A candidate's companion matrix over GF(p), the map
+a -> x*a on coefficient vectors, is squared bit by bit to give x^t for
+t = N - 1 and t = (N - 1)/l for every prime l dividing N - 1, where N is
+the order; x has order N - 1 exactly when the first power is 1 and none
+of the others is.  That order certifies the modulus: every nonzero
+element of the quotient ring is then a power of x and so a unit, which
+makes the ring a field and the modulus irreducible.  Only the winner
+gets a vectorized shift-register step, x*a for every a, and its orbit
+of 1, taken by doubling, is the exp table of x.
 """
 
 from __future__ import annotations
@@ -54,38 +59,42 @@ MAX_FIELD_SIZE = 1 << 16
 # vadd/vsub, in odd characteristic, gather from addition and subtraction
 # tables.
 ADD_TABLE_MAX = 256
+# Candidate moduli per batched order test in `_search_default_modulus`.
+# Each live power is MODULUS_BATCH x e x e int64, at most 128 KB.  Most
+# fields find their modulus in the first batch, where a larger batch would
+# only add work.
+MODULUS_BATCH = 64
 
 
 class FieldError(Exception):
     """Invalid field construction or unsupported field operation."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, by trial division up to sqrt(n)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, s) with q = p^s, or raise FieldError."""
-    if q < 2:
+    primes = _prime_factors(q)
+    if len(primes) != 1:
         raise FieldError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            s = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                s += 1
-            if m != 1:
-                raise FieldError(f"{q} is not a prime power")
-            return p, s
-    raise FieldError(f"{q} is not a prime power")
+    p, s = primes[0], 0
+    while q > 1:
+        q //= p
+        s += 1
+    return p, s
 
 
 # ---------------------------------------------------------------------------
@@ -109,33 +118,53 @@ def _times_x(digits: np.ndarray, modulus: Sequence[int], p: int) -> np.ndarray:
     return out
 
 
-def _powers(times: np.ndarray) -> np.ndarray | None:
-    """[1, g, ..., g^(N-2)] from the table a -> g*a of a ring with N
-    elements, or None unless g has order N - 1, which makes every nonzero
-    element a unit and so certifies that the modulus is irreducible."""
-    step = times.tolist()
-    full = len(step) - 1
-    out = [1]
-    cur = step[1]
-    while cur != 1 and len(out) < full:
-        out.append(cur)
-        cur = step[cur]
-    if cur != 1 or len(out) != full:
-        return None
-    return np.array(out, dtype=np.int64)
+def _orbit(step: np.ndarray) -> np.ndarray:
+    """[1, g, ..., g^(N-2)] from the table a -> g*a of GF(N), g primitive.
+
+    Doubling: with seq = [1, ..., g^(k-1)] and step the table of g^k,
+    step[seq] continues seq to g^(2k-1), and step[step] is the table of g^(2k).
+    """
+    n = len(step) - 1
+    seq = np.ones(1, dtype=np.int64)
+    while len(seq) < n:
+        seq = np.concatenate([seq, step[seq]])
+        step = step[step]
+    return seq[:n]
 
 
-def _search_default_modulus(digits: np.ndarray, p: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """Smallest monic degree-e polynomial whose x-class is primitive, and
-    the powers [1, x, x^2, ...] of that class."""
+def _search_default_modulus(digits: np.ndarray, p: int) -> tuple[int, ...]:
+    """Smallest monic degree-e polynomial whose x-class is primitive.
+
+    x is not a unit when m_0 = 0, so candidates start with m_0 != 0.  The
+    companion matrices of a batch act on the coefficient vector of 1, one
+    column per tested power, and are squared once per bit of N - 1.  The
+    int64 products are exact: e * (p - 1)^2 < 2^63 for every field up to
+    MAX_FIELD_SIZE.
+    """
     order, e = digits.shape
-    for enc in range(order):
-        modulus = tuple(int(c) for c in digits[enc]) + (1,)
-        # x is not a unit when m_0 = 0; skip the walk that would show it
-        if modulus[0]:
-            powers = _powers(_times_x(digits, modulus, p))
-            if powers is not None:
-                return modulus, powers
+    n = order - 1
+    targets = [n] + [n // ell for ell in _prime_factors(n)]
+    one = np.zeros((e, 1), dtype=np.int64)
+    one[0] = 1
+    encodings = np.arange(order, dtype=np.int64)
+    candidates = encodings[encodings % p != 0]
+    for start in range(0, len(candidates), MODULUS_BATCH):
+        low = digits[candidates[start:start + MODULUS_BATCH]]
+        # column j holds x * x^j: x^(j+1), or x^e = -(m_0 + ... + m_{e-1} x^{e-1})
+        power = np.zeros((len(low), e, e), dtype=np.int64)
+        power[:, np.arange(1, e), np.arange(e - 1)] = 1
+        power[:, :, e - 1] = -low % p
+        # column t of vecs becomes x^targets[t]; bit by bit, from the lowest
+        vecs = np.broadcast_to(one, (len(low), e, len(targets)))
+        for bit in range(n.bit_length()):
+            if bit:
+                power = power @ power % p
+            steps = np.array([t >> bit & 1 for t in targets], dtype=bool)
+            vecs = np.where(steps, power @ vecs % p, vecs)
+        is_one = (vecs == one).all(axis=1)
+        primitive = is_one[:, 0] & ~is_one[:, 1:].any(axis=1)
+        if primitive.any():
+            return tuple(int(c) for c in low[primitive.argmax()]) + (1,)
     raise FieldError(f"no primitive modulus found for GF({p}^{e})")
 
 
@@ -152,13 +181,15 @@ class Field:
     """
 
     def __init__(self, p: int, e: int):
-        if not _is_prime(p):
-            raise FieldError(f"characteristic {p} is not prime")
         if e < 1:
             raise FieldError(f"extension degree must be >= 1, got {e}")
+        # the size before the primality test, which trial-divides up to
+        # sqrt(p); p^e >= 2^e, so a large e fails without computing p^e
+        if p >= 2 and (e >= MAX_FIELD_SIZE.bit_length() or p**e > MAX_FIELD_SIZE):
+            raise FieldError(f"field size GF({p}^{e}) exceeds desk-scale limit {MAX_FIELD_SIZE}")
+        if _prime_factors(p) != [p]:
+            raise FieldError(f"characteristic {p} is not prime")
         order = p**e
-        if order > MAX_FIELD_SIZE:
-            raise FieldError(f"field size {order} exceeds desk-scale limit {MAX_FIELD_SIZE}")
         self.p = p
         self.e = e
         self.order = order
@@ -168,7 +199,8 @@ class Field:
         self._digits = np.stack([(idx // p**i) % p for i in range(e)], axis=-1)
         self._pows = np.array([p**i for i in range(e)], dtype=np.int64)
         self._residue_table = np.zeros(1, dtype=np.int64)
-        self.modulus, self._exp = _search_default_modulus(self._digits, p)
+        self.modulus = _search_default_modulus(self._digits, p)
+        self._exp = _orbit(_times_x(self._digits, self.modulus, p))
         # the x-class: x^1, or 1 itself in GF(2), whose orbit is [1]
         self.primitive = int(self._exp[1 % (order - 1)])
         self._log = np.zeros(order, dtype=np.int64)
@@ -267,6 +299,10 @@ class Field:
             # a flat `take`, not 2-D fancy indexing: faster past a few
             # hundred entries, and as fast below on rref's shapes
             return self._mul_table.take(a * self.order + b)
+        return self._log_mul(a, b)
+
+    def _log_mul(self, a, b):
+        """a * b through the log/antilog tables, with no table built."""
         prod = self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
 
@@ -344,37 +380,40 @@ class QuadraticTower:
     """
 
     def __init__(self, q: int):
+        # before factoring q, so that a huge q fails at once
+        if q * q > MAX_FIELD_SIZE:
+            raise FieldError(f"field size GF({q}^2) = {q * q} exceeds desk-scale limit {MAX_FIELD_SIZE}")
         p, s = factor_prime_power(q)
         self.q = q
         self.p = p
         self.s = s
         self.base = field(p, s)
-        self.ext = field(p, 2 * s)
+        self.ext = ext = field(p, 2 * s)
 
-        idx = np.arange(self.ext.order, dtype=np.int64)
-        self.frob_table = self.ext.vpow(idx, q)
+        idx = np.arange(ext.order, dtype=np.int64)
+        self.frob_table = ext.vpow(idx, q)
         fixed = idx[self.frob_table == idx]
         if len(fixed) != q:
             raise FieldError(f"frobenius fixed set has size {len(fixed)}, expected {q}")
 
-        root = None
-        for z in (int(v) for v in fixed):
-            acc = 0
-            for c in reversed(self.base.modulus):
-                acc = self.ext.add(self.ext.mul(acc, z), c % p)
-            if acc == 0:
-                root = z
-                break
-        if root is None:
-            raise FieldError("base modulus has no root in the extension")
-        self._root = root
+        def horner_step(acc, z, c):
+            """acc * z + c in GF(q^2) for c in GF(p), which changes digit 0 only."""
+            prod = ext._log_mul(acc, z)
+            return prod - prod % p + (prod + c) % p
 
+        # the smallest fixed root of the base modulus, every candidate at once
+        acc = np.zeros(q, dtype=np.int64)
+        for c in reversed(self.base.modulus):
+            acc = horner_step(acc, fixed, c)
+        roots = fixed[acc == 0]
+        if len(roots) == 0:
+            raise FieldError("base modulus has no root in the extension")
+        self._root = root = int(roots[0])
+
+        # a = sum_i c_i x^i in GF(q) goes to sum_i c_i root^i, every a at once
         embed = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            acc = 0
-            for c in reversed(self.base.coeffs(a)):
-                acc = self.ext.add(self.ext.mul(acc, root), c)
-            embed[a] = acc
+        for i in reversed(range(s)):
+            embed = horner_step(embed, root, self.base._digits[:, i])
         self.embed_table = embed
         self.subfield_indices = frozenset(int(v) for v in embed)
         if self.subfield_indices != {int(v) for v in fixed}:

@@ -106,6 +106,14 @@ def test_code_report_invalid_family_params(capsys):
     assert code == 1 and "odd q" in err
 
 
+def test_code_report_huge_q_fails_at_once(capsys):
+    # rejected on the size of GF(q^2) before q is factored
+    code, _, err = run_cli(capsys, "code-report", "--family", "hermitian",
+                           "--q", "100000007", "--r", "1")
+    assert code == 1
+    assert err.startswith("error:") and "GF(100000007^2)" in err
+
+
 # ---------------------------------------------------------------------------
 # quantum-table
 

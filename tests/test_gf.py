@@ -1,4 +1,7 @@
+import functools
 import json
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +43,17 @@ def test_nonprime_characteristic_rejected():
 def test_desk_scale_limit():
     with pytest.raises(FieldError):
         field(2, 17)
+    # the size is checked before the primality test of a huge p, the power
+    # of a huge e, or the factoring of a huge q: 2^61 - 1 is prime, and
+    # trial division up to its square root would not finish
+    with pytest.raises(FieldError, match="exceeds"):
+        field(2**61 - 1, 1)
+    with pytest.raises(FieldError, match="exceeds"):
+        field(2, 10**9)
+    with pytest.raises(FieldError, match=r"GF\(2305843009213693951\^2\)"):
+        quadratic_tower(2**61 - 1)
+    with pytest.raises(FieldError, match="exceeds"):
+        quadratic_tower(257)
 
 
 def _x_class(modulus, p):
@@ -48,16 +62,24 @@ def _x_class(modulus, p):
     return ((-modulus[0]) % p,) if e == 1 else (0, 1) + (0,) * (e - 2)
 
 
+@functools.cache
+def _prime_divisors(n):
+    return {r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))}
+
+
 def _has_full_order(a, p, modulus):
     """Whether a has multiplicative order p^e - 1 modulo the modulus."""
     n = p ** (len(modulus) - 1) - 1
     one = digits(1, p, len(a))
-    primes = {r for r in range(2, n + 1) if n % r == 0 and all(r % s for s in range(2, r))}
     return poly_pow_mod(a, n, p, modulus) == one and all(
-        poly_pow_mod(a, n // r, p, modulus) != one for r in primes)
+        poly_pow_mod(a, n // r, p, modulus) != one for r in _prime_divisors(n))
 
 
-@pytest.mark.parametrize("p,e", _prime_powers(256))
+# every field up to 256, and larger ones up to the size limit: GF(251^2)
+# and GF(7^4) find their modulus past the first batch of candidates, and
+# GF(65521) tests 1 x 1 companion matrices
+@pytest.mark.parametrize("p,e", _prime_powers(256) + [(2, 12), (2, 16), (3, 8), (3, 10), (5, 6),
+                                                       (7, 4), (251, 2), (65521, 1)])
 def test_canonical_modulus_and_primitive_match_oracle(p, e):
     # the smallest monic degree-e encoding whose x-class has full order,
     # which also makes the modulus irreducible
@@ -81,8 +103,25 @@ def test_gf2_16_default_modulus():
 def test_factor_prime_power():
     assert factor_prime_power(9) == (3, 2)
     assert factor_prime_power(2) == (2, 1)
-    with pytest.raises(FieldError):
-        factor_prime_power(12)
+    assert factor_prime_power(2**16) == (2, 16)
+    assert factor_prime_power(65521**2) == (65521, 2)
+    # a prime needs trial division only up to its square root
+    assert factor_prime_power(2**31 - 1) == (2**31 - 1, 1)
+    for q in (12, 65521 * 65519, 1, 0, -4):
+        with pytest.raises(FieldError):
+            factor_prime_power(q)
+
+
+def test_largest_field_builds_in_bounded_memory():
+    # the (2^16, 16) int64 digit table is 8 MiB of the peak; the modulus
+    # search holds only one batch of 16 x 16 companion matrices
+    tracemalloc.start()
+    try:
+        Field(2, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +281,29 @@ def test_embed_image_is_frobenius_fixed(tower3):
     img = tower3.embed_table
     assert np.array_equal(tower3.vfrobenius(img), img)
     assert set(img.tolist()) == tower3.subfield_indices
+
+
+@pytest.mark.parametrize("q", [49, 64, 81, 256])
+def test_large_tower_embedding_and_frobenius(q, monkeypatch):
+    # fresh caches, so the tower builds its own fields
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    monkeypatch.setattr(gf, "_TOWER_CACHE", {})
+    tw = quadratic_tower(q)
+    for f in (tw.base, tw.ext):
+        assert not {"_mul_table", "_add_table", "_sub_table"} & set(vars(f))
+    base = NaiveField(tw.p, tw.s, tw.base.modulus)
+    ext = NaiveField(tw.p, 2 * tw.s, tw.ext.modulus)
+    embed = tw.embed_table
+    assert embed[0] == 0 and embed[1] == 1
+    rng = random.Random(q)
+    for _ in range(40):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert embed[base.add(a, b)] == ext.add(int(embed[a]), int(embed[b]))
+        assert embed[base.mul(a, b)] == ext.mul(int(embed[a]), int(embed[b]))
+    fixed = np.flatnonzero(tw.frob_table == np.arange(ext.order))
+    assert sorted(embed.tolist()) == fixed.tolist()
+    for a in rng.sample(range(ext.order), 20):
+        assert int(tw.frob_table[a]) == ext.pow(a, q)
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,20 @@ therefore the canonical element order (zero first, then 1, then the
 class of x, ...), and GF(4) enumerates as [0, 1, a, a+1] where a is the
 class of x modulo the modulus x^2 + x + 1.
 
-Arithmetic works on numpy index arrays (`Field.vadd`, `Field.vmul`,
-...).  The scalar `add`, `mul` and `inv` serve table construction and
-elimination pivots: multiplication uses discrete log/antilog tables with
-respect to a fixed primitive element, and addition works on the base-p
-digit vectors.
+Arithmetic works on numpy index arrays through four kernels: `vadd`,
+`vmul`, `vpow` and `vsum`.  Negation is multiplication by -1, the GF(p)
+element p - 1, whose index is p - 1; subtraction is addition of the
+negative, and inversion is the power -1.  The scalar `add`, `mul` and
+`inv` check their operands and return ints.  Multiplication uses
+discrete log/antilog tables with respect to a fixed primitive element,
+and addition works on the base-p digit vectors.
 
 Vectorized addition avoids the digits where it can.  In characteristic
-2 the digits are bits, so a + b and a - b are the XOR of the indices and
-negation is the identity, at every order.  Other fields of order at most
-ADD_TABLE_MAX look sums up in an (order, order) addition table and
-differences in a subtraction table, gathered flat at a * order + b, whose
-row 0 holds the negatives.  Each table is built on first use, so a field
-that never adds or subtracts pays nothing for it at construction.
-Larger odd-characteristic fields add digit by digit.
+2 the digits are bits, so a + b is the XOR of the indices at every
+order.  Other fields of order at most ADD_TABLE_MAX look sums up in one
+(order, order) addition table, gathered flat at a * order + b and built
+on first use, so a field that never adds pays nothing for it at
+construction.  Larger odd-characteristic fields add digit by digit.
 
 Vectorized multiplication in a field of order at most ADD_TABLE_MAX is
 one gather from an (order, order) multiplication table, built on first
@@ -56,8 +56,8 @@ import numpy as np
 
 MAX_FIELD_SIZE = 1 << 16
 # Largest order whose vmul gathers from a multiplication table, and whose
-# vadd/vsub, in odd characteristic, gather from addition and subtraction
-# tables.
+# vadd, in odd characteristic, gathers from an addition table.  Negation
+# is vmul by p - 1, so it reads the multiplication table too.
 ADD_TABLE_MAX = 256
 # Candidate moduli per batched order test in `_search_default_modulus`.
 # Each live power is MODULUS_BATCH x e x e int64, at most 128 KB.  Most
@@ -196,8 +196,8 @@ class Field:
 
         # digit table: index -> base-p coefficient vector
         idx = np.arange(order, dtype=np.int64)
-        self._digits = np.stack([(idx // p**i) % p for i in range(e)], axis=-1)
         self._pows = np.array([p**i for i in range(e)], dtype=np.int64)
+        self._digits = idx[:, None] // self._pows % p
         self._residue_table = np.zeros(1, dtype=np.int64)
         self.modulus = _search_default_modulus(self._digits, p)
         self._exp = _orbit(_times_x(self._digits, self.modulus, p))
@@ -210,9 +210,9 @@ class Field:
 
     @cached_property
     def _add_table(self) -> np.ndarray:
-        """(order, order) table a, b -> a + b."""
+        """(order, order) table a, b -> a + b, flattened to a * order + b."""
         d = self._digits
-        return ((d[:, None, :] + d[None, :, :]) % self.p) @ self._pows
+        return (((d[:, None, :] + d[None, :, :]) % self.p) @ self._pows).ravel()
 
     @cached_property
     def _mul_table(self) -> np.ndarray:
@@ -220,12 +220,6 @@ class Field:
         prod = self._exp[(self._log[:, None] + self._log[None, :]) % (self.order - 1)]
         prod[0, :] = prod[:, 0] = 0
         return prod.ravel()
-
-    @cached_property
-    def _sub_table(self) -> np.ndarray:
-        """(order, order) table a, b -> a - b, flattened to a * order + b."""
-        d = self._digits
-        return (((d[:, None, :] - d[None, :, :]) % self.p) @ self._pows).ravel()
 
     @cached_property
     def _digit_floats(self) -> np.ndarray:
@@ -255,7 +249,7 @@ class Field:
 
     def add(self, a: int, b: int) -> int:
         self._check(a, b)
-        return int(((self._digits[a] + self._digits[b]) % self.p) @ self._pows)
+        return int(self.vadd(a, b))
 
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
@@ -277,20 +271,12 @@ class Field:
         if self.p == 2:
             return a ^ b
         if self.order <= ADD_TABLE_MAX:
-            return self._add_table[a, b]
+            return self._add_table.take(a * self.order + b)
         return ((self._digits[a] + self._digits[b]) % self.p) @ self._pows
 
-    def vsub(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.p == 2:
-            return a ^ b
-        if self.order <= ADD_TABLE_MAX:
-            return self._sub_table.take(a * self.order + b)
-        return ((self._digits[a] - self._digits[b]) % self.p) @ self._pows
-
     def vneg(self, a):
-        return self.vsub(0, a)
+        """-a, as the product with -1, the element p - 1."""
+        return self.vmul(self.p - 1, a)
 
     def vmul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -307,19 +293,17 @@ class Field:
         return np.where((a == 0) | (b == 0), 0, prod)
 
     def vinv(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self._exp[(-self._log[a]) % (self.order - 1)]
+        return self.vpow(a, -1)
 
     def vpow(self, a, k: int):
+        """a^k, with a^0 = 1; a negative k raises ZeroDivisionError on a zero."""
         a = np.asarray(a, dtype=np.int64)
         if k == 0:
             return np.ones_like(a)
-        if k < 0:
-            return self.vinv(self.vpow(a, -k))
-        powered = self._exp[(self._log[a] * k) % (self.order - 1)]
-        return np.where(a == 0, 0, powered)
+        zero = a == 0
+        if k < 0 and zero.any():
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return np.where(zero, 0, self._exp[(self._log[a] * k) % (self.order - 1)])
 
     def vsum(self, a, axis: int = -1):
         """Field sum reducing the given axis of an index array."""

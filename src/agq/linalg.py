@@ -77,14 +77,18 @@ def matmul(F: Field, A, B):
 def _eliminate(F: Field, A, full: bool):
     """Gaussian elimination on a copy of A; returns (R, pivot_columns).
 
-    The one elimination loop of the package.  At each pivot the pivot
-    row is scaled to lead with 1, and then every row of the slice
-    R[lo:, col:] has its factor times the pivot row subtracted, with one
-    outer-product `vmul` and one `vsub`.  The pivot row's own factor is
-    zeroed, so it stays as it is, and rows whose factor is 0 subtract
-    zeros: the update selects no rows and scatters nothing.  Rows at or
-    below the pivot row are zero left of the pivot column, so the columns
-    from the pivot column on are all that change.
+    The one elimination loop of the package.  Each pivot step is an AXPY,
+    row <- row + f * pivot row, as in FFLAS-FFPACK (Dumas, Giorgi, Pernet,
+    ACM TOMS 2008), made for the whole slice R[lo:, col:] at once with one
+    outer-product `vmul` and one `vadd`.  The pivot row, with pivot a, is
+    first scaled to s = -row/a, which leads with -1, so that a row whose
+    column entry is f is cleared by adding f * s.  The pivot row's own
+    factor is -2, the GF(p) element p - 2: it becomes s - 2s = -s = row/a,
+    which leads with 1.  In characteristic 2 that factor is 0 and s is
+    already row/a.  Rows whose factor is 0 add zeros: the update selects no
+    rows and scatters nothing.  Rows at or below the pivot row are zero
+    left of the pivot column, so the columns from the pivot column on are
+    all that change.
 
     With `full`, lo = 0 and every other row is cleared, which gives the
     reduced row echelon form.  Otherwise lo is the pivot row and only the
@@ -95,6 +99,8 @@ def _eliminate(F: Field, A, full: bool):
     m, n = R.shape
     pivots = []
     row = 0
+    # -1/a is exp(log(-1) - log a), and -1 is the GF(p) element p - 1
+    log_minus_one, units = F._log[F.p - 1], F.order - 1
     for col in range(n):
         if row >= m:
             break
@@ -104,11 +110,12 @@ def _eliminate(F: Field, A, full: bool):
         piv = row + int(nz[0])
         if piv != row:
             R[[row, piv]] = R[[piv, row]]
-        R[row, col:] = F.vmul(F.inv(int(R[row, col])), R[row, col:])
+        neg_inv = F._exp[(log_minus_one - F._log[R[row, col]]) % units]
+        R[row, col:] = F.vmul(neg_inv, R[row, col:])
         lo = 0 if full else row
         factors = R[lo:, col].copy()
-        factors[row - lo] = 0
-        R[lo:, col:] = F.vsub(R[lo:, col:], F.vmul(factors[:, None], R[row, col:]))
+        factors[row - lo] = F.p - 2
+        R[lo:, col:] = F.vadd(R[lo:, col:], F.vmul(factors[:, None], R[row, col:]))
         pivots.append(col)
         row += 1
     return R, pivots

@@ -290,7 +290,7 @@ def test_large_tower_embedding_and_frobenius(q, monkeypatch):
     monkeypatch.setattr(gf, "_TOWER_CACHE", {})
     tw = quadratic_tower(q)
     for f in (tw.base, tw.ext):
-        assert not {"_mul_table", "_add_table", "_sub_table"} & set(vars(f))
+        assert not {"_mul_table", "_add_table"} & set(vars(f))
     base = NaiveField(tw.p, tw.s, tw.base.modulus)
     ext = NaiveField(tw.p, 2 * tw.s, tw.ext.modulus)
     embed = tw.embed_table
@@ -316,7 +316,7 @@ def test_json_round_trip(f4):
 
 
 # ---------------------------------------------------------------------------
-# vadd / vsub / vneg shortcuts against the naive field
+# vadd / vneg shortcuts against the naive field; a - b is vadd(a, vneg(b))
 
 
 # every odd-characteristic field on addition tables, every characteristic-2
@@ -335,12 +335,13 @@ def test_vadd_vsub_vneg_match_naive(p, e, data):
     b = data.draw(st.lists(elements, min_size=len(a), max_size=len(a)))
     c = data.draw(elements)
     assert F.vadd(a, b).tolist() == [nf.add(x, y) for x, y in zip(a, b)]
-    assert F.vsub(a, b).tolist() == [nf.sub(x, y) for x, y in zip(a, b)]
+    assert F.vadd(a, F.vneg(b)).tolist() == [nf.sub(x, y) for x, y in zip(a, b)]
     assert F.vneg(a).tolist() == [nf.neg(x) for x in a]
     # a scalar operand broadcasts against an array, and two scalars give one
     assert F.vadd(c, a).tolist() == [nf.add(c, x) for x in a]
-    assert F.vsub(a, c).tolist() == [nf.sub(x, c) for x in a]
-    assert F.vsub(c, np.array(a, dtype=np.int64).reshape(-1, 1)).tolist() == [[nf.sub(c, x)] for x in a]
+    assert F.vadd(a, F.vneg(c)).tolist() == [nf.sub(x, c) for x in a]
+    column = F.vneg(np.array(a, dtype=np.int64).reshape(-1, 1))
+    assert F.vadd(c, column).tolist() == [[nf.sub(c, x)] for x in a]
     assert int(F.vadd(c, c)) == nf.add(c, c) and int(F.vneg(c)) == nf.neg(c)
 
 
@@ -352,25 +353,18 @@ def test_vneg_returns_a_new_array():
 
 
 def test_addition_tables_are_built_on_first_use():
-    F = Field(3, 2)
-    assert "_add_table" not in vars(F) and "_sub_table" not in vars(F)
-    F.vadd(1, 2)
-    assert "_add_table" in vars(F) and "_sub_table" not in vars(F)
-    # negation reads row 0 of the subtraction table
-    F.vneg(2)
-    assert "_sub_table" in vars(F)
-
-
-def test_subtraction_table_is_built_on_first_use():
-    F = Field(7, 2)
-    assert "_sub_table" not in vars(F)
-    assert int(F.vsub(1, 2)) == NaiveField(7, 2, F.modulus).sub(1, 2)
-    assert "_sub_table" in vars(F)
-    assert "_add_table" not in vars(F)
-    # GF(3^6), of order above ADD_TABLE_MAX, subtracts digit by digit
+    tables = {"_add_table", "_mul_table"}
+    # negation multiplies by p - 1, so it builds the multiplication table only
+    for p, e in [(3, 2), (7, 2)]:
+        F = Field(p, e)
+        F.vneg(2)
+        assert tables & set(vars(F)) == {"_mul_table"}
+        F.vadd(1, 2)
+        assert F._add_table.shape == (F.order**2,)
+    # GF(3^6), of order above ADD_TABLE_MAX, negates through the log tables
     big = Field(3, 6)
-    assert int(big.vsub(1, 2)) == NaiveField(3, 6, big.modulus).sub(1, 2)
-    assert "_sub_table" not in vars(big)
+    assert int(big.vneg(2)) == NaiveField(3, 6, big.modulus).neg(2)
+    assert not tables & set(vars(big))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +405,12 @@ def test_vmul_vscale_vdot_match_naive(p, e, data):
     assert F.vpow(a, 0).tolist() == [1] * len(a)
     assert F.vpow(units, -down).tolist() == [nf.inv(nf.pow(x, down)) for x in units]
     assert F.vinv(units).tolist() == [nf.inv(x) for x in units]
+
+
+def test_negative_power_of_zero_raises():
+    for p, e in [(2, 2), (3, 2), (3, 6)]:
+        with pytest.raises(ZeroDivisionError):
+            field(p, e).vpow([1, 0], -3)
 
 
 def test_multiplication_table_is_built_on_first_use(monkeypatch):

@@ -222,9 +222,11 @@ def test_matmul_memory_is_bounded():
 # ---------------------------------------------------------------------------
 # rref against a literal Gauss-Jordan elimination
 
-# GF(4) and GF(256) in characteristic 2, GF(9), GF(25) and GF(49) on the
-# addition tables, GF(3^6) on the digit path and log/antilog products
-RREF_FIELDS = [(2, 2), (3, 2), (5, 2), (7, 2), (2, 8), (3, 6)]
+# GF(4) and GF(256) in characteristic 2, where the pivot row's factor -2
+# is 0; GF(3), where it is 1; GF(9), GF(25) and GF(49) on the addition
+# tables; GF(3^6) and the prime field GF(257), above ADD_TABLE_MAX, on the
+# digit path and log/antilog products
+RREF_FIELDS = [(2, 2), (3, 1), (3, 2), (5, 2), (7, 2), (2, 8), (3, 6), (257, 1)]
 
 
 @st.composite

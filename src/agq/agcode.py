@@ -22,7 +22,7 @@ import numpy as np
 
 from .curve import CurveSpec, _lhs_rhs_tables, check_points, enumerate_points
 from .gf import Field, FieldError, QuadraticTower, factor_prime_power, field, quadratic_tower
-from .linalg import matmul, normalize_rows, rank, right_nullspace
+from .linalg import _column_table, matmul, rank, right_nullspace
 from .rrspace import dimension_by_cases, verified_basis
 
 DEFAULT_BUDGET = 1 << 20
@@ -260,10 +260,11 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceResu
             del block  # else the loop variable holds it while the next is built
         return DistanceResult(d=best, method="exhaustive", lower=best, upper=best)
 
-    H = code.parity_check
-    if not H.any(axis=0).all():
+    # 0 < k < n, so the parity check has n - k rows and a column table
+    keys, positions = _column_table(F, code.parity_check)
+    if len(positions) < n:  # a zero column
         return DistanceResult(d=1, method="parity-columns", lower=1, upper=1)
-    if len({col.tobytes() for col in normalize_rows(F, H.T)}) < n:
+    if (keys[1:] == keys[:-1]).any():  # two parallel columns
         return DistanceResult(d=2, method="parity-columns", lower=2, upper=2)
 
     designed = code.designed_distance

@@ -38,13 +38,7 @@ from .gf import FieldError, field
 from .linalg import matmul, rank
 from .quantum import load_known_codes, parameter_table, table_to_json, write_table_csv
 from .rrspace import dimension_report
-from .simulator import (
-    SimConfig,
-    SimRun,
-    run_simulation,
-    write_results_csv,
-    write_series_csv,
-)
+from .simulator import SimRun, run_simulation, write_results_csv, write_series_csv
 
 DEFAULT_SEED = 123456789
 
@@ -73,21 +67,25 @@ def _write_manifest(path: Path, command: str, parameters: dict, outputs: list[st
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _simulated(code, dist, result) -> tuple[SimRun, dict]:
-    """The CSV run of one simulated code, and its manifest record: the
-    CSV's `d` column holds the lower bound when the distance is not
-    exact, so the record names the method and both bounds, and the exact
-    counts behind each rate."""
-    run = SimRun(code_name=code.name, n=code.n, k=code.k,
-                 d=dist.d if dist.exact else dist.lower, result=result)
-    record = {
-        "code": code.name, "n": code.n, "k": code.k,
-        "d_method": dist.method, "d_lower": dist.lower, "d_upper": dist.upper,
-        "rates": [{"rate": row.rate, "trials": row.trials, "successes": row.successes,
-                   "uncorrectable": row.uncorrectable, "miscorrected": row.miscorrected}
-                  for row in result.rows],
-    }
-    return run, record
+def _simulate_codes(entries, rates, trials: int, seed: int,
+                    chunk_size: int = 2048) -> tuple[list[SimRun], list[dict]]:
+    """Simulate each (code, distance) entry at every rate: the CSV runs,
+    and one manifest record per code.  The CSV's `d` column holds the
+    lower bound when the distance is not exact, so the record names the
+    method and both bounds, and the exact counts behind each rate."""
+    runs, records = [], []
+    for code, dist in entries:
+        rows = run_simulation(code, rates, trials, seed, chunk_size=chunk_size)
+        runs.append(SimRun(code_name=code.name, n=code.n, k=code.k,
+                           d=dist.d if dist.exact else dist.lower, master_seed=seed, rows=rows))
+        records.append({
+            "code": code.name, "n": code.n, "k": code.k,
+            "d_method": dist.method, "d_lower": dist.lower, "d_upper": dist.upper,
+            "rates": [{"rate": row.rate, "trials": row.trials, "successes": row.successes,
+                       "uncorrectable": row.uncorrectable, "miscorrected": row.miscorrected}
+                      for row in rows],
+        })
+    return runs, records
 
 
 def _curve_from_args(args):
@@ -160,8 +158,6 @@ def _parse_rates(text: str) -> tuple[float, ...]:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     rates = _parse_rates(args.rates)
-    runs: list[SimRun] = []
-    records: list[dict] = []
     if args.preset == "sweep":
         entries = benchmarks.sweep_codes()
         print("preset sweep: substituted three constructible codes over "
@@ -178,15 +174,10 @@ def cmd_simulate(args) -> int:
         curve = _curve_from_args(args)
         code = build_onepoint_code(curve, args.r)
         entries = [(code, min_distance(code, args.budget))]
-    for code, dist in entries:
-        config = SimConfig(code=code, error_rates=rates,
-                           num_transmissions=args.trials, master_seed=seed)
-        result = run_simulation(config, chunk_size=args.chunk_size)
-        run, record = _simulated(code, dist, result)
-        runs.append(run)
-        records.append(record)
-        for row in result.rows:
-            print(f"{code.name} rate={row.rate}: success={row.success_rate:.4f} "
+    runs, records = _simulate_codes(entries, rates, args.trials, seed, args.chunk_size)
+    for run in runs:
+        for row in run.rows:
+            print(f"{run.code_name} rate={row.rate}: success={row.success_rate:.4f} "
                   f"uncorrectable={row.uncorrectable_rate:.4f} avg_errors={row.avg_errors:.4f} "
                   f"(miscorrected={row.miscorrected})")
     outputs = []
@@ -307,24 +298,18 @@ def cmd_reproduce(args) -> int:
 
     if not args.skip_sim:
         rates = (0.0, 0.05, 0.1, 0.2)
-        runs, records = [], []
         sweep = benchmarks.sweep_codes()
-        for code_i, dist_i in sweep:
-            config = SimConfig(code=code_i, error_rates=rates,
-                               num_transmissions=args.trials, master_seed=seed)
-            run, record = _simulated(code_i, dist_i, run_simulation(config))
-            runs.append(run)
-            records.append(record)
+        runs, records = _simulate_codes(sweep, rates, args.trials, seed)
         write_results_csv(runs, out_dir / "results.csv")
         write_series_csv(runs, out_dir / "series.csv")
         outputs += [str(out_dir / "results.csv"), str(out_dir / "series.csv")]
 
-        zero_ok = all(run.result.rows[0].success_rate == 1.0
-                      and run.result.rows[0].avg_errors == 0.0 for run in runs)
+        zero_ok = all(run.rows[0].success_rate == 1.0 and run.rows[0].avg_errors == 0.0
+                      for run in runs)
         _check(results, "simulation-zero-rate", zero_ok)
         bands_ok = True
         for run in runs:
-            for row in run.result.rows[1:]:
+            for row in run.rows[1:]:
                 sigma = (run.n * row.rate * (1 - row.rate) / row.trials) ** 0.5
                 if abs(row.avg_errors - run.n * row.rate) > 5 * sigma:
                     bands_ok = False
@@ -332,11 +317,10 @@ def cmd_reproduce(args) -> int:
         # the first code at rates 0 and 0.05 over at most 2000 trials, in
         # chunks of 199 and of the default size; up to 2000 trials the
         # default-chunk run is the sweep's own first two rows
-        first = SimConfig(code=sweep[0][0], error_rates=rates[:2],
-                          num_transmissions=min(args.trials, 2000), master_seed=seed)
-        rerun = run_simulation(first, chunk_size=199)
-        base = runs[0].result if args.trials <= 2000 else run_simulation(first)
-        _check(results, "simulation-determinism", rerun.rows == base.rows[:2])
+        first, n_first = sweep[0][0], min(args.trials, 2000)
+        rerun = run_simulation(first, rates[:2], n_first, seed, chunk_size=199)
+        base = runs[0].rows if args.trials <= 2000 else run_simulation(first, rates[:2], n_first, seed)
+        _check(results, "simulation-determinism", rerun == base[:2])
 
     _write_manifest(out_dir / "manifest.json", "reproduce",
                     {"trials": args.trials, "skip_sim": args.skip_sim}, outputs, seed, records)

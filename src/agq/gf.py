@@ -10,8 +10,8 @@ class of x modulo the modulus x^2 + x + 1.
 Arithmetic works on numpy index arrays through four kernels: `vadd`,
 `vmul`, `vpow` and `vsum`.  Negation is multiplication by -1, the GF(p)
 element p - 1, whose index is p - 1; subtraction is addition of the
-negative, and inversion is the power -1.  The scalar `add`, `mul` and
-`inv` check their operands and return ints.  Multiplication uses
+negative, and inversion is the power -1.  The scalar `add` and `mul`
+check their operands and return ints.  Multiplication uses
 discrete log/antilog tables with respect to a fixed primitive element,
 and addition works on the base-p digit vectors.
 
@@ -256,12 +256,6 @@ class Field:
         if a == 0 or b == 0:
             return 0
         return int(self._exp[(self._log[a] + self._log[b]) % (self.order - 1)])
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return int(self._exp[(-self._log[a]) % (self.order - 1)])
 
     # -- vectorized operations on index arrays -------------------------------
 

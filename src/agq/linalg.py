@@ -166,3 +166,26 @@ def normalize_rows(F: Field, A):
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     lead = A[np.arange(A.shape[0]), (A != 0).argmax(axis=1)]
     return F.vmul(F.vinv(np.where(lead == 0, 1, lead))[:, None], A)
+
+
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one opaque byte string, for sorting and lookup."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))[:, 0]
+
+
+def _column_table(F: Field, H: np.ndarray):
+    """(keys, positions): the normalized nonzero columns of H as byte
+    strings, sorted stably, and the position of each.
+
+    Two columns are parallel iff their keys are equal, so equal columns
+    sit next to each other, the first position first.  None when H has
+    no rows.
+    """
+    if H.shape[0] == 0:
+        return None
+    columns = normalize_rows(F, H.T).astype(np.uint16)
+    positions = np.nonzero(columns.any(axis=1))[0]
+    keys = _row_bytes(columns[positions])
+    order = np.argsort(keys, kind="stable")
+    return keys[order], positions[order]

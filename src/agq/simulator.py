@@ -48,29 +48,9 @@ from typing import Sequence
 import numpy as np
 
 from .agcode import LinearCode
-from .linalg import matmul, normalize_rows
+from .linalg import _column_table, _row_bytes, matmul, normalize_rows
 
 SUCCESS, CORRECTED, FAILURE = 0, 1, 2
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Inputs of one simulation run over a list of symbol error rates."""
-
-    code: LinearCode
-    error_rates: tuple[float, ...]
-    num_transmissions: int
-    master_seed: int
-
-    def __post_init__(self):
-        if not self.error_rates:
-            raise ValueError("error_rates must name at least one rate")
-        if any(not 0.0 <= r <= 1.0 for r in self.error_rates):
-            raise ValueError("error rates must lie in [0, 1]")
-        if self.num_transmissions < 1:
-            raise ValueError("num_transmissions must be >= 1")
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -95,12 +75,6 @@ class RateResult:
     @property
     def avg_errors(self) -> float:
         return self.total_errors / self.trials
-
-
-@dataclass(frozen=True)
-class SimResult:
-    master_seed: int
-    rows: tuple[RateResult, ...]
 
 
 def encode(code: LinearCode, message) -> np.ndarray:
@@ -254,24 +228,6 @@ def _draw_chunk(master_seed: int, rate_index: int, lo: int, hi: int, k: int, n: 
     return messages, uniforms, repl
 
 
-def _column_table(code: LinearCode):
-    """(keys, positions): the normalized nonzero columns of the parity
-    check as byte strings, sorted stably, and the position of each.
-
-    It depends only on the code, so `simulate_transmission` builds it
-    once for all its chunks.  None when the parity check has no rows, so
-    that every syndrome is zero.
-    """
-    H = code.parity_check
-    if H.shape[0] == 0:
-        return None
-    columns = normalize_rows(code.field, H.T).astype(np.uint16)
-    positions = np.nonzero(columns.any(axis=1))[0]
-    keys = _row_bytes(columns[positions])
-    order = np.argsort(keys, kind="stable")
-    return keys[order], positions[order]
-
-
 def _decode_batch(code: LinearCode, received: np.ndarray, table):
     """Vectorized syndrome decoder of the position-then-symbol scan.
 
@@ -280,9 +236,10 @@ def _decode_batch(code: LinearCode, received: np.ndarray, table):
     position i iff -s is parallel to that column; the scalar, and hence
     the substituted symbol, is then unique.  The earliest such position
     is exactly the first hit of the position-then-symbol scan.  `table`
-    is the code's `_column_table`: its normalized nonzero columns sorted
-    stably as byte strings, so a left `searchsorted` lands on the first
-    position among equal columns.
+    is the `_column_table` of the parity check: its normalized nonzero
+    columns sorted stably as byte strings, so a left `searchsorted` lands
+    on the first position among equal columns.  It depends only on the
+    code, so `simulate_transmission` builds it once for all its chunks.
 
     Returns (decoded, statuses); rows with status FAILURE hold the
     received word unchanged in `decoded` and must be ignored there.
@@ -315,12 +272,6 @@ def _decode_batch(code: LinearCode, received: np.ndarray, table):
     return decoded, statuses
 
 
-def _row_bytes(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-D array as one opaque byte string, for sorting and lookup."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))[:, 0]
-
-
 def simulate_transmission(code: LinearCode, rate: float, trials: int, master_seed: int,
                           rate_index: int = 0, chunk_size: int = 2048) -> RateResult:
     """Run `trials` independent transmissions at one error rate.
@@ -329,15 +280,19 @@ def simulate_transmission(code: LinearCode, rate: float, trials: int, master_see
     keyed stream, so the result does not depend on `chunk_size`; each
     chunk's streams are computed at once by `_draw_chunk`.
     """
+    if not 0.0 <= rate <= 1.0:  # NaN fails this too
+        raise ValueError("error rates must lie in [0, 1]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= master_seed < 1 << 64:
+        raise ValueError("master_seed must be a 64-bit unsigned integer")
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     F = code.field
     n, k, q = code.n, code.k, F.order
     successes = uncorrectable = miscorrected = 0
     total_errors = 0
-    table = _column_table(code)
+    table = _column_table(F, code.parity_check)
     for lo in range(0, trials, chunk_size):
         hi = min(lo + chunk_size, trials)
         messages, uniforms, repl = _draw_chunk(master_seed, rate_index, lo, hi, k, n, q)
@@ -361,16 +316,16 @@ def simulate_transmission(code: LinearCode, rate: float, trials: int, master_see
     )
 
 
-def run_simulation(config: SimConfig, chunk_size: int = 2048) -> SimResult:
-    """Algorithm loop over all configured rates, in order."""
-    rows = tuple(
-        simulate_transmission(
-            config.code, rate, config.num_transmissions, config.master_seed,
-            rate_index=i, chunk_size=chunk_size,
-        )
-        for i, rate in enumerate(config.error_rates)
+def run_simulation(code: LinearCode, rates: Sequence[float], trials: int, master_seed: int,
+                   chunk_size: int = 2048) -> tuple[RateResult, ...]:
+    """`simulate_transmission` at each rate in order, rate i reading the
+    streams of rate index i."""
+    if not rates:
+        raise ValueError("error_rates must name at least one rate")
+    return tuple(
+        simulate_transmission(code, rate, trials, master_seed, rate_index=i, chunk_size=chunk_size)
+        for i, rate in enumerate(rates)
     )
-    return SimResult(master_seed=config.master_seed, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +334,15 @@ def run_simulation(config: SimConfig, chunk_size: int = 2048) -> SimResult:
 
 @dataclass(frozen=True)
 class SimRun:
-    """One simulated code plus the distance value to print in the CSV."""
+    """One simulated code, the distance value to print in the CSV, and
+    its rows from `run_simulation`."""
 
     code_name: str
     n: int
     k: int
     d: int | None
-    result: SimResult
+    master_seed: int
+    rows: tuple[RateResult, ...]
 
 
 RESULTS_HEADER = ["code", "n", "k", "d", "rate", "trials", "success_rate",
@@ -402,12 +359,12 @@ def write_results_csv(runs: Sequence[SimRun], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
         for run in runs:
-            for row in run.result.rows:
+            for row in run.rows:
                 writer.writerow([
                     run.code_name, run.n, run.k, "" if run.d is None else run.d,
                     _fmt(row.rate), row.trials, _fmt(row.success_rate),
                     _fmt(row.uncorrectable_rate), _fmt(row.avg_errors),
-                    run.result.master_seed,
+                    run.master_seed,
                 ])
 
 
@@ -417,7 +374,7 @@ def write_series_csv(runs: Sequence[SimRun], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(SERIES_HEADER)
         for run in runs:
-            for row in run.result.rows:
+            for row in run.rows:
                 writer.writerow([
                     run.code_name, _fmt(row.rate), _fmt(row.success_rate),
                     _fmt(row.uncorrectable_rate), _fmt(row.avg_errors),

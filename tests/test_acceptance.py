@@ -22,7 +22,7 @@ from agq.gf import field
 from agq.linalg import matmul, rank
 from agq.quantum import parameter_table
 from agq.rrspace import dimension_report
-from agq.simulator import SimConfig, SimRun, run_simulation, simulate_transmission, write_results_csv, write_series_csv
+from agq.simulator import SimRun, run_simulation, simulate_transmission, write_results_csv, write_series_csv
 from oracles import NaiveField, naive_hermitian_inner
 
 
@@ -148,25 +148,23 @@ def test_criterion_8_simulator_statistics(tmp_path):
 
         rates = (0.05, 0.1, 0.2)
         trials = 10_000
-        config = SimConfig(code=code, error_rates=rates, num_transmissions=trials,
-                           master_seed=seed)
-        result = run_simulation(config)
+        rows = run_simulation(code, rates, trials, seed)
         bands_ok = True
-        for row in result.rows:
+        for row in rows:
             sigma = (code.n * row.rate * (1 - row.rate) / trials) ** 0.5
             if abs(row.avg_errors - code.n * row.rate) > 5 * sigma:
                 bands_ok = False
         monotone_ok = True
-        for a, c in zip(result.rows, result.rows[1:]):
+        for a, c in zip(rows, rows[1:]):
             va = a.success_rate * (1 - a.success_rate) / trials
             vc = c.success_rate * (1 - c.success_rate) / trials
             if a.success_rate - c.success_rate < -5 * (va + vc) ** 0.5 - 1e-12:
                 monotone_ok = False
 
         def emit(tag, chunk):
-            res = run_simulation(config, chunk_size=chunk)
+            res = run_simulation(code, rates, trials, seed, chunk_size=chunk)
             path = tmp_path / f"c8_{tag}.csv"
-            write_results_csv([SimRun(code.name, code.n, code.k, 5, res)], path)
+            write_results_csv([SimRun(code.name, code.n, code.k, 5, seed, res)], path)
             return path.read_bytes()
 
         determinism_ok = emit("a", 2048) == emit("b", 613)
@@ -177,12 +175,13 @@ def test_criterion_8_simulator_statistics(tmp_path):
 
 
 def test_criterion_9_single_error_correction_exhaustive():
-    from agq.simulator import _column_table, _decode_batch
+    from agq.linalg import _column_table
+    from agq.simulator import _decode_batch
 
     with Budget(5.0) as b:
         code = build_onepoint_code(hermitian_curve(2), 3)
         F = code.field
-        table = _column_table(code)
+        table = _column_table(F, code.parity_check)
         # all 64 codewords x 8 positions x 3 wrong symbols
         from agq.agcode import iter_codeword_blocks
 
@@ -216,11 +215,9 @@ def test_criterion_10_figures_shaped_csv_pair(tmp_path):
     def emit(tag):
         runs = []
         for code, dist in benchmarks.sweep_codes():
-            config = SimConfig(code=code, error_rates=rates, num_transmissions=trials,
-                               master_seed=seed)
-            res = run_simulation(config)
+            res = run_simulation(code, rates, trials, seed)
             runs.append(SimRun(code.name, code.n, code.k,
-                               dist.d if dist.exact else dist.lower, res))
+                               dist.d if dist.exact else dist.lower, seed, res))
         results_path = tmp_path / f"results_{tag}.csv"
         series_path = tmp_path / f"series_{tag}.csv"
         write_results_csv(runs, results_path)
@@ -236,12 +233,12 @@ def test_criterion_10_figures_shaped_csv_pair(tmp_path):
         and series_header == "code,rate,success_rate,uncorrectable_rate,avg_errors"
     )
     blocks_ok = len(runs) == 3 and len({run.code_name for run in runs}) == 3
-    zero_ok = all(run.result.rows[0].success_rate == 1.0
-                  and run.result.rows[0].avg_errors == 0.0 for run in runs)
+    zero_ok = all(run.rows[0].success_rate == 1.0
+                  and run.rows[0].avg_errors == 0.0 for run in runs)
     bands_ok = True
     partition_ok = True
     for run in runs:
-        for row in run.result.rows:
+        for row in run.rows:
             sigma = (run.n * row.rate * (1 - row.rate) / trials) ** 0.5
             if row.rate and abs(row.avg_errors - run.n * row.rate) > 5 * sigma:
                 bands_ok = False

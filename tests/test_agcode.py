@@ -401,22 +401,22 @@ def test_weight_distribution_budget_error(se33):
 
 def test_parity_column_analysis_detects_small_distance():
     F = field(2, 2)
-    # columns 2 and 3 are parallel => d = 2, regardless of the 4^6 budget
-    G = np.array([
-        [1, 0, 0, 1, 1, 2, 3, 1],
-        [0, 1, 0, 2, 2, 1, 1, 0],
-        [0, 0, 1, 3, 3, 3, 2, 2],
-        [1, 1, 1, 0, 0, 1, 1, 3],
-        [0, 1, 3, 1, 1, 0, 2, 1],
-        [2, 0, 1, 1, 1, 1, 0, 0],
+    # a parity check with the identity in front; column 6 is either zero
+    # (d = 1) or 2 * column 0, the only parallel pair (d = 2)
+    H = np.array([
+        [1, 0, 0, 0, 1, 1, 0, 1],
+        [0, 1, 0, 0, 1, 2, 0, 1],
+        [0, 0, 1, 0, 1, 3, 0, 0],
+        [0, 0, 0, 1, 1, 1, 0, 0],
     ], dtype=np.int64)
-    code = LinearCode(field=F, generator=row_basis(F, G))
-    if code.k == 6:  # rank permitting, exercise the over-budget path
+    for col6, expected in (((0, 0, 0, 0), 1), ((2, 0, 0, 0), 2)):
+        H[:, 6] = col6
+        code = LinearCode(field=F, generator=right_nullspace(F, H))
+        assert code.k == 4 and F.order**code.k > 100
         res = min_distance(code, budget=100)
-        assert res.method in ("parity-columns", "bounds-only")
-        exact = min_distance(code, budget=1 << 20)
-        if res.method == "parity-columns":
-            assert res.d == exact.d
+        assert (res.method, res.d) == ("parity-columns", expected)
+        exact = min_distance(code)
+        assert (exact.method, exact.d) == ("exhaustive", expected)
 
 
 def test_singleton_and_goppa_bounds_hold():

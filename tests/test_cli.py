@@ -285,6 +285,20 @@ def test_simulate_rejects_empty_rate_list(capsys):
     assert "success=" not in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--rates", "0.1,1.5", "--trials", "100"], "error rates must lie in [0, 1]"),
+    (["--rates", "0.1", "--trials", "0"], "trials must be >= 1"),
+])
+def test_simulate_rejects_bad_inputs_and_writes_nothing(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "res.csv"
+    code, out, err = run_cli(capsys, "simulate", "--family", "hermitian", "--q", "2",
+                             "--r", "3", "--out", str(out_path), *argv)
+    assert code == 1
+    assert err.strip() == f"error: {message}"
+    assert "success=" not in out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parser_built_once():
     assert cli.build_parser() is cli.build_parser()
 

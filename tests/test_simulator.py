@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from agq import benchmarks, simulator
 from agq.agcode import LinearCode, build_onepoint_code, dual, hermitian_dual
 from agq.gf import field, quadratic_tower
-from agq.linalg import right_nullspace
+from agq.linalg import _column_table, right_nullspace
 from agq.simulator import (
-    SimConfig,
     SimRun,
-    _column_table,
     _decode_batch,
     _draw_chunk,
     _trial_rng,
@@ -309,7 +307,7 @@ def test_single_errors_corrected_for_second_code(se33):
     # corruptions must decode back to the transmitted codeword
     code15 = build_onepoint_code(se33, 2)
     F = code15.field
-    table = _column_table(code15)
+    table = _column_table(F, code15.parity_check)
     from agq.agcode import iter_codeword_blocks
 
     for block in iter_codeword_blocks(code15):
@@ -370,7 +368,7 @@ def test_batch_decoder_matches_reference(seed):
     code = benchmarks.benchmark_code_8_3()
     rng = np.random.default_rng(seed)
     words = rng.integers(0, 4, size=(32, 8)).astype(np.int64)
-    decoded, statuses = _decode_batch(code, words, _column_table(code))
+    decoded, statuses = _decode_batch(code, words, _column_table(code.field, code.parity_check))
     names = {0: "success", 1: "corrected", 2: "failure"}
     for word, dec, status in zip(words, decoded, statuses):
         ref_word, ref_status = reference_decode(code, word)
@@ -397,7 +395,7 @@ def test_dual_rejects_a_redundant_parity_check():
 
 
 def assert_batch_matches_reference(code, words):
-    decoded, statuses = _decode_batch(code, words, _column_table(code))
+    decoded, statuses = _decode_batch(code, words, _column_table(code.field, code.parity_check))
     names = {0: "success", 1: "corrected", 2: "failure"}
     for word, dec, status in zip(words, decoded, statuses):
         ref_word, ref_status = reference_decode(code, word)
@@ -507,22 +505,25 @@ def test_chunk_size_must_be_positive(code):
 
 
 def test_run_simulation_orders_rates(code):
-    config = SimConfig(code=code, error_rates=(0.0, 0.05, 0.2), num_transmissions=400,
-                       master_seed=16)
-    result = run_simulation(config)
-    assert [row.rate for row in result.rows] == [0.0, 0.05, 0.2]
-    assert result.rows[0].success_rate == 1.0
+    rows = run_simulation(code, (0.0, 0.05, 0.2), 400, 16)
+    assert [row.rate for row in rows] == [0.0, 0.05, 0.2]
+    assert rows[0].success_rate == 1.0
 
 
-def test_sim_config_validation(code):
-    with pytest.raises(ValueError):
-        SimConfig(code=code, error_rates=(1.5,), num_transmissions=10, master_seed=0)
-    with pytest.raises(ValueError):
-        SimConfig(code=code, error_rates=(0.1,), num_transmissions=0, master_seed=0)
-    with pytest.raises(ValueError):
-        SimConfig(code=code, error_rates=(0.1,), num_transmissions=10, master_seed=-1)
+def test_simulation_input_validation(code):
+    for rate in (1.5, -0.5, float("nan")):
+        with pytest.raises(ValueError, match=r"error rates must lie in \[0, 1\]"):
+            simulate_transmission(code, rate, 100, master_seed=1)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        simulate_transmission(code, 0.1, 0, master_seed=1)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="64-bit unsigned integer"):
+            simulate_transmission(code, 0.1, 100, master_seed=seed)
+    # every rate of a run is checked, not just the first
+    with pytest.raises(ValueError, match=r"error rates must lie in \[0, 1\]"):
+        run_simulation(code, (0.1, 1.5), 10, 0)
     with pytest.raises(ValueError, match="at least one rate"):
-        SimConfig(code=code, error_rates=(), num_transmissions=10, master_seed=0)
+        run_simulation(code, (), 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +531,9 @@ def test_sim_config_validation(code):
 
 
 def test_csv_outputs_are_deterministic(tmp_path, code):
-    config = SimConfig(code=code, error_rates=(0.0, 0.1), num_transmissions=500, master_seed=21)
-
     def emit(tag, chunk):
-        result = run_simulation(config, chunk_size=chunk)
-        run = SimRun(code_name=code.name, n=code.n, k=code.k, d=5, result=result)
+        rows = run_simulation(code, (0.0, 0.1), 500, 21, chunk_size=chunk)
+        run = SimRun(code_name=code.name, n=code.n, k=code.k, d=5, master_seed=21, rows=rows)
         out = tmp_path / f"res_{tag}.csv"
         series = tmp_path / f"series_{tag}.csv"
         write_results_csv([run], out)
@@ -547,9 +546,8 @@ def test_csv_outputs_are_deterministic(tmp_path, code):
 
 
 def test_csv_headers_and_shape(tmp_path, code):
-    result = run_simulation(SimConfig(code=code, error_rates=(0.0,), num_transmissions=50,
-                                      master_seed=5))
-    run = SimRun(code_name="x", n=code.n, k=code.k, d=5, result=result)
+    rows = run_simulation(code, (0.0,), 50, 5)
+    run = SimRun(code_name="x", n=code.n, k=code.k, d=5, master_seed=5, rows=rows)
     out = tmp_path / "r.csv"
     series = tmp_path / "s.csv"
     write_results_csv([run], out)

@@ -27,10 +27,9 @@ def main() -> None:
 
     curve = (hermitian_curve(args.q) if args.family == "hermitian"
              else superelliptic_curve(args.q, args.m))
-    for w in curve.warnings:
-        print(f"warning: {w}")
-    print(f"{curve.label()}: genus {curve.genus}, pole orders "
-          f"({curve.pole_order_x}, {curve.pole_order_y})")
+    print(f"{curve.label()}: genus {curve.genus}, "
+          f"{curve.places_at_infinity} rational place(s) at infinity, "
+          f"weights ({curve.n}, {curve.m})")
     print(f"{'r':>3} {'n':>4} {'k':>3} {'pred':>6} {'d*':>4} {'d':>8} "
           f"{'eucl':>5} {'herm':>5}  dual-index")
     for r in range(0, args.r_max + 1):

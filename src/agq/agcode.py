@@ -1,7 +1,7 @@
 """One-point evaluation codes over GF(q^2) and their verification.
 
-Codes are built by evaluating a rank-verified monomial basis of the
-space attached to r*Pinf at a chosen set of affine points.  Everything
+Codes are built by evaluating a rank-verified basis of the monomials of
+weight <= r at a chosen set of affine points.  Everything
 the construction claims about a code (dimension, minimum distance,
 duality, self-orthogonality) is checked by explicit linear algebra at
 desk scale rather than assumed: distances are brute-forced within a
@@ -74,7 +74,12 @@ class LinearCode:
 
     @property
     def designed_distance(self) -> int | None:
-        return self.n - self.r if self.r is not None else None
+        """n - deg G, G the divisor of the code at r, a multiple of the sum
+        of the places at infinity: a nonzero f in L(G) has at most deg G
+        poles, all there, hence at most deg G zeros at the n affine points."""
+        if self.curve is None or self.r is None:
+            return None
+        return self.n - self.curve.divisor_degree(self.r)
 
     @classmethod
     def from_generator(cls, F: Field, rows, **kwargs) -> "LinearCode":
@@ -100,7 +105,7 @@ def resolve_eval_set(curve: CurveSpec, policy) -> np.ndarray:
     or an explicit (N, 2) array of distinct affine (x, y) indices of
     curve points.
 
-    The designed distance n - r holds only for distinct points on the
+    The designed distance holds only for distinct points on the
     curve, so an explicit set with an off-curve or repeated point is a
     ValueError.
     """
@@ -127,7 +132,7 @@ def resolve_eval_set(curve: CurveSpec, policy) -> np.ndarray:
 
 
 def build_onepoint_code(curve: CurveSpec, r: int, eval_set="all", name: str = "") -> LinearCode:
-    """Evaluation code of the verified basis of r*Pinf at the chosen points."""
+    """Evaluation code of the verified basis of weight <= r at the chosen points."""
     points = resolve_eval_set(curve, eval_set)
     basis = verified_basis(curve, r, points)
     return LinearCode(
@@ -437,7 +442,6 @@ class CodeReport:
     dimension_prediction_matches: bool | None
     weight_distribution: list[int] | None
     duality_claim: dict | None
-    warnings: list[str]
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.__dict__, indent=indent, sort_keys=True)
@@ -481,7 +485,6 @@ def code_report(curve: CurveSpec, r: int, eval_set="all", budget: int = DEFAULT_
         dimension_prediction_matches=bool(pred.is_integer and pred.value == code.k),
         weight_distribution=wd,
         duality_claim=claim,
-        warnings=list(curve.warnings),
     )
 
 

@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("code-report", help="build a one-point code and verify its parameters")
     _add_curve_args(p)
-    p.add_argument("--r", type=int, required=True, help="multiple of the point at infinity")
+    p.add_argument("--r", type=int, required=True, help="weight bound: x^i y^j with i*n + j*m <= r")
     p.add_argument("--eval-set", default="all", help="all | first:N | exclude-subfield")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max codewords to enumerate for distances")
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--matrix", help="explicit generator matrix file")
     src.add_argument("--preset", choices=["sweep"], help="three-code rate sweep")
     _add_curve_args(p, required=False)
-    p.add_argument("--r", type=int, help="multiple of the point at infinity")
+    p.add_argument("--r", type=int, help="weight bound: x^i y^j with i*n + j*m <= r")
     p.add_argument("--rates", default="0.0,0.05,0.1,0.2", help="comma-separated symbol error rates")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, help="master seed (fallback: AGQ_SEED, then default)")

@@ -1,19 +1,19 @@
 """Plane curve families over GF(q^2): point enumeration, genus, maximality.
 
-Two families are supported, both with a single designated point at
-infinity carrying the pole orders used by the code construction:
+Two families are supported:
 
-* superelliptic: y^n = x^m + x with n = (q+1)/2; x and y have pole
-  orders n and m at infinity.
-* hermitian: y^q + y = x^(q+1); pole orders q and q+1.
+* superelliptic: y^n = x^m + x with n = (q+1)/2;
+* hermitian: y^q + y = x^(q+1), so n = q and m = q+1.
 
-The curve is modeled as its affine plane locus plus one abstract point
-at infinity; resolution of singularities is out of scope, so for
-parameter choices where the smooth model has several points above
-x = infinity the reported point count refers to this plane model.
+x^i y^j has weight i*n + j*m.  Above x = infinity lie e places, e =
+gcd(n, m) for the superelliptic family and 1 for the Hermitian one, and
+x^i y^j has pole order (i*n + j*m)/e at each.  So the functions of
+weight <= r form L(floor(r/e)*D), D the sum of the places at infinity:
+the code at r comes from a divisor of degree e*floor(r/e).  The genus
+and e are derived from (q, n, m); building a curve counts nothing.
 
 A set of points is an (N, 2) int64 array of affine (x, y) field indices;
-the point at infinity P∞ is implicit and never stored.
+the places at infinity are never stored.
 """
 
 from __future__ import annotations
@@ -33,58 +33,55 @@ class Family(str, Enum):
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """A curve family instance over GF(q^2) with its pole orders at infinity.
-
-    `warnings` collects violated side conditions (gcd constraints,
-    coverage of the maximality criterion) that do not prevent building
-    the curve but void the guarantees attached to them.
-    """
+    """A curve family instance over GF(q^2): its weights, genus and number
+    of places at infinity, all of them rational."""
 
     family: Family
     q: int
     n: int
     m: int
-    pole_order_x: int
-    pole_order_y: int
     genus: int
+    places_at_infinity: int
     tower: QuadraticTower = dc_field(repr=False, compare=False, hash=False, default=None)
-    warnings: tuple[str, ...] = ()
 
     def label(self) -> str:
         return f"{self.family.value}-q{self.q}-m{self.m}"
 
+    def divisor_degree(self, r: int) -> int:
+        """Degree of the divisor whose space holds the functions of weight <= r."""
+        e = self.places_at_infinity
+        return e * (r // e)
+
 
 def superelliptic_curve(q: int, m: int) -> CurveSpec:
-    """y^n = x^m + x over GF(q^2) with n = (q+1)/2."""
+    """y^n = x^m + x over GF(q^2) with n = (q+1)/2.
+
+    A Kummer cover of the x-line of degree n, tame as n | q+1 (Stichtenoth,
+    Prop. 3.7.3).  With m - 1 = t*p^v, p not dividing t, x^m + x =
+    x*(x^t + 1)^(p^v) has t + 1 roots, of multiplicities prime to n, so
+    each ramifies fully; over x = infinity lie e = gcd(n, m) places of
+    index n/e.  Riemann-Hurwitz: 2g - 2 = -2n + (t+1)(n-1) + n - e.  Those
+    places are rational: w = y^(n/e) / x^(m/e) has w^e = 1 + x^(1-m), so
+    it tells them apart by its value, an e-th root of unity, and e | q^2-1.
+    """
     if q % 2 == 0:
         raise FieldError(f"superelliptic family needs odd q so that (q+1)/2 is an integer; got q={q}")
     tower = quadratic_tower(q)
     n = (q + 1) // 2
     if m < 2 or n < 2:
         raise FieldError(f"exponents must be >= 2; got n={n}, m={m}")
-    if (m - 1) * (n - 1) % 2 != 0:
-        raise FieldError(
-            f"(m-1)(n-1) = {(m - 1) * (n - 1)} is odd, genus (m-1)(n-1)/2 is not an integer"
-        )
-    warnings = []
-    if gcd(n, m) != 1:
-        warnings.append(f"gcd(n, m) = gcd({n}, {m}) != 1")
-    if gcd(q, n) != 1:
-        warnings.append(f"gcd(q, n) = gcd({q}, {n}) != 1")
-    if gcd(q, m - 1) != 1:
-        warnings.append(f"gcd(q, m-1) = gcd({q}, {m - 1}) != 1")
-    if not _maximality_criterion_covers(tower.p, tower.s, m):
-        warnings.append(f"m={m} outside the proven-maximal cases (m in {{2, 3}} or m = p^b with b | s)")
+    e = gcd(n, m)
+    t = m - 1
+    while t % tower.p == 0:
+        t //= tower.p
     return CurveSpec(
         family=Family.SUPERELLIPTIC,
         q=q,
         n=n,
         m=m,
-        pole_order_x=n,
-        pole_order_y=m,
-        genus=(m - 1) * (n - 1) // 2,
+        genus=((n - 1) * t + 1 - e) // 2,
+        places_at_infinity=e,
         tower=tower,
-        warnings=tuple(warnings),
     )
 
 
@@ -96,22 +93,10 @@ def hermitian_curve(q: int) -> CurveSpec:
         q=q,
         n=q,
         m=q + 1,
-        pole_order_x=q,
-        pole_order_y=q + 1,
         genus=q * (q - 1) // 2,
+        places_at_infinity=1,
         tower=tower,
     )
-
-
-def _maximality_criterion_covers(p: int, s: int, m: int) -> bool:
-    if m in (2, 3):
-        return True
-    mm = m
-    b = 0
-    while mm % p == 0:
-        mm //= p
-        b += 1
-    return mm == 1 and b >= 1 and s % b == 0
 
 
 def _lhs_rhs_tables(curve: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -165,18 +150,16 @@ class MaximalityReport:
     expected: int
     is_maximal: bool
     genus: int
-    warnings: tuple[str, ...]
 
 
 def maximality_check(curve: CurveSpec) -> MaximalityReport:
-    """Compare the exhaustive point count, affine points plus P∞, against
-    q^2 + 1 + 2gq."""
-    count = len(enumerate_points(curve)) + 1
+    """Compare the rational point count, the exhaustive affine count plus
+    the places at infinity, against q^2 + 1 + 2gq."""
+    count = len(enumerate_points(curve)) + curve.places_at_infinity
     expected = curve.q**2 + 1 + 2 * curve.genus * curve.q
     return MaximalityReport(
         count_points=count,
         expected=expected,
         is_maximal=count == expected,
         genus=curve.genus,
-        warnings=curve.warnings,
     )

@@ -1,7 +1,7 @@
-"""Monomial spaces attached to multiples of the point at infinity.
+"""Monomial spaces attached to multiples of the places at infinity.
 
-`candidate_monomials` lists the pairs (i, j) with
-i*pole(x) + j*pole(y) <= r and 0 <= j <= q-1.  That j-range is known to
+`candidate_monomials` lists the pairs (i, j) with weight
+i*n + j*m <= r and 0 <= j <= q-1.  That j-range is known to
 overcount for the superelliptic family (y already satisfies a relation
 of degree n = (q+1)/2 over GF(q^2)(x)), so candidates are never used as
 a basis directly: `verified_basis` rank-filters their evaluation
@@ -31,7 +31,8 @@ from .linalg import pivot_columns, rank as matrix_rank  # noqa: F401 (matrix_ran
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Exponent pairs (i, j) for x^i y^j, with pole orders i*px + j*py.
+    """Exponent pairs (i, j) for x^i y^j, with weights i*n + j*m
+    (`pole_orders`: e times the pole order at each place at infinity).
 
     A verified basis also carries `rows`, the evaluation vectors of its
     monomials at the points it was verified on.
@@ -49,17 +50,17 @@ class MonomialBasis:
 
 
 def candidate_monomials(curve: CurveSpec, r: int) -> MonomialBasis:
-    """All (i, j) with i*px + j*py <= r, i >= 0, 0 <= j <= q-1, sorted by
-    (pole order, i, j).  Negative r yields the empty basis."""
-    px, py = curve.pole_order_x, curve.pole_order_y
+    """All (i, j) with i*n + j*m <= r, i >= 0, 0 <= j <= q-1, sorted by
+    (weight, i, j).  Negative r yields the empty basis."""
+    n, m = curve.n, curve.m
     found = []
     if r >= 0:
         for j in range(0, curve.q):
-            rem = r - j * py
+            rem = r - j * m
             if rem < 0:
                 break
-            for i in range(rem // px + 1):
-                found.append((i * px + j * py, i, j))
+            for i in range(rem // n + 1):
+                found.append((i * n + j * m, i, j))
     found.sort()
     return MonomialBasis(
         r=r,
@@ -71,15 +72,15 @@ def candidate_monomials(curve: CurveSpec, r: int) -> MonomialBasis:
 
 def candidate_count(curve: CurveSpec, r) -> int:
     """Size of the candidate set, counted arithmetically (no list built)."""
-    px, py = curve.pole_order_x, curve.pole_order_y
+    n, m = curve.n, curve.m
     if r < 0:
         return 0
     total = 0
     for j in range(0, curve.q):
-        rem = r - j * py
+        rem = r - j * m
         if rem < 0:
             break
-        total += int(rem // px) + 1
+        total += int(rem // n) + 1
     return total
 
 
@@ -191,8 +192,10 @@ def dimension_report(curve: CurveSpec, r_max: int,
     which is also the size of `verified_basis(curve, r, points)`; `rank`
     and `verified_count` are two readings of that one elimination.
 
-    `riemann_roch` holds deg + 1 - g when 2g - 2 < r and the code is not
-    saturated (deg + 1 - g < #points), else None.
+    `riemann_roch` holds l(G) = deg G + 1 - g for the divisor G of r
+    where 2g - 2 < deg G < #points, else None.  There evaluation is
+    injective on L(G), so for separable x^m + x, whose smooth affine
+    model makes the candidates span L(G), the value is the rank.
     """
     if points is None:
         points = enumerate_points(curve)
@@ -206,7 +209,8 @@ def dimension_report(curve: CurveSpec, r_max: int,
         count = bisect_right(cand.pole_orders, r)
         rk = bisect_left(pivots, count)
         pred = dimension_by_cases(curve, r)
-        rr = r + 1 - g if (r > 2 * g - 2 and r + 1 - g < npts) else None
+        deg = curve.divisor_degree(r)
+        rr = deg + 1 - g if 2 * g - 2 < deg < npts else None
         rows.append(
             DimensionRow(
                 r=r,

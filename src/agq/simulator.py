@@ -272,6 +272,19 @@ def _decode_batch(code: LinearCode, received: np.ndarray, table):
     return decoded, statuses
 
 
+def _check_inputs(rates: Sequence[float], trials: int, master_seed: int, chunk_size: int) -> None:
+    if not rates:
+        raise ValueError("error_rates must name at least one rate")
+    if not all(0.0 <= rate <= 1.0 for rate in rates):  # NaN fails this too
+        raise ValueError("error rates must lie in [0, 1]")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not 0 <= master_seed < 1 << 64:
+        raise ValueError("master_seed must be a 64-bit unsigned integer")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+
+
 def simulate_transmission(code: LinearCode, rate: float, trials: int, master_seed: int,
                           rate_index: int = 0, chunk_size: int = 2048) -> RateResult:
     """Run `trials` independent transmissions at one error rate.
@@ -280,14 +293,7 @@ def simulate_transmission(code: LinearCode, rate: float, trials: int, master_see
     keyed stream, so the result does not depend on `chunk_size`; each
     chunk's streams are computed at once by `_draw_chunk`.
     """
-    if not 0.0 <= rate <= 1.0:  # NaN fails this too
-        raise ValueError("error rates must lie in [0, 1]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= master_seed < 1 << 64:
-        raise ValueError("master_seed must be a 64-bit unsigned integer")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+    _check_inputs((rate,), trials, master_seed, chunk_size)
     F = code.field
     n, k, q = code.n, code.k, F.order
     successes = uncorrectable = miscorrected = 0
@@ -319,9 +325,8 @@ def simulate_transmission(code: LinearCode, rate: float, trials: int, master_see
 def run_simulation(code: LinearCode, rates: Sequence[float], trials: int, master_seed: int,
                    chunk_size: int = 2048) -> tuple[RateResult, ...]:
     """`simulate_transmission` at each rate in order, rate i reading the
-    streams of rate index i."""
-    if not rates:
-        raise ValueError("error_rates must name at least one rate")
+    streams of rate index i; every input is checked before the first draw."""
+    _check_inputs(rates, trials, master_seed, chunk_size)
     return tuple(
         simulate_transmission(code, rate, trials, master_seed, rate_index=i, chunk_size=chunk_size)
         for i, rate in enumerate(rates)

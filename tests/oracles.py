@@ -169,6 +169,30 @@ def naive_row_space_equal(nf: NaiveField, A, B) -> bool:
     return naive_row_basis(nf, A) == naive_row_basis(nf, B)
 
 
+def naive_prefix_ranks(nf: NaiveField, rows) -> list[int]:
+    """ranks[i] = rank of rows[:i+1].  Each row is reduced against the
+    rows kept so far, each 1 at its own pivot column and 0 at the earlier
+    pivot columns, and is kept, scaled to 1 at its first nonzero entry,
+    if anything is left.  Uses full product and difference tables."""
+    order = nf.order
+    mul = [[nf.mul(a, b) for b in range(order)] for a in range(order)]
+    sub = [[nf.sub(a, b) for b in range(order)] for a in range(order)]
+    kept = []
+    ranks = []
+    for row in rows:
+        row = [int(v) for v in row]
+        for col, pivot_row in kept:
+            if row[col]:
+                scaled = mul[row[col]]
+                row = [sub[v][scaled[w]] for v, w in zip(row, pivot_row)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is not None:
+            scale = mul[nf.inv(row[lead])]
+            kept.append((lead, [scale[v] for v in row]))
+        ranks.append(len(kept))
+    return ranks
+
+
 def naive_matmul(nf: NaiveField, A, B):
     """Schoolbook product of (m, k) and (k, n) index matrices, as row lists."""
     (m, k), n = A.shape, B.shape[1]
@@ -273,6 +297,28 @@ def apply_random_errors(order: int, codeword, rate: float, rng):
         others = [c for c in range(order) if c != sent]
         received.append(others[o] if hit else sent)
     return received, sum(hits)
+
+
+def projective_points(nf: NaiveField, form):
+    """The rational points of the plane curve form(X, Y, Z) = 0, one
+    representative each: (x, y, 1) in lexicographic order, then (x, 1, 0),
+    then (1, 0, 0).  `form` is a homogeneous polynomial on field indices."""
+    reps = [(x, y, 1) for x in range(nf.order) for y in range(nf.order)]
+    reps += [(x, 1, 0) for x in range(nf.order)] + [(1, 0, 0)]
+    return [pt for pt in reps if form(*pt) == 0]
+
+
+def superelliptic_form(nf: NaiveField, n: int, m: int):
+    """y^n = x^m + x made homogeneous of degree d = max(n, m):
+    Y^n Z^(d-n) - X^m Z^(d-m) - X Z^(d-1)."""
+    d = max(n, m)
+
+    def form(X, Y, Z):
+        lhs = nf.mul(nf.pow(Y, n), nf.pow(Z, d - n))
+        rhs = nf.add(nf.mul(nf.pow(X, m), nf.pow(Z, d - m)), nf.mul(X, nf.pow(Z, d - 1)))
+        return nf.sub(lhs, rhs)
+
+    return form
 
 
 @dataclass(frozen=True)

@@ -419,6 +419,20 @@ def test_parity_column_analysis_detects_small_distance():
         assert (exact.method, exact.d) == ("exhaustive", expected)
 
 
+def test_designed_distance_counts_the_places_at_infinity():
+    # y^3 = x^3 + x over GF(25) has 3 places at infinity: the code at r
+    # comes from a divisor of degree 3*floor(r/3), so d >= 33 - 3*floor(r/3),
+    # and the exhaustive distances meet that bound; 33 - r would be 1-2 low
+    curve = superelliptic_curve(5, 3)
+    found = []
+    for r in range(6):
+        code = build_onepoint_code(curve, r)
+        res = min_distance(code)
+        assert res.method == "exhaustive"
+        found.append((res.d, code.designed_distance))
+    assert found == [(33, 33), (33, 33), (33, 33), (30, 30), (30, 30), (30, 30)]
+
+
 def test_singleton_and_goppa_bounds_hold():
     for curve, r_values in ((superelliptic_curve(3, 3), range(1, 7)),
                             (hermitian_curve(2), range(2, 6))):

@@ -12,7 +12,7 @@ from agq.curve import (
     superelliptic_curve,
 )
 from agq.gf import FieldError
-from oracles import NaiveField
+from oracles import NaiveField, TabledField, projective_points, superelliptic_form
 
 
 def naive_affine_points(curve):
@@ -39,37 +39,19 @@ def naive_affine_points(curve):
 
 def test_superelliptic_parameters(se33):
     assert (se33.q, se33.n, se33.m) == (3, 2, 3)
-    assert (se33.pole_order_x, se33.pole_order_y) == (2, 3)
     assert se33.genus == 1
-    assert se33.warnings == ()
+    assert se33.places_at_infinity == 1
 
 
 def test_hermitian_parameters(herm2):
     assert (herm2.q, herm2.n, herm2.m) == (2, 2, 3)
-    assert (herm2.pole_order_x, herm2.pole_order_y) == (2, 3)
     assert herm2.genus == 1
+    assert herm2.places_at_infinity == 1
 
 
 def test_even_q_rejected_for_superelliptic():
     with pytest.raises(FieldError):
         superelliptic_curve(4, 3)
-
-
-def test_odd_genus_product_rejected():
-    # q=3 gives n=2; m=2 makes (m-1)(n-1) = 1 odd
-    with pytest.raises(FieldError):
-        superelliptic_curve(3, 2)
-
-
-def test_gcd_violations_become_warnings():
-    curve = superelliptic_curve(5, 3)  # n = 3, gcd(n, m) = 3
-    assert any("gcd(n, m)" in w for w in curve.warnings)
-
-
-def test_unproven_m_flagged():
-    curve = superelliptic_curve(5, 9)  # m = 9 = p^2 but s = 1
-    assert any("proven-maximal" in w for w in curve.warnings)
-    assert superelliptic_curve(5, 5).warnings == ()  # m = p^1, b | s
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +93,7 @@ def test_enumerated_points_satisfy_equation(make):
 
 
 def test_point_counts(se33, herm2):
-    # affine points only: the point at infinity is implicit
+    # affine points only: the places at infinity are not stored
     assert len(enumerate_points(herm2)) == 8
     assert len(enumerate_points(se33)) == 15
 
@@ -175,10 +157,45 @@ def test_maximality_reports(make, count, maximal):
 
 
 def test_maximality_flags_rather_than_aborts():
-    # gcd(n, m) = 3 here; the plane model has 33 affine points + P∞, far
-    # from the would-be bound computed with the printed genus formula.
+    # gcd(n, m) = 3 here: 33 affine points and 3 rational places at
+    # infinity make 36 = 25 + 1 + 2*1*5, maximal with genus 1
     rep = maximality_check(superelliptic_curve(5, 3))
-    assert rep.count_points == 34
-    assert rep.expected == 46
-    assert not rep.is_maximal
-    assert rep.warnings
+    assert rep.count_points == 36
+    assert rep.expected == 36
+    assert rep.is_maximal
+    assert rep.genus == 1
+
+
+def naive_curve_points(q, m):
+    """The rational points of the plane model of superelliptic_curve(q, m),
+    found by the projective oracle."""
+    F = superelliptic_curve(q, m).tower.ext
+    nf = TabledField(F.p, F.e, F.modulus)
+    return projective_points(nf, superelliptic_form(nf, (q + 1) // 2, m))
+
+
+@pytest.mark.parametrize("q, count, maximal", [(3, 10, True), (5, 36, True), (7, 20, False)])
+def test_smooth_plane_models_count_every_place(q, count, maximal):
+    # m = n: Y^n = X^n + X Z^(n-1) is smooth, as p divides neither n nor
+    # n - 1, so its projective points are its rational places, n of them at
+    # infinity, and its genus is the plane (n-1)(n-2)/2
+    n = (q + 1) // 2
+    curve = superelliptic_curve(q, n)
+    pts = naive_curve_points(q, n)
+    assert len(pts) == count
+    assert curve.genus == (n - 1) * (n - 2) // 2
+    assert curve.places_at_infinity == sum(z == 0 for _, _, z in pts) == n
+    rep = maximality_check(curve)
+    assert (rep.count_points, rep.is_maximal) == (count, maximal)
+    assert maximal == (count == q * q + 1 + 2 * curve.genus * q)
+
+
+@pytest.mark.parametrize("q, m", [(3, 4), (3, 7), (5, 6), (7, 8)])
+def test_inseparable_curves_meet_the_maximal_count(q, m):
+    # p | m - 1, so x^m + x = x (x^t + 1)^(p^v) is not separable
+    curve = superelliptic_curve(q, m)
+    pts = naive_curve_points(q, m)
+    affine = [(x, y) for x, y, z in pts if z == 1]
+    assert enumerate_points(curve).tolist() == [list(pt) for pt in affine]
+    assert len(affine) + curve.places_at_infinity == q * q + 1 + 2 * curve.genus * q
+    assert maximality_check(curve).is_maximal

@@ -14,7 +14,8 @@ from agq.rrspace import (
     evaluation_matrix,
     verified_basis,
 )
-from oracles import NaiveField, TabledField, naive_rank, semigroup
+from oracles import (NaiveField, TabledField, naive_prefix_ranks, naive_rank, projective_points,
+                     semigroup, superelliptic_form)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +44,7 @@ def naive_count(curve, r):
     total = 0
     for j in range(curve.q):
         for i in range(0, max(0, r) + 1):
-            if i * curve.pole_order_x + j * curve.pole_order_y <= r:
+            if i * curve.n + j * curve.m <= r:
                 total += 1
     return total
 
@@ -190,7 +191,7 @@ def test_semigroup_gap_count_equals_genus():
     for make in (lambda: superelliptic_curve(3, 3), lambda: hermitian_curve(2),
                  lambda: hermitian_curve(3), lambda: superelliptic_curve(5, 5)):
         curve = make()
-        table = semigroup(curve.pole_order_x, curve.pole_order_y, 4 * curve.genus + 4)
+        table = semigroup(curve.n, curve.m, 4 * curve.genus + 4)
         assert len(table.gaps) == curve.genus
 
 
@@ -214,7 +215,7 @@ def test_semigroup_gcd_error():
         semigroup(3, 3, 10)
     with pytest.raises(ValueError):
         curve = superelliptic_curve(5, 3)
-        semigroup(curve.pole_order_x, curve.pole_order_y, 10)  # pole orders (3, 3)
+        semigroup(curve.n, curve.m, 10)  # weights (3, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +247,7 @@ def naive_candidate_rank(curve, nf, r, points):
     rows = []
     for j in range(curve.q):
         for i in range(max(0, r) + 1):
-            if i * curve.pole_order_x + j * curve.pole_order_y <= r:
+            if i * curve.n + j * curve.m <= r:
                 rows.append([nf.mul(nf.pow(x, i), nf.pow(y, j)) for x, y in points.tolist()])
     return naive_rank(nf, rows)
 
@@ -255,7 +256,7 @@ def naive_candidate_rank(curve, nf, r, points):
     (lambda: superelliptic_curve(3, 3), 30, None),
     (lambda: hermitian_curve(3), 40, None),
     (lambda: superelliptic_curve(5, 2), 40, None),
-    (lambda: superelliptic_curve(5, 3), 40, None),  # pole orders (3, 3): gcd warning
+    (lambda: superelliptic_curve(5, 3), 40, None),  # weights (3, 3): 3 places at infinity
     (lambda: superelliptic_curve(3, 3), 30, 7),     # 7 points saturate at r = 7
 ], ids=["se-q3-m3", "herm-q3", "se-q5-m2", "se-q5-m3", "se-q3-m3-7pts"])
 def test_dimension_report_matches_per_r_and_naive_ranks(make, r_max, first):
@@ -270,7 +271,38 @@ def test_dimension_report_matches_per_r_and_naive_ranks(make, r_max, first):
         assert row.candidates == len(candidate_monomials(curve, row.r))
         assert row.rank == row.verified_count == kept
         assert row.rank == naive_candidate_rank(curve, nf, row.r, points)
+        # Hermitian q=3, r = 27 and 28: deg + 1 - g is 25 and 26, the rank
+        # 24 and 25, since deg G is not below the 27 points; so None there
+        assert row.riemann_roch is None or row.riemann_roch == row.rank
     assert rows[-1].rank == len(points)
+
+
+@pytest.mark.parametrize("q, m", [(q, m) for q in (3, 5, 7) for m in range(2, 9) if (m - 1) % q])
+def test_genus_certified_by_naive_ranks(q, m):
+    # p = q does not divide m - 1, so x^m + x is separable, the affine
+    # model is smooth and the candidates span L(G), G the divisor of r.
+    # Wherever 2g - 2 < deg G < #points their naive rank is deg G + 1 - g.
+    curve = superelliptic_curve(q, m)
+    F = curve.tower.ext
+    nf = TabledField(F.p, F.e, F.modulus)
+    points = [(x, y) for x, y, z in projective_points(nf, superelliptic_form(nf, curve.n, m)) if z == 1]
+    g, npts = curve.genus, len(points)
+    r_max = npts + curve.places_at_infinity
+    weighted = sorted((i * curve.n + j * m, i, j) for j in range(q) for i in range(r_max // curve.n + 1)
+                      if i * curve.n + j * m <= r_max)
+    ranks = naive_prefix_ranks(nf, [[nf.mul(nf.pow(x, i), nf.pow(y, j)) for x, y in points]
+                                    for _, i, j in weighted])
+    shown = 0
+    for row in dimension_report(curve, r_max):
+        count = sum(w <= row.r for w, _, _ in weighted)
+        assert row.rank == ranks[count - 1]
+        deg = curve.divisor_degree(row.r)
+        if 2 * g - 2 < deg < npts:
+            assert row.rank == row.riemann_roch == deg + 1 - g
+            shown += 1
+        else:
+            assert row.riemann_roch is None
+    assert shown
 
 
 @pytest.mark.parametrize("make, r", [

@@ -526,6 +526,21 @@ def test_simulation_input_validation(code):
         run_simulation(code, (), 10, 0)
 
 
+@pytest.mark.parametrize("rates, trials, seed, match", [
+    ((0.1, 1.5), 200_000, 0, r"error rates must lie in \[0, 1\]"),
+    ((0.0, 0.1, float("nan")), 10, 0, r"error rates must lie in \[0, 1\]"),
+    ((0.1, 0.2), 0, 0, "trials must be >= 1"),
+    ((0.1, 0.2), 10, 2**64, "64-bit unsigned integer"),
+])
+def test_run_simulation_checks_every_rate_before_drawing(code, monkeypatch, rates, trials, seed, match):
+    def forbidden(*args):
+        raise AssertionError("a stream was drawn before the inputs were checked")
+
+    monkeypatch.setattr(simulator, "_draw_chunk", forbidden)
+    with pytest.raises(ValueError, match=match):
+        run_simulation(code, rates, trials, seed)
+
+
 # ---------------------------------------------------------------------------
 # CSV emission
 

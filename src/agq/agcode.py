@@ -26,6 +26,10 @@ from .linalg import _column_table, matmul, rank, right_nullspace
 from .rrspace import dimension_by_cases, verified_basis
 
 DEFAULT_BUDGET = 1 << 20
+# Most digit outputs, q^k * n * e, for which `iter_codeword_blocks` makes
+# all words in one `matmul`; past it the coset path is faster (measured
+# break-even, see its docstring).
+SINGLE_PRODUCT_DIGITS = 1 << 13
 
 
 class BudgetExceededError(Exception):
@@ -190,29 +194,40 @@ def iter_codeword_blocks(code: LinearCode, block: int = 4096, skip_zero: bool = 
 
     Message m = sum_i m_i q^i encodes to sum_i m_i G[i]; words come in
     order of m, in nonempty blocks of at most `block` rows, and
-    `skip_zero` leaves out m = 0.  When q^k <= block the words are one
-    `matmul` of all messages.  Otherwise the code is the union of the
-    cosets h + C_low, where C_low is spanned by the first j rows of G,
-    j the largest with q^(j+1) <= block (0 if q > block).  The low table
+    `skip_zero` leaves out m = 0.  When q^k <= block and either k <= 1
+    or the q^k * n * e digits of all words are at most
+    SINGLE_PRODUCT_DIGITS, the words are one `matmul` of all messages.
+    Otherwise the code is the union of the cosets h + C_low, where C_low
+    is spanned by the first j rows of G, j the largest with
+    q^(j+1) <= block (0 if q > block) and at most k - 1.  The low table
     L of all q^j words of C_low is one `matmul`; then each chunk of
     c = block // q^j high messages gives its c offsets H by a `matmul`
     with G[j:], and its block is H[t] + L[s] for all (t, s), one field
     addition per symbol.  Row (t, s) is message (lo + t) q^j + s, so the
-    order is the canonical one.  Memory: L holds at most block/q rows,
-    and each step allocates only its c offsets and one block with the
-    temporaries of its `vadd`; no q^k-row array exists.
+    order is the canonical one, and a code of at most `block` words is
+    still one block.  Memory: L holds at most block/q rows, and each
+    step allocates only its c offsets and one block with the temporaries
+    of its `vadd`; no q^k-row array exists.
+
+    The boundary is a cost, not a size: `matmul` reduces and recombines
+    e float digits per output symbol, where a coset block adds once per
+    symbol, so past a few thousand digits the two small products and
+    the additions win even for one block.  Measured for one drained
+    enumeration with weights, single product against cosets: GF(4)
+    n=64 k=3 (8192 digits) 107 vs 119 us, GF(9) n=8 k=3 (11664) 205 vs
+    173 us, GF(16) n=64 k=3 6.4 vs 1.15 ms.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     F, G, q, k = code.field, code.generator, code.field.order, code.k
     start = 1 if skip_zero else 0
     total = q**k
-    if total <= block:
+    if total <= block and (k <= 1 or total * code.n * F.e <= SINGLE_PRODUCT_DIGITS):
         if start < total:
             yield matmul(F, _message_block(q, k, start, total), G)
         return
     j = 0
-    while q ** (j + 2) <= block:
+    while q ** (j + 2) <= block and j < k - 1:
         j += 1
     low = matmul(F, _message_block(q, j, 0, q**j), G[:j])
     chunk, highs = block // q**j, total // q**j

@@ -85,10 +85,10 @@ def _eliminate(F: Field, A, full: bool):
     column entry is f is cleared by adding f * s.  The pivot row's own
     factor is -2, the GF(p) element p - 2: it becomes s - 2s = -s = row/a,
     which leads with 1.  In characteristic 2 that factor is 0 and s is
-    already row/a.  Rows whose factor is 0 add zeros: the update selects no
-    rows and scatters nothing.  Rows at or below the pivot row are zero
-    left of the pivot column, so the columns from the pivot column on are
-    all that change.
+    already row/a.  The update still covers every row of the slice: a row
+    whose factor is 0 gets zero products added, which leaves it as it
+    was.  Rows at or below the pivot row are zero left of the pivot
+    column, so the columns from the pivot column on are all that change.
 
     With `full`, lo = 0 and every other row is cleared, which gives the
     reduced row echelon form.  Otherwise lo is the pivot row and only the

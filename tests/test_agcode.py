@@ -308,6 +308,62 @@ def test_codeword_blocks_reject_nonpositive_block(code_8_3):
             list(iter_codeword_blocks(code_8_3, block))
 
 
+@pytest.mark.parametrize("pe, k, n", [((2, 2), 1, 5), ((2, 2), 3, 6), ((3, 2), 2, 4), ((2, 3), 2, 7), ((5, 1), 3, 4)])
+def test_single_product_and_cosets_yield_the_same_blocks(pe, k, n):
+    # SINGLE_PRODUCT_DIGITS at 0 sends every code with k >= 2 down the coset
+    # path, and at a huge value every code of at most `block` words down the
+    # single product; both must give the naive words in the same blocks
+    F = field(*pe)
+    q = F.order
+    G = np.random.default_rng(q * 100 + k * 10 + n).integers(0, q, (k, n))
+    code = LinearCode(field=F, generator=G)
+    expected = np.array(list(naive_codewords(NaiveField(F.p, F.e, F.modulus), G[::-1].tolist())))
+    for block in (q - 1, q, q**k - 1, q**k, 4096):
+        for skip_zero in (False, True):
+            runs = []
+            for limit in (0, 1 << 60):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(agcode, "SINGLE_PRODUCT_DIGITS", limit)
+                    runs.append(list(iter_codeword_blocks(code, block, skip_zero)))
+            cosets, single = runs
+            assert [len(words) for words in cosets] == [len(words) for words in single]
+            assert all(np.array_equal(a, b) for a, b in zip(cosets, single))
+            assert np.array_equal(np.concatenate(single), expected[int(skip_zero):])
+            if q**k <= block:
+                assert len(single) == 1
+
+
+def _matmul_rows(monkeypatch):
+    """Wrap agcode.matmul; returns the list of the A shapes it is called with."""
+    shapes = []
+
+    def counted(F, A, B):
+        shapes.append(np.shape(A))
+        return matmul(F, A, B)
+
+    monkeypatch.setattr(agcode, "matmul", counted)
+    return shapes
+
+
+def test_small_code_enumerates_in_one_product(monkeypatch, code_8_3):
+    # [8, 3] over GF(4): 64 * 8 * 2 = 1024 digits, under the single-product bound
+    shapes = _matmul_rows(monkeypatch)
+    weight_distribution(code_8_3)
+    min_distance(code_8_3)
+    assert shapes == [(64, 3), (63, 3)]
+
+
+def test_coset_path_shrinks_the_products_of_a_one_block_code(monkeypatch):
+    # Hermitian q=4 r=5, [64, 3] over GF(16): 4096 words, one block either way,
+    # but the cosets need 256 low and 16 high messages against 4096
+    code = build_onepoint_code(hermitian_curve(4), 5)
+    assert (code.n, code.k, code.field.order) == (64, 3, 16)
+    shapes = _matmul_rows(monkeypatch)
+    blocks = list(iter_codeword_blocks(code))
+    assert len(blocks) == 1 and len(blocks[0]) == 4096
+    assert sum(rows for rows, _ in shapes) <= 256 + 16
+
+
 def _assert_macwilliams(code, block):
     """dual(code)'s weights equal the MacWilliams transform of code's, both
     enumerated in blocks of `block` rows."""
@@ -354,16 +410,20 @@ def test_weight_distribution_memory_is_bounded():
 
 def test_enumeration_holds_one_block_at_a_time():
     # one 4096 x 512 int64 block is 16 MiB; holding the previous block
-    # while the next is built would take the peak past 32 MiB
-    code = build_onepoint_code(hermitian_curve(8), 9)
-    for run in (weight_distribution, min_distance):
-        tracemalloc.start()
-        try:
-            run(code)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 24 << 20, run.__name__
+    # while the next is built would take the peak past 32 MiB.  r = 9 gives
+    # [512, 3] over GF(64), 64 blocks; r = 8 gives [512, 2], whose 4096
+    # words are exactly one block, made from cosets
+    for r, k in ((9, 3), (8, 2)):
+        code = build_onepoint_code(hermitian_curve(8), r)
+        assert (code.n, code.k) == (512, k)
+        for run in (weight_distribution, min_distance):
+            tracemalloc.start()
+            try:
+                run(code)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 << 20, (r, run.__name__)
 
 
 # ---------------------------------------------------------------------------

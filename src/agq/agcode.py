@@ -18,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 import numpy as np
 
 from .curve import CurveSpec, _lhs_rhs_tables, check_points, enumerate_points
@@ -44,7 +45,7 @@ class LinearCode:
     space is C.  It is computed from the generator when not supplied; a
     supplied one must meet that contract, which `dual` and
     `hermitian_dual` rely on.  `tower` is present when the field is a
-    quadratic extension GF(q^2) with its designated GF(q), enabling
+    quadratic extension GF(q^2), whose conjugation a -> a^q enables
     Hermitian operations.  `points` (an (N, 2) index array) and `r`
     record provenance for codes built from a curve.
     """
@@ -56,7 +57,6 @@ class LinearCode:
     points: np.ndarray | None = None
     curve: CurveSpec | None = None
     r: int | None = None
-    source: str = "explicit"
     name: str = ""
 
     def __post_init__(self):
@@ -131,7 +131,8 @@ def resolve_eval_set(curve: CurveSpec, policy) -> np.ndarray:
             raise ValueError(f"cannot select {count} of {len(pts)} affine points")
         return pts[:count]
     if policy == "exclude-subfield":
-        return pts[~np.isin(pts, curve.tower.embed_table).all(axis=1)]
+        # GF(q) is the Frobenius-fixed set; keep a point unless both coordinates lie in it
+        return pts[(curve.tower.frob_table[pts] != pts).any(axis=1)]
     raise ValueError(f"unknown evaluation-set policy {policy!r}")
 
 
@@ -146,12 +147,11 @@ def build_onepoint_code(curve: CurveSpec, r: int, eval_set="all", name: str = ""
         points=points,
         curve=curve,
         r=r,
-        source=f"onepoint:{curve.label()}:r={r}",
         name=name or f"{curve.label()}-r{r}",
     )
 
 
-def _traded(code: LinearCode, generator, parity_check, kind: str, prefix: str) -> LinearCode:
+def _traded(code: LinearCode, generator, parity_check, prefix: str) -> LinearCode:
     """A dual of `code`, given its generator and parity check: `code`'s
     parity check and generator, or their conjugates, as fresh arrays.
     The parity check becomes a generator, so it must hold n - k rows."""
@@ -167,14 +167,13 @@ def _traded(code: LinearCode, generator, parity_check, kind: str, prefix: str) -
         tower=code.tower,
         points=code.points,
         curve=code.curve,
-        source=f"{kind}({code.source})",
         name=f"{prefix}-{code.name}",
     )
 
 
 def dual(code: LinearCode) -> LinearCode:
     """Euclidean dual C^perp: the code with generator and parity check traded."""
-    return _traded(code, code.parity_check.copy(), code.generator.copy(), "dual", "dual")
+    return _traded(code, code.parity_check.copy(), code.generator.copy(), "dual")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +321,7 @@ def hermitian_inner(tower: QuadraticTower, a, b) -> int:
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return int(tower.ext.vsum(tower.ext.vmul(a, tower.vfrobenius(b))))
+    return int(reduce(tower.ext.vadd, tower.ext.vmul(a, tower.vfrobenius(b)).tolist(), 0))
 
 
 def _hermitian_gram(code: LinearCode) -> np.ndarray:
@@ -367,8 +366,7 @@ def hermitian_dual(code: LinearCode) -> LinearCode:
     automorphism, so conj(G) generates C^q and conj(H) checks it: the dual
     is the code with the conjugated generator and parity check traded."""
     tower = _require_tower(code)
-    return _traded(code, tower.vfrobenius(code.parity_check), tower.vfrobenius(code.generator),
-                   "hermitian-dual", "hdual")
+    return _traded(code, tower.vfrobenius(code.parity_check), tower.vfrobenius(code.generator), "hdual")
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +454,14 @@ class CodeReport:
     dimension_predicted: str | None
     dimension_prediction_matches: bool | None
     weight_distribution: list[int] | None
-    duality_claim: dict | None
+    duality_claim: dict
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.__dict__, indent=indent, sort_keys=True)
 
 
 def code_report(curve: CurveSpec, r: int, eval_set="all", budget: int = DEFAULT_BUDGET,
-                include_weights: bool = False, check_duality: bool = True) -> CodeReport:
+                include_weights: bool = False) -> CodeReport:
     """Full verification record for the one-point code at r."""
     code = build_onepoint_code(curve, r, eval_set)
     dist = min_distance(code, budget)
@@ -475,7 +473,7 @@ def code_report(curve: CurveSpec, r: int, eval_set="all", budget: int = DEFAULT_
     wd = None
     if include_weights and (code.k == 0 or code.field.order**code.k <= budget):
         wd = [int(c) for c in weight_distribution(code, budget)]
-    claim = check_duality_claim(curve, r, eval_set).to_dict() if check_duality else None
+    claim = check_duality_claim(curve, r, eval_set).to_dict()
     half = Fraction((q - 1) * (m - 1), 2)
     return CodeReport(
         name=code.name,
@@ -534,5 +532,4 @@ def load_code(path) -> LinearCode:
         if len(rows) != k or any(len(row) != n for row in rows):
             raise ValueError(f"expected {k} rows of {n} entries")
     # reshaped, so that a k = 0 file gives a (0, n) generator
-    return LinearCode.from_generator(F, np.array(rows, dtype=np.int64).reshape(k, n),
-                                     source=f"explicit:{path}")
+    return LinearCode.from_generator(F, np.array(rows, dtype=np.int64).reshape(k, n))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .agcode import DistanceResult, LinearCode, build_onepoint_code, min_distance
+from .agcode import LinearCode, build_onepoint_code
 from .curve import hermitian_curve, superelliptic_curve
 from .gf import field
 
@@ -54,7 +54,7 @@ def saturated_code_4_4() -> LinearCode:
     return build_onepoint_code(hermitian_curve(2), 20, eval_set="first:4", name="saturated-4-4")
 
 
-def sweep_codes() -> list[tuple[LinearCode, DistanceResult]]:
+def sweep_codes() -> list[LinearCode]:
     """Three codes of increasing length for the rate-sweep experiment.
 
     The superelliptic family needs odd q for (q+1)/2 to be integral,
@@ -62,9 +62,8 @@ def sweep_codes() -> list[tuple[LinearCode, DistanceResult]]:
     smallest towers GF(4), GF(9), GF(25), with r chosen to give
     designed distances 6, 13 and 28.
     """
-    codes = [
+    return [
         build_onepoint_code(hermitian_curve(2), 2, name="herm-q2-r2"),
         build_onepoint_code(superelliptic_curve(3, 3), 2, name="super-q3-m3-r2"),
         build_onepoint_code(superelliptic_curve(5, 2), 7, name="super-q5-m2-r7"),
     ]
-    return [(code, min_distance(code)) for code in codes]

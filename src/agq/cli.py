@@ -67,14 +67,15 @@ def _write_manifest(path: Path, command: str, parameters: dict, outputs: list[st
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _simulate_codes(entries, rates, trials: int, seed: int,
+def _simulate_codes(codes, rates, trials: int, seed: int, budget: int,
                     chunk_size: int = 2048) -> tuple[list[SimRun], list[dict]]:
-    """Simulate each (code, distance) entry at every rate: the CSV runs,
-    and one manifest record per code.  The CSV's `d` column holds the
-    lower bound when the distance is not exact, so the record names the
-    method and both bounds, and the exact counts behind each rate."""
+    """Simulate each code at every rate: the CSV runs, and one manifest
+    record per code, its distance computed within `budget` codewords.  The
+    CSV's `d` column holds the lower bound when the distance is not exact,
+    so the record names the method, both bounds and each rate's counts."""
     runs, records = [], []
-    for code, dist in entries:
+    for code in codes:
+        dist = min_distance(code, budget)
         rows = run_simulation(code, rates, trials, seed, chunk_size=chunk_size)
         runs.append(SimRun(code_name=code.name, n=code.n, k=code.k,
                            d=dist.d if dist.exact else dist.lower, master_seed=seed, rows=rows))
@@ -159,22 +160,19 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     rates = _parse_rates(args.rates)
     if args.preset == "sweep":
-        entries = benchmarks.sweep_codes()
+        codes = benchmarks.sweep_codes()
         print("preset sweep: substituted three constructible codes over "
               "GF(4)/GF(9)/GF(25); the family needs odd q, so no GF(16) trio exists")
     elif args.matrix:
-        code = load_code(args.matrix)
-        dist = min_distance(code, args.budget)
-        entries = [(code, dist)]
+        codes = [load_code(args.matrix)]
     else:
         if args.q is None:
             raise ValueError("--q is required to build a code (or pass --matrix / --preset)")
         if args.r is None:
             raise ValueError("--r is required to build a code")
         curve = _curve_from_args(args)
-        code = build_onepoint_code(curve, args.r)
-        entries = [(code, min_distance(code, args.budget))]
-    runs, records = _simulate_codes(entries, rates, args.trials, seed, args.chunk_size)
+        codes = [build_onepoint_code(curve, args.r)]
+    runs, records = _simulate_codes(codes, rates, args.trials, seed, args.budget, args.chunk_size)
     for run in runs:
         for row in run.rows:
             print(f"{run.code_name} rate={row.rate}: success={row.success_rate:.4f} "
@@ -299,7 +297,7 @@ def cmd_reproduce(args) -> int:
     if not args.skip_sim:
         rates = (0.0, 0.05, 0.1, 0.2)
         sweep = benchmarks.sweep_codes()
-        runs, records = _simulate_codes(sweep, rates, args.trials, seed)
+        runs, records = _simulate_codes(sweep, rates, args.trials, seed, DEFAULT_BUDGET)
         write_results_csv(runs, out_dir / "results.csv")
         write_series_csv(runs, out_dir / "series.csv")
         outputs += [str(out_dir / "results.csv"), str(out_dir / "series.csv")]
@@ -317,7 +315,7 @@ def cmd_reproduce(args) -> int:
         # the first code at rates 0 and 0.05 over at most 2000 trials, in
         # chunks of 199 and of the default size; up to 2000 trials the
         # default-chunk run is the sweep's own first two rows
-        first, n_first = sweep[0][0], min(args.trials, 2000)
+        first, n_first = sweep[0], min(args.trials, 2000)
         rerun = run_simulation(first, rates[:2], n_first, seed, chunk_size=199)
         base = runs[0].rows if args.trials <= 2000 else run_simulation(first, rates[:2], n_first, seed)
         _check(results, "simulation-determinism", rerun == base[:2])

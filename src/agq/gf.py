@@ -7,13 +7,16 @@ therefore the canonical element order (zero first, then 1, then the
 class of x, ...), and GF(4) enumerates as [0, 1, a, a+1] where a is the
 class of x modulo the modulus x^2 + x + 1.
 
-Arithmetic works on numpy index arrays through four kernels: `vadd`,
-`vmul`, `vpow` and `vsum`.  Negation is multiplication by -1, the GF(p)
+Arithmetic works on numpy index arrays through three kernels: `vadd`,
+`vmul` and `vpow`.  Negation is multiplication by -1, the GF(p)
 element p - 1, whose index is p - 1; subtraction is addition of the
-negative, and inversion is the power -1.  The scalar `add` and `mul`
-check their operands and return ints.  Multiplication uses
-discrete log/antilog tables with respect to a fixed primitive element,
-and addition works on the base-p digit vectors.
+negative, inversion is the power -1, and a sum is a fold of `vadd`.
+The scalar `add` and `mul` check their operands and return ints.
+Multiplication uses discrete log/antilog tables with respect to a fixed
+primitive element, and addition works on the base-p digit vectors.
+
+`QuadraticTower` is GF(q^2) with its conjugation a -> a^q, the one map
+the Hermitian products need; GF(q) is the set of the q elements it fixes.
 
 Vectorized addition avoids the digits where it can.  In characteristic
 2 the digits are bits, so a + b is the XOR of the indices at every
@@ -279,10 +282,6 @@ class Field:
             # a flat `take`, not 2-D fancy indexing: faster past a few
             # hundred entries, and as fast below on rref's shapes
             return self._mul_table.take(a * self.order + b)
-        return self._log_mul(a, b)
-
-    def _log_mul(self, a, b):
-        """a * b through the log/antilog tables, with no table built."""
         prod = self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)
 
@@ -298,17 +297,6 @@ class Field:
         if k < 0 and zero.any():
             raise ZeroDivisionError("zero has no multiplicative inverse")
         return np.where(zero, 0, self._exp[(self._log[a] * k) % (self.order - 1)])
-
-    def vsum(self, a, axis: int = -1):
-        """Field sum reducing the given axis of an index array."""
-        a = np.asarray(a, dtype=np.int64)
-        if a.shape[axis if axis >= 0 else a.ndim + axis] == 0:
-            shape = list(a.shape)
-            del shape[axis if axis >= 0 else a.ndim + axis]
-            return np.zeros(shape, dtype=np.int64)
-        digit_axis = axis if axis >= 0 else a.ndim + axis
-        summed = self._digits[a].sum(axis=digit_axis) % self.p
-        return summed @ self._pows
 
     # -- serialization -----------------------------------------------------------
 
@@ -348,14 +336,10 @@ def field(p: int, e: int = 1) -> Field:
 
 
 class QuadraticTower:
-    """The tower GF(p) < GF(q) < GF(q^2) with q = p^s.
-
-    Holds, as index tables, the conjugation map a -> a^q on GF(q^2)
-    (`frob_table`, applied by `vfrobenius`), the embedding of GF(q) into
-    GF(q^2) (`embed_table`, sending the x-class of the base field to the
-    canonically smallest root of the base modulus), and the embedded
-    subfield's indices (`subfield_indices`).
-    """
+    """GF(q^2), q = p^s, with its conjugation a -> a^q as the index table
+    `frob_table`, applied by `vfrobenius`.  GF(q) inside GF(q^2) is the
+    set of the q elements it fixes.  `base` is GF(q) as a field of its
+    own, indexed by its own enumeration, not by those fixed elements."""
 
     def __init__(self, q: int):
         # before factoring q, so that a huge q fails at once
@@ -364,38 +348,13 @@ class QuadraticTower:
         p, s = factor_prime_power(q)
         self.q = q
         self.p = p
-        self.s = s
         self.base = field(p, s)
-        self.ext = ext = field(p, 2 * s)
-
-        idx = np.arange(ext.order, dtype=np.int64)
-        self.frob_table = ext.vpow(idx, q)
-        fixed = idx[self.frob_table == idx]
-        if len(fixed) != q:
-            raise FieldError(f"frobenius fixed set has size {len(fixed)}, expected {q}")
-
-        def horner_step(acc, z, c):
-            """acc * z + c in GF(q^2) for c in GF(p), which changes digit 0 only."""
-            prod = ext._log_mul(acc, z)
-            return prod - prod % p + (prod + c) % p
-
-        # the smallest fixed root of the base modulus, every candidate at once
-        acc = np.zeros(q, dtype=np.int64)
-        for c in reversed(self.base.modulus):
-            acc = horner_step(acc, fixed, c)
-        roots = fixed[acc == 0]
-        if len(roots) == 0:
-            raise FieldError("base modulus has no root in the extension")
-        self._root = root = int(roots[0])
-
-        # a = sum_i c_i x^i in GF(q) goes to sum_i c_i root^i, every a at once
-        embed = np.zeros(q, dtype=np.int64)
-        for i in reversed(range(s)):
-            embed = horner_step(embed, root, self.base._digits[:, i])
-        self.embed_table = embed
-        self.subfield_indices = frozenset(int(v) for v in embed)
-        if self.subfield_indices != {int(v) for v in fixed}:
-            raise FieldError("embedded subfield does not match frobenius fixed set")
+        self.ext = field(p, 2 * s)
+        idx = np.arange(self.ext.order, dtype=np.int64)
+        self.frob_table = self.ext.vpow(idx, q)
+        fixed = np.count_nonzero(self.frob_table == idx)
+        if fixed != q:
+            raise FieldError(f"frobenius fixed set has size {fixed}, expected {q}")
 
     def vfrobenius(self, arr):
         return self.frob_table[np.asarray(arr, dtype=np.int64)]

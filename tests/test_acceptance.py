@@ -214,7 +214,8 @@ def test_criterion_10_figures_shaped_csv_pair(tmp_path):
 
     def emit(tag):
         runs = []
-        for code, dist in benchmarks.sweep_codes():
+        for code in benchmarks.sweep_codes():
+            dist = min_distance(code)
             res = run_simulation(code, rates, trials, seed)
             runs.append(SimRun(code.name, code.n, code.k,
                                dist.d if dist.exact else dist.lower, seed, res))

@@ -132,9 +132,11 @@ def test_eval_set_policies(se33):
                                   lambda: hermitian_curve(4), lambda: superelliptic_curve(5, 3)])
 def test_exclude_subfield_matches_per_point_filter(make):
     curve = make()
-    tower = curve.tower
+    F = curve.tower.ext
+    nf = NaiveField(F.p, F.e, F.modulus)
+    subfield = {a for a in range(F.order) if nf.pow(a, curve.q) == a}
     kept = [(x, y) for x, y in resolve_eval_set(curve, "all").tolist()
-            if not {x, y} <= tower.subfield_indices]
+            if not {x, y} <= subfield]
     assert [tuple(p) for p in resolve_eval_set(curve, "exclude-subfield").tolist()] == kept
 
 
@@ -735,9 +737,13 @@ def test_code_report_benchmark():
 
 
 def test_code_report_r_negative(se33):
-    report = code_report(se33, -1, check_duality=False)
+    report = code_report(se33, -1)
     assert report.k == 0
     assert report.d_method == "empty"
+    # the zero code's dual is the whole space, which holds any companion code
+    claim = report.duality_claim
+    assert (claim["r_prime"], claim["dim_code"], claim["dim_dual"]) == (12, 0, 15)
+    assert claim["companion_inside_dual"]
 
 
 # ---------------------------------------------------------------------------

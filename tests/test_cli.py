@@ -247,6 +247,25 @@ def test_simulate_manifest_records_distance_and_counts(capsys, tmp_path):
     assert (bounded["d_method"], bounded["d_lower"], bounded["d_upper"]) == ("bounds-only", 28, 29)
 
 
+def test_simulate_preset_sweep_honours_budget(capsys, tmp_path):
+    # herm-q2-r2 is the [8, 2]_4 code of --family hermitian --q 2 --r 2; both
+    # commands compute its distance within the same 10-codeword budget
+    common = ["--rates", "0,0.2", "--trials", "200", "--seed", "3", "--budget", "10"]
+    records = {}
+    for tag, source in (("preset", ["--preset", "sweep"]),
+                        ("family", ["--family", "hermitian", "--q", "2", "--r", "2"])):
+        out_path = tmp_path / f"{tag}.csv"
+        code, _, _ = run_cli(capsys, "simulate", *source, *common, "--out", str(out_path))
+        assert code == 0
+        manifest = json.loads((tmp_path / f"{tag}.csv.manifest.json").read_text())
+        assert manifest["parameters"]["budget"] == 10
+        records[tag] = manifest["codes"][0]
+    for rec in records.values():
+        del rec["code"]
+    assert records["preset"] == records["family"]
+    assert records["preset"]["d_method"] == "bounds-only"
+
+
 def assert_code_records(records, results_csv):
     """Schema of the manifest's per-code records, and agreement with the CSV."""
     with open(results_csv) as fh:

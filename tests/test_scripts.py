@@ -53,3 +53,27 @@ def test_readme_library_sketch_runs_as_documented():
                 assert [code.n, code.k] == ast.literal_eval(leading.group(1)), ast.unparse(node)
                 checked.append((code.n, code.k))
     assert checked == [(8, 2), (8, 3), 5, 5, (15, 1), (15, 13, 2), (9, 3, 3)]
+
+
+def test_failing_property_test_does_not_end_the_session(tmp_path):
+    # under the repo's pytest settings, a failing @given test is reported and
+    # the tests after it still run; Hypothesis's failure explanation must not
+    # turn into an INTERNALERROR that ends the session
+    (tmp_path / "test_sample.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "\n"
+        "@settings(database=None, max_examples=5)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x != x\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path / "test_sample.py")],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout
+    assert proc.stdout.strip().splitlines()[-1].startswith("1 failed, 1 passed"), proc.stdout

@@ -180,63 +180,85 @@ def dual(code: LinearCode) -> LinearCode:
 # codeword enumeration
 
 
-def _message_block(order: int, k: int, start: int, stop: int) -> np.ndarray:
-    msgs = np.arange(start, stop, dtype=np.int64)
+def _message_digits(order: int, k: int, msgs: np.ndarray) -> np.ndarray:
     out = np.zeros((len(msgs), k), dtype=np.int64)
     for i in range(k):
         out[:, i] = (msgs // order**i) % order
     return out
 
 
-def iter_codeword_blocks(code: LinearCode, block: int = 4096, skip_zero: bool = False):
-    """Yield codeword index matrices covering all q^k messages in canonical order.
+def _orbit_messages(order: int, k: int, skip_zero: bool) -> np.ndarray:
+    """Message 0 unless skipped, then, in increasing order, the messages of
+    k digits whose highest nonzero digit is 1: the integers in
+    [q^t, 2 q^t) for t < k, one in each orbit of GF(q)* on the nonzero
+    messages."""
+    return np.concatenate([np.arange(int(skip_zero), 1, dtype=np.int64)]
+                          + [np.arange(order**t, 2 * order**t, dtype=np.int64) for t in range(k)])
 
-    Message m = sum_i m_i q^i encodes to sum_i m_i G[i]; words come in
-    order of m, in nonempty blocks of at most `block` rows, and
-    `skip_zero` leaves out m = 0.  When q^k <= block and either k <= 1
-    or the q^k * n * e digits of all words are at most
-    SINGLE_PRODUCT_DIGITS, the words are one `matmul` of all messages.
+
+def iter_codeword_blocks(code: LinearCode, block: int = 4096, skip_zero: bool = False):
+    """Yield one codeword of each scalar orbit, as index matrices.
+
+    Message m = sum_i m_i q^i encodes to sum_i m_i G[i].  The messages
+    whose highest nonzero digit is 1 meet each orbit {lambda m : lambda
+    in GF(q)*} of a nonzero message once, and lambda c has the weight of
+    c, so their (q^k - 1)/(q - 1) words carry every nonzero weight.
+    Message 0 comes first unless `skip_zero`.  Words come in increasing
+    order of m, in nonempty blocks of at most `block` rows.
+
+    When q^k <= block and either k <= 1 or the q^k * n * e digits of all
+    words are at most SINGLE_PRODUCT_DIGITS, all messages (from 1 if
+    `skip_zero`) are one `matmul`, whose orbit rows form the one block.
     Otherwise the code is the union of the cosets h + C_low, where C_low
     is spanned by the first j rows of G, j the largest with
     q^(j+1) <= block (0 if q > block) and at most k - 1.  The low table
-    L of all q^j words of C_low is one `matmul`; then each chunk of
-    c = block // q^j high messages gives its c offsets H by a `matmul`
-    with G[j:], and its block is H[t] + L[s] for all (t, s), one field
-    addition per symbol.  Row (t, s) is message (lo + t) q^j + s, so the
-    order is the canonical one, and a code of at most `block` words is
-    still one block.  Memory: L holds at most block/q rows, and each
-    step allocates only its c offsets and one block with the temporaries
-    of its `vadd`; no q^k-row array exists.
+    L of all q^j words of C_low is one `matmul`.  Message h q^j + s with
+    h != 0 is a representative when h is one, whatever s, so the blocks
+    are the orbit rows of L (h = 0), then, for each chunk of
+    c = block // q^j representative high messages, the c offsets H of
+    one `matmul` with G[j:] and the words H[t] + L[s] for all (t, s), one
+    field addition per symbol.  The rows of L join the first chunk's
+    block when both fit in `block` rows, so a code of at most `block`
+    words is one block on either path.  Memory: L holds at most block/q
+    rows, and each step allocates only its c offsets and one block with
+    the temporaries of its `vadd` (the first block one copy more, when
+    it takes in L's rows); no q^k-row array exists.
 
     The boundary is a cost, not a size: `matmul` reduces and recombines
     e float digits per output symbol, where a coset block adds once per
     symbol, so past a few thousand digits the two small products and
     the additions win even for one block.  Measured for one drained
-    enumeration with weights, single product against cosets: GF(4)
-    n=64 k=3 (8192 digits) 107 vs 119 us, GF(9) n=8 k=3 (11664) 205 vs
-    173 us, GF(16) n=64 k=3 6.4 vs 1.15 ms.
+    enumeration of all q^k words with weights, single product against
+    cosets: GF(4) n=64 k=3 (8192 digits) 107 vs 119 us, GF(9) n=8 k=3
+    (11664) 205 vs 173 us, GF(16) n=64 k=3 6.4 vs 1.15 ms.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
     F, G, q, k = code.field, code.generator, code.field.order, code.k
-    start = 1 if skip_zero else 0
     total = q**k
     if total <= block and (k <= 1 or total * code.n * F.e <= SINGLE_PRODUCT_DIGITS):
+        start = int(skip_zero)
         if start < total:
-            yield matmul(F, _message_block(q, k, start, total), G)
+            words = matmul(F, _message_digits(q, k, np.arange(start, total)), G)
+            yield words[_orbit_messages(q, k, skip_zero) - start]
         return
     j = 0
     while q ** (j + 2) <= block and j < k - 1:
         j += 1
-    low = matmul(F, _message_block(q, j, 0, q**j), G[:j])
-    chunk, highs = block // q**j, total // q**j
-    for lo in range(0, highs, chunk):
-        high = matmul(F, _message_block(q, k - j, lo, min(lo + chunk, highs)), G[j:])
-        words = F.vadd(high[:, None, :], low[None, :, :]).reshape(-1, code.n)
-        if lo == 0 and skip_zero:
-            words = words[1:]
-        if len(words):
-            yield words
+    low = matmul(F, _message_digits(q, j, np.arange(q**j)), G[:j])
+    lead = low[_orbit_messages(q, j, skip_zero)]
+    highs = _orbit_messages(q, k - j, skip_zero=True)
+    chunk = block // q**j
+    for lo in range(0, len(highs), chunk):
+        offsets = matmul(F, _message_digits(q, k - j, highs[lo:lo + chunk]), G[j:])
+        words = F.vadd(offsets[:, None, :], low[None, :, :]).reshape(-1, code.n)
+        if len(lead):
+            if len(lead) + len(words) <= block:
+                words = np.concatenate([lead, words])
+            else:
+                yield lead
+            lead = lead[:0]
+        yield words
         # drop the block just yielded before building the next one
         del words
 
@@ -256,11 +278,13 @@ class DistanceResult:
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Exact minimum distance when q^k fits the budget, bounds otherwise.
 
-    Over budget, weight-1 and weight-2 codewords are still detected
-    exactly from the parity-check columns (zero or pairwise-parallel
-    columns).  Beyond that the bounds are the designed distance (at least
-    3) and Singleton: where they meet, the distance is proven and returned
-    as `bounds-meet`; otherwise the result is an explicit bounds-only
+    Within budget, d is the least nonzero weight of the words of
+    `iter_codeword_blocks`, one per scalar orbit.  Over budget, weight-1
+    and weight-2 codewords are still detected exactly from the
+    parity-check columns (zero or pairwise-parallel columns).  Beyond
+    that the bounds are the designed distance (at least 3) and
+    Singleton: where they meet, the distance is proven and returned as
+    `bounds-meet`; otherwise the result is an explicit bounds-only
     report, never an estimate.
     """
     F = code.field
@@ -295,7 +319,14 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceResu
 
 
 def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Codeword counts by Hamming weight; counts sum to q^k."""
+    """Codeword counts by Hamming weight; counts sum to q^k.
+
+    Each nonzero message from `iter_codeword_blocks` stands for the q - 1
+    messages of its scalar orbit, whose words share its weight, so its
+    word counts q - 1 times; message 0 counts once.  A nonzero message
+    that encodes to the zero word (a rank-deficient generator) thus adds
+    q - 1 to counts[0].
+    """
     if code.k > 0 and code.field.order**code.k > budget:
         raise BudgetExceededError(
             f"{code.field.order}^{code.k} codewords exceed budget {budget}"
@@ -308,6 +339,8 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> np.nd
         w = np.count_nonzero(block, axis=1)
         counts += np.bincount(w, minlength=code.n + 1)
         del block  # else the loop variable holds it while the next is built
+    counts *= code.field.order - 1
+    counts[0] -= code.field.order - 2  # message 0, its own orbit, was counted q - 1 times
     return counts
 
 

@@ -75,8 +75,9 @@ def _simulate_codes(codes, rates, trials: int, seed: int, budget: int,
     so the record names the method, both bounds and each rate's counts."""
     runs, records = [], []
     for code in codes:
-        dist = min_distance(code, budget)
+        # run_simulation checks every input before the distance enumeration
         rows = run_simulation(code, rates, trials, seed, chunk_size=chunk_size)
+        dist = min_distance(code, budget)
         runs.append(SimRun(code_name=code.name, n=code.n, k=code.k,
                            d=dist.d if dist.exact else dist.lower, master_seed=seed, rows=rows))
         records.append({
@@ -355,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="weight bound: x^i y^j with i*n + j*m <= r")
     p.add_argument("--eval-set", default="all", help="all | first:N | exclude-subfield")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max codewords to enumerate for distances")
+                   help="max codewords q^k that exact distances and weights may cover")
     p.add_argument("--weights", action="store_true", help="include the weight distribution")
     p.add_argument("--out", help="optional JSON output path")
     p.set_defaults(func=cmd_code_report)
@@ -379,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rates", default="0.0,0.05,0.1,0.2", help="comma-separated symbol error rates")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, help="master seed (fallback: AGQ_SEED, then default)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="max codewords q^k that exact distances may cover")
     p.add_argument("--chunk-size", type=int, default=2048)
     p.add_argument("--out", help="results CSV path")
     p.add_argument("--series-out", help="per-rate series CSV path")

@@ -208,15 +208,34 @@ def naive_matmul(nf: NaiveField, A, B):
     return out
 
 
+def _naive_encode(nf: NaiveField, message, generator, n: int):
+    word = [0] * n
+    for sym, row in zip(message, generator):
+        word = [nf.add(w, nf.mul(sym, g)) for w, g in zip(word, row)]
+    return word
+
+
 def naive_codewords(nf: NaiveField, generator):
     """All q^k codewords of the code spanned by `generator` (lists of indices)."""
-    k = len(generator)
     n = len(generator[0]) if generator else 0
-    for message in itertools.product(range(nf.order), repeat=k):
-        word = [0] * n
-        for sym, row in zip(message, generator):
-            word = [nf.add(w, nf.mul(sym, g)) for w, g in zip(word, row)]
-        yield word
+    for message in itertools.product(range(nf.order), repeat=len(generator)):
+        yield _naive_encode(nf, message, generator, n)
+
+
+def naive_orbit_codewords(nf: NaiveField, generator):
+    """One codeword per scalar orbit, in agq's message order.
+
+    Message (m_0, ..., m_{k-1}) is sum_i m_i q^i, so m_0 varies fastest
+    and the highest digit is m_{k-1}.  Yields the word of the zero
+    message, then that of every message whose highest nonzero digit is
+    1; its multiples by the other nonzero scalars are the rest of its
+    orbit.
+    """
+    n = len(generator[0]) if generator else 0
+    for high_first in itertools.product(range(nf.order), repeat=len(generator)):
+        top = next((d for d in high_first if d), 1)
+        if top == 1:
+            yield _naive_encode(nf, high_first[::-1], generator, n)
 
 
 def naive_weight_distribution(nf: NaiveField, generator):

@@ -23,7 +23,7 @@ from agq.linalg import matmul, rank
 from agq.quantum import parameter_table
 from agq.rrspace import dimension_report
 from agq.simulator import SimRun, run_simulation, simulate_transmission, write_results_csv, write_series_csv
-from oracles import NaiveField, naive_hermitian_inner
+from oracles import NaiveField, naive_codewords, naive_hermitian_inner
 
 
 class Budget:
@@ -183,21 +183,20 @@ def test_criterion_9_single_error_correction_exhaustive():
         F = code.field
         table = _column_table(F, code.parity_check)
         # all 64 codewords x 8 positions x 3 wrong symbols
-        from agq.agcode import iter_codeword_blocks
-
+        codewords = np.array(list(naive_codewords(NaiveField(F.p, F.e, F.modulus),
+                                                  code.generator.tolist())))
         total = corrected = 0
-        for block in iter_codeword_blocks(code):
-            for word in block:
-                for i in range(code.n):
-                    for c in range(F.order):
-                        if c == word[i]:
-                            continue
-                        received = word.copy()
-                        received[i] = c
-                        total += 1
-                        decoded, statuses = _decode_batch(code, received.reshape(1, -1), table)
-                        if statuses[0] == 1 and np.array_equal(decoded[0], word):
-                            corrected += 1
+        for word in codewords:
+            for i in range(code.n):
+                for c in range(F.order):
+                    if c == word[i]:
+                        continue
+                    received = word.copy()
+                    received[i] = c
+                    total += 1
+                    decoded, statuses = _decode_batch(code, received.reshape(1, -1), table)
+                    if statuses[0] == 1 and np.array_equal(decoded[0], word):
+                        corrected += 1
     ok = total == 64 * 8 * 3 and corrected == total
     verdict(9, ok, f"{corrected}/{total} single-symbol errors corrected to the "
                    f"transmitted codeword in {b.elapsed:.2f}s")

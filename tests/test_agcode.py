@@ -37,10 +37,10 @@ from oracles import (
     NaiveField,
     TabledField,
     macwilliams_transform,
-    naive_codewords,
     naive_hermitian_inner,
     naive_matmul,
     naive_min_distance,
+    naive_orbit_codewords,
     naive_rank,
     naive_row_basis,
     naive_row_space_equal,
@@ -293,10 +293,8 @@ def test_codeword_blocks_match_naive_enumeration(pe, n, data):
     entries = data.draw(st.lists(st.integers(0, q - 1), min_size=k * n, max_size=k * n))
     G = np.array(entries, dtype=np.int64).reshape(k, n)
     code = LinearCode(field=F, generator=G)
-    # agq's message index is sum_i m_i q^i, so its first symbol varies
-    # fastest; itertools.product varies the last one fastest, so the naive
-    # enumeration of the reversed rows comes out in agq's order
-    expected = np.array(list(naive_codewords(NaiveField(F.p, F.e, F.modulus), G[::-1].tolist())))
+    expected = np.array(list(naive_orbit_codewords(NaiveField(F.p, F.e, F.modulus), G.tolist())))
+    assert len(expected) == 1 + (q**k - 1) // (q - 1)
     for block in {1, 2, q - 1, q, q + 1, q * q, q**k - 1, 4096}:
         for skip_zero in (False, True):
             blocks = list(iter_codeword_blocks(code, block, skip_zero))
@@ -319,7 +317,7 @@ def test_single_product_and_cosets_yield_the_same_blocks(pe, k, n):
     q = F.order
     G = np.random.default_rng(q * 100 + k * 10 + n).integers(0, q, (k, n))
     code = LinearCode(field=F, generator=G)
-    expected = np.array(list(naive_codewords(NaiveField(F.p, F.e, F.modulus), G[::-1].tolist())))
+    expected = np.array(list(naive_orbit_codewords(NaiveField(F.p, F.e, F.modulus), G.tolist())))
     for block in (q - 1, q, q**k - 1, q**k, 4096):
         for skip_zero in (False, True):
             runs = []
@@ -357,13 +355,49 @@ def test_small_code_enumerates_in_one_product(monkeypatch, code_8_3):
 
 def test_coset_path_shrinks_the_products_of_a_one_block_code(monkeypatch):
     # Hermitian q=4 r=5, [64, 3] over GF(16): 4096 words, one block either way,
-    # but the cosets need 256 low and 16 high messages against 4096
+    # but the cosets need 256 low messages and the one high representative
+    # against 4096; the block holds 1 + 4095/15 = 274 words
     code = build_onepoint_code(hermitian_curve(4), 5)
     assert (code.n, code.k, code.field.order) == (64, 3, 16)
     shapes = _matmul_rows(monkeypatch)
     blocks = list(iter_codeword_blocks(code))
-    assert len(blocks) == 1 and len(blocks[0]) == 4096
-    assert sum(rows for rows, _ in shapes) <= 256 + 16
+    F = code.field
+    expected = np.array(list(naive_orbit_codewords(TabledField(F.p, F.e, F.modulus),
+                                                   code.generator.tolist())))
+    assert len(blocks) == 1 and np.array_equal(blocks[0], expected)
+    assert [rows for rows, _ in shapes] == [256, 1]
+
+
+def test_enumeration_forms_one_word_per_scalar_orbit(monkeypatch):
+    # Hermitian q=4 r=8, [64, 4] over GF(16): (16^4 - 1)/15 = 4369 orbits
+    # and the zero word, from 256 low messages and 17 high representatives
+    # (1 and 16..31, 16 to a 4096-row block) against the 256 high messages
+    # of all 65536 words
+    code = build_onepoint_code(hermitian_curve(4), 8)
+    assert (code.n, code.k, code.field.order) == (64, 4, 16)
+    shapes = _matmul_rows(monkeypatch)
+    assert sum(len(words) for words in iter_codeword_blocks(code)) == 4370
+    assert [rows for rows, _ in shapes] == [256, 16, 1]
+
+
+@pytest.mark.parametrize("pe, n", [((2, 2), 6), ((3, 2), 5), ((5, 1), 4)])
+def test_rank_deficient_generator_on_both_paths(pe, n):
+    # a repeated row: nonzero messages that encode to the zero word, so the
+    # q^k counts put more than one word at weight 0
+    F = field(*pe)
+    G = np.random.default_rng(n).integers(1, F.order, (3, n))
+    G[2] = G[0]
+    code = LinearCode(field=F, generator=G)
+    nf = NaiveField(F.p, F.e, F.modulus)
+    expected = naive_weight_distribution(nf, G.tolist())
+    assert expected[0] == F.order
+    for limit in (0, 1 << 60):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agcode, "SINGLE_PRODUCT_DIGITS", limit)
+            counts = weight_distribution(code)
+            dist = min_distance(code)
+        assert {i: int(c) for i, c in enumerate(counts) if c} == expected
+        assert dist.d == naive_min_distance(nf, G.tolist())
 
 
 def _assert_macwilliams(code, block):
@@ -413,8 +447,9 @@ def test_weight_distribution_memory_is_bounded():
 def test_enumeration_holds_one_block_at_a_time():
     # one 4096 x 512 int64 block is 16 MiB; holding the previous block
     # while the next is built would take the peak past 32 MiB.  r = 9 gives
-    # [512, 3] over GF(64), 64 blocks; r = 8 gives [512, 2], whose 4096
-    # words are exactly one block, made from cosets
+    # [512, 3] over GF(64), 4162 words (one per scalar orbit, and zero) in
+    # three blocks; r = 8 gives [512, 2], whose 66 words are one block,
+    # made from cosets
     for r, k in ((9, 3), (8, 2)):
         code = build_onepoint_code(hermitian_curve(8), r)
         assert (code.n, code.k) == (512, k)

@@ -318,6 +318,24 @@ def test_simulate_rejects_bad_inputs_and_writes_nothing(capsys, tmp_path, argv, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--rates", "0.1,1.5", "--trials", "10"], "error rates must lie in [0, 1]"),
+    (["--rates", "0.1", "--trials", "0"], "trials must be >= 1"),
+    (["--rates", "0.1", "--chunk-size", "0"], "chunk_size must be >= 1"),
+    (["--rates", ""], "error_rates must name at least one rate"),
+])
+def test_simulate_checks_inputs_before_the_distance(capsys, monkeypatch, argv, message):
+    # [64, 5] over GF(16): a distance would enumerate 2^20 codewords first
+    def no_distance(*args, **kwargs):
+        raise AssertionError("min_distance ran before the inputs were checked")
+
+    monkeypatch.setattr(cli, "min_distance", no_distance)
+    code, _, err = run_cli(capsys, "simulate", "--family", "hermitian", "--q", "4",
+                           "--r", "9", *argv)
+    assert code == 1
+    assert err.strip() == f"error: {message}"
+
+
 def test_parser_built_once():
     assert cli.build_parser() is cli.build_parser()
 

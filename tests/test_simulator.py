@@ -22,7 +22,7 @@ from agq.simulator import (
     write_results_csv,
     write_series_csv,
 )
-from oracles import TabledField, apply_random_errors, decode_word
+from oracles import TabledField, apply_random_errors, decode_word, naive_codewords
 
 
 @pytest.fixture(scope="module")
@@ -308,20 +308,19 @@ def test_single_errors_corrected_for_second_code(se33):
     code15 = build_onepoint_code(se33, 2)
     F = code15.field
     table = _column_table(F, code15.parity_check)
-    from agq.agcode import iter_codeword_blocks
-
-    for block in iter_codeword_blocks(code15):
-        for word in block:
-            variants = []
-            for i in range(code15.n):
-                for c in range(F.order):
-                    if c != word[i]:
-                        v = word.copy()
-                        v[i] = c
-                        variants.append(v)
-            decoded, statuses = _decode_batch(code15, np.array(variants), table)
-            assert (statuses == 1).all()
-            assert np.array_equal(decoded, np.tile(word, (len(variants), 1)))
+    codewords = np.array(list(naive_codewords(_tabled(F.p, F.e, F.modulus), code15.generator.tolist())))
+    assert len(codewords) == 81
+    for word in codewords:
+        variants = []
+        for i in range(code15.n):
+            for c in range(F.order):
+                if c != word[i]:
+                    v = word.copy()
+                    v[i] = c
+                    variants.append(v)
+        decoded, statuses = _decode_batch(code15, np.array(variants), table)
+        assert (statuses == 1).all()
+        assert np.array_equal(decoded, np.tile(word, (len(variants), 1)))
 
 
 def test_decode_weight_two_and_three_fail(code):

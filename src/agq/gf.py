@@ -60,7 +60,9 @@ import numpy as np
 MAX_FIELD_SIZE = 1 << 16
 # Largest order whose vmul gathers from a multiplication table, and whose
 # vadd, in odd characteristic, gathers from an addition table.  Negation
-# is vmul by p - 1, so it reads the multiplication table too.
+# is vmul by p - 1, so it reads the multiplication table too.  Elements of
+# these fields fit in uint8, and order * order - 1 in uint16, the dtypes of
+# `_row_tables`.
 ADD_TABLE_MAX = 256
 # Candidate moduli per batched order test in `_search_default_modulus`.
 # Each live power is MODULUS_BATCH x e x e int64, at most 128 KB.  Most
@@ -223,6 +225,25 @@ class Field:
         prod = self._exp[(self._log[:, None] + self._log[None, :]) % (self.order - 1)]
         prod[0, :] = prod[:, 0] = 0
         return prod.ravel()
+
+    @cached_property
+    def _row_tables(self):
+        """(products, multiples, sums), the tables of `linalg._eliminate`
+        in its compact dtype, or None above ADD_TABLE_MAX.
+
+        products is the (order, order) multiplication table as uint8.  In
+        characteristic 2 multiples is products and sums is None: addition is
+        XOR.  Otherwise multiples holds order * (a * b) as uint16, so that
+        r + multiples[a, b] is the flat index of r + a * b in sums, the
+        addition table as uint8.
+        """
+        if self.order > ADD_TABLE_MAX:
+            return None
+        products = self._mul_table.astype(np.uint8).reshape(self.order, self.order)
+        if self.p == 2:
+            return products, products, None
+        multiples = products.astype(np.uint16) * np.uint16(self.order)
+        return products, multiples, self._add_table.astype(np.uint8)
 
     @cached_property
     def _digit_floats(self) -> np.ndarray:

@@ -78,24 +78,36 @@ def _eliminate(F: Field, A, full: bool):
     """Gaussian elimination on a copy of A; returns (R, pivot_columns).
 
     The one elimination loop of the package.  Each pivot step is an AXPY,
-    row <- row + f * pivot row, as in FFLAS-FFPACK (Dumas, Giorgi, Pernet,
-    ACM TOMS 2008), made for the whole slice R[lo:, col:] at once with one
-    outer-product `vmul` and one `vadd`.  The pivot row, with pivot a, is
-    first scaled to s = -row/a, which leads with -1, so that a row whose
-    column entry is f is cleared by adding f * s.  The pivot row's own
-    factor is -2, the GF(p) element p - 2: it becomes s - 2s = -s = row/a,
-    which leads with 1.  In characteristic 2 that factor is 0 and s is
-    already row/a.  The update still covers every row of the slice: a row
-    whose factor is 0 gets zero products added, which leaves it as it
-    was.  Rows at or below the pivot row are zero left of the pivot
+    row <- row + g * pivot row, as in FFLAS-FFPACK (Dumas, Giorgi, Pernet,
+    ACM TOMS 2008), made for the whole slice R[lo:, col:] at once.  A row
+    whose column entry is c takes the factor g = -c/a, where a leads the
+    pivot row; the pivot row itself takes 0 and keeps its lead, and rows
+    whose factor is 0 get zero products added, which leaves them as they
+    were.  Rows at or below the pivot row are zero left of the pivot
     column, so the columns from the pivot column on are all that change.
+    Any nonzero entry of the column may be the pivot: the pivot columns,
+    and the reduced form, do not depend on the choice.  So the pivot is
+    the row itself when its entry is nonzero, which needs no swap, and
+    otherwise the row below with the largest entry, one `argmax`.
 
-    With `full`, lo = 0 and every other row is cleared, which gives the
-    reduced row echelon form.  Otherwise lo is the pivot row and only the
-    rows below it are cleared, which leaves a row echelon form with the
-    same pivot columns.
+    In a field of order at most ADD_TABLE_MAX, R is held in the compact
+    dtype of `Field._row_tables`.  A step then gathers the `order`
+    multiples of the pivot row once, from the rows of the multiplication
+    table at its entries, and takes one of those multiples per factor.  In
+    characteristic 2 the products are XORed into R in place; otherwise
+    they are multiples of the order, so R + products indexes the flat
+    addition table.  Larger fields step with one outer-product `vmul`
+    and one `vadd` on int64.
+
+    With `full`, lo = 0 and every other row is cleared, and the pivot rows
+    are divided by their leads at the end, which gives the reduced row
+    echelon form.  Otherwise lo is the pivot row and only the rows below
+    it are cleared, which leaves a row echelon form with the same pivot
+    columns.  R keeps the compact dtype.
     """
-    R = np.atleast_2d(np.asarray(A, dtype=np.int64)).copy()
+    tables = F._row_tables
+    R = np.atleast_2d(np.asarray(A, dtype=np.int64))
+    R = R.copy() if tables is None else R.astype(tables[0].dtype)
     m, n = R.shape
     pivots = []
     row = 0
@@ -104,20 +116,36 @@ def _eliminate(F: Field, A, full: bool):
     for col in range(n):
         if row >= m:
             break
-        nz = np.flatnonzero(R[row:, col])
-        if len(nz) == 0:
+        piv = row if R[row, col] else row + int(R[row:, col].argmax())
+        a = int(R[piv, col])
+        if a == 0:
             continue
-        piv = row + int(nz[0])
         if piv != row:
             R[[row, piv]] = R[[piv, row]]
-        neg_inv = F._exp[(log_minus_one - F._log[R[row, col]]) % units]
-        R[row, col:] = F.vmul(neg_inv, R[row, col:])
+        neg_inv = F._exp[(log_minus_one - F._log[a]) % units]
         lo = 0 if full else row
-        factors = R[lo:, col].copy()
-        factors[row - lo] = F.p - 2
-        R[lo:, col:] = F.vadd(R[lo:, col:], F.vmul(factors[:, None], R[row, col:]))
+        if tables is None:
+            factors = F.vmul(neg_inv, R[lo:, col])
+            factors[row - lo] = 0
+            R[lo:, col:] = F.vadd(R[lo:, col:], F.vmul(factors[:, None], R[row, col:]))
+        else:
+            products, multiples, sums = tables
+            factors = products[neg_inv].take(R[lo:, col])
+            factors[row - lo] = 0
+            # the multiplication table is symmetric: the rows of the pivot
+            # row's entries, transposed, are its multiples
+            prods = multiples.take(R[row, col:], axis=0).T.take(factors, axis=0)
+            if sums is None:
+                R[lo:, col:] ^= prods
+            else:
+                prods += R[lo:, col:]
+                R[lo:, col:] = sums.take(prods)
         pivots.append(col)
         row += 1
+    r = len(pivots)
+    if full and r:
+        inv = F.vinv(R[np.arange(r), pivots])[:, None]
+        R[:r] = F.vmul(inv, R[:r]) if tables is None else tables[0][inv, R[:r]]
     return R, pivots
 
 
@@ -127,7 +155,8 @@ def rref(F: Field, A):
     R is unique for the row space of A: each pivot row leads with 1 and
     every other row is zero in its pivot column.
     """
-    return _eliminate(F, A, full=True)
+    R, pivots = _eliminate(F, A, full=True)
+    return R.astype(np.int64, copy=False), pivots
 
 
 def pivot_columns(F: Field, A) -> list[int]:
@@ -150,7 +179,9 @@ def right_nullspace(F: Field, A):
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     n = A.shape[1]
     R, pivots = rref(F, A)
-    free = [c for c in range(n) if c not in pivots]
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     basis = np.zeros((len(free), n), dtype=np.int64)
     basis[np.arange(len(free)), free] = 1
     basis[:, pivots] = F.vneg(R[: len(pivots)][:, free].T)

@@ -15,7 +15,7 @@ from agq.linalg import (
     right_nullspace,
     rref,
 )
-from oracles import NaiveField, naive_matmul, naive_rank, naive_row_space_equal, naive_rref
+from oracles import NaiveField, TabledField, naive_matmul, naive_rank, naive_row_space_equal, naive_rref
 
 
 @st.composite
@@ -222,10 +222,10 @@ def test_matmul_memory_is_bounded():
 # ---------------------------------------------------------------------------
 # rref against a literal Gauss-Jordan elimination
 
-# GF(4) and GF(256) in characteristic 2, where the pivot row's factor -2
-# is 0; GF(3), where it is 1; GF(9), GF(25) and GF(49) on the addition
-# tables; GF(3^6) and the prime field GF(257), above ADD_TABLE_MAX, on the
-# digit path and log/antilog products
+# GF(4) and GF(256) in characteristic 2, whose uint8 rows add by XOR;
+# GF(3), GF(9), GF(25) and GF(49), whose uint8 rows add through the
+# addition table; GF(3^6) and the prime field GF(257), above ADD_TABLE_MAX,
+# on int64 rows with the digit path and log/antilog products
 RREF_FIELDS = [(2, 2), (3, 1), (3, 2), (5, 2), (7, 2), (2, 8), (3, 6), (257, 1)]
 
 
@@ -279,3 +279,52 @@ def test_rank_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
+
+
+# tall, wide and square shapes of planted rank, with a zero row and a zero
+# column: (rows, columns, rank)
+SEEDED_RREF_SHAPES = [(40, 25, 17), (25, 40, 18), (40, 40, 31), (33, 38, 0), (12, 40, 12)]
+
+
+@pytest.mark.parametrize("pe", RREF_FIELDS)
+def test_rref_and_pivots_match_naive_on_larger_seeded_matrices(pe):
+    F = field(*pe)
+    nf = TabledField(F.p, F.e, F.modulus)
+    rng = np.random.default_rng(F.order)
+    for m, n, r in SEEDED_RREF_SHAPES:
+        # any matrix will do, so agq's own product plants the rank
+        A = matmul(F, rng.integers(0, F.order, size=(m, r)), rng.integers(0, F.order, size=(r, n)))
+        A[rng.integers(m)] = 0
+        A[:, rng.integers(n)] = 0
+        want, want_pivots = naive_rref(nf, A.tolist())
+        R, pivots = rref(F, A)
+        assert R.dtype == np.int64 and R.tolist() == want and pivots == want_pivots
+        assert pivot_columns(F, A) == want_pivots
+
+
+def test_row_tables_are_built_on_first_elimination():
+    A = np.array([[1, 2], [2, 1]], dtype=np.int64)
+    for p, e in [(2, 2), (7, 2), (3, 6)]:
+        F = Field(p, e)
+        assert "_row_tables" not in vars(F)
+        rank(F, A)
+        assert "_row_tables" in vars(F)
+    # GF(3^6), of order above ADD_TABLE_MAX, eliminates on int64
+    assert F._row_tables is None
+
+
+@pytest.mark.parametrize("eliminate", [rref, pivot_columns])
+def test_elimination_memory_is_bounded(eliminate):
+    # 512 x 512 over GF(256): R is held as uint8, 256 KiB, and rref's int64
+    # result takes 2 MiB.  The field's tables, built once per field, are
+    # built before measuring.
+    F = field(2, 8)
+    A = np.random.default_rng(6).integers(0, 256, size=(512, 512))
+    rank(F, A[:2])
+    tracemalloc.start()
+    try:
+        eliminate(F, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20

@@ -18,9 +18,9 @@ keyed by (master_seed, ((i + 1) << 44) | t), so results are bit-identical
 for a given seed regardless of chunking or execution order.  The stream
 is numpy's `Generator(Philox(key))` (`_trial_rng`), which draws k message
 symbols with `integers(0, q)`, n uniforms with `random`, and n
-replacement offsets with `integers(0, q - 1)`.  `_draw_chunk` computes
-the same values for a whole chunk of trials at once, with Philox on
-uint64 arrays over the block counters 1, 2, ... of each key:
+replacement offsets with `integers(0, q - 1)`.  `_draw_errors` computes
+these values for a whole chunk of trials at once, with Philox on uint64
+arrays over the block counters 1, 2, ... of each key:
 
 * message and replacement draws are Lemire-bounded uint32s,
   (u * range) >> 32, taken from the low then the high half of each
@@ -29,19 +29,31 @@ uint64 arrays over the block counters 1, 2, ... of each key:
   of the last message word;
 * over GF(2) the replacement range is 1 and consumes no words.
 
+The draw is mask-first.  Every trial gets its message draws, since a
+rejected one (below) would shift its uniforms, and its error mask,
+uniform < rate, read from the uniform words as (word >> 11) <
+rate * 2^53, which is the same comparison.  Only a trial with an error
+gets its replacement draws: they come after the uniforms, so in an
+error-free trial they affect nothing.  An error-free trial is counted
+as decoded, with no miscorrection, without being encoded or decoded:
+its syndrome m G H^T is zero because G H^T = 0, which `_decoder_table`
+certifies once per code before the first draw.
+
 The ten Philox rounds run in place on arrays allocated once per call,
 and the high word of each 64x64-bit product comes from three 32-bit
 partial products (the `mulhu` identity of Hacker's Delight, section 8-2).
 
 Lemire's method rejects u when the low half of u * range falls below
 (2^32 - range) mod range, which is less than range.  A trial with any
-low half below range is drawn again from `_trial_rng` itself, so every
-trial matches numpy exactly, not just with high probability.
+low half below range among the draws it gets is drawn again from
+`_trial_rng` itself, by `_reference_draw`, so every trial matches numpy
+exactly, not just with high probability.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -101,7 +113,7 @@ def _check_stream_range(rate_index: int, trial_stop: int) -> None:
 
 def _reference_draw(master_seed: int, rate_index: int, trial: int, k: int, n: int, q: int):
     """(message, uniforms, replacement offsets) of one trial, read literally
-    from `_trial_rng`; `_draw_chunk` reproduces these values."""
+    from `_trial_rng`; `_draw_errors` reproduces these values."""
     rng = _trial_rng(master_seed, rate_index, trial)
     message = rng.integers(0, q, size=k) if k else np.zeros(0, dtype=np.int64)
     return message, rng.random(n), rng.integers(0, q - 1, size=n)
@@ -112,7 +124,7 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LOW32 = 0xFFFFFFFF
-# Philox blocks (four uint64 words each) that `_draw_chunk` computes at
+# Philox blocks (four uint64 words each) that `_draw_errors` computes at
 # once: its round temporaries stay at 128 KB per array for any code length.
 PHILOX_BLOCKS = 1 << 14
 
@@ -186,46 +198,68 @@ def _lemire(u32: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return (product >> 32).astype(np.int64), (product & _LOW32) < bound
 
 
-def _draw_chunk(master_seed: int, rate_index: int, lo: int, hi: int, k: int, n: int, q: int):
-    """Messages (b, k), uniforms (b, n) and replacement offsets (b, n) of
-    trials lo..hi-1, equal to `_reference_draw` for every trial."""
+def _draw_errors(master_seed: int, rate_index: int, lo: int, hi: int, k: int, n: int, q: int,
+                 rate: float):
+    """The trials among lo..hi-1 that carry an error at `rate`.
+
+    Returns (rows, messages, mask, repl): the offsets from lo of those
+    trials, in order, and their messages (e, k), error masks (e, n) and
+    replacement offsets (e, n), where trial lo + rows[i] has the message
+    and replacement offsets of `_reference_draw` and the mask
+    uniforms < rate.  Every other trial's uniforms are all >= rate.
+    """
     _check_stream_range(rate_index, hi)
-    b = hi - lo
-    messages = np.empty((b, k), dtype=np.int64)
-    uniforms = np.empty((b, n))
-    repl = np.zeros((b, n), dtype=np.int64)
-    suspect = np.zeros(b, dtype=bool)
     # word layout of one trial: message words, uniform words, replacement words
     msg_words = (k + 1) // 2
     repl_words = (k + n + 1) // 2 - msg_words if q > 2 else 0
     blocks = -(-(msg_words + n + repl_words) // 4)
     key0 = np.full((1, 1), master_seed, dtype=np.uint64)
     key1 = np.arange(lo, hi, dtype=np.uint64).reshape(-1, 1) | np.uint64((rate_index + 1) << 44)
-    # the 32-bit halves the draws read, low half first: k message halves,
-    # then n replacement halves from the words after the uniforms, the
-    # first of which is the buffered high half of the last message word
-    # when k is odd
-    first = 2 * (msg_words + n)
-    repl_at = np.arange(first, first + n) - (k & 1)
-    if k & 1:
-        repl_at[:1] = k
-    halves = np.concatenate([np.arange(k), repl_at]) if q > 2 else np.arange(k)
-    rows = max(1, PHILOX_BLOCKS // max(blocks, 1))
-    for r0 in range(0, b, rows):
-        part = slice(r0, r0 + rows)
-        words = _philox_words(key0, key1[part], blocks)
-        uniforms[part] = (words[:, msg_words:msg_words + n] >> 11) * 2.0**-53
-        # uint64 before the bound: a uint32 product u * bound would wrap
-        u32 = words.astype("<u8", copy=False).view("<u4").take(halves, axis=1).astype(np.uint64)
-        messages[part], bad = _lemire(u32[:, :k], q)
-        suspect[part] = bad.any(axis=1)
+    # (w >> 11) * 2^-53 < rate holds for the integer w >> 11 exactly when
+    # w >> 11 < ceil(rate * 2^53), and rate * 2^53 is exact
+    threshold = np.uint64(math.ceil(rate * 2.0**53))
+    # the replacement draws read n halves, low half first, from the words
+    # after the uniforms; when k is odd the first of them is the buffered
+    # high half of the last message word, so the slice starts one half
+    # early and its first column is replaced
+    repl_from = 2 * (msg_words + n) - (k & 1)
+    b = hi - lo
+    rows = np.empty(b, dtype=np.int64)
+    messages = np.empty((b, k), dtype=np.int64)
+    mask = np.empty((b, n), dtype=bool)
+    repl = np.zeros((b, n), dtype=np.int64)
+    e = 0  # rows filled so far
+    step = max(1, PHILOX_BLOCKS // max(blocks, 1))
+    for r0 in range(0, b, step):
+        words = _philox_words(key0, key1[r0:r0 + step], blocks)
+        halves = words.astype("<u8", copy=False).view("<u4")
+        # every trial's message draws are checked, since a rejection
+        # shifts the uniforms; uint64 before the bound, as a uint32
+        # product u * q would wrap
+        part_messages, bad = _lemire(halves[:, :k].astype(np.uint64), q)
+        suspect = bad.any(axis=1)
+        part_mask = (words[:, msg_words:msg_words + n] >> 11) < threshold
+        # the trials with an error or a rejection go on
+        at = np.flatnonzero(part_mask.any(axis=1) | suspect)
+        found = slice(e, e + len(at))
+        rows[found], messages[found], mask[found] = r0 + at, part_messages[at], part_mask[at]
+        suspect = suspect[at]
         if q > 2:
-            repl[part], bad = _lemire(u32[:, k:], q - 1)
-            suspect[part] |= bad.any(axis=1)
-    for row in np.nonzero(suspect)[0]:
-        messages[row], uniforms[row], repl[row] = _reference_draw(
-            master_seed, rate_index, lo + int(row), k, n, q)
-    return messages, uniforms, repl
+            u32 = halves[at, repl_from:repl_from + n].astype(np.uint64)
+            if k & 1:
+                u32[:, 0] = halves[at, k]
+            repl[found], bad = _lemire(u32, q - 1)
+            suspect |= bad.any(axis=1)
+        for i in e + np.flatnonzero(suspect):
+            messages[i], uniforms, repl[i] = _reference_draw(
+                master_seed, rate_index, lo + int(rows[i]), k, n, q)
+            mask[i] = uniforms < rate
+        e = found.stop
+    # a redrawn trial may carry no error after all
+    hit = np.flatnonzero(mask[:e].any(axis=1))
+    if len(hit) == e:
+        return rows[:e], messages[:e], mask[:e], repl[:e]
+    return rows[hit], messages[hit], mask[hit], repl[hit]
 
 
 def _decode_batch(code: LinearCode, received: np.ndarray, table):
@@ -239,7 +273,7 @@ def _decode_batch(code: LinearCode, received: np.ndarray, table):
     is the `_column_table` of the parity check: its normalized nonzero
     columns sorted stably as byte strings, so a left `searchsorted` lands
     on the first position among equal columns.  It depends only on the
-    code, so `simulate_transmission` builds it once for all its chunks.
+    code, so `_decoder_table` builds it once for all rates and chunks.
 
     Returns (decoded, statuses); rows with status FAILURE hold the
     received word unchanged in `decoded` and must be ignored there.
@@ -285,31 +319,37 @@ def _check_inputs(rates: Sequence[float], trials: int, master_seed: int, chunk_s
         raise ValueError("chunk_size must be >= 1")
 
 
-def simulate_transmission(code: LinearCode, rate: float, trials: int, master_seed: int,
-                          rate_index: int = 0, chunk_size: int = 2048) -> RateResult:
-    """Run `trials` independent transmissions at one error rate.
+def _decoder_table(code: LinearCode):
+    """The `_column_table` of the parity check, once G H^T = 0 is certified.
 
-    Every trial draws (message, uniforms, replacements) from its own
-    keyed stream, so the result does not depend on `chunk_size`; each
-    chunk's streams are computed at once by `_draw_chunk`.
+    Only trials with an error are encoded and decoded: an error-free
+    trial receives its codeword c = m G, whose syndrome c H^T = m G H^T
+    is zero, so it decodes as a success to c.  One k x n x (n - k)
+    product certifies that, and a code that fails raises ValueError.
     """
-    _check_inputs((rate,), trials, master_seed, chunk_size)
+    F = code.field
+    if matmul(F, code.generator, code.parity_check.T).any():
+        raise ValueError("the parity check does not annihilate the generator")
+    return _column_table(F, code.parity_check)
+
+
+def _transmit(code: LinearCode, table, rate: float, trials: int, master_seed: int,
+              rate_index: int, chunk_size: int) -> RateResult:
+    """`simulate_transmission` on checked inputs with the `_decoder_table`."""
     F = code.field
     n, k, q = code.n, code.k, F.order
     successes = uncorrectable = miscorrected = 0
     total_errors = 0
-    table = _column_table(F, code.parity_check)
     for lo in range(0, trials, chunk_size):
         hi = min(lo + chunk_size, trials)
-        messages, uniforms, repl = _draw_chunk(master_seed, rate_index, lo, hi, k, n, q)
+        rows, messages, mask, repl = _draw_errors(master_seed, rate_index, lo, hi, k, n, q, rate)
         codewords = matmul(F, messages, code.generator)
-        mask = uniforms < rate
         alts = repl + (repl >= codewords)
         received = np.where(mask, alts, codewords)
         total_errors += int(mask.sum())
         decoded, statuses = _decode_batch(code, received, table)
         ok = statuses != FAILURE
-        successes += int(ok.sum())
+        successes += hi - lo - len(rows) + int(ok.sum())
         uncorrectable += int((~ok).sum())
         miscorrected += int((ok & (decoded != codewords).any(axis=1)).sum())
     return RateResult(
@@ -322,13 +362,27 @@ def simulate_transmission(code: LinearCode, rate: float, trials: int, master_see
     )
 
 
+def simulate_transmission(code: LinearCode, rate: float, trials: int, master_seed: int,
+                          rate_index: int = 0, chunk_size: int = 2048) -> RateResult:
+    """Run `trials` independent transmissions at one error rate.
+
+    Every trial draws (message, uniforms, replacements) from its own
+    keyed stream, so the result does not depend on `chunk_size`; each
+    chunk's streams are computed at once by `_draw_errors`.
+    """
+    _check_inputs((rate,), trials, master_seed, chunk_size)
+    return _transmit(code, _decoder_table(code), rate, trials, master_seed, rate_index, chunk_size)
+
+
 def run_simulation(code: LinearCode, rates: Sequence[float], trials: int, master_seed: int,
                    chunk_size: int = 2048) -> tuple[RateResult, ...]:
     """`simulate_transmission` at each rate in order, rate i reading the
-    streams of rate index i; every input is checked before the first draw."""
+    streams of rate index i; every input, and the code, is checked before
+    the first draw."""
     _check_inputs(rates, trials, master_seed, chunk_size)
+    table = _decoder_table(code)
     return tuple(
-        simulate_transmission(code, rate, trials, master_seed, rate_index=i, chunk_size=chunk_size)
+        _transmit(code, table, rate, trials, master_seed, i, chunk_size)
         for i, rate in enumerate(rates)
     )
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -383,16 +384,35 @@ def test_reproduce_with_sim_byte_identical_csvs(capsys, tmp_path):
     assert_code_records(manifest["codes"], dir_a / "results.csv")
 
 
+# SHA-256 of the CSV pair of `agq reproduce --trials 2000 --seed 7`: pinned,
+# so any change to these bytes is a golden shift
+REPRODUCE_SHA256 = {
+    "results.csv": "7d7ec56a725eb137fdf52916c291e16949ebc6ca14ac74ad3915e7b042d9b879",
+    "series.csv": "22ecfe552da1f851780062fe4626dbe15fe9ef52fd15f01e30b6140bd6582762",
+}
+
+
+def test_reproduce_csvs_match_their_pinned_digests(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "reproduce", "--out-dir", str(tmp_path),
+                           "--trials", "2000", "--seed", "7")
+    assert code == 0, out
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in REPRODUCE_SHA256}
+    assert digests == REPRODUCE_SHA256
+
+
 @pytest.mark.parametrize("trials", ["400", "2001"])  # sweep rows reused; two runs
 def test_reproduce_determinism_check_fails_on_chunk_dependence(capsys, tmp_path, monkeypatch,
                                                                 trials):
-    real = simulator.simulate_transmission
+    # every rate of every run goes through the per-rate loop, whose last
+    # argument is the chunk size
+    real = simulator._transmit
 
-    def chunk_dependent(*args, chunk_size=2048, **kwargs):
-        result = real(*args, chunk_size=chunk_size, **kwargs)
-        return dataclasses.replace(result, total_errors=result.total_errors + chunk_size)
+    def chunk_dependent(*args):
+        result = real(*args)
+        return dataclasses.replace(result, total_errors=result.total_errors + args[-1])
 
-    monkeypatch.setattr(simulator, "simulate_transmission", chunk_dependent)
+    monkeypatch.setattr(simulator, "_transmit", chunk_dependent)
     code, out, _ = run_cli(capsys, "reproduce", "--out-dir", str(tmp_path),
                            "--trials", trials, "--seed", "5")
     assert code == 1

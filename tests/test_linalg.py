@@ -219,6 +219,24 @@ def test_matmul_memory_is_bounded():
     assert peak < 64 << 20
 
 
+def test_matmul_row_block_temporaries_are_small():
+    # the sweep's syndrome product: 2000 received words of the [35, 7] code
+    # over GF(25) times its 35 x 28 transposed parity check.  Beyond the
+    # output, the row blocks' float temporaries stay under 1.5 MiB
+    F = field(5, 2)
+    rng = np.random.default_rng(4)
+    A = rng.integers(0, 25, size=(2000, 35))
+    B = rng.integers(0, 25, size=(35, 28))
+    matmul(F, A[:1], B)  # the field's digit tables, built once
+    tracemalloc.start()
+    try:
+        out = matmul(F, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 1.5 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # rref against a literal Gauss-Jordan elimination
 

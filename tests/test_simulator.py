@@ -14,7 +14,8 @@ from agq.linalg import _column_table, right_nullspace
 from agq.simulator import (
     SimRun,
     _decode_batch,
-    _draw_chunk,
+    _draw_errors,
+    _reference_draw,
     _trial_rng,
     encode,
     run_simulation,
@@ -87,12 +88,27 @@ def numpy_draw(seed, rate_index, trial, k, n, q):
     return message, rng.random(n), rng.integers(0, q - 1, size=n)
 
 
-def assert_chunk_matches_numpy(seed, rate_index, lo, hi, k, n, q):
-    drawn = _draw_chunk(seed, rate_index, lo, hi, k, n, q)
-    for row, t in enumerate(range(lo, hi)):
-        for got, want in zip(drawn, numpy_draw(seed, rate_index, t, k, n, q)):
-            assert got[row].dtype == want.dtype
-            assert np.array_equal(got[row], want), (seed, rate_index, t, k, n, q)
+# the rates of the draw tests: no error rows, some, nearly all, all
+DRAW_RATES = [0.0, 0.05, 0.5, 1.0]
+
+
+def assert_draw_matches_reference(seed, rate_index, lo, hi, k, n, q):
+    """`_draw_errors` at each of DRAW_RATES: its rows are exactly the
+    trials with a reference uniform below the rate, with the exact error
+    count, and each row's draws are the reference's."""
+    reference = [_reference_draw(seed, rate_index, t, k, n, q) for t in range(lo, hi)]
+    for rate in DRAW_RATES:
+        rows, messages, mask, repl = _draw_errors(seed, rate_index, lo, hi, k, n, q, rate)
+        hits = [uniforms < rate for _, uniforms, _ in reference]
+        context = (seed, rate_index, lo, k, n, q, rate)
+        assert rows.tolist() == [t for t, hit in enumerate(hits) if hit.any()], context
+        assert int(mask.sum()) == sum(int(hit.sum()) for hit in hits), context
+        assert (messages.dtype, mask.dtype, repl.dtype) == (np.int64, bool, np.int64)
+        for i, t in enumerate(rows):
+            message, _, offsets = reference[t]
+            assert np.array_equal(messages[i], message), (t, context)
+            assert np.array_equal(mask[i], hits[t]), (t, context)
+            assert np.array_equal(repl[i], offsets), (t, context)
 
 
 # (k, n, q): k = 0, odd and even k, GF(2) with no replacement draws, a
@@ -106,23 +122,35 @@ STREAM_SHAPES = [(0, 8, 4), (1, 8, 4), (2, 8, 4), (3, 15, 9), (7, 35, 25),
 
 def test_vectorised_draw_matches_numpy_streams():
     # 11 shapes x 5 seeds x 200 trials, plus 5 x 20 + 1000 trials of the
-    # long word: 12 100 (key, trial) pairs; the seeds include both sides
-    # of 2^63 and the largest 64-bit seed
+    # long word: 12 100 (key, trial) pairs, each at every rate of
+    # DRAW_RATES; the seeds include both sides of 2^63 and the largest
+    # 64-bit seed
     seeds = [0, 7, 2**62 + 1, 2**63 + 5, 2**64 - 1]
     for i, (k, n, q) in enumerate(STREAM_SHAPES):
         for j, seed in enumerate(seeds):
             lo = (i * 7919 + j * 104729) % 50_000
             trials = 20 if n > 100 else 200
-            assert_chunk_matches_numpy(seed, (i + j) % 5, lo, lo + trials, k, n, q)
-    assert_chunk_matches_numpy(2**64 - 1, 3, 0, 1000, 4, 512, 4096)
+            assert_draw_matches_reference(seed, (i + j) % 5, lo, lo + trials, k, n, q)
+    assert_draw_matches_reference(2**64 - 1, 3, 0, 1000, 4, 512, 4096)
+
+
+def test_reference_draw_is_numpys_stream():
+    # `_reference_draw`, the oracle of the draw tests, against numpy's
+    # Generator read here, for a few shapes, seeds and trials
+    for k, n, q in STREAM_SHAPES[:6]:
+        for seed, t in [(0, 0), (2**63 + 5, 77), (2**64 - 1, 4099)]:
+            for got, want in zip(_reference_draw(seed, 2, t, k, n, q),
+                                 numpy_draw(seed, 2, t, k, n, q)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_draw_rows_do_not_depend_on_philox_block_size(monkeypatch):
-    whole = _draw_chunk(5, 1, 100, 400, 7, 35, 25)
+    whole = [_draw_errors(5, 1, 100, 400, 7, 35, 25, rate) for rate in DRAW_RATES]
     monkeypatch.setattr(simulator, "PHILOX_BLOCKS", 7)
-    parts = _draw_chunk(5, 1, 100, 400, 7, 35, 25)
+    parts = [_draw_errors(5, 1, 100, 400, 7, 35, 25, rate) for rate in DRAW_RATES]
     for a, b in zip(whole, parts):
-        assert np.array_equal(a, b)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
 
 KEY_WORDS = [0, 2**63 - 1, 2**63, 2**64 - 1]
@@ -146,13 +174,14 @@ def test_philox_words_equal_numpys_raw_stream(key0, key1):
 
 
 def test_draw_temporaries_are_bounded():
-    # a Hermitian q=8 sized chunk: n = 512 over GF(4096); the outputs are
-    # 18 MB, while one unblocked Philox pass would hold ~7 MB per array
+    # a Hermitian q=8 sized chunk: n = 512 over GF(4096), at a rate that
+    # puts an error in every trial; the outputs are 11 MB, while one
+    # unblocked Philox pass would hold ~7 MB per array
     import tracemalloc
 
     tracemalloc.start()
     try:
-        drawn = _draw_chunk(3, 0, 0, 2048, 100, 512, 4096)
+        drawn = _draw_errors(3, 0, 0, 2048, 100, 512, 4096, 0.5)
         outputs, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -161,7 +190,8 @@ def test_draw_temporaries_are_bounded():
 
 
 def lemire_rejections(seed, rate_index, trial, k, n, q):
-    """Whether numpy rejected one of the trial's bounded uint32 draws.
+    """Whether numpy rejected one of the trial's bounded uint32 draws, as
+    (in a message draw, in a replacement draw).
 
     Up to the first rejection the stream is read in the plain layout:
     message halves, n uniform words, replacement halves.  Lemire's method
@@ -175,14 +205,14 @@ def lemire_rejections(seed, rate_index, trial, k, n, q):
     if k % 2:
         repl = np.concatenate([halves[k:k + 1], repl])
     draws = [(halves[:k], q), (repl[:n], q - 1)]
-    return any(((u * m) & 0xFFFFFFFF < (2**32 - m) % m).any() for u, m in draws if m > 1)
+    return tuple(m > 1 and bool(((u * m) & 0xFFFFFFFF < (2**32 - m) % m).any()) for u, m in draws)
 
 
 def test_lemire_rejections_are_redrawn_from_the_reference(monkeypatch):
-    # GF(3^10): ranges near 2^16 make real rejections likely in 10^4 trials
-    k, n, q, seed = 3, 200, 3**10, 2024
-    rejected = [t for t in range(10_000) if lemire_rejections(seed, 0, t, k, n, q)]
-    assert rejected, "no trial exercises the rejection redraw"
+    # GF(3^10): ranges near 2^16 make real rejections likely in 10^4
+    # trials.  With 200 symbols every trial at a positive rate carries an
+    # error; with 60 message draws before 4 uniforms, message rejections
+    # also fall in trials that carry none.
     redrawn = []
     reference = simulator._reference_draw
 
@@ -191,11 +221,31 @@ def test_lemire_rejections_are_redrawn_from_the_reference(monkeypatch):
         return reference(master_seed, rate_index, trial, *shape)
 
     monkeypatch.setattr(simulator, "_reference_draw", spy)
-    drawn = _draw_chunk(seed, 0, 0, 10_000, k, n, q)
-    assert set(rejected) <= set(redrawn)
-    for t in rejected + redrawn[:20]:
-        for got, want in zip(drawn, numpy_draw(seed, 0, t, k, n, q)):
-            assert np.array_equal(got[t], want)
+    q, seed, trials = 3**10, 2024, 10_000
+    for k, n, case in [(3, 200, "replacement"), (60, 4, "error-free message")]:
+        flags = [lemire_rejections(seed, 0, t, k, n, q) for t in range(trials)]
+        message_rejected = {t for t, (in_message, _) in enumerate(flags) if in_message}
+        replacement_rejected = {t for t, (_, in_replacement) in enumerate(flags) if in_replacement}
+        exercised = {"replacement": 0, "error-free message": 0}
+        for rate in DRAW_RATES:
+            redrawn.clear()
+            rows, messages, mask, repl = _draw_errors(seed, 0, 0, trials, k, n, q, rate)
+            draws = {t: numpy_draw(seed, 0, t, k, n, q)
+                     for t in message_rejected | replacement_rejected | set(redrawn[:20])}
+            errors = set(rows.tolist())
+            # a message rejection shifts the uniforms, so it is redrawn in
+            # every trial; a replacement rejection only where an error reads it
+            assert message_rejected | (replacement_rejected & errors) <= set(redrawn)
+            exercised["error-free message"] += len(message_rejected - errors)
+            exercised["replacement"] += len(replacement_rejected & errors)
+            for t, (message, uniforms, offsets) in draws.items():
+                assert (t in errors) == bool((uniforms < rate).any()), (t, k, n, rate)
+                if t in errors:
+                    i = int(np.searchsorted(rows, t))
+                    assert np.array_equal(messages[i], message)
+                    assert np.array_equal(mask[i], uniforms < rate)
+                    assert np.array_equal(repl[i], offsets)
+        assert exercised[case], f"no trial exercises the {case} redraw"
 
 
 def test_seeds_above_2_63_are_distinct_and_warning_free(code):
@@ -222,9 +272,9 @@ def test_stream_key_range_is_checked():
     with pytest.raises(ValueError):
         _trial_rng(0, 0, 1 << 44)
     with pytest.raises(ValueError):
-        _draw_chunk(0, (1 << 20) - 1, 0, 1, 2, 8, 4)
+        _draw_errors(0, (1 << 20) - 1, 0, 1, 2, 8, 4, 0.1)
     with pytest.raises(ValueError):
-        _draw_chunk(0, 0, (1 << 44) - 1, (1 << 44) + 1, 2, 8, 4)
+        _draw_errors(0, 0, (1 << 44) - 1, (1 << 44) + 1, 2, 8, 4, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +537,27 @@ def test_seeded_determinism_and_chunk_invariance(code):
     assert d != a
 
 
+# (rate, trials, successes, uncorrectable, miscorrected, total_errors) of
+# the three sweep codes at the reproduce rates, 2000 trials, seed 2^64 - 1:
+# pinned, so any change to them is a golden shift
+SWEEP_PINS = [
+    [(0.0, 2000, 2000, 0, 0, 0), (0.05, 2000, 1888, 112, 0, 804),
+     (0.1, 2000, 1660, 340, 0, 1557), (0.2, 2000, 1038, 962, 0, 3168)],
+    [(0.0, 2000, 2000, 0, 0, 0), (0.05, 2000, 1661, 339, 0, 1506),
+     (0.1, 2000, 1110, 890, 0, 2963), (0.2, 2000, 353, 1647, 0, 5961)],
+    [(0.0, 2000, 2000, 0, 0, 0), (0.05, 2000, 938, 1062, 0, 3535),
+     (0.1, 2000, 235, 1765, 0, 6920), (0.2, 2000, 12, 1988, 0, 13971)],
+]
+
+
+@pytest.mark.parametrize("chunk_size", [2048, 199])
+def test_sweep_results_are_pinned(chunk_size):
+    for sweep_code, pins in zip(benchmarks.sweep_codes(), SWEEP_PINS):
+        rows = run_simulation(sweep_code, (0.0, 0.05, 0.1, 0.2), 2000, 2**64 - 1,
+                              chunk_size=chunk_size)
+        assert [dataclasses.astuple(row) for row in rows] == pins, sweep_code.name
+
+
 def test_success_rate_lower_bound_at_low_rate(code):
     # single errors are always corrected, so success probability is at
     # least P(0 or 1 errors); check within 5 sigma at rate 0.01
@@ -525,6 +596,10 @@ def test_simulation_input_validation(code):
         run_simulation(code, (), 10, 0)
 
 
+def forbidden_draw(*args):
+    raise AssertionError("a stream was drawn before the inputs were checked")
+
+
 @pytest.mark.parametrize("rates, trials, seed, match", [
     ((0.1, 1.5), 200_000, 0, r"error rates must lie in \[0, 1\]"),
     ((0.0, 0.1, float("nan")), 10, 0, r"error rates must lie in \[0, 1\]"),
@@ -532,12 +607,24 @@ def test_simulation_input_validation(code):
     ((0.1, 0.2), 10, 2**64, "64-bit unsigned integer"),
 ])
 def test_run_simulation_checks_every_rate_before_drawing(code, monkeypatch, rates, trials, seed, match):
-    def forbidden(*args):
-        raise AssertionError("a stream was drawn before the inputs were checked")
-
-    monkeypatch.setattr(simulator, "_draw_chunk", forbidden)
+    monkeypatch.setattr(simulator, "_draw_errors", forbidden_draw)
     with pytest.raises(ValueError, match=match):
         run_simulation(code, rates, trials, seed)
+
+
+def test_a_parity_check_that_does_not_annihilate_the_generator_is_refused(code, monkeypatch):
+    # error-free trials are counted as decoded without a syndrome, which
+    # holds only when G H^T = 0; one changed entry of H breaks that
+    F = code.field
+    H = code.parity_check.copy()
+    j = int(np.flatnonzero(code.generator.any(axis=0))[0])
+    H[0, j] = F.add(int(H[0, j]), 1)
+    bad = LinearCode(field=F, generator=code.generator, parity_check=H)
+    monkeypatch.setattr(simulator, "_draw_errors", forbidden_draw)
+    with pytest.raises(ValueError, match="does not annihilate the generator"):
+        run_simulation(bad, (0.0, 0.1), 10, 0)
+    with pytest.raises(ValueError, match="does not annihilate the generator"):
+        simulate_transmission(bad, 0.0, 10, 0)
 
 
 # ---------------------------------------------------------------------------

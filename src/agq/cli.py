@@ -38,7 +38,7 @@ from .gf import FieldError, field
 from .linalg import matmul, rank
 from .quantum import load_known_codes, parameter_table, table_to_json, write_table_csv
 from .rrspace import dimension_report
-from .simulator import SimRun, run_simulation, write_results_csv, write_series_csv
+from .simulator import SimRun, run_simulation, run_sweep, write_results_csv, write_series_csv
 
 DEFAULT_SEED = 123456789
 
@@ -69,14 +69,14 @@ def _write_manifest(path: Path, command: str, parameters: dict, outputs: list[st
 
 def _simulate_codes(codes, rates, trials: int, seed: int, budget: int,
                     chunk_size: int = 2048) -> tuple[list[SimRun], list[dict]]:
-    """Simulate each code at every rate: the CSV runs, and one manifest
+    """Simulate the codes together at every rate: the CSV runs, and one manifest
     record per code, its distance computed within `budget` codewords.  The
     CSV's `d` column holds the lower bound when the distance is not exact,
     so the record names the method, both bounds and each rate's counts."""
+    # run_sweep checks every input and code before the distance enumerations
+    sweep = run_sweep(codes, rates, trials, seed, chunk_size=chunk_size)
     runs, records = [], []
-    for code in codes:
-        # run_simulation checks every input before the distance enumeration
-        rows = run_simulation(code, rates, trials, seed, chunk_size=chunk_size)
+    for code, rows in zip(codes, sweep):
         dist = min_distance(code, budget)
         runs.append(SimRun(code_name=code.name, n=code.n, k=code.k,
                            d=dist.d if dist.exact else dist.lower, master_seed=seed, rows=rows))
@@ -315,7 +315,9 @@ def cmd_reproduce(args) -> int:
         _check(results, "simulation-error-bands", bands_ok)
         # the first code at rates 0 and 0.05 over at most 2000 trials, in
         # chunks of 199 and of the default size; up to 2000 trials the
-        # default-chunk run is the sweep's own first two rows
+        # default-chunk run is the sweep's own first two rows, read from
+        # the streams shared with the longer codes, and the rerun reads
+        # the first code's streams alone
         first, n_first = sweep[0], min(args.trials, 2000)
         rerun = run_simulation(first, rates[:2], n_first, seed, chunk_size=199)
         base = runs[0].rows if args.trials <= 2000 else run_simulation(first, rates[:2], n_first, seed)

@@ -20,7 +20,14 @@ is numpy's `Generator(Philox(key))` (`_trial_rng`), which draws k message
 symbols with `integers(0, q)`, n uniforms with `random`, and n
 replacement offsets with `integers(0, q - 1)`.  `_draw_errors` computes
 these values for a whole chunk of trials at once, with Philox on uint64
-arrays over the block counters 1, 2, ... of each key:
+arrays over the block counters 1, 2, ... of each key.  The key does not
+name the code, and Philox is counter-based, so codes simulated together
+by `run_sweep` read one stream per trial: `_draw_shared` computes each
+row block of words once, for the code with the longest stream, and each
+code reads its own prefix; the determinism check of `agq reproduce`
+reruns the first sweep code alone, so it compares the shared path with
+the single-code one.  At rate 0 nothing is drawn: no uniform in [0, 1)
+is below 0, so every trial arrives intact.  In a stream:
 
 * message and replacement draws are Lemire-bounded uint32s,
   (u * range) >> 32, taken from the low then the high half of each
@@ -119,20 +126,25 @@ def _reference_draw(master_seed: int, rate_index: int, trial: int, k: int, n: in
     return message, rng.random(n), rng.integers(0, q - 1, size=n)
 
 
-# Philox4x64-10 multipliers and Weyl key increments, as in Random123 and numpy.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64-10 multipliers, each with its 32-bit halves, and Weyl key
+# increments, as in Random123 and numpy; uint64 scalars, so that no round
+# converts a Python int
+_PHILOX_M = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
-_LOW32 = 0xFFFFFFFF
-# Philox blocks (four uint64 words each) that `_draw_errors` computes at
-# once: its round temporaries stay at 128 KB per array for any code length.
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# Philox blocks (four uint64 words each) computed at once: the round
+# temporaries stay at 128 KB per array for any code length.
 PHILOX_BLOCKS = 1 << 14
 
 
-def _mulhilo(a: np.ndarray, m: int, hi: np.ndarray, lo: np.ndarray,
+def _mulhilo(a: np.ndarray, m: tuple, hi: np.ndarray, lo: np.ndarray,
              s: np.ndarray, s2: np.ndarray) -> None:
     """Write the high and low words of the 128-bit products a * m into hi
-    and lo, overwriting a and the scratch arrays s and s2.
+    and lo, overwriting a and the scratch arrays s and s2; m is one
+    `_PHILOX_M` entry, (m, m_lo, m_hi).
 
     The low word is a * m, which wraps mod 2^64.  The high word is the
     three-product mulhu of Hacker's Delight (section 8-2): with a_lo, a_hi
@@ -142,19 +154,19 @@ def _mulhilo(a: np.ndarray, m: int, hi: np.ndarray, lo: np.ndarray,
         hi = a_hi * m_hi + (t >> 32) + (w >> 32),
     and neither t nor w exceeds 2^64 - 2^32, so no sum wraps.
     """
-    m_lo, m_hi = np.uint64(m & _LOW32), np.uint64(m >> 32)
-    np.multiply(a, np.uint64(m), out=lo)
-    np.right_shift(a, 32, out=s)                   # a_hi
+    m, m_lo, m_hi = m
+    np.multiply(a, m, out=lo)
+    np.right_shift(a, _SHIFT32, out=s)             # a_hi
     a &= _LOW32                                    # a_lo
     np.multiply(a, m_lo, out=hi)
-    hi >>= 32
+    hi >>= _SHIFT32
     a *= m_hi
     a += hi                                        # t
     np.bitwise_and(a, _LOW32, out=hi)
-    a >>= 32                                       # t >> 32
+    a >>= _SHIFT32                                 # t >> 32
     np.multiply(s, m_lo, out=s2)
     hi += s2                                       # w
-    hi >>= 32
+    hi >>= _SHIFT32
     hi += a
     s *= m_hi
     hi += s
@@ -198,6 +210,93 @@ def _lemire(u32: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return (product >> 32).astype(np.int64), (product & _LOW32) < bound
 
 
+class _ChunkDraws:
+    """One code's draws for the trials lo..hi-1 of one rate, gathered row
+    block by row block from Philox words that cover at least its own
+    `blocks`: block j of a key is the same whoever reads it."""
+
+    def __init__(self, b: int, k: int, n: int, q: int):
+        self.shape = (k, n, q)
+        # word layout of one trial: message words, uniform words, replacement words
+        self.msg_words = (k + 1) // 2
+        repl_words = (k + n + 1) // 2 - self.msg_words if q > 2 else 0
+        self.blocks = -(-(self.msg_words + n + repl_words) // 4)
+        # the replacement draws read n halves, low half first, from the words
+        # after the uniforms; when k is odd the first of them is the buffered
+        # high half of the last message word, so the slice starts one half
+        # early and its first column is replaced
+        self.repl_from = 2 * (self.msg_words + n) - (k & 1)
+        self.rows = np.empty(b, dtype=np.int64)
+        self.messages = np.empty((b, k), dtype=np.int64)
+        self.mask = np.empty((b, n), dtype=bool)
+        self.repl = np.zeros((b, n), dtype=np.int64)
+        self.suspect = np.empty(b, dtype=bool)
+        self.e = 0  # rows filled so far
+
+    def take(self, r0: int, words: np.ndarray, halves: np.ndarray, threshold: np.uint64) -> None:
+        """Keep the trials r0, r0 + 1, ... of `words` (uint64) and `halves`
+        (its uint32 view) that carry an error or a suspect message draw."""
+        k, n, q = self.shape
+        # every trial's message draws are checked, since a rejection
+        # shifts the uniforms; uint64 before the bound, as a uint32
+        # product u * q would wrap
+        messages, bad = _lemire(halves[:, :k].astype(np.uint64), q)
+        suspect = bad.any(axis=1)
+        mask = (words[:, self.msg_words:self.msg_words + n] >> 11) < threshold
+        at = np.flatnonzero(mask.any(axis=1) | suspect)
+        found = slice(self.e, self.e + len(at))
+        self.rows[found], self.messages[found], self.mask[found] = r0 + at, messages[at], mask[at]
+        self.suspect[found] = suspect[at]
+        if q > 2:
+            u32 = halves[at, self.repl_from:self.repl_from + n].astype(np.uint64)
+            if k & 1:
+                u32[:, 0] = halves[at, k]
+            self.repl[found], bad = _lemire(u32, q - 1)
+            self.suspect[found] |= bad.any(axis=1)
+        self.e = found.stop
+
+    def errors(self, master_seed: int, rate_index: int, lo: int, rate: float):
+        """The `_draw_errors` result, once every row block is taken: the
+        suspect trials are drawn again from `_reference_draw`."""
+        e = self.e
+        rows, messages, mask, repl = self.rows, self.messages, self.mask, self.repl
+        for i in np.flatnonzero(self.suspect[:e]):
+            messages[i], uniforms, repl[i] = _reference_draw(
+                master_seed, rate_index, lo + int(rows[i]), *self.shape)
+            mask[i] = uniforms < rate
+        # a redrawn trial may carry no error after all
+        hit = np.flatnonzero(mask[:e].any(axis=1))
+        if len(hit) == e:
+            return rows[:e], messages[:e], mask[:e], repl[:e]
+        return rows[hit], messages[hit], mask[hit], repl[hit]
+
+
+def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
+                 shapes: Sequence[tuple[int, int, int]], rate: float) -> list:
+    """`_draw_errors` for each (k, n, q) of `shapes`, from one Philox pass.
+
+    Each row block's words are computed once, for the shape with the most
+    blocks, and every shape reads its own prefix of them, with its own
+    Lemire checks and redraws.
+    """
+    _check_stream_range(rate_index, hi)
+    b = hi - lo
+    draws = [_ChunkDraws(b, k, n, q) for k, n, q in shapes]
+    blocks = max(d.blocks for d in draws)
+    key0 = np.full((1, 1), master_seed, dtype=np.uint64)
+    key1 = np.arange(lo, hi, dtype=np.uint64).reshape(-1, 1) | np.uint64((rate_index + 1) << 44)
+    # (w >> 11) * 2^-53 < rate holds for the integer w >> 11 exactly when
+    # w >> 11 < ceil(rate * 2^53), and rate * 2^53 is exact
+    threshold = np.uint64(math.ceil(rate * 2.0**53))
+    step = max(1, PHILOX_BLOCKS // max(blocks, 1))
+    for r0 in range(0, b, step):
+        words = _philox_words(key0, key1[r0:r0 + step], blocks)
+        halves = words.astype("<u8", copy=False).view("<u4")
+        for d in draws:
+            d.take(r0, words, halves, threshold)
+    return [d.errors(master_seed, rate_index, lo, rate) for d in draws]
+
+
 def _draw_errors(master_seed: int, rate_index: int, lo: int, hi: int, k: int, n: int, q: int,
                  rate: float):
     """The trials among lo..hi-1 that carry an error at `rate`.
@@ -208,58 +307,7 @@ def _draw_errors(master_seed: int, rate_index: int, lo: int, hi: int, k: int, n:
     and replacement offsets of `_reference_draw` and the mask
     uniforms < rate.  Every other trial's uniforms are all >= rate.
     """
-    _check_stream_range(rate_index, hi)
-    # word layout of one trial: message words, uniform words, replacement words
-    msg_words = (k + 1) // 2
-    repl_words = (k + n + 1) // 2 - msg_words if q > 2 else 0
-    blocks = -(-(msg_words + n + repl_words) // 4)
-    key0 = np.full((1, 1), master_seed, dtype=np.uint64)
-    key1 = np.arange(lo, hi, dtype=np.uint64).reshape(-1, 1) | np.uint64((rate_index + 1) << 44)
-    # (w >> 11) * 2^-53 < rate holds for the integer w >> 11 exactly when
-    # w >> 11 < ceil(rate * 2^53), and rate * 2^53 is exact
-    threshold = np.uint64(math.ceil(rate * 2.0**53))
-    # the replacement draws read n halves, low half first, from the words
-    # after the uniforms; when k is odd the first of them is the buffered
-    # high half of the last message word, so the slice starts one half
-    # early and its first column is replaced
-    repl_from = 2 * (msg_words + n) - (k & 1)
-    b = hi - lo
-    rows = np.empty(b, dtype=np.int64)
-    messages = np.empty((b, k), dtype=np.int64)
-    mask = np.empty((b, n), dtype=bool)
-    repl = np.zeros((b, n), dtype=np.int64)
-    e = 0  # rows filled so far
-    step = max(1, PHILOX_BLOCKS // max(blocks, 1))
-    for r0 in range(0, b, step):
-        words = _philox_words(key0, key1[r0:r0 + step], blocks)
-        halves = words.astype("<u8", copy=False).view("<u4")
-        # every trial's message draws are checked, since a rejection
-        # shifts the uniforms; uint64 before the bound, as a uint32
-        # product u * q would wrap
-        part_messages, bad = _lemire(halves[:, :k].astype(np.uint64), q)
-        suspect = bad.any(axis=1)
-        part_mask = (words[:, msg_words:msg_words + n] >> 11) < threshold
-        # the trials with an error or a rejection go on
-        at = np.flatnonzero(part_mask.any(axis=1) | suspect)
-        found = slice(e, e + len(at))
-        rows[found], messages[found], mask[found] = r0 + at, part_messages[at], part_mask[at]
-        suspect = suspect[at]
-        if q > 2:
-            u32 = halves[at, repl_from:repl_from + n].astype(np.uint64)
-            if k & 1:
-                u32[:, 0] = halves[at, k]
-            repl[found], bad = _lemire(u32, q - 1)
-            suspect |= bad.any(axis=1)
-        for i in e + np.flatnonzero(suspect):
-            messages[i], uniforms, repl[i] = _reference_draw(
-                master_seed, rate_index, lo + int(rows[i]), k, n, q)
-            mask[i] = uniforms < rate
-        e = found.stop
-    # a redrawn trial may carry no error after all
-    hit = np.flatnonzero(mask[:e].any(axis=1))
-    if len(hit) == e:
-        return rows[:e], messages[:e], mask[:e], repl[:e]
-    return rows[hit], messages[hit], mask[hit], repl[hit]
+    return _draw_shared(master_seed, rate_index, lo, hi, [(k, n, q)], rate)[0]
 
 
 def _decode_batch(code: LinearCode, received: np.ndarray, table):
@@ -333,33 +381,35 @@ def _decoder_table(code: LinearCode):
     return _column_table(F, code.parity_check)
 
 
-def _transmit(code: LinearCode, table, rate: float, trials: int, master_seed: int,
-              rate_index: int, chunk_size: int) -> RateResult:
-    """`simulate_transmission` on checked inputs with the `_decoder_table`."""
-    F = code.field
-    n, k, q = code.n, code.k, F.order
-    successes = uncorrectable = miscorrected = 0
-    total_errors = 0
+def _transmit(codes: Sequence[LinearCode], tables: Sequence, rate: float, trials: int,
+              master_seed: int, rate_index: int, chunk_size: int) -> tuple[RateResult, ...]:
+    """One `RateResult` per code at one rate, on checked inputs with each
+    code's `_decoder_table`; the codes share each chunk's streams."""
+    _check_stream_range(rate_index, trials)
+    if math.ceil(rate * 2.0**53) == 0:
+        # no uniform in [0, 1) is below 0: every trial arrives intact
+        return tuple(RateResult(rate, trials, trials, 0, 0, 0) for _ in codes)
+    shapes = [(code.k, code.n, code.field.order) for code in codes]
+    counts = np.zeros((len(codes), 4), dtype=np.int64)
     for lo in range(0, trials, chunk_size):
         hi = min(lo + chunk_size, trials)
-        rows, messages, mask, repl = _draw_errors(master_seed, rate_index, lo, hi, k, n, q, rate)
-        codewords = matmul(F, messages, code.generator)
-        alts = repl + (repl >= codewords)
-        received = np.where(mask, alts, codewords)
-        total_errors += int(mask.sum())
-        decoded, statuses = _decode_batch(code, received, table)
-        ok = statuses != FAILURE
-        successes += hi - lo - len(rows) + int(ok.sum())
-        uncorrectable += int((~ok).sum())
-        miscorrected += int((ok & (decoded != codewords).any(axis=1)).sum())
-    return RateResult(
-        rate=rate,
-        trials=trials,
-        successes=successes,
-        uncorrectable=uncorrectable,
-        miscorrected=miscorrected,
-        total_errors=total_errors,
-    )
+        drawn = _draw_shared(master_seed, rate_index, lo, hi, shapes, rate)
+        for i, (code, table) in enumerate(zip(codes, tables)):
+            # each code's draws are released once it is decoded
+            counts[i] += _decode_errors(code, table, hi - lo, *drawn.pop(0))
+    return tuple(RateResult(rate, trials, *map(int, count)) for count in counts)
+
+
+def _decode_errors(code: LinearCode, table, trials: int, rows, messages, mask, repl):
+    """(successes, uncorrectable, miscorrected, total errors) of `trials`
+    trials, of which the `_draw_errors` rows carry an error; only those
+    are encoded and decoded, and the others count as successes."""
+    codewords = matmul(code.field, messages, code.generator)
+    received = np.where(mask, repl + (repl >= codewords), codewords)
+    decoded, statuses = _decode_batch(code, received, table)
+    ok = statuses != FAILURE
+    return (trials - len(rows) + int(ok.sum()), int((~ok).sum()),
+            int((ok & (decoded != codewords).any(axis=1)).sum()), int(mask.sum()))
 
 
 def simulate_transmission(code: LinearCode, rate: float, trials: int, master_seed: int,
@@ -368,10 +418,31 @@ def simulate_transmission(code: LinearCode, rate: float, trials: int, master_see
 
     Every trial draws (message, uniforms, replacements) from its own
     keyed stream, so the result does not depend on `chunk_size`; each
-    chunk's streams are computed at once by `_draw_errors`.
+    chunk's streams are computed at once by `_draw_shared`.
     """
     _check_inputs((rate,), trials, master_seed, chunk_size)
-    return _transmit(code, _decoder_table(code), rate, trials, master_seed, rate_index, chunk_size)
+    return _transmit([code], [_decoder_table(code)], rate, trials, master_seed, rate_index,
+                     chunk_size)[0]
+
+
+def run_sweep(codes: Sequence[LinearCode], rates: Sequence[float], trials: int,
+              master_seed: int, chunk_size: int = 2048) -> tuple[tuple[RateResult, ...], ...]:
+    """Each code's `run_simulation` rows, one tuple per code in order.
+
+    Trial t at rate index i reads the stream keyed by (master_seed,
+    ((i + 1) << 44) | t) whatever the code, so the codes read one stream
+    per trial: each row block of Philox words is computed once, for the
+    code with the longest stream, and the others read its prefix.  Every
+    input, and every code, is checked before the first draw.
+    """
+    codes = list(codes)
+    if not codes:
+        raise ValueError("run_sweep needs at least one code")
+    _check_inputs(rates, trials, master_seed, chunk_size)
+    tables = [_decoder_table(code) for code in codes]
+    per_rate = [_transmit(codes, tables, rate, trials, master_seed, i, chunk_size)
+                for i, rate in enumerate(rates)]
+    return tuple(zip(*per_rate))
 
 
 def run_simulation(code: LinearCode, rates: Sequence[float], trials: int, master_seed: int,
@@ -379,12 +450,7 @@ def run_simulation(code: LinearCode, rates: Sequence[float], trials: int, master
     """`simulate_transmission` at each rate in order, rate i reading the
     streams of rate index i; every input, and the code, is checked before
     the first draw."""
-    _check_inputs(rates, trials, master_seed, chunk_size)
-    table = _decoder_table(code)
-    return tuple(
-        _transmit(code, table, rate, trials, master_seed, i, chunk_size)
-        for i, rate in enumerate(rates)
-    )
+    return run_sweep([code], rates, trials, master_seed, chunk_size)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -405,12 +405,12 @@ def test_reproduce_csvs_match_their_pinned_digests(capsys, tmp_path):
 def test_reproduce_determinism_check_fails_on_chunk_dependence(capsys, tmp_path, monkeypatch,
                                                                 trials):
     # every rate of every run goes through the per-rate loop, whose last
-    # argument is the chunk size
+    # argument is the chunk size and whose result holds one row per code
     real = simulator._transmit
 
     def chunk_dependent(*args):
-        result = real(*args)
-        return dataclasses.replace(result, total_errors=result.total_errors + args[-1])
+        return tuple(dataclasses.replace(row, total_errors=row.total_errors + args[-1])
+                     for row in real(*args))
 
     monkeypatch.setattr(simulator, "_transmit", chunk_dependent)
     code, out, _ = run_cli(capsys, "reproduce", "--out-dir", str(tmp_path),
@@ -420,15 +420,21 @@ def test_reproduce_determinism_check_fails_on_chunk_dependence(capsys, tmp_path,
 
 
 def test_reproduce_simulates_each_sweep_code_once_plus_one_rerun(capsys, tmp_path, monkeypatch):
+    # one sweep of the three codes on shared streams, and the determinism
+    # rerun of the first code alone
     calls = []
-    real = cli.run_simulation
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("chunk_size", 2048))
-        return real(*args, **kwargs)
+    def counted(name, real):
+        def call(codes, *args, **kwargs):
+            names = [c.name for c in codes] if name == "run_sweep" else [codes.name]
+            calls.append((name, names, kwargs.get("chunk_size", 2048)))
+            return real(codes, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(cli, "run_simulation", counted)
+    for name in ("run_sweep", "run_simulation"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
     code, out, _ = run_cli(capsys, "reproduce", "--out-dir", str(tmp_path),
                            "--trials", "2000", "--seed", "5")
     assert code == 0, out
-    assert sorted(calls) == [199, 2048, 2048, 2048]
+    names = [c.name for c in benchmarks.sweep_codes()]
+    assert calls == [("run_sweep", names, 2048), ("run_simulation", names[:1], 199)]

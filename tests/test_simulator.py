@@ -12,13 +12,16 @@ from agq.agcode import LinearCode, build_onepoint_code, dual, hermitian_dual
 from agq.gf import field, quadratic_tower
 from agq.linalg import _column_table, right_nullspace
 from agq.simulator import (
+    RateResult,
     SimRun,
     _decode_batch,
     _draw_errors,
+    _draw_shared,
     _reference_draw,
     _trial_rng,
     encode,
     run_simulation,
+    run_sweep,
     simulate_transmission,
     write_results_csv,
     write_series_csv,
@@ -176,17 +179,20 @@ def test_philox_words_equal_numpys_raw_stream(key0, key1):
 def test_draw_temporaries_are_bounded():
     # a Hermitian q=8 sized chunk: n = 512 over GF(4096), at a rate that
     # puts an error in every trial; the outputs are 11 MB, while one
-    # unblocked Philox pass would hold ~7 MB per array
+    # unblocked Philox pass would hold ~7 MB per array.  The same chunk
+    # then shares its row blocks with two shorter shapes, still holding
+    # one row block of words at a time.
     import tracemalloc
 
-    tracemalloc.start()
-    try:
-        drawn = _draw_errors(3, 0, 0, 2048, 100, 512, 4096, 0.5)
-        outputs, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(a.nbytes for a in drawn) <= outputs
-    assert peak - outputs < 8 << 20
+    for shapes in ([(100, 512, 4096)], [(7, 35, 25), (100, 512, 4096), (3, 8, 4)]):
+        tracemalloc.start()
+        try:
+            drawn = _draw_shared(3, 0, 0, 2048, shapes, 0.5)
+            outputs, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(a.nbytes for draw in drawn for a in draw) <= outputs
+        assert peak - outputs < 8 << 20, shapes
 
 
 def lemire_rejections(seed, rate_index, trial, k, n, q):
@@ -246,6 +252,36 @@ def test_lemire_rejections_are_redrawn_from_the_reference(monkeypatch):
                     assert np.array_equal(mask[i], uniforms < rate)
                     assert np.array_equal(repl[i], offsets)
         assert exercised[case], f"no trial exercises the {case} redraw"
+
+
+def test_shared_draws_redraw_each_shapes_own_rejections(monkeypatch):
+    # the two rejection shapes of the test above read the prefixes of a
+    # longer third shape's streams; each shape's draws, and the trials it
+    # redraws, are those of its own `_draw_errors`, which that test checks
+    # against numpy
+    redrawn = []
+    reference = simulator._reference_draw
+
+    def spy(master_seed, rate_index, trial, *shape):
+        redrawn.append((shape, trial))
+        return reference(master_seed, rate_index, trial, *shape)
+
+    monkeypatch.setattr(simulator, "_reference_draw", spy)
+    q, seed, trials = 3**10, 2024, 10_000
+    shapes = [(3, 200, q), (7, 301, 25), (60, 4, q)]
+    exercised = set()
+    for rate in DRAW_RATES:
+        redrawn.clear()
+        alone = [_draw_errors(seed, 0, 0, trials, *shape, rate) for shape in shapes]
+        redrawn_alone = sorted(redrawn)
+        redrawn.clear()
+        shared = _draw_shared(seed, 0, 0, trials, shapes, rate)
+        assert sorted(redrawn) == redrawn_alone, rate
+        exercised |= {shape for shape, _ in redrawn}
+        for shape, a, b in zip(shapes, alone, shared):
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y), (shape, rate)
+    assert exercised >= {shapes[0], shapes[2]}
 
 
 def test_seeds_above_2_63_are_distinct_and_warning_free(code):
@@ -492,7 +528,7 @@ def test_batch_decoder_matches_reference_with_repeated_columns(fe, seed):
 # transmission statistics
 
 
-@pytest.mark.parametrize("rate_index,rate", [(0, 0.1), (3, 0.3)])
+@pytest.mark.parametrize("rate_index,rate", [(0, 0.1), (3, 0.3), (1, 0.0), (2, 1.0)])
 def test_transmission_matches_literal_trials(code, rate_index, rate):
     # each trial read literally from its own numpy stream: message, then the
     # oracle channel, then the oracle decoder
@@ -519,6 +555,23 @@ def test_rate_zero_exact(code):
     assert res.success_rate == 1.0
     assert res.avg_errors == 0.0
     assert res.miscorrected == 0
+
+
+def test_rate_zero_draws_nothing(code, monkeypatch):
+    # no uniform in [0, 1) is below 0, so no stream is computed; the
+    # stream-key range is still checked
+    monkeypatch.setattr(simulator, "_philox_words", forbidden_draw)
+    assert simulate_transmission(code, 0.0, 5000, master_seed=3, rate_index=7) == RateResult(
+        0.0, 5000, 5000, 0, 0, 0)
+    zero = RateResult(0.0, 300, 300, 0, 0, 0)
+    assert run_simulation(code, (0.0, 0.0), 300, 4, chunk_size=137) == (zero, zero)
+    assert run_sweep([code, code], (0.0,), 300, 4) == ((zero,), (zero,))
+    with pytest.raises(ValueError, match="stream-key range"):
+        simulate_transmission(code, 0.0, 10, 0, rate_index=(1 << 20) - 1)
+    with pytest.raises(ValueError, match="stream-key range"):
+        simulate_transmission(code, 0.0, (1 << 44) + 1, 0)
+    with pytest.raises(ValueError, match="stream-key range"):
+        run_simulation(code, (0.0,), (1 << 44) + 1, 0)
 
 
 def test_counts_partition_trials(code):
@@ -556,6 +609,49 @@ def test_sweep_results_are_pinned(chunk_size):
         rows = run_simulation(sweep_code, (0.0, 0.05, 0.1, 0.2), 2000, 2**64 - 1,
                               chunk_size=chunk_size)
         assert [dataclasses.astuple(row) for row in rows] == pins, sweep_code.name
+
+
+def gf2_hamming_7_4():
+    return LinearCode.from_generator(field(2, 1), [[1, 0, 0, 0, 1, 1, 0],
+                                                   [0, 1, 0, 0, 1, 0, 1],
+                                                   [0, 0, 1, 0, 0, 1, 1],
+                                                   [0, 0, 0, 1, 1, 1, 1]], name="hamming-7-4")
+
+
+MIXED_RATES = (0.0, 0.05, 0.2, 1.0)
+
+
+@functools.cache
+def mixed_codes():
+    # the sweep codes, a GF(2) code with no replacement words, and the
+    # odd-k [8,3]_4 code; the [35,7]_25 code has the longest streams
+    return (*benchmarks.sweep_codes(), gf2_hamming_7_4(), benchmarks.benchmark_code_8_3())
+
+
+@functools.cache
+def mixed_alone():
+    return tuple(run_simulation(code, MIXED_RATES, 501, 2**64 - 3) for code in mixed_codes())
+
+
+@pytest.mark.parametrize("chunk_size, philox_blocks", [
+    (2048, None), (199, None), (137, None), (199, 7), (2048, 100), (137, 100)])
+def test_sweep_equals_per_code_simulations(monkeypatch, chunk_size, philox_blocks):
+    # 7 Philox blocks make row blocks of one trial; 100 make row blocks of
+    # 7 trials for the mixed codes and 25 for [8,2]_4 alone, which divide
+    # neither the chunks nor the 501 trials
+    alone = mixed_alone()
+    if philox_blocks:
+        monkeypatch.setattr(simulator, "PHILOX_BLOCKS", philox_blocks)
+    assert run_sweep(mixed_codes(), MIXED_RATES, 501, 2**64 - 3, chunk_size=chunk_size) == alone
+    codes = benchmarks.sweep_codes()[:1]
+    assert run_sweep(codes, MIXED_RATES, 501, 2**64 - 3, chunk_size=chunk_size) == alone[:1]
+
+
+def test_sweep_result_shape_and_checks(code):
+    rows = run_sweep([code, gf2_hamming_7_4()], (0.0, 0.1), 50, 1)
+    assert [[row.rate for row in per_code] for per_code in rows] == [[0.0, 0.1]] * 2
+    with pytest.raises(ValueError, match="at least one code"):
+        run_sweep([], (0.1,), 10, 0)
 
 
 def test_success_rate_lower_bound_at_low_rate(code):
@@ -607,9 +703,11 @@ def forbidden_draw(*args):
     ((0.1, 0.2), 10, 2**64, "64-bit unsigned integer"),
 ])
 def test_run_simulation_checks_every_rate_before_drawing(code, monkeypatch, rates, trials, seed, match):
-    monkeypatch.setattr(simulator, "_draw_errors", forbidden_draw)
+    monkeypatch.setattr(simulator, "_draw_shared", forbidden_draw)
     with pytest.raises(ValueError, match=match):
         run_simulation(code, rates, trials, seed)
+    with pytest.raises(ValueError, match=match):
+        run_sweep([code, gf2_hamming_7_4()], rates, trials, seed)
 
 
 def test_a_parity_check_that_does_not_annihilate_the_generator_is_refused(code, monkeypatch):
@@ -620,11 +718,14 @@ def test_a_parity_check_that_does_not_annihilate_the_generator_is_refused(code, 
     j = int(np.flatnonzero(code.generator.any(axis=0))[0])
     H[0, j] = F.add(int(H[0, j]), 1)
     bad = LinearCode(field=F, generator=code.generator, parity_check=H)
-    monkeypatch.setattr(simulator, "_draw_errors", forbidden_draw)
+    monkeypatch.setattr(simulator, "_draw_shared", forbidden_draw)
     with pytest.raises(ValueError, match="does not annihilate the generator"):
         run_simulation(bad, (0.0, 0.1), 10, 0)
     with pytest.raises(ValueError, match="does not annihilate the generator"):
-        simulate_transmission(bad, 0.0, 10, 0)
+        simulate_transmission(bad, 0.1, 10, 0)
+    # every code of a sweep is certified before its first draw
+    with pytest.raises(ValueError, match="does not annihilate the generator"):
+        run_sweep([code, bad], (0.1,), 10, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -721,8 +721,10 @@ def test_a_parity_check_that_does_not_annihilate_the_generator_is_refused(code, 
     monkeypatch.setattr(simulator, "_draw_shared", forbidden_draw)
     with pytest.raises(ValueError, match="does not annihilate the generator"):
         run_simulation(bad, (0.0, 0.1), 10, 0)
-    with pytest.raises(ValueError, match="does not annihilate the generator"):
-        simulate_transmission(bad, 0.1, 10, 0)
+    # at rate 0 nothing is drawn, but the code is still certified
+    for rate in (0.0, 0.1):
+        with pytest.raises(ValueError, match="does not annihilate the generator"):
+            simulate_transmission(bad, rate, 10, 0)
     # every code of a sweep is certified before its first draw
     with pytest.raises(ValueError, match="does not annihilate the generator"):
         run_sweep([code, bad], (0.1,), 10, 0)

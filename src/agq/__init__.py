@@ -35,4 +35,4 @@ from .rrspace import (
     dimension_by_cases,
     verified_basis,
 )
-from .simulator import encode, run_simulation, simulate_transmission
+from .simulator import encode, run_simulation

@@ -4,8 +4,9 @@ bundle with golden-value checks.
 
 Subcommands: field-info, code-report, quantum-table, simulate,
 reproduce.  The master seed is taken from --seed, then the AGQ_SEED
-environment variable, then a fixed default; commands that write files
-also write a JSON manifest sufficient to re-run them identically.
+environment variable, then a fixed default; simulate (whenever it writes
+a CSV) and reproduce also write a JSON manifest sufficient to re-run
+them identically.
 """
 
 from __future__ import annotations
@@ -67,14 +68,14 @@ def _write_manifest(path: Path, command: str, parameters: dict, outputs: list[st
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _simulate_codes(codes, rates, trials: int, seed: int, budget: int,
-                    chunk_size: int = 2048) -> tuple[list[SimRun], list[dict]]:
+def _simulate_codes(codes, rates, trials: int, seed: int,
+                    budget: int) -> tuple[list[SimRun], list[dict]]:
     """Simulate the codes together at every rate: the CSV runs, and one manifest
     record per code, its distance computed within `budget` codewords.  The
     CSV's `d` column holds the lower bound when the distance is not exact,
     so the record names the method, both bounds and each rate's counts."""
     # run_sweep checks every input and code before the distance enumerations
-    sweep = run_sweep(codes, rates, trials, seed, chunk_size=chunk_size)
+    sweep = run_sweep(codes, rates, trials, seed)
     runs, records = [], []
     for code, rows in zip(codes, sweep):
         dist = min_distance(code, budget)
@@ -173,7 +174,7 @@ def cmd_simulate(args) -> int:
             raise ValueError("--r is required to build a code")
         curve = _curve_from_args(args)
         codes = [build_onepoint_code(curve, args.r)]
-    runs, records = _simulate_codes(codes, rates, args.trials, seed, args.budget, args.chunk_size)
+    runs, records = _simulate_codes(codes, rates, args.trials, seed, args.budget)
     for run in runs:
         for row in run.rows:
             print(f"{run.code_name} rate={row.rate}: success={row.success_rate:.4f} "
@@ -186,14 +187,14 @@ def cmd_simulate(args) -> int:
     if args.series_out:
         write_series_csv(runs, args.series_out)
         outputs.append(str(args.series_out))
-    if args.out:
-        manifest_path = Path(args.manifest) if args.manifest else Path(str(args.out) + ".manifest.json")
+    if outputs:
+        manifest_path = Path(args.manifest or outputs[0] + ".manifest.json")
         _write_manifest(
             manifest_path, "simulate",
             {
                 "preset": args.preset, "matrix": args.matrix, "family": args.family,
                 "q": args.q, "m": args.m, "r": args.r, "rates": list(rates),
-                "trials": args.trials, "budget": args.budget, "chunk_size": args.chunk_size,
+                "trials": args.trials, "budget": args.budget,
             },
             outputs, seed, records,
         )
@@ -313,14 +314,14 @@ def cmd_reproduce(args) -> int:
                 if abs(row.avg_errors - run.n * row.rate) > 5 * sigma:
                     bands_ok = False
         _check(results, "simulation-error-bands", bands_ok)
-        # the first code at rates 0 and 0.05 over at most 2000 trials, in
-        # chunks of 199 and of the default size; up to 2000 trials the
-        # default-chunk run is the sweep's own first two rows, read from
-        # the streams shared with the longer codes, and the rerun reads
-        # the first code's streams alone
+        # the first code at rates 0 and 0.05 over at most 2000 trials, run
+        # alone, against the same trials read from the streams shared with
+        # the longer codes: up to 2000 trials the sweep's own first two
+        # rows, above that a 2000-trial sweep.  From 1171 trials the two
+        # sides also split the trials into different Philox row blocks.
         first, n_first = sweep[0], min(args.trials, 2000)
-        rerun = run_simulation(first, rates[:2], n_first, seed, chunk_size=199)
-        base = runs[0].rows if args.trials <= 2000 else run_simulation(first, rates[:2], n_first, seed)
+        rerun = run_simulation(first, rates[:2], n_first, seed)
+        base = runs[0].rows if args.trials <= 2000 else run_sweep(sweep, rates[:2], n_first, seed)[0]
         _check(results, "simulation-determinism", rerun == base[:2])
 
     _write_manifest(out_dir / "manifest.json", "reproduce",
@@ -384,10 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="master seed (fallback: AGQ_SEED, then default)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max codewords q^k that exact distances may cover")
-    p.add_argument("--chunk-size", type=int, default=2048)
     p.add_argument("--out", help="results CSV path")
     p.add_argument("--series-out", help="per-rate series CSV path")
-    p.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
+    p.add_argument("--manifest", help="manifest path, written with either CSV "
+                   "(default: <out>.manifest.json, else <series-out>.manifest.json)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reproduce", help="regenerate the benchmark bundle and check golden values")

@@ -3,7 +3,8 @@
 A q-ary [[n, n-2k, d]] stabilizer code exists for every Hermitian
 self-orthogonal [n, k] code over GF(q^2) whose Hermitian dual has
 minimum distance d.  `params_from_code` derives the triple from an
-actual code (brute-forcing the dual distance within a budget);
+actual code (brute-forcing the dual distance within a budget, and
+reporting no distance past it);
 `designed_params` evaluates the closed-form family
 
     [[q^2, q^2 + (q-1)(m-1)/2 - 2 - 2r, r - (q-1)(m-1)/2 + 2]]_q
@@ -76,14 +77,12 @@ def _singleton_ok(n: int, k: int, d: int | None) -> bool | None:
     return k + 2 * d <= n + 2
 
 
-def params_from_code(code: LinearCode, budget: int = DEFAULT_BUDGET,
-                     designed_dual_distance: int | None = None) -> QuantumParams:
+def params_from_code(code: LinearCode, budget: int = DEFAULT_BUDGET) -> QuantumParams:
     """[[n, n-2k, d_dual]]_q from a Hermitian self-orthogonal code over GF(q^2).
 
     Raises ValueError (naming the violating row pair) when the input is
     not Hermitian self-orthogonal.  The dual distance is brute-forced
-    when it fits the budget; otherwise the supplied designed value is
-    reported with d_verified=False.
+    when it fits the budget; otherwise d is None, with d_verified=False.
     """
     pair = hermitian_violation(code)
     if pair is not None:
@@ -94,10 +93,7 @@ def params_from_code(code: LinearCode, budget: int = DEFAULT_BUDGET,
     tower = code.tower
     dual_code = hermitian_dual(code)
     dist = min_distance(dual_code, budget)
-    if dist.exact:
-        d, verified = dist.d, True
-    else:
-        d, verified = designed_dual_distance, False
+    d = dist.d if dist.exact else None
     n, k = code.n, code.n - 2 * code.k
     return QuantumParams(
         q=tower.q,
@@ -105,7 +101,7 @@ def params_from_code(code: LinearCode, budget: int = DEFAULT_BUDGET,
         k=k,
         d=d,
         source="derived-from-code",
-        d_verified=verified,
+        d_verified=dist.exact,
         singleton_ok=_singleton_ok(n, k, d),
         k_nonnegative=k >= 0,
         degenerate=code.k == 0,

@@ -15,19 +15,21 @@ radius), without changing the two headline metrics.
 Randomness: trial t at rate index i reads its own Philox4x64-10 stream
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
 keyed by (master_seed, ((i + 1) << 44) | t), so results are bit-identical
-for a given seed regardless of chunking or execution order.  The stream
-is numpy's `Generator(Philox(key))` (`_trial_rng`), which draws k message
-symbols with `integers(0, q)`, n uniforms with `random`, and n
-replacement offsets with `integers(0, q - 1)`.  `_draw_errors` computes
-these values for a whole chunk of trials at once, with Philox on uint64
-arrays over the block counters 1, 2, ... of each key.  The key does not
-name the code, and Philox is counter-based, so codes simulated together
-by `run_sweep` read one stream per trial: `_draw_shared` computes each
-row block of words once, for the code with the longest stream, and each
-code reads its own prefix; the determinism check of `agq reproduce`
-reruns the first sweep code alone, so it compares the shared path with
-the single-code one.  At rate 0 nothing is drawn: no uniform in [0, 1)
-is below 0, so every trial arrives intact.  In a stream:
+for a given seed however the trials are blocked.  The stream is numpy's
+`Generator(Philox(key))` (`_trial_rng`), which draws k message symbols
+with `integers(0, q)`, n uniforms with `random`, and n replacement
+offsets with `integers(0, q - 1)`.  Every simulation goes through
+`run_sweep`, which runs each rate in chunks of `CHUNK_TRIALS` trials;
+`_draw_shared` computes a chunk's draws at once, with Philox on uint64
+arrays over the block counters 1, 2, ... of each key, in row blocks of
+at most `PHILOX_BLOCKS` blocks.  The key does not name the code, and
+Philox is counter-based, so codes simulated together read one stream
+per trial: each row block of words is computed once, for the code with
+the longest stream, and each code reads its own prefix; the determinism
+check of `agq reproduce` reruns the first sweep code alone, so it
+compares the shared path with the single-code one.  At rate 0 nothing
+is drawn: no uniform in [0, 1) is below 0, so every trial arrives
+intact.  In a stream:
 
 * message and replacement draws are Lemire-bounded uint32s,
   (u * range) >> 32, taken from the low then the high half of each
@@ -120,7 +122,7 @@ def _check_stream_range(rate_index: int, trial_stop: int) -> None:
 
 def _reference_draw(master_seed: int, rate_index: int, trial: int, k: int, n: int, q: int):
     """(message, uniforms, replacement offsets) of one trial, read literally
-    from `_trial_rng`; `_draw_errors` reproduces these values."""
+    from `_trial_rng`; `_draw_shared` reproduces these values."""
     rng = _trial_rng(master_seed, rate_index, trial)
     message = rng.integers(0, q, size=k) if k else np.zeros(0, dtype=np.int64)
     return message, rng.random(n), rng.integers(0, q - 1, size=n)
@@ -138,6 +140,10 @@ _SHIFT32 = np.uint64(32)
 # Philox blocks (four uint64 words each) computed at once: the round
 # temporaries stay at 128 KB per array for any code length.
 PHILOX_BLOCKS = 1 << 14
+# Trials drawn, encoded and decoded at once.  Each chunk is split again
+# into Philox row blocks; a chunk as small as a row block would expand
+# the parity check for many more, smaller decode calls.
+CHUNK_TRIALS = 2048
 
 
 def _mulhilo(a: np.ndarray, m: tuple, hi: np.ndarray, lo: np.ndarray,
@@ -256,8 +262,8 @@ class _ChunkDraws:
         self.e = found.stop
 
     def errors(self, master_seed: int, rate_index: int, lo: int, rate: float):
-        """The `_draw_errors` result, once every row block is taken: the
-        suspect trials are drawn again from `_reference_draw`."""
+        """This code's `_draw_shared` result, once every row block is
+        taken: the suspect trials are drawn again from `_reference_draw`."""
         e = self.e
         rows, messages, mask, repl = self.rows, self.messages, self.mask, self.repl
         for i in np.flatnonzero(self.suspect[:e]):
@@ -273,7 +279,14 @@ class _ChunkDraws:
 
 def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
                  shapes: Sequence[tuple[int, int, int]], rate: float) -> list:
-    """`_draw_errors` for each (k, n, q) of `shapes`, from one Philox pass.
+    """For each (k, n, q) of `shapes`, the trials among lo..hi-1 that
+    carry an error at `rate`, from one Philox pass.
+
+    Each shape's result is (rows, messages, mask, repl): the offsets from
+    lo of those trials, in order, and their messages (e, k), error masks
+    (e, n) and replacement offsets (e, n), where trial lo + rows[i] has
+    the message and replacement offsets of `_reference_draw` and the mask
+    uniforms < rate.  Every other trial's uniforms are all >= rate.
 
     Each row block's words are computed once, for the shape with the most
     blocks, and every shape reads its own prefix of them, with its own
@@ -295,19 +308,6 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
         for d in draws:
             d.take(r0, words, halves, threshold)
     return [d.errors(master_seed, rate_index, lo, rate) for d in draws]
-
-
-def _draw_errors(master_seed: int, rate_index: int, lo: int, hi: int, k: int, n: int, q: int,
-                 rate: float):
-    """The trials among lo..hi-1 that carry an error at `rate`.
-
-    Returns (rows, messages, mask, repl): the offsets from lo of those
-    trials, in order, and their messages (e, k), error masks (e, n) and
-    replacement offsets (e, n), where trial lo + rows[i] has the message
-    and replacement offsets of `_reference_draw` and the mask
-    uniforms < rate.  Every other trial's uniforms are all >= rate.
-    """
-    return _draw_shared(master_seed, rate_index, lo, hi, [(k, n, q)], rate)[0]
 
 
 def _decode_batch(code: LinearCode, received: np.ndarray, table):
@@ -354,7 +354,7 @@ def _decode_batch(code: LinearCode, received: np.ndarray, table):
     return decoded, statuses
 
 
-def _check_inputs(rates: Sequence[float], trials: int, master_seed: int, chunk_size: int) -> None:
+def _check_inputs(rates: Sequence[float], trials: int, master_seed: int) -> None:
     if not rates:
         raise ValueError("error_rates must name at least one rate")
     if not all(0.0 <= rate <= 1.0 for rate in rates):  # NaN fails this too
@@ -363,8 +363,6 @@ def _check_inputs(rates: Sequence[float], trials: int, master_seed: int, chunk_s
         raise ValueError("trials must be >= 1")
     if not 0 <= master_seed < 1 << 64:
         raise ValueError("master_seed must be a 64-bit unsigned integer")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
 
 
 def _decoder_table(code: LinearCode):
@@ -382,7 +380,7 @@ def _decoder_table(code: LinearCode):
 
 
 def _transmit(codes: Sequence[LinearCode], tables: Sequence, rate: float, trials: int,
-              master_seed: int, rate_index: int, chunk_size: int) -> tuple[RateResult, ...]:
+              master_seed: int, rate_index: int) -> tuple[RateResult, ...]:
     """One `RateResult` per code at one rate, on checked inputs with each
     code's `_decoder_table`; the codes share each chunk's streams."""
     _check_stream_range(rate_index, trials)
@@ -391,8 +389,8 @@ def _transmit(codes: Sequence[LinearCode], tables: Sequence, rate: float, trials
         return tuple(RateResult(rate, trials, trials, 0, 0, 0) for _ in codes)
     shapes = [(code.k, code.n, code.field.order) for code in codes]
     counts = np.zeros((len(codes), 4), dtype=np.int64)
-    for lo in range(0, trials, chunk_size):
-        hi = min(lo + chunk_size, trials)
+    for lo in range(0, trials, CHUNK_TRIALS):
+        hi = min(lo + CHUNK_TRIALS, trials)
         drawn = _draw_shared(master_seed, rate_index, lo, hi, shapes, rate)
         for i, (code, table) in enumerate(zip(codes, tables)):
             # each code's draws are released once it is decoded
@@ -402,7 +400,7 @@ def _transmit(codes: Sequence[LinearCode], tables: Sequence, rate: float, trials
 
 def _decode_errors(code: LinearCode, table, trials: int, rows, messages, mask, repl):
     """(successes, uncorrectable, miscorrected, total errors) of `trials`
-    trials, of which the `_draw_errors` rows carry an error; only those
+    trials, of which the `_draw_shared` rows carry an error; only those
     are encoded and decoded, and the others count as successes."""
     codewords = matmul(code.field, messages, code.generator)
     received = np.where(mask, repl + (repl >= codewords), codewords)
@@ -412,21 +410,8 @@ def _decode_errors(code: LinearCode, table, trials: int, rows, messages, mask, r
             int((ok & (decoded != codewords).any(axis=1)).sum()), int(mask.sum()))
 
 
-def simulate_transmission(code: LinearCode, rate: float, trials: int, master_seed: int,
-                          rate_index: int = 0, chunk_size: int = 2048) -> RateResult:
-    """Run `trials` independent transmissions at one error rate.
-
-    Every trial draws (message, uniforms, replacements) from its own
-    keyed stream, so the result does not depend on `chunk_size`; each
-    chunk's streams are computed at once by `_draw_shared`.
-    """
-    _check_inputs((rate,), trials, master_seed, chunk_size)
-    return _transmit([code], [_decoder_table(code)], rate, trials, master_seed, rate_index,
-                     chunk_size)[0]
-
-
 def run_sweep(codes: Sequence[LinearCode], rates: Sequence[float], trials: int,
-              master_seed: int, chunk_size: int = 2048) -> tuple[tuple[RateResult, ...], ...]:
+              master_seed: int) -> tuple[tuple[RateResult, ...], ...]:
     """Each code's `run_simulation` rows, one tuple per code in order.
 
     Trial t at rate index i reads the stream keyed by (master_seed,
@@ -438,19 +423,19 @@ def run_sweep(codes: Sequence[LinearCode], rates: Sequence[float], trials: int,
     codes = list(codes)
     if not codes:
         raise ValueError("run_sweep needs at least one code")
-    _check_inputs(rates, trials, master_seed, chunk_size)
+    _check_inputs(rates, trials, master_seed)
     tables = [_decoder_table(code) for code in codes]
-    per_rate = [_transmit(codes, tables, rate, trials, master_seed, i, chunk_size)
+    per_rate = [_transmit(codes, tables, rate, trials, master_seed, i)
                 for i, rate in enumerate(rates)]
     return tuple(zip(*per_rate))
 
 
-def run_simulation(code: LinearCode, rates: Sequence[float], trials: int, master_seed: int,
-                   chunk_size: int = 2048) -> tuple[RateResult, ...]:
-    """`simulate_transmission` at each rate in order, rate i reading the
-    streams of rate index i; every input, and the code, is checked before
-    the first draw."""
-    return run_sweep([code], rates, trials, master_seed, chunk_size)[0]
+def run_simulation(code: LinearCode, rates: Sequence[float], trials: int,
+                   master_seed: int) -> tuple[RateResult, ...]:
+    """`trials` independent transmissions of `code` at each rate in order,
+    rate i reading the streams of rate index i: `run_sweep([code], ...)[0]`.
+    Every input, and the code, is checked before the first draw."""
+    return run_sweep([code], rates, trials, master_seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from agq import benchmarks
+from agq import benchmarks, simulator
 from agq.agcode import (
     build_onepoint_code,
     dual,
@@ -22,7 +22,7 @@ from agq.gf import field
 from agq.linalg import matmul, rank
 from agq.quantum import parameter_table
 from agq.rrspace import dimension_report
-from agq.simulator import SimRun, run_simulation, simulate_transmission, write_results_csv, write_series_csv
+from agq.simulator import SimRun, run_simulation, write_results_csv, write_series_csv
 from oracles import NaiveField, naive_codewords, naive_hermitian_inner
 
 
@@ -139,11 +139,11 @@ def test_criterion_7_hermitian_orthogonality_consistency():
                            f"in {b.elapsed:.2f}s")
 
 
-def test_criterion_8_simulator_statistics(tmp_path):
+def test_criterion_8_simulator_statistics(tmp_path, monkeypatch):
     with Budget(30.0) as b:
         code = build_onepoint_code(hermitian_curve(2), 3, name="herm-q2-r3")
         seed = 2024
-        zero = simulate_transmission(code, 0.0, 1000, master_seed=seed, rate_index=0)
+        (zero,) = run_simulation(code, (0.0,), 1000, seed)
         exact_ok = zero.success_rate == 1.0 and zero.avg_errors == 0.0
 
         rates = (0.05, 0.1, 0.2)
@@ -162,7 +162,8 @@ def test_criterion_8_simulator_statistics(tmp_path):
                 monotone_ok = False
 
         def emit(tag, chunk):
-            res = run_simulation(code, rates, trials, seed, chunk_size=chunk)
+            monkeypatch.setattr(simulator, "CHUNK_TRIALS", chunk)
+            res = run_simulation(code, rates, trials, seed)
             path = tmp_path / f"c8_{tag}.csv"
             write_results_csv([SimRun(code.name, code.n, code.k, 5, seed, res)], path)
             return path.read_bytes()

@@ -221,18 +221,55 @@ def test_simulate_seed_env_fallback(capsys, tmp_path, monkeypatch):
 
 
 def test_simulate_preset_sweep(capsys, tmp_path):
+    # the three codes share each trial's stream, over two chunks and, for
+    # the [35,7]_25 code's 14-block streams, several Philox row blocks;
+    # rate 0 draws nothing and rate 1 puts an error on every symbol.  The
+    # CSV holds each code's rows simulated alone.
     out_path = tmp_path / "sweep.csv"
     series = tmp_path / "sweep_series.csv"
+    rates, trials, seed = (0.0, 0.05, 0.2, 1.0), 3000, 9
     code, out, _ = run_cli(capsys, "simulate", "--preset", "sweep",
-                           "--rates", "0,0.1", "--trials", "300", "--seed", "3",
-                           "--out", str(out_path), "--series-out", str(series))
+                           "--rates", ",".join(map(str, rates)), "--trials", str(trials),
+                           "--seed", str(seed), "--out", str(out_path), "--series-out", str(series))
     assert code == 0
     assert "substituted" in out
     with open(out_path) as fh:
         rows = list(csv.reader(fh))
-    names = {row[0] for row in rows[1:]}
-    assert names == {"herm-q2-r2", "super-q3-m3-r2", "super-q5-m2-r7"}
-    assert len(rows) == 1 + 3 * 2
+    assert [row[0] for row in rows[1::len(rates)]] == [
+        "herm-q2-r2", "super-q3-m3-r2", "super-q5-m2-r7"]
+    alone = [[c.name, repr(row.rate), str(row.trials), repr(row.success_rate),
+              repr(row.uncorrectable_rate), repr(row.avg_errors)]
+             for c in benchmarks.sweep_codes()
+             for row in simulator.run_simulation(c, rates, trials, seed)]
+    assert [[row[0], *row[4:9]] for row in rows[1:]] == alone
+    with open(series) as fh:
+        assert list(csv.reader(fh))[1:] == [row[:2] + row[3:] for row in alone]
+
+
+def test_simulate_writes_a_manifest_with_either_csv(capsys, tmp_path):
+    common = ["simulate", "--family", "hermitian", "--q", "2", "--r", "3",
+              "--rates", "0,0.1", "--trials", "100", "--seed", "4"]
+    series = tmp_path / "s.csv"
+    code, _, _ = run_cli(capsys, *common, "--series-out", str(series),
+                         "--manifest", str(tmp_path / "m.json"))
+    assert code == 0
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    assert manifest["outputs"] == [str(series)]
+    assert manifest["master_seed"] == 4 and len(manifest["codes"]) == 1
+    assert set(manifest["parameters"]) == {"preset", "matrix", "family", "q", "m", "r",
+                                           "rates", "trials", "budget"}
+    # without --manifest it sits beside the series CSV, or the results CSV when both are written
+    code, _, _ = run_cli(capsys, *common, "--series-out", str(series))
+    assert code == 0 and (tmp_path / "s.csv.manifest.json").exists()
+    code, _, _ = run_cli(capsys, *common, "--series-out", str(series),
+                         "--out", str(tmp_path / "r.csv"))
+    assert code == 0
+    manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+    assert manifest["outputs"] == [str(tmp_path / "r.csv"), str(series)]
+    # a run that writes no CSV writes no manifest
+    before = sorted(tmp_path.iterdir())
+    code, _, _ = run_cli(capsys, *common, "--manifest", str(tmp_path / "none.json"))
+    assert code == 0 and sorted(tmp_path.iterdir()) == before
 
 
 def test_simulate_manifest_records_distance_and_counts(capsys, tmp_path):
@@ -287,16 +324,6 @@ def assert_code_records(records, results_csv):
             assert entry["successes"] / entry["trials"] == float(row["success_rate"])
 
 
-@pytest.mark.parametrize("chunk", ["0", "-5"])
-def test_simulate_rejects_bad_chunk_size(capsys, chunk):
-    code, out, err = run_cli(capsys, "simulate", "--family", "hermitian", "--q", "2",
-                             "--r", "3", "--rates", "0.1", "--trials", "100",
-                             "--chunk-size", chunk)
-    assert code == 1
-    assert err.strip() == "error: chunk_size must be >= 1"
-    assert "success=" not in out
-
-
 def test_simulate_rejects_empty_rate_list(capsys):
     code, out, err = run_cli(capsys, "simulate", "--family", "hermitian", "--q", "2",
                              "--r", "3", "--rates", "", "--trials", "100")
@@ -322,7 +349,7 @@ def test_simulate_rejects_bad_inputs_and_writes_nothing(capsys, tmp_path, argv, 
 @pytest.mark.parametrize("argv,message", [
     (["--rates", "0.1,1.5", "--trials", "10"], "error rates must lie in [0, 1]"),
     (["--rates", "0.1", "--trials", "0"], "trials must be >= 1"),
-    (["--rates", "0.1", "--chunk-size", "0"], "chunk_size must be >= 1"),
+    (["--rates", "0.1,nan"], "error rates must lie in [0, 1]"),
     (["--rates", ""], "error_rates must name at least one rate"),
 ])
 def test_simulate_checks_inputs_before_the_distance(capsys, monkeypatch, argv, message):
@@ -401,22 +428,58 @@ def test_reproduce_csvs_match_their_pinned_digests(capsys, tmp_path):
     assert digests == REPRODUCE_SHA256
 
 
-@pytest.mark.parametrize("trials", ["400", "2001"])  # sweep rows reused; two runs
-def test_reproduce_determinism_check_fails_on_chunk_dependence(capsys, tmp_path, monkeypatch,
-                                                                trials):
-    # every rate of every run goes through the per-rate loop, whose last
-    # argument is the chunk size and whose result holds one row per code
-    real = simulator._transmit
-
-    def chunk_dependent(*args):
-        return tuple(dataclasses.replace(row, total_errors=row.total_errors + args[-1])
-                     for row in real(*args))
-
-    monkeypatch.setattr(simulator, "_transmit", chunk_dependent)
+def reproduce_determinism_fails(capsys, tmp_path, trials):
     code, out, _ = run_cli(capsys, "reproduce", "--out-dir", str(tmp_path),
                            "--trials", trials, "--seed", "5")
-    assert code == 1
-    assert "[FAIL] simulation-determinism" in out
+    return code == 1 and "[FAIL] simulation-determinism" in out
+
+
+@pytest.mark.parametrize("trials", ["400", "2001"])  # sweep rows reused; a 2000-trial sweep
+def test_reproduce_determinism_check_fails_on_chunk_dependence(capsys, tmp_path, monkeypatch,
+                                                                trials):
+    # every rate of every run goes through the per-rate loop, whose first
+    # argument is the codes that share the chunk's streams and whose result
+    # holds one row per code: a result that depends on how many codes are
+    # simulated together tells the sweep from the rerun of its first code
+    real = simulator._transmit
+
+    def sharing_dependent(codes, *args):
+        return tuple(dataclasses.replace(row, total_errors=row.total_errors + len(codes))
+                     for row in real(codes, *args))
+
+    monkeypatch.setattr(simulator, "_transmit", sharing_dependent)
+    assert reproduce_determinism_fails(capsys, tmp_path, trials)
+
+
+def test_reproduce_determinism_check_fails_on_row_block_dependence(capsys, tmp_path, monkeypatch):
+    # each Philox row block reads the streams of the trials one block
+    # length on: the sweep's row blocks of 1170 and 830 trials then read
+    # other streams than the rerun's one block of 2000
+    real = simulator._philox_words
+
+    def block_dependent(key0, key1, blocks):
+        return real(key0, key1 + np.uint64(key1.shape[0]), blocks)
+
+    monkeypatch.setattr(simulator, "_philox_words", block_dependent)
+    assert reproduce_determinism_fails(capsys, tmp_path, "2001")
+
+
+def test_reproduce_determinism_check_spans_different_row_blocks(capsys, tmp_path, monkeypatch):
+    # at 2000 trials the sweep's 14-block streams of the [35,7]_25 code
+    # make row blocks of 16384 // 14 = 1170 trials, and the [8,2]_4 code's
+    # 4-block streams alone one block of 2000; rate 0 draws nothing
+    rows = []
+    real = simulator._philox_words
+
+    def spy(key0, key1, blocks):
+        rows.append(key1.shape[0])
+        return real(key0, key1, blocks)
+
+    monkeypatch.setattr(simulator, "_philox_words", spy)
+    code, out, _ = run_cli(capsys, "reproduce", "--out-dir", str(tmp_path),
+                           "--trials", "2000", "--seed", "5")
+    assert code == 0, out
+    assert rows == [1170, 830] * 3 + [2000]
 
 
 def test_reproduce_simulates_each_sweep_code_once_plus_one_rerun(capsys, tmp_path, monkeypatch):
@@ -427,7 +490,7 @@ def test_reproduce_simulates_each_sweep_code_once_plus_one_rerun(capsys, tmp_pat
     def counted(name, real):
         def call(codes, *args, **kwargs):
             names = [c.name for c in codes] if name == "run_sweep" else [codes.name]
-            calls.append((name, names, kwargs.get("chunk_size", 2048)))
+            calls.append((name, names))
             return real(codes, *args, **kwargs)
         return call
 
@@ -437,4 +500,4 @@ def test_reproduce_simulates_each_sweep_code_once_plus_one_rerun(capsys, tmp_pat
                            "--trials", "2000", "--seed", "5")
     assert code == 0, out
     names = [c.name for c in benchmarks.sweep_codes()]
-    assert calls == [("run_sweep", names, 2048), ("run_simulation", names[:1], 199)]
+    assert calls == [("run_sweep", names), ("run_simulation", names[:1])]

@@ -119,14 +119,14 @@ HEXACODE_G = [
 
 def test_from_code_unverified_falls_back_to_designed():
     # the [6,3,4] hexacode over GF(4) is Hermitian self-dual, so its
-    # Hermitian dual distance (4) is invisible to parity-column analysis
+    # Hermitian dual distance (4) is invisible to parity-column analysis;
+    # past the budget no designed value stands in for it
     code = LinearCode.from_generator(field(2, 2), HEXACODE_G)
     full = params_from_code(code)
     assert full.triple() == (6, 0, 4) and full.d_verified
-    capped = params_from_code(code, budget=0, designed_dual_distance=4)
-    assert capped.triple() == (6, 0, 4) and not capped.d_verified
     missing = params_from_code(code, budget=0)
-    assert missing.d is None and not missing.valid
+    assert missing.d is None and not missing.d_verified and not missing.valid
+    assert missing.singleton_ok is None
 
 
 # ---------------------------------------------------------------------------

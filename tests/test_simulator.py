@@ -15,14 +15,12 @@ from agq.simulator import (
     RateResult,
     SimRun,
     _decode_batch,
-    _draw_errors,
     _draw_shared,
     _reference_draw,
     _trial_rng,
     encode,
     run_simulation,
     run_sweep,
-    simulate_transmission,
     write_results_csv,
     write_series_csv,
 )
@@ -96,12 +94,12 @@ DRAW_RATES = [0.0, 0.05, 0.5, 1.0]
 
 
 def assert_draw_matches_reference(seed, rate_index, lo, hi, k, n, q):
-    """`_draw_errors` at each of DRAW_RATES: its rows are exactly the
+    """`_draw_shared` of one shape at each of DRAW_RATES: its rows are exactly the
     trials with a reference uniform below the rate, with the exact error
     count, and each row's draws are the reference's."""
     reference = [_reference_draw(seed, rate_index, t, k, n, q) for t in range(lo, hi)]
     for rate in DRAW_RATES:
-        rows, messages, mask, repl = _draw_errors(seed, rate_index, lo, hi, k, n, q, rate)
+        rows, messages, mask, repl = _draw_shared(seed, rate_index, lo, hi, [(k, n, q)], rate)[0]
         hits = [uniforms < rate for _, uniforms, _ in reference]
         context = (seed, rate_index, lo, k, n, q, rate)
         assert rows.tolist() == [t for t, hit in enumerate(hits) if hit.any()], context
@@ -148,9 +146,9 @@ def test_reference_draw_is_numpys_stream():
 
 
 def test_draw_rows_do_not_depend_on_philox_block_size(monkeypatch):
-    whole = [_draw_errors(5, 1, 100, 400, 7, 35, 25, rate) for rate in DRAW_RATES]
+    whole = [_draw_shared(5, 1, 100, 400, [(7, 35, 25)], rate)[0] for rate in DRAW_RATES]
     monkeypatch.setattr(simulator, "PHILOX_BLOCKS", 7)
-    parts = [_draw_errors(5, 1, 100, 400, 7, 35, 25, rate) for rate in DRAW_RATES]
+    parts = [_draw_shared(5, 1, 100, 400, [(7, 35, 25)], rate)[0] for rate in DRAW_RATES]
     for a, b in zip(whole, parts):
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
@@ -235,7 +233,7 @@ def test_lemire_rejections_are_redrawn_from_the_reference(monkeypatch):
         exercised = {"replacement": 0, "error-free message": 0}
         for rate in DRAW_RATES:
             redrawn.clear()
-            rows, messages, mask, repl = _draw_errors(seed, 0, 0, trials, k, n, q, rate)
+            rows, messages, mask, repl = _draw_shared(seed, 0, 0, trials, [(k, n, q)], rate)[0]
             draws = {t: numpy_draw(seed, 0, t, k, n, q)
                      for t in message_rejected | replacement_rejected | set(redrawn[:20])}
             errors = set(rows.tolist())
@@ -257,7 +255,7 @@ def test_lemire_rejections_are_redrawn_from_the_reference(monkeypatch):
 def test_shared_draws_redraw_each_shapes_own_rejections(monkeypatch):
     # the two rejection shapes of the test above read the prefixes of a
     # longer third shape's streams; each shape's draws, and the trials it
-    # redraws, are those of its own `_draw_errors`, which that test checks
+    # redraws, are those of its own one-shape draw, which that test checks
     # against numpy
     redrawn = []
     reference = simulator._reference_draw
@@ -272,7 +270,7 @@ def test_shared_draws_redraw_each_shapes_own_rejections(monkeypatch):
     exercised = set()
     for rate in DRAW_RATES:
         redrawn.clear()
-        alone = [_draw_errors(seed, 0, 0, trials, *shape, rate) for shape in shapes]
+        alone = [_draw_shared(seed, 0, 0, trials, [shape], rate)[0] for shape in shapes]
         redrawn_alone = sorted(redrawn)
         redrawn.clear()
         shared = _draw_shared(seed, 0, 0, trials, shapes, rate)
@@ -289,9 +287,9 @@ def test_seeds_above_2_63_are_distinct_and_warning_free(code):
     # merges seeds >= 2^63 that differ in their low bits
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        a = simulate_transmission(code, 0.3, 500, master_seed=2**63)
-        b = simulate_transmission(code, 0.3, 500, master_seed=2**63 + 5)
-        simulate_transmission(code, 0.3, 500, master_seed=2**64 - 1)
+        a = run_simulation(code, (0.3,), 500, 2**63)
+        b = run_simulation(code, (0.3,), 500, 2**63 + 5)
+        run_simulation(code, (0.3,), 500, 2**64 - 1)
         first = [_trial_rng(2**63 + d, 0, 0).integers(0, 2**32, size=4).tolist()
                  for d in (0, 5)]
     assert a != b
@@ -308,9 +306,9 @@ def test_stream_key_range_is_checked():
     with pytest.raises(ValueError):
         _trial_rng(0, 0, 1 << 44)
     with pytest.raises(ValueError):
-        _draw_errors(0, (1 << 20) - 1, 0, 1, 2, 8, 4, 0.1)
+        _draw_shared(0, (1 << 20) - 1, 0, 1, [(2, 8, 4)], 0.1)
     with pytest.raises(ValueError):
-        _draw_errors(0, 0, (1 << 44) - 1, (1 << 44) + 1, 2, 8, 4, 0.1)
+        _draw_shared(0, 0, (1 << 44) - 1, (1 << 44) + 1, [(2, 8, 4)], 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +526,16 @@ def test_batch_decoder_matches_reference_with_repeated_columns(fe, seed):
 # transmission statistics
 
 
+def at_rate_index(code, rate, trials, master_seed, rate_index):
+    """The row of `rate` read from the streams of `rate_index`: the rates
+    before it are 0, which draw nothing."""
+    return run_simulation(code, (0.0,) * rate_index + (rate,), trials, master_seed)[rate_index]
+
+
 @pytest.mark.parametrize("rate_index,rate", [(0, 0.1), (3, 0.3), (1, 0.0), (2, 1.0)])
-def test_transmission_matches_literal_trials(code, rate_index, rate):
+def test_transmission_matches_literal_trials(code, monkeypatch, rate_index, rate):
     # each trial read literally from its own numpy stream: message, then the
-    # oracle channel, then the oracle decoder
+    # oracle channel, then the oracle decoder; 300 trials in three chunks
     trials, seed, q = 300, 31, code.field.order
     successes = miscorrected = total_errors = 0
     for t in range(trials):
@@ -543,15 +547,15 @@ def test_transmission_matches_literal_trials(code, rate_index, rate):
         if status != "failure":
             successes += 1
             miscorrected += decoded != sent.tolist()
-    res = simulate_transmission(code, rate, trials, master_seed=seed, rate_index=rate_index,
-                                chunk_size=128)
+    monkeypatch.setattr(simulator, "CHUNK_TRIALS", 128)
+    res = at_rate_index(code, rate, trials, seed, rate_index)
     assert (res.successes, res.miscorrected, res.total_errors) == (
         successes, miscorrected, total_errors)
     assert res.uncorrectable == trials - successes
 
 
 def test_rate_zero_exact(code):
-    res = simulate_transmission(code, 0.0, 500, master_seed=11)
+    (res,) = run_simulation(code, (0.0,), 500, 11)
     assert res.success_rate == 1.0
     assert res.avg_errors == 0.0
     assert res.miscorrected == 0
@@ -561,33 +565,34 @@ def test_rate_zero_draws_nothing(code, monkeypatch):
     # no uniform in [0, 1) is below 0, so no stream is computed; the
     # stream-key range is still checked
     monkeypatch.setattr(simulator, "_philox_words", forbidden_draw)
-    assert simulate_transmission(code, 0.0, 5000, master_seed=3, rate_index=7) == RateResult(
-        0.0, 5000, 5000, 0, 0, 0)
+    assert at_rate_index(code, 0.0, 5000, 3, 7) == RateResult(0.0, 5000, 5000, 0, 0, 0)
     zero = RateResult(0.0, 300, 300, 0, 0, 0)
-    assert run_simulation(code, (0.0, 0.0), 300, 4, chunk_size=137) == (zero, zero)
+    monkeypatch.setattr(simulator, "CHUNK_TRIALS", 137)
+    assert run_simulation(code, (0.0, 0.0), 300, 4) == (zero, zero)
     assert run_sweep([code, code], (0.0,), 300, 4) == ((zero,), (zero,))
+    table = simulator._decoder_table(code)
     with pytest.raises(ValueError, match="stream-key range"):
-        simulate_transmission(code, 0.0, 10, 0, rate_index=(1 << 20) - 1)
+        simulator._transmit([code], [table], 0.0, 10, 0, (1 << 20) - 1)
     with pytest.raises(ValueError, match="stream-key range"):
-        simulate_transmission(code, 0.0, (1 << 44) + 1, 0)
+        simulator._transmit([code], [table], 0.0, (1 << 44) + 1, 0, 0)
     with pytest.raises(ValueError, match="stream-key range"):
         run_simulation(code, (0.0,), (1 << 44) + 1, 0)
 
 
 def test_counts_partition_trials(code):
-    res = simulate_transmission(code, 0.3, 2000, master_seed=12, rate_index=1)
+    res = at_rate_index(code, 0.3, 2000, 12, 1)
     assert res.successes + res.uncorrectable == res.trials
     assert res.success_rate + res.uncorrectable_rate == 1.0
     assert 0 <= res.avg_errors <= code.n
 
 
-def test_seeded_determinism_and_chunk_invariance(code):
-    a = simulate_transmission(code, 0.1, 3000, master_seed=13, rate_index=2, chunk_size=2048)
-    b = simulate_transmission(code, 0.1, 3000, master_seed=13, rate_index=2, chunk_size=137)
-    c = simulate_transmission(code, 0.1, 3000, master_seed=13, rate_index=2, chunk_size=3000)
-    assert a == b == c
-    d = simulate_transmission(code, 0.1, 3000, master_seed=14, rate_index=2)
-    assert d != a
+def test_seeded_determinism_and_chunk_invariance(code, monkeypatch):
+    runs = []
+    for chunk in (2048, 137, 3000):
+        monkeypatch.setattr(simulator, "CHUNK_TRIALS", chunk)
+        runs.append(at_rate_index(code, 0.1, 3000, 13, 2))
+    assert runs[0] == runs[1] == runs[2]
+    assert at_rate_index(code, 0.1, 3000, 14, 2) != runs[0]
 
 
 # (rate, trials, successes, uncorrectable, miscorrected, total_errors) of
@@ -603,11 +608,11 @@ SWEEP_PINS = [
 ]
 
 
-@pytest.mark.parametrize("chunk_size", [2048, 199])
-def test_sweep_results_are_pinned(chunk_size):
+@pytest.mark.parametrize("chunk_trials", [2048, 199])
+def test_sweep_results_are_pinned(monkeypatch, chunk_trials):
+    monkeypatch.setattr(simulator, "CHUNK_TRIALS", chunk_trials)
     for sweep_code, pins in zip(benchmarks.sweep_codes(), SWEEP_PINS):
-        rows = run_simulation(sweep_code, (0.0, 0.05, 0.1, 0.2), 2000, 2**64 - 1,
-                              chunk_size=chunk_size)
+        rows = run_simulation(sweep_code, (0.0, 0.05, 0.1, 0.2), 2000, 2**64 - 1)
         assert [dataclasses.astuple(row) for row in rows] == pins, sweep_code.name
 
 
@@ -633,18 +638,19 @@ def mixed_alone():
     return tuple(run_simulation(code, MIXED_RATES, 501, 2**64 - 3) for code in mixed_codes())
 
 
-@pytest.mark.parametrize("chunk_size, philox_blocks", [
+@pytest.mark.parametrize("chunk_trials, philox_blocks", [
     (2048, None), (199, None), (137, None), (199, 7), (2048, 100), (137, 100)])
-def test_sweep_equals_per_code_simulations(monkeypatch, chunk_size, philox_blocks):
+def test_sweep_equals_per_code_simulations(monkeypatch, chunk_trials, philox_blocks):
     # 7 Philox blocks make row blocks of one trial; 100 make row blocks of
     # 7 trials for the mixed codes and 25 for [8,2]_4 alone, which divide
     # neither the chunks nor the 501 trials
     alone = mixed_alone()
+    monkeypatch.setattr(simulator, "CHUNK_TRIALS", chunk_trials)
     if philox_blocks:
         monkeypatch.setattr(simulator, "PHILOX_BLOCKS", philox_blocks)
-    assert run_sweep(mixed_codes(), MIXED_RATES, 501, 2**64 - 3, chunk_size=chunk_size) == alone
+    assert run_sweep(mixed_codes(), MIXED_RATES, 501, 2**64 - 3) == alone
     codes = benchmarks.sweep_codes()[:1]
-    assert run_sweep(codes, MIXED_RATES, 501, 2**64 - 3, chunk_size=chunk_size) == alone[:1]
+    assert run_sweep(codes, MIXED_RATES, 501, 2**64 - 3) == alone[:1]
 
 
 def test_sweep_result_shape_and_checks(code):
@@ -658,16 +664,10 @@ def test_success_rate_lower_bound_at_low_rate(code):
     # single errors are always corrected, so success probability is at
     # least P(0 or 1 errors); check within 5 sigma at rate 0.01
     trials, p, n = 100_000, 0.01, 8
-    res = simulate_transmission(code, p, trials, master_seed=15, rate_index=3)
+    res = at_rate_index(code, p, trials, 15, 3)
     floor = (1 - p) ** n + n * p * (1 - p) ** (n - 1)
     sigma = (floor * (1 - floor) / trials) ** 0.5
     assert res.success_rate >= floor - 5 * sigma
-
-
-def test_chunk_size_must_be_positive(code):
-    for chunk in (0, -5):
-        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-            simulate_transmission(code, 0.1, 100, master_seed=1, chunk_size=chunk)
 
 
 def test_run_simulation_orders_rates(code):
@@ -679,12 +679,12 @@ def test_run_simulation_orders_rates(code):
 def test_simulation_input_validation(code):
     for rate in (1.5, -0.5, float("nan")):
         with pytest.raises(ValueError, match=r"error rates must lie in \[0, 1\]"):
-            simulate_transmission(code, rate, 100, master_seed=1)
+            run_simulation(code, (rate,), 100, 1)
     with pytest.raises(ValueError, match="trials must be >= 1"):
-        simulate_transmission(code, 0.1, 0, master_seed=1)
+        run_simulation(code, (0.1,), 0, 1)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="64-bit unsigned integer"):
-            simulate_transmission(code, 0.1, 100, master_seed=seed)
+            run_simulation(code, (0.1,), 100, seed)
     # every rate of a run is checked, not just the first
     with pytest.raises(ValueError, match=r"error rates must lie in \[0, 1\]"):
         run_simulation(code, (0.1, 1.5), 10, 0)
@@ -724,7 +724,7 @@ def test_a_parity_check_that_does_not_annihilate_the_generator_is_refused(code, 
     # at rate 0 nothing is drawn, but the code is still certified
     for rate in (0.0, 0.1):
         with pytest.raises(ValueError, match="does not annihilate the generator"):
-            simulate_transmission(bad, rate, 10, 0)
+            run_simulation(bad, (rate,), 10, 0)
     # every code of a sweep is certified before its first draw
     with pytest.raises(ValueError, match="does not annihilate the generator"):
         run_sweep([code, bad], (0.1,), 10, 0)
@@ -734,9 +734,10 @@ def test_a_parity_check_that_does_not_annihilate_the_generator_is_refused(code, 
 # CSV emission
 
 
-def test_csv_outputs_are_deterministic(tmp_path, code):
+def test_csv_outputs_are_deterministic(tmp_path, monkeypatch, code):
     def emit(tag, chunk):
-        rows = run_simulation(code, (0.0, 0.1), 500, 21, chunk_size=chunk)
+        monkeypatch.setattr(simulator, "CHUNK_TRIALS", chunk)
+        rows = run_simulation(code, (0.0, 0.1), 500, 21)
         run = SimRun(code_name=code.name, n=code.n, k=code.k, d=5, master_seed=21, rows=rows)
         out = tmp_path / f"res_{tag}.csv"
         series = tmp_path / f"series_{tag}.csv"
@@ -767,6 +768,6 @@ def test_csv_headers_and_shape(tmp_path, code):
 def test_miscorrection_counter_is_tracked(code):
     # at a high error rate some decodes land on the wrong codeword but
     # still count as decode successes, mirrored in the extra counter
-    res = simulate_transmission(code, 0.35, 4000, master_seed=23, rate_index=4)
+    res = at_rate_index(code, 0.35, 4000, 23, 4)
     assert res.miscorrected > 0
     assert res.successes >= res.miscorrected

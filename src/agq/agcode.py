@@ -42,11 +42,13 @@ class LinearCode:
     """A linear [n, k] code over `field`, held as a full-row-rank generator.
 
     `parity_check` is a basis of the dual C^perp: n - k rows whose null
-    space is C.  It is computed from the generator when not supplied; a
-    supplied one must meet that contract, which `dual` and
-    `hermitian_dual` rely on.  `tower` is present when the field is a
-    quadratic extension GF(q^2), whose conjugation a -> a^q enables
-    Hermitian operations.  `points` (an (N, 2) index array) and `r`
+    space is C.  It is computed from the generator, by `right_nullspace`,
+    when not supplied; a supplied one must meet that contract, which
+    `dual` and `hermitian_dual` rely on.  A built code's comes from the
+    elimination that verified its basis and is not in rref form: nothing
+    that reads H depends on which basis of C^perp it is.  `tower` is
+    present when the field is a quadratic extension GF(q^2), whose
+    conjugation a -> a^q enables Hermitian operations.  `points` (an (N, 2) index array) and `r`
     record provenance for codes built from a curve.
     """
 
@@ -126,7 +128,11 @@ def resolve_eval_set(curve: CurveSpec, policy) -> np.ndarray:
     if policy == "all":
         return pts
     if policy.startswith("first:"):
-        count = int(policy.split(":", 1)[1])
+        text = policy.split(":", 1)[1]
+        try:
+            count = int(text)
+        except ValueError:
+            raise ValueError(f"first:N needs an integer N, got {text!r}") from None
         if count < 1 or count > len(pts):
             raise ValueError(f"cannot select {count} of {len(pts)} affine points")
         return pts[:count]
@@ -143,6 +149,7 @@ def build_onepoint_code(curve: CurveSpec, r: int, eval_set="all", name: str = ""
     return LinearCode(
         field=curve.tower.ext,
         generator=basis.rows,
+        parity_check=basis.parity_check,
         tower=curve.tower,
         points=points,
         curve=curve,
@@ -427,7 +434,28 @@ class DualityClaim:
         return dict(self.__dict__)
 
 
+def _dual_sum_rank(code: LinearCode, companion: LinearCode) -> int:
+    """dim(C^perp + V) for C = `code` and V = `companion`.
+
+    With G, H and G_c, H_c the generators and parity checks of C and V,
+    both dim(C^perp + V) and dim(C + V^perp) + k' - k equal
+    n - k + rank(G_c G^T), since dim(C^perp cap V) = k' - rank(G_c G^T).
+    So one elimination ranks whichever stack has fewer rows: [H; G_c],
+    of n - k + k' rows, or [H_c; G], of n - k' + k.
+    """
+    if companion.k <= code.k:
+        return rank(code.field, np.vstack([code.parity_check, companion.generator]))
+    stacked = np.vstack([companion.parity_check, code.generator])
+    return rank(code.field, stacked) + companion.k - code.k
+
+
 def check_duality_claim(curve: CurveSpec, r: int, eval_set="all") -> DualityClaim:
+    """Compare dual(C_r) with C_{r'} at the same points by one rank.
+
+    Building C_r and C_{r'} makes one elimination each, which gives both
+    their generators and parity checks; `_dual_sum_rank` then ranks the
+    shorter of two stacks whose ranks determine dim(dual(C_r) + C_{r'}).
+    """
     half = Fraction((curve.q - 1) * (curve.m - 1), 2)
     r_prime_frac = Fraction(curve.q**2) + half - r
     if r_prime_frac < 0 or r_prime_frac.denominator != 1:
@@ -440,9 +468,7 @@ def check_duality_claim(curve: CurveSpec, r: int, eval_set="all") -> DualityClai
     code = build_onepoint_code(curve, r, eval_set)
     companion = build_onepoint_code(curve, r_prime, eval_set)
     code_dual = dual(code)
-    F = curve.tower.ext
-    stacked = np.vstack([code_dual.generator, companion.generator])
-    stacked_rank = rank(F, stacked)
+    stacked_rank = _dual_sum_rank(code, companion)
     # dim(U + V) = dim U = dim V holds iff U = V: the stacked rank decides
     # equality as well as both containments, with no further elimination
     return DualityClaim(

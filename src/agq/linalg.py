@@ -77,8 +77,9 @@ def matmul(F: Field, A, B):
     return out
 
 
-def _eliminate(F: Field, A, full: bool):
-    """Gaussian elimination on a copy of A; returns (R, pivot_columns).
+def _eliminate(F: Field, A, full: bool, transform: bool = False):
+    """Gaussian elimination on a copy of A; returns (R, pivot_columns), and
+    with `transform` also `origin`, the row of A that each row of R began as.
 
     The one elimination loop of the package.  Each pivot step is an AXPY,
     row <- row + g * pivot row, as in FFLAS-FFPACK (Dumas, Giorgi, Pernet,
@@ -107,11 +108,23 @@ def _eliminate(F: Field, A, full: bool):
     echelon form.  Otherwise lo is the pivot row and only the rows below
     it are cleared, which leaves a row echelon form with the same pivot
     columns.  R keeps the compact dtype.
+
+    With `transform`, the steps also record each row's multiples of the
+    pivot rows, as in the rank-profile elimination of Dumas, Pernet and
+    Sultan (ISSAC 2013).  R gets min(m, n) extra columns, zero at first,
+    in which pivots are never sought.  Step t puts a 1 in extra column t
+    of its pivot row before the update, and the update carries the pivot
+    row's extra columns with the rest, up to column t, the last one it
+    has filled.  So, with W = R[:, n:], row i of R is, in its first n
+    columns, sum_t W[i, t] times row origin[t] of A when i is a pivot
+    row, and row origin[i] of A plus that sum when it is not.
     """
     tables = F._row_tables
-    R = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    R = R.copy() if tables is None else R.astype(tables[0].dtype)
-    m, n = R.shape
+    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+    m, n = A.shape
+    R = np.zeros((m, n + min(m, n) * transform), dtype=np.int64 if tables is None else tables[0].dtype)
+    R[:, :n] = A
+    origin = np.arange(m)
     pivots = []
     row = 0
     # -1/a is exp(log(-1) - log a), and -1 is the GF(p) element p - 1
@@ -125,31 +138,36 @@ def _eliminate(F: Field, A, full: bool):
             continue
         if piv != row:
             R[[row, piv]] = R[[piv, row]]
+            origin[[row, piv]] = origin[[piv, row]]
+        if transform:
+            R[row, n + row] = 1
         neg_inv = F._exp[(log_minus_one - F._log[a]) % units]
         lo = 0 if full else row
+        # the pivot row is zero past extra column `row`
+        stop = n + row + 1 if transform else n
         if tables is None:
             factors = F.vmul(neg_inv, R[lo:, col])
             factors[row - lo] = 0
-            R[lo:, col:] = F.vadd(R[lo:, col:], F.vmul(factors[:, None], R[row, col:]))
+            R[lo:, col:stop] = F.vadd(R[lo:, col:stop], F.vmul(factors[:, None], R[row, col:stop]))
         else:
             products, multiples, sums = tables
             factors = products[neg_inv].take(R[lo:, col])
             factors[row - lo] = 0
             # the multiplication table is symmetric: the rows of the pivot
             # row's entries, transposed, are its multiples
-            prods = multiples.take(R[row, col:], axis=0).T.take(factors, axis=0)
+            prods = multiples.take(R[row, col:stop], axis=0).T.take(factors, axis=0)
             if sums is None:
-                R[lo:, col:] ^= prods
+                R[lo:, col:stop] ^= prods
             else:
-                prods += R[lo:, col:]
-                R[lo:, col:] = sums.take(prods)
+                prods += R[lo:, col:stop]
+                R[lo:, col:stop] = sums.take(prods)
         pivots.append(col)
         row += 1
     r = len(pivots)
     if full and r:
         inv = F.vinv(R[np.arange(r), pivots])[:, None]
         R[:r] = F.vmul(inv, R[:r]) if tables is None else tables[0][inv, R[:r]]
-    return R, pivots
+    return (R, pivots, origin) if transform else (R, pivots)
 
 
 def rref(F: Field, A):
@@ -170,6 +188,28 @@ def pivot_columns(F: Field, A) -> list[int]:
     each pivot, which saves rref's clearing of the rows above it.
     """
     return _eliminate(F, A, full=False)[1]
+
+
+def pivots_and_left_kernel(F: Field, A):
+    """(pivot_columns(A), K): K is an (m - rank, m) basis of the left
+    kernel {h : h A = 0} of the (m, n) matrix A.
+
+    Both come from one forward elimination of A with `transform`.  There
+    a row i at or past the rank r is zero in A's columns, and equals row
+    origin[i] of A plus sum_t W[i, t] times row origin[t], W = R[:, n:].
+    So h = e_origin[i] + sum_{t < r} W[i, t] e_origin[t] has h A = 0.
+    These m - r rows are the identity on the non-pivot rows' origins,
+    hence independent, so they span the left kernel, of dimension m - r.
+    K is not in rref form.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
+    m, n = A.shape
+    R, pivots, origin = _eliminate(F, A, full=False, transform=True)
+    r = len(pivots)
+    K = np.zeros((m - r, m), dtype=np.int64)
+    K[np.arange(m - r), origin[r:]] = 1
+    K[:, origin[:r]] = R[r:, n:n + r]
+    return pivots, K
 
 
 def rank(F: Field, A) -> int:

@@ -5,7 +5,9 @@ i*n + j*m <= r and 0 <= j <= q-1.  That j-range is known to
 overcount for the superelliptic family (y already satisfies a relation
 of degree n = (q+1)/2 over GF(q^2)(x)), so candidates are never used as
 a basis directly: `verified_basis` rank-filters their evaluation
-vectors at the chosen points and records what was dropped.
+vectors at the chosen points and records what was dropped.  The one
+forward elimination that does so also yields a basis of the null space
+of the kept vectors, the parity check of the code they generate.
 
 `dimension_by_cases` evaluates a five-case closed-form dimension
 prediction exactly as specified (including its fractional /4 term) and
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .curve import CurveSpec, check_points, enumerate_points
-from .linalg import pivot_columns, rank as matrix_rank  # noqa: F401 (matrix_rank stays public)
+from .linalg import pivot_columns, pivots_and_left_kernel, rank as matrix_rank  # noqa: F401 (matrix_rank stays public)
 
 @dataclass(frozen=True)
 class MonomialBasis:
@@ -35,7 +37,9 @@ class MonomialBasis:
     (`pole_orders`: e times the pole order at each place at infinity).
 
     A verified basis also carries `rows`, the evaluation vectors of its
-    monomials at the points it was verified on.
+    monomials at the points it was verified on, and `parity_check`, a
+    basis of the null space of `rows` from the elimination that verified
+    them.
     """
 
     r: int
@@ -44,6 +48,7 @@ class MonomialBasis:
     verified: bool
     dropped: tuple[tuple[int, int], ...] = ()
     rows: np.ndarray | None = field(default=None, compare=False, repr=False)
+    parity_check: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -102,15 +107,6 @@ def evaluation_matrix(curve: CurveSpec, monomials: Sequence[tuple[int, int]],
     return rows
 
 
-def _candidate_pivots(curve: CurveSpec, r: int, points: np.ndarray):
-    """The candidates for r, their evaluation matrix E at `points`, and
-    the pivot columns of rref(E^T): the candidates whose row of E is
-    independent of the rows before it."""
-    cand = candidate_monomials(curve, r)
-    E = evaluation_matrix(curve, cand.monomials, points)
-    return cand, E, pivot_columns(curve.tower.ext, E.T)
-
-
 def verified_basis(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasis:
     """Greedy rank-filtered subset of the candidates, in (pole, i, j) order.
 
@@ -119,8 +115,14 @@ def verified_basis(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasi
     candidate evaluation matrix E.  A candidate is kept iff its row of E
     is independent of the rows before it, i.e. iff it is a pivot column
     of rref(E^T).
+
+    The same forward elimination of E^T gives `parity_check`, a basis of
+    its left kernel {h : h E^T = 0}: the null space of E, which is that
+    of `rows`, since the kept rows span the row space of E.
     """
-    cand, E, pivots = _candidate_pivots(curve, r, points)
+    cand = candidate_monomials(curve, r)
+    E = evaluation_matrix(curve, cand.monomials, points)
+    pivots, H = pivots_and_left_kernel(curve.tower.ext, E.T)
     kept = set(pivots)
     return MonomialBasis(
         r=r,
@@ -129,6 +131,7 @@ def verified_basis(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasi
         verified=True,
         dropped=tuple(m for k, m in enumerate(cand.monomials) if k not in kept),
         rows=E[pivots],
+        parity_check=H,
     )
 
 
@@ -203,7 +206,9 @@ def dimension_report(curve: CurveSpec, r_max: int,
     npts = len(points)
     if r_max < 0:
         return []
-    cand, _, pivots = _candidate_pivots(curve, r_max, points)
+    cand = candidate_monomials(curve, r_max)
+    E = evaluation_matrix(curve, cand.monomials, points)
+    pivots = pivot_columns(curve.tower.ext, E.T)
     rows = []
     for r in range(0, r_max + 1):
         count = bisect_right(cand.pole_orders, r)

@@ -260,9 +260,9 @@ def test_duals_make_no_elimination(monkeypatch, code_8_3):
     calls = []
     eliminate = agq.linalg._eliminate
 
-    def counted(F, A, full):
+    def counted(F, A, full, *args, **kwargs):
         calls.append(np.shape(A))
-        return eliminate(F, A, full)
+        return eliminate(F, A, full, *args, **kwargs)
 
     monkeypatch.setattr(agq.linalg, "_eliminate", counted)
     large = build_onepoint_code(hermitian_curve(5), 24)
@@ -274,6 +274,14 @@ def test_duals_make_no_elimination(monkeypatch, code_8_3):
     # from_generator ranks G by the one null space its construction computes
     LinearCode.from_generator(field(2, 2), benchmarks.REFERENCE_G_8_3)
     assert len(calls) == 1
+    # a built code's basis and parity check come from one elimination, and
+    # the duality claim adds one rank to the two builds
+    calls.clear()
+    build_onepoint_code(hermitian_curve(5), 24)
+    assert len(calls) == 1
+    calls.clear()
+    check_duality_claim(hermitian_curve(5), 24)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +711,56 @@ def test_duality_verdict_matches_row_space_comparison(make, args, r):
     nf = TabledField(F.p, F.e, F.modulus)
     equal = naive_row_space_equal(nf, code_dual.generator, companion.generator)
     assert claim.row_spaces_equal == equal
+
+
+# the report-large tasks: superelliptic q=7 m=3 over GF(49), Hermitian q=5
+# over GF(25); with the report-exhaustive ones and the zero code at r = -1
+DUALITY_STACK_CASES = (DUALITY_FAMILIES + [(hermitian_curve, (3,), -1)]
+                       + [(superelliptic_curve, (7, 3), r) for r in (6, 12, 20, 30, 40)]
+                       + [(hermitian_curve, (5,), r) for r in (16, 24, 32)])
+
+
+def _long_stack_rank(code_dual, companion):
+    return rank(code_dual.field, np.vstack([code_dual.generator, companion.generator]))
+
+
+def _verdicts(claim):
+    return claim.row_spaces_equal, claim.companion_inside_dual, claim.dual_inside_companion
+
+
+@pytest.mark.parametrize("make,args,r", DUALITY_STACK_CASES)
+def test_shorter_duality_stack_ranks_as_the_long_one(make, args, r):
+    curve = make(*args)
+    claim = check_duality_claim(curve, r)
+    code = build_onepoint_code(curve, r)
+    companion = build_onepoint_code(curve, claim.r_prime)
+    code_dual = dual(code)
+    want = _long_stack_rank(code_dual, companion)
+    # both stacks, whichever is shorter: dim(C^perp + V) = dim(C + V^perp) + k' - k
+    other = rank(code.field, np.vstack([companion.parity_check, code.generator]))
+    assert want == other + companion.k - code.k
+    assert agcode._dual_sum_rank(code, companion) == want
+    assert _verdicts(claim) == (want == code_dual.k == companion.k, want == code_dual.k,
+                                want == companion.k)
+
+
+def test_duality_stack_cases_cover_every_order_of_dimensions():
+    # k > k', k = k', k < k' and k = 0, so both stacks are ranked
+    dims = [(claim.dim_code, claim.dim_companion)
+            for claim in (check_duality_claim(make(*args), r) for make, args, r in DUALITY_STACK_CASES)]
+    assert {int(np.sign(kc - k)) for k, kc in dims} == {-1, 0, 1}
+    assert any(k == 0 for k, _ in dims)
+
+
+def test_duality_stack_with_a_zero_companion():
+    # no curve code is zero at r' >= 0, so the zero code stands in for V
+    code = build_onepoint_code(hermitian_curve(3), 5)
+    F, n = code.field, code.n
+    zero = LinearCode(field=F, generator=np.zeros((0, n), dtype=np.int64))
+    for c in (code, zero):
+        assert agcode._dual_sum_rank(c, zero) == _long_stack_rank(dual(c), zero) == n - c.k
+        # and the zero code at r against a nonzero companion
+        assert agcode._dual_sum_rank(zero, c) == _long_stack_rank(dual(zero), c) == n
 
 
 def _matrix(draw, F, rows, cols):

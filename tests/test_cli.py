@@ -107,6 +107,13 @@ def test_code_report_invalid_family_params(capsys):
     assert code == 1 and "odd q" in err
 
 
+def test_code_report_first_n_needs_an_integer(capsys):
+    code, out, err = run_cli(capsys, "code-report", "--family", "hermitian", "--q", "2",
+                             "--r", "3", "--eval-set", "first:abc")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: first:N needs an integer N, got 'abc'"
+
+
 def test_code_report_huge_q_fails_at_once(capsys):
     # rejected on the size of GF(q^2) before q is factored
     code, _, err = run_cli(capsys, "code-report", "--family", "hermitian",

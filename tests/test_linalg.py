@@ -11,6 +11,7 @@ from agq.linalg import (
     matmul,
     normalize_rows,
     pivot_columns,
+    pivots_and_left_kernel,
     rank,
     right_nullspace,
     rref,
@@ -346,3 +347,40 @@ def test_elimination_memory_is_bounded(eliminate):
     finally:
         tracemalloc.stop()
     assert peak < 3 << 20
+
+
+# ---------------------------------------------------------------------------
+# pivots and left kernel from one elimination
+
+
+def _check_left_kernel(F, nf, M, naive_ranks=True):
+    pivots, K = pivots_and_left_kernel(F, M)
+    m = M.shape[0]
+    assert K.shape == (m - len(pivots), m) and K.dtype == np.int64
+    assert not any(any(row) for row in naive_matmul(nf, K, M))
+    if naive_ranks:
+        assert pivots == naive_rref(nf, M.tolist())[1]
+        assert naive_rank(nf, K.tolist()) == len(K)
+    else:
+        # `pivot_columns` and `rank` are checked against the oracle above
+        assert pivots == pivot_columns(F, M) and rank(F, K) == len(K)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rref_cases())
+def test_left_kernel_annihilates_and_has_complementary_rank(case):
+    F, nf, A = case
+    for M in (A, A.T):
+        _check_left_kernel(F, nf, M)
+
+
+@pytest.mark.parametrize("pe", RREF_FIELDS)
+def test_left_kernel_matches_naive_on_larger_seeded_matrices(pe):
+    F = field(*pe)
+    nf = TabledField(F.p, F.e, F.modulus)
+    rng = np.random.default_rng(F.order + 1)
+    for m, n, r in SEEDED_RREF_SHAPES:
+        A = matmul(F, rng.integers(0, F.order, size=(m, r)), rng.integers(0, F.order, size=(r, n)))
+        A[rng.integers(m)] = 0
+        A[:, rng.integers(n)] = 0
+        _check_left_kernel(F, nf, A, naive_ranks=False)

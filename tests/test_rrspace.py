@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agq.agcode import build_onepoint_code, resolve_eval_set
 from agq.curve import enumerate_points, hermitian_curve, superelliptic_curve
+from agq.linalg import pivot_columns, right_nullspace, rref
 from agq.rrspace import (
     candidate_count,
     candidate_monomials,
@@ -14,8 +16,8 @@ from agq.rrspace import (
     evaluation_matrix,
     verified_basis,
 )
-from oracles import (NaiveField, TabledField, naive_prefix_ranks, naive_rank, projective_points,
-                     semigroup, superelliptic_form)
+from oracles import (NaiveField, TabledField, naive_matmul, naive_prefix_ranks, naive_rank,
+                     projective_points, semigroup, superelliptic_form)
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +327,52 @@ def test_evaluation_matrix_matches_naive_powers(make, r):
     assert E.shape == (len(monomials), len(points))
     for row, (i, j) in zip(E.tolist(), monomials):
         assert row == [nf.mul(nf.pow(x, i), nf.pow(y, j)) for x, y in points.tolist()]
+
+
+# ---------------------------------------------------------------------------
+# the one-elimination basis and parity check against the reference path
+
+# the curves of the report benchmarks, and GF(17^2), of order above
+# ADD_TABLE_MAX, whose elimination steps on int64
+REPORT_CURVES = {
+    "hermitian-q3": lambda: hermitian_curve(3),
+    "superelliptic-q3-m3": lambda: superelliptic_curve(3, 3),
+    "hermitian-q4": lambda: hermitian_curve(4),
+    "superelliptic-q7-m3": lambda: superelliptic_curve(7, 3),
+    "hermitian-q5": lambda: hermitian_curve(5),
+    "superelliptic-q17-m2": lambda: superelliptic_curve(17, 2),
+}
+
+
+def _eval_sets(curve):
+    pts = enumerate_points(curve)
+    if len(pts) > 200:
+        # all 425 points of GF(17^2)'s curve would make the naive products slow
+        return ["first:30", pts[::-14]]
+    return ["all", f"first:{len(pts) // 2}", "exclude-subfield", pts[::-3]]
+
+
+@pytest.mark.parametrize("name", REPORT_CURVES)
+def test_one_elimination_basis_and_parity_check_match_reference(name):
+    curve = REPORT_CURVES[name]()
+    F = curve.tower.ext
+    nf = TabledField(F.p, F.e, F.modulus)
+    for policy in _eval_sets(curve):
+        points = resolve_eval_set(curve, policy)
+        N = len(points)
+        r_top = N + 2 * curve.genus + curve.places_at_infinity
+        for r in [-1] + sorted({int(r) for r in np.linspace(0, r_top, 6)}):
+            basis = verified_basis(curve, r, points)
+            cand = candidate_monomials(curve, r)
+            E = evaluation_matrix(curve, cand.monomials, points)
+            pivots = pivot_columns(F, E.T)
+            assert basis.monomials == tuple(cand.monomials[i] for i in pivots)
+            assert basis.dropped == tuple(m for i, m in enumerate(cand.monomials) if i not in pivots)
+            G, H = basis.rows, basis.parity_check
+            assert np.array_equal(G, E[pivots])
+            assert H.shape == (N - len(pivots), N)
+            assert not any(any(row) for row in naive_matmul(nf, G, H.T))
+            assert np.array_equal(rref(F, H)[0], rref(F, right_nullspace(F, G))[0])
+            code = build_onepoint_code(curve, r, policy)
+            assert np.array_equal(code.generator, G) and np.array_equal(code.parity_check, H)
+        assert len(basis) == N  # the last r is past saturation

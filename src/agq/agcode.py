@@ -45,8 +45,8 @@ class LinearCode:
     space is C.  It is computed from the generator, by `right_nullspace`,
     when not supplied; a supplied one must meet that contract, which
     `dual` and `hermitian_dual` rely on.  A built code's comes from the
-    elimination that verified its basis and is not in rref form: nothing
-    that reads H depends on which basis of C^perp it is.  `tower` is
+    elimination that verified its basis.  Neither is in rref form:
+    nothing that reads H depends on which basis of C^perp it is.  `tower` is
     present when the field is a quadratic extension GF(q^2), whose
     conjugation a -> a^q enables Hermitian operations.  `points` (an (N, 2) index array) and `r`
     record provenance for codes built from a curve.

@@ -218,17 +218,12 @@ def rank(F: Field, A) -> int:
 
 
 def right_nullspace(F: Field, A):
-    """Basis of {v : A v^T = 0}, as rows of an (n - rank, n) matrix."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64))
-    n = A.shape[1]
-    R, pivots = rref(F, A)
-    free = np.ones(n, dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = F.vneg(R[: len(pivots)][:, free].T)
-    return basis
+    """Basis of {v : A v^T = 0}, as rows of an (n - rank, n) matrix.
+
+    It is the left kernel of A^T, from `pivots_and_left_kernel`, and so
+    is not in rref form.
+    """
+    return pivots_and_left_kernel(F, np.atleast_2d(np.asarray(A, dtype=np.int64)).T)[1]
 
 
 def normalize_rows(F: Field, A):

@@ -720,6 +720,12 @@ DUALITY_STACK_CASES = (DUALITY_FAMILIES + [(hermitian_curve, (3,), -1)]
                        + [(hermitian_curve, (5,), r) for r in (16, 24, 32)])
 
 
+# (k, k') at cases that give k < k', k = k', k > k' and k = 0, so both
+# stacks are ranked; the test below checks each where it builds the claim
+STACK_DIMENSIONS = {(hermitian_curve, (3,), -1): (0, 11), (hermitian_curve, (3,), 6): (4, 4),
+                    (hermitian_curve, (3,), 7): (5, 3), (hermitian_curve, (5,), 32): (23, 1)}
+
+
 def _long_stack_rank(code_dual, companion):
     return rank(code_dual.field, np.vstack([code_dual.generator, companion.generator]))
 
@@ -732,6 +738,8 @@ def _verdicts(claim):
 def test_shorter_duality_stack_ranks_as_the_long_one(make, args, r):
     curve = make(*args)
     claim = check_duality_claim(curve, r)
+    if (make, args, r) in STACK_DIMENSIONS:
+        assert (claim.dim_code, claim.dim_companion) == STACK_DIMENSIONS[make, args, r]
     code = build_onepoint_code(curve, r)
     companion = build_onepoint_code(curve, claim.r_prime)
     code_dual = dual(code)
@@ -745,9 +753,8 @@ def test_shorter_duality_stack_ranks_as_the_long_one(make, args, r):
 
 
 def test_duality_stack_cases_cover_every_order_of_dimensions():
-    # k > k', k = k', k < k' and k = 0, so both stacks are ranked
-    dims = [(claim.dim_code, claim.dim_companion)
-            for claim in (check_duality_claim(make(*args), r) for make, args, r in DUALITY_STACK_CASES)]
+    assert set(STACK_DIMENSIONS) <= set(DUALITY_STACK_CASES)
+    dims = STACK_DIMENSIONS.values()
     assert {int(np.sign(kc - k)) for k, kc in dims} == {-1, 0, 1}
     assert any(k == 0 for k, _ in dims)
 

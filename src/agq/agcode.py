@@ -45,7 +45,7 @@ class LinearCode:
     space is C.  It is computed from the generator, by `right_nullspace`,
     when not supplied; a supplied one must meet that contract, which
     `dual` and `hermitian_dual` rely on.  A built code's comes from the
-    elimination that verified its basis.  Neither is in rref form:
+    elimination that verified its basis.  Neither is in reduced form:
     nothing that reads H depends on which basis of C^perp it is.  `tower` is
     present when the field is a quadratic extension GF(q^2), whose
     conjugation a -> a^q enables Hermitian operations.  `points` (an (N, 2) index array) and `r`
@@ -583,11 +583,14 @@ def load_code(path) -> LinearCode:
         p, e = factor_prime_power(size)
         F = field(p, e)
         rows = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            rows.append([int(tok) for tok in line.split()])
+            try:
+                rows.append([int(tok) for tok in line.split()])
+            except ValueError:
+                raise ValueError(f"{path}, line {lineno}: expected integer entries, got {line!r}") from None
         if len(rows) != k or any(len(row) != n for row in rows):
             raise ValueError(f"expected {k} rows of {n} entries")
     # reshaped, so that a k = 0 file gives a (0, n) generator

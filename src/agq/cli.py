@@ -29,16 +29,15 @@ from .agcode import (
     code_report,
     dual,
     hermitian_inner,
-    is_hermitian_self_orthogonal,
     load_code,
     min_distance,
     weight_distribution,
 )
-from .curve import Family, hermitian_curve, maximality_check, superelliptic_curve
+from .curve import Family, enumerate_points, hermitian_curve, maximality_check, superelliptic_curve
 from .gf import FieldError, field
 from .linalg import matmul, rank
 from .quantum import load_known_codes, parameter_table, table_to_json, write_table_csv
-from .rrspace import dimension_report
+from .rrspace import dimension_report, verified_basis
 from .simulator import SimRun, run_simulation, run_sweep, write_results_csv, write_series_csv
 
 DEFAULT_SEED = 123456789
@@ -49,7 +48,10 @@ def _resolve_seed(value) -> int:
         return int(value) & (1 << 64) - 1
     env = os.environ.get("AGQ_SEED")
     if env is not None:
-        return int(env) & (1 << 64) - 1
+        try:
+            return int(env) & (1 << 64) - 1
+        except ValueError:
+            raise ValueError(f"AGQ_SEED needs an integer, got {env!r}") from None
     return DEFAULT_SEED
 
 
@@ -281,16 +283,18 @@ def cmd_reproduce(args) -> int:
     )
     outputs.append(str(out_dir / "dimension_report_q3_m3.json"))
 
-    # Hermitian self-orthogonality: verdict must match a direct all-pairs product oracle
+    # Hermitian self-orthogonality for r <= q-1: each C_r is a row prefix of
+    # the basis at r = q-1, so its Gram is a leading block of that basis's
+    # one Gram.  Each verdict must match a direct all-pairs product oracle
     herm_ok = True
     verdicts = {}
+    basis = verified_basis(se, se.q - 1, enumerate_points(se))
+    G = basis.rows
+    gram = matmul(se.tower.ext, G, se.tower.vfrobenius(G).T)
     for r in range(0, se.q):
-        c = build_onepoint_code(se, r)
-        verdict = is_hermitian_self_orthogonal(c)
-        direct = all(
-            hermitian_inner(se.tower, gi, gj) == 0
-            for gi in c.generator for gj in c.generator
-        )
+        k = basis.prefix(r)
+        verdict = not gram[:k, :k].any()
+        direct = all(hermitian_inner(se.tower, gi, gj) == 0 for gi in G[:k] for gj in G[:k])
         verdicts[r] = verdict
         herm_ok = herm_ok and (verdict == direct)
     _check(results, "hermitian-orthogonality-consistency", herm_ok,

@@ -301,7 +301,7 @@ class Field:
         b = np.asarray(b, dtype=np.int64)
         if self.order <= ADD_TABLE_MAX:
             # a flat `take`, not 2-D fancy indexing: faster past a few
-            # hundred entries, and as fast below on rref's shapes
+            # hundred entries, and as fast below on elimination's shapes
             return self._mul_table.take(a * self.order + b)
         prod = self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
         return np.where((a == 0) | (b == 0), 0, prod)

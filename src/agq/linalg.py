@@ -77,22 +77,26 @@ def matmul(F: Field, A, B):
     return out
 
 
-def _eliminate(F: Field, A, full: bool, transform: bool = False):
-    """Gaussian elimination on a copy of A; returns (R, pivot_columns), and
+def _eliminate(F: Field, A, transform: bool = False):
+    """Forward Gaussian elimination on a copy of A; returns (R, pivots), and
     with `transform` also `origin`, the row of A that each row of R began as.
+    `pivots` are the pivot columns of A: the columns that are not in the
+    span of the columns before them.
 
-    The one elimination loop of the package.  Each pivot step is an AXPY,
-    row <- row + g * pivot row, as in FFLAS-FFPACK (Dumas, Giorgi, Pernet,
-    ACM TOMS 2008), made for the whole slice R[lo:, col:] at once.  A row
-    whose column entry is c takes the factor g = -c/a, where a leads the
-    pivot row; the pivot row itself takes 0 and keeps its lead, and rows
-    whose factor is 0 get zero products added, which leaves them as they
-    were.  Rows at or below the pivot row are zero left of the pivot
-    column, so the columns from the pivot column on are all that change.
-    Any nonzero entry of the column may be the pivot: the pivot columns,
-    and the reduced form, do not depend on the choice.  So the pivot is
-    the row itself when its entry is nonzero, which needs no swap, and
-    otherwise the row below with the largest entry, one `argmax`.
+    The one elimination loop of the package, with one clearing mode: only
+    the rows below each pivot are cleared, which leaves a row echelon form.
+    Each pivot step is an AXPY, row <- row + g * pivot row, as in
+    FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008), made for the whole
+    slice R[row:, col:] of the pivot row and the rows below it at once.  A
+    row whose column entry is c takes the factor g = -c/a, where a leads
+    the pivot row; the pivot row itself takes 0 and keeps its lead, and
+    rows whose factor is 0 get zero products added, which leaves them as
+    they were.  These rows are zero left of the pivot column, so the
+    columns from the pivot column on are all that change.  Any nonzero
+    entry of the column may be the pivot: the pivot columns do not depend
+    on the choice.  So the pivot is the row itself when its entry is
+    nonzero, which needs no swap, and otherwise the row below with the
+    largest entry, one `argmax`.
 
     In a field of order at most ADD_TABLE_MAX, R is held in the compact
     dtype of `Field._row_tables`.  A step then gathers the `order`
@@ -101,13 +105,7 @@ def _eliminate(F: Field, A, full: bool, transform: bool = False):
     characteristic 2 the products are XORed into R in place; otherwise
     they are multiples of the order, so R + products indexes the flat
     addition table.  Larger fields step with one outer-product `vmul`
-    and one `vadd` on int64.
-
-    With `full`, lo = 0 and every other row is cleared, and the pivot rows
-    are divided by their leads at the end, which gives the reduced row
-    echelon form.  Otherwise lo is the pivot row and only the rows below
-    it are cleared, which leaves a row echelon form with the same pivot
-    columns.  R keeps the compact dtype.
+    and one `vadd` on int64.  R keeps the compact dtype.
 
     With `transform`, the steps also record each row's multiples of the
     pivot rows, as in the rank-profile elimination of Dumas, Pernet and
@@ -142,57 +140,32 @@ def _eliminate(F: Field, A, full: bool, transform: bool = False):
         if transform:
             R[row, n + row] = 1
         neg_inv = F._exp[(log_minus_one - F._log[a]) % units]
-        lo = 0 if full else row
         # the pivot row is zero past extra column `row`
         stop = n + row + 1 if transform else n
         if tables is None:
-            factors = F.vmul(neg_inv, R[lo:, col])
-            factors[row - lo] = 0
-            R[lo:, col:stop] = F.vadd(R[lo:, col:stop], F.vmul(factors[:, None], R[row, col:stop]))
+            factors = F.vmul(neg_inv, R[row:, col])
+            factors[0] = 0
+            R[row:, col:stop] = F.vadd(R[row:, col:stop], F.vmul(factors[:, None], R[row, col:stop]))
         else:
             products, multiples, sums = tables
-            factors = products[neg_inv].take(R[lo:, col])
-            factors[row - lo] = 0
+            factors = products[neg_inv].take(R[row:, col])
+            factors[0] = 0
             # the multiplication table is symmetric: the rows of the pivot
             # row's entries, transposed, are its multiples
             prods = multiples.take(R[row, col:stop], axis=0).T.take(factors, axis=0)
             if sums is None:
-                R[lo:, col:stop] ^= prods
+                R[row:, col:stop] ^= prods
             else:
-                prods += R[lo:, col:stop]
-                R[lo:, col:stop] = sums.take(prods)
+                prods += R[row:, col:stop]
+                R[row:, col:stop] = sums.take(prods)
         pivots.append(col)
         row += 1
-    r = len(pivots)
-    if full and r:
-        inv = F.vinv(R[np.arange(r), pivots])[:, None]
-        R[:r] = F.vmul(inv, R[:r]) if tables is None else tables[0][inv, R[:r]]
     return (R, pivots, origin) if transform else (R, pivots)
 
 
-def rref(F: Field, A):
-    """Reduced row echelon form; returns (R, pivot_columns).
-
-    R is unique for the row space of A: each pivot row leads with 1 and
-    every other row is zero in its pivot column.
-    """
-    R, pivots = _eliminate(F, A, full=True)
-    return R.astype(np.int64, copy=False), pivots
-
-
-def pivot_columns(F: Field, A) -> list[int]:
-    """The pivot columns of rref(A): the columns of A that are not in the
-    span of the columns before them.
-
-    Forward elimination alone finds them, clearing only the rows below
-    each pivot, which saves rref's clearing of the rows above it.
-    """
-    return _eliminate(F, A, full=False)[1]
-
-
 def pivots_and_left_kernel(F: Field, A):
-    """(pivot_columns(A), K): K is an (m - rank, m) basis of the left
-    kernel {h : h A = 0} of the (m, n) matrix A.
+    """(pivots, K): the pivot columns of the (m, n) matrix A, and K, an
+    (m - rank, m) basis of its left kernel {h : h A = 0}.
 
     Both come from one forward elimination of A with `transform`.  There
     a row i at or past the rank r is zero in A's columns, and equals row
@@ -200,11 +173,11 @@ def pivots_and_left_kernel(F: Field, A):
     So h = e_origin[i] + sum_{t < r} W[i, t] e_origin[t] has h A = 0.
     These m - r rows are the identity on the non-pivot rows' origins,
     hence independent, so they span the left kernel, of dimension m - r.
-    K is not in rref form.
+    K is not in reduced row echelon form.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     m, n = A.shape
-    R, pivots, origin = _eliminate(F, A, full=False, transform=True)
+    R, pivots, origin = _eliminate(F, A, transform=True)
     r = len(pivots)
     K = np.zeros((m - r, m), dtype=np.int64)
     K[np.arange(m - r), origin[r:]] = 1
@@ -214,14 +187,14 @@ def pivots_and_left_kernel(F: Field, A):
 
 def rank(F: Field, A) -> int:
     """Rank of A, the number of its pivot columns."""
-    return len(pivot_columns(F, A))
+    return len(_eliminate(F, A)[1])
 
 
 def right_nullspace(F: Field, A):
     """Basis of {v : A v^T = 0}, as rows of an (n - rank, n) matrix.
 
     It is the left kernel of A^T, from `pivots_and_left_kernel`, and so
-    is not in rref form.
+    is not in reduced row echelon form.
     """
     return pivots_and_left_kernel(F, np.atleast_2d(np.asarray(A, dtype=np.int64)).T)[1]
 

@@ -7,21 +7,21 @@ of degree n = (q+1)/2 over GF(q^2)(x)), so candidates are never used as
 a basis directly: `verified_basis` rank-filters their evaluation
 vectors at the chosen points and records what was dropped.  The one
 forward elimination that does so also yields a basis of the null space
-of the kept vectors, the parity check of the code they generate.
+of the kept vectors, the parity check of the code they generate.  The
+verified basis at r is a row prefix of the one at any larger r
+(`MonomialBasis.prefix`), so one basis serves a whole range of r.
 
 `dimension_by_cases` evaluates a five-case closed-form dimension
 prediction exactly as specified (including its fractional /4 term) and
 is intended for comparison reports only; `dimension_report` tabulates
-it against ground-truth ranks and against deg + 1 - g.  Since the
-candidates of r are a prefix of those of r_max, and the kept candidates
-of a prefix are the r_max pivots inside it, every row's `rank` and
-`verified_count` come from one elimination at r_max.  The tests check
-that elimination against per-r ranks over a naive field.
+it against ground-truth ranks and against deg + 1 - g, all read from
+the one verified basis at r_max.  The tests check those readings
+against per-r ranks over a naive field.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .curve import CurveSpec, check_points, enumerate_points
-from .linalg import pivot_columns, pivots_and_left_kernel, rank as matrix_rank  # noqa: F401 (matrix_rank stays public)
+from .linalg import pivots_and_left_kernel, rank as matrix_rank  # noqa: F401 (matrix_rank stays public)
 
 @dataclass(frozen=True)
 class MonomialBasis:
@@ -52,6 +52,21 @@ class MonomialBasis:
 
     def __len__(self) -> int:
         return len(self.monomials)
+
+    def prefix(self, r: int) -> int:
+        """The number of kept monomials of weight <= r, for r <= self.r.
+
+        For a verified basis, `rows[:prefix(r)]` is exactly
+        `verified_basis(curve, r, points).rows`, since the spaces of
+        functions of weight <= r nest.  The candidates are sorted by
+        (weight, i, j), so those of r are the prefix of the candidates of
+        self.r with weight <= r.  A candidate is kept iff it is a pivot
+        column of E^T, E the candidate evaluation matrix: iff its row of E
+        is independent of the rows before it.  That depends only on the
+        rows before it, so the kept candidates of r's prefix are the kept
+        candidates of self.r inside it, in the same order.
+        """
+        return bisect_right(self.pole_orders, r)
 
 
 def candidate_monomials(curve: CurveSpec, r: int) -> MonomialBasis:
@@ -114,7 +129,7 @@ def verified_basis(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasi
     at `points`; the retained count equals the rank of the full
     candidate evaluation matrix E.  A candidate is kept iff its row of E
     is independent of the rows before it, i.e. iff it is a pivot column
-    of rref(E^T).
+    of E^T.
 
     The same forward elimination of E^T gives `parity_check`, a basis of
     its left kernel {h : h E^T = 0}: the null space of E, which is that
@@ -187,13 +202,10 @@ def dimension_report(curve: CurveSpec, r_max: int,
                      points: np.ndarray | None = None) -> list[DimensionRow]:
     """Ground-truth ranks vs the case formula for r = 0..r_max.
 
-    The candidates are sorted by (pole order, i, j), so those of r are
-    the prefix of the r_max list with pole order <= r.  A pivot column of
-    rref(E^T) for the r_max candidate matrix E is a candidate independent
-    of those before it, so the pivots of r's prefix are the r_max pivots
-    inside it.  One elimination at r_max thus gives every row's rank,
-    which is also the size of `verified_basis(curve, r, points)`; `rank`
-    and `verified_count` are two readings of that one elimination.
+    Every row reads the one verified basis at r_max: its `prefix(r)` is
+    the size of `verified_basis(curve, r, points)`, which is the rank of
+    the candidate evaluation matrix at r, so `rank` and `verified_count`
+    are two readings of one elimination.
 
     `riemann_roch` holds l(G) = deg G + 1 - g for the divisor G of r
     where 2g - 2 < deg G < #points, else None.  There evaluation is
@@ -206,20 +218,17 @@ def dimension_report(curve: CurveSpec, r_max: int,
     npts = len(points)
     if r_max < 0:
         return []
-    cand = candidate_monomials(curve, r_max)
-    E = evaluation_matrix(curve, cand.monomials, points)
-    pivots = pivot_columns(curve.tower.ext, E.T)
+    basis = verified_basis(curve, r_max, points)
     rows = []
     for r in range(0, r_max + 1):
-        count = bisect_right(cand.pole_orders, r)
-        rk = bisect_left(pivots, count)
+        rk = basis.prefix(r)
         pred = dimension_by_cases(curve, r)
         deg = curve.divisor_degree(r)
         rr = deg + 1 - g if 2 * g - 2 < deg < npts else None
         rows.append(
             DimensionRow(
                 r=r,
-                candidates=count,
+                candidates=candidate_count(curve, r),
                 rank=rk,
                 verified_count=rk,
                 case=pred.case,

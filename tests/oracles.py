@@ -169,14 +169,21 @@ def naive_row_space_equal(nf: NaiveField, A, B) -> bool:
     return naive_row_basis(nf, A) == naive_row_basis(nf, B)
 
 
+@functools.cache
+def _product_and_difference_tables(nf: NaiveField):
+    """The full tables a*b and a-b of nf, built once per field object."""
+    order = nf.order
+    mul = [[nf.mul(a, b) for b in range(order)] for a in range(order)]
+    sub = [[nf.sub(a, b) for b in range(order)] for a in range(order)]
+    return mul, sub
+
+
 def naive_prefix_ranks(nf: NaiveField, rows) -> list[int]:
     """ranks[i] = rank of rows[:i+1].  Each row is reduced against the
     rows kept so far, each 1 at its own pivot column and 0 at the earlier
     pivot columns, and is kept, scaled to 1 at its first nonzero entry,
     if anything is left.  Uses full product and difference tables."""
-    order = nf.order
-    mul = [[nf.mul(a, b) for b in range(order)] for a in range(order)]
-    sub = [[nf.sub(a, b) for b in range(order)] for a in range(order)]
+    mul, sub = _product_and_difference_tables(nf)
     kept = []
     ranks = []
     for row in rows:

@@ -30,7 +30,7 @@ from agq.agcode import (
     weight_distribution,
 )
 from agq.curve import hermitian_curve, superelliptic_curve
-from agq.rrspace import evaluation_matrix
+from agq.rrspace import dimension_report, evaluation_matrix
 from agq.gf import FieldError, field, quadratic_tower
 from agq.linalg import matmul, rank, right_nullspace
 from oracles import (
@@ -255,14 +255,14 @@ def test_duals_against_naive_oracles(case):
 
 
 def test_duals_make_no_elimination(monkeypatch, code_8_3):
-    # `rref`, `pivot_columns` and so `rank` and `right_nullspace` reach the
+    # `rank`, `pivots_and_left_kernel` and so `right_nullspace` reach the
     # one elimination loop through the module global
     calls = []
     eliminate = agq.linalg._eliminate
 
-    def counted(F, A, full, *args, **kwargs):
+    def counted(F, A, *args, **kwargs):
         calls.append(np.shape(A))
-        return eliminate(F, A, full, *args, **kwargs)
+        return eliminate(F, A, *args, **kwargs)
 
     monkeypatch.setattr(agq.linalg, "_eliminate", counted)
     large = build_onepoint_code(hermitian_curve(5), 24)
@@ -282,6 +282,10 @@ def test_duals_make_no_elimination(monkeypatch, code_8_3):
     calls.clear()
     check_duality_claim(hermitian_curve(5), 24)
     assert len(calls) == 3
+    # every row of the dimension table reads the one basis at r_max
+    calls.clear()
+    dimension_report(superelliptic_curve(3, 3), 30)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -883,6 +887,14 @@ def test_load_rejects_bad_header(tmp_path):
     path.write_text("q=4 n=3 k=1\n1 2 3\n")
     with pytest.raises(ValueError, match="header"):
         load_code(path)
+
+
+def test_load_rejects_non_integer_entry_naming_file_and_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("q2=4 n=3 k=2\n1 2 3\n\n1 x 2\n")
+    with pytest.raises(ValueError) as info:
+        load_code(path)
+    assert str(info.value) == f"{path}, line 4: expected integer entries, got '1 x 2'"
 
 
 def test_load_rejects_wrong_shape(tmp_path):

@@ -227,6 +227,25 @@ def test_simulate_seed_env_fallback(capsys, tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_matrix_rejects_non_integer_entry(capsys, tmp_path):
+    matrix = tmp_path / "code.txt"
+    matrix.write_text("q2=4 n=3 k=1\n1 x 2\n")
+    code, out, err = run_cli(capsys, "simulate", "--matrix", str(matrix),
+                             "--rates", "0.1", "--trials", "10")
+    assert code == 1
+    assert err.strip() == f"error: {matrix}, line 2: expected integer entries, got '1 x 2'"
+    assert "success=" not in out
+
+
+def test_reproduce_rejects_non_integer_seed_env(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("AGQ_SEED", "abc")
+    out_dir = tmp_path / "bundle"
+    code, out, err = run_cli(capsys, "reproduce", "--skip-sim", "--out-dir", str(out_dir))
+    assert code == 1
+    assert err.strip() == "error: AGQ_SEED needs an integer, got 'abc'"
+    assert out == "" and not out_dir.exists()
+
+
 def test_simulate_preset_sweep(capsys, tmp_path):
     # the three codes share each trial's stream, over two chunks and, for
     # the [35,7]_25 code's 14-block streams, several Philox row blocks;
@@ -418,12 +437,19 @@ def test_reproduce_with_sim_byte_identical_csvs(capsys, tmp_path):
     assert_code_records(manifest["codes"], dir_a / "results.csv")
 
 
-# SHA-256 of the CSV pair of `agq reproduce --trials 2000 --seed 7`: pinned,
-# so any change to these bytes is a golden shift
+# SHA-256 of every output of `agq reproduce --trials 2000 --seed 7` but the
+# manifest, which holds a timestamp and paths: pinned, so any change to
+# these bytes is a golden shift
 REPRODUCE_SHA256 = {
+    "report_8_3.json": "ec0d5d9c62d4b385ec878bbd259a07c016ffa030d1ea9c5467f2f45df1f759c4",
+    "quantum_q3_m3.csv": "a01409952f3fc7c1f100c4596c85ff3cee8b78d5484427443569c36b2996c1ad",
+    "quantum_q5_m3.csv": "63fcd1a2ede102bd9e10658d4d9762a51af1ef1937e9646407b58bf1011a9484",
+    "dimension_report_q3_m3.json": "fc409f8338fc38ab09ba6dfe4091bd59372f3290947a578fad6e824cf06439b8",
     "results.csv": "7d7ec56a725eb137fdf52916c291e16949ebc6ca14ac74ad3915e7b042d9b879",
     "series.csv": "22ecfe552da1f851780062fe4626dbe15fe9ef52fd15f01e30b6140bd6582762",
 }
+HERMITIAN_ORTHOGONALITY_LINE = ("[PASS] hermitian-orthogonality-consistency: verdicts for r<=q-1: "
+                                "{0: True, 1: True, 2: False} (threshold claim: all true)")
 
 
 def test_reproduce_csvs_match_their_pinned_digests(capsys, tmp_path):
@@ -433,6 +459,8 @@ def test_reproduce_csvs_match_their_pinned_digests(capsys, tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in REPRODUCE_SHA256}
     assert digests == REPRODUCE_SHA256
+    assert HERMITIAN_ORTHOGONALITY_LINE in out.splitlines()
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted([*REPRODUCE_SHA256, "manifest.json"])
 
 
 def reproduce_determinism_fails(capsys, tmp_path, trials):

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 import agq.linalg
 from agq.gf import Field, field
 from agq.linalg import (
+    _eliminate,
     matmul,
     normalize_rows,
-    pivot_columns,
     pivots_and_left_kernel,
     rank,
     right_nullspace,
-    rref,
 )
 from oracles import NaiveField, TabledField, naive_matmul, naive_rank, naive_row_space_equal, naive_rref
 
@@ -44,16 +43,6 @@ def test_nullspace_annihilates_and_has_complementary_rank(A):
     if N.shape[0]:
         assert not matmul(F, A, N.T).any()
         assert rank(F, N) == N.shape[0]
-
-
-@settings(max_examples=40, deadline=None)
-@given(matrices(9))
-def test_rref_idempotent_and_preserves_row_space(A):
-    F = field(3, 2)
-    R, pivots = rref(F, A)
-    R2, pivots2 = rref(F, R)
-    assert np.array_equal(R, R2) and pivots == pivots2
-    assert naive_row_space_equal(NaiveField(3, 2, F.modulus), A, R)
 
 
 def test_matmul_identity_and_shapes():
@@ -96,8 +85,8 @@ def test_greedy_filter_matches_full_rank():
     rng = np.random.default_rng(11)
     for _ in range(20):
         A = rng.integers(0, 9, size=(6, 5))
-        # pivot columns of rref(A^T): the rows independent of those before them
-        kept = rref(F, A.T)[1]
+        # pivot columns of A^T: the rows independent of those before them
+        kept = pivots_and_left_kernel(F, A.T)[0]
         assert kept == [i for i in range(len(A)) if rank(F, A[: i + 1]) > rank(F, A[:i])]
         assert len(kept) == rank(F, A)
         # the kept subset itself has full rank
@@ -239,7 +228,7 @@ def test_matmul_row_block_temporaries_are_small():
 
 
 # ---------------------------------------------------------------------------
-# rref against a literal Gauss-Jordan elimination
+# forward elimination against a literal Gauss-Jordan elimination
 
 # GF(4) and GF(256) in characteristic 2, whose uint8 rows add by XOR;
 # GF(3), GF(9), GF(25) and GF(49), whose uint8 rows add through the
@@ -267,22 +256,12 @@ def rref_cases(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(rref_cases())
-def test_rref_matches_naive_gauss_jordan(case):
-    F, nf, A = case
-    R, pivots = rref(F, A)
-    want, want_pivots = naive_rref(nf, A.tolist())
-    assert R.shape == A.shape and R.dtype == np.int64
-    assert R.tolist() == want and pivots == want_pivots
-
-
-@settings(max_examples=200, deadline=None)
-@given(rref_cases())
 def test_pivot_columns_and_rank_match_naive_pivots(case):
     # forward elimination alone; A.T puts every wide matrix in tall form
     F, nf, A = case
     for M in (A, A.T):
         want = naive_rref(nf, M.tolist())[1]
-        assert pivot_columns(F, M) == want
+        assert pivots_and_left_kernel(F, M)[0] == want
         assert rank(F, M) == len(want)
 
 
@@ -316,9 +295,14 @@ def test_rref_and_pivots_match_naive_on_larger_seeded_matrices(pe):
         A[rng.integers(m)] = 0
         A[:, rng.integers(n)] = 0
         want, want_pivots = naive_rref(nf, A.tolist())
-        R, pivots = rref(F, A)
-        assert R.dtype == np.int64 and R.tolist() == want and pivots == want_pivots
-        assert pivot_columns(F, A) == want_pivots
+        R, pivots = _eliminate(F, A)
+        assert pivots == want_pivots and pivots_and_left_kernel(F, A)[0] == want_pivots
+        # a row echelon form: row i leads at pivot i, the rows past the rank
+        # are zero, and it keeps the row space, so its rref is A's
+        assert not R[len(pivots):].any()
+        for i, col in enumerate(pivots):
+            assert R[i, col] and not R[i, :col].any()
+        assert R.shape == A.shape and naive_rref(nf, R.tolist())[0] == want
 
 
 def test_row_tables_are_built_on_first_elimination():
@@ -332,11 +316,11 @@ def test_row_tables_are_built_on_first_elimination():
     assert F._row_tables is None
 
 
-@pytest.mark.parametrize("eliminate", [rref, pivot_columns])
+@pytest.mark.parametrize("eliminate", [rank, pivots_and_left_kernel])
 def test_elimination_memory_is_bounded(eliminate):
-    # 512 x 512 over GF(256): R is held as uint8, 256 KiB, and rref's int64
-    # result takes 2 MiB.  The field's tables, built once per field, are
-    # built before measuring.
+    # 512 x 512 over GF(256): R is held as uint8, 256 KiB, or 512 KiB with
+    # the transform's extra columns.  The field's tables, built once per
+    # field, are built before measuring.
     F = field(2, 8)
     A = np.random.default_rng(6).integers(0, 256, size=(512, 512))
     rank(F, A[:2])
@@ -362,8 +346,9 @@ def _check_left_kernel(F, nf, M, naive_ranks=True):
         assert pivots == naive_rref(nf, M.tolist())[1]
         assert naive_rank(nf, K.tolist()) == len(K)
     else:
-        # `pivot_columns` and `rank` are checked against the oracle above
-        assert pivots == pivot_columns(F, M) and rank(F, K) == len(K)
+        # the pivots of rank's elimination and `rank` are checked against
+        # the oracle above
+        assert pivots == _eliminate(F, M)[1] and rank(F, K) == len(K)
 
 
 @settings(max_examples=200, deadline=None)

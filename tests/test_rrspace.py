@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agq.agcode import build_onepoint_code, resolve_eval_set
+from agq.agcode import (_dual_sum_rank, build_onepoint_code, check_duality_claim,
+                        is_euclidean_self_orthogonal, is_hermitian_self_orthogonal, resolve_eval_set)
 from agq.curve import enumerate_points, hermitian_curve, superelliptic_curve
-from agq.linalg import pivot_columns
+from agq.linalg import matmul, rank
 from agq.rrspace import (
     candidate_count,
     candidate_monomials,
@@ -344,6 +345,13 @@ REPORT_CURVES = {
 }
 
 
+def naive_kept_rows(nf, E):
+    """The rows of E independent of the rows before them, i.e. the pivot
+    columns of E^T, from the naive prefix ranks."""
+    ranks = naive_prefix_ranks(nf, E)
+    return [i for i, (before, now) in enumerate(zip([0] + ranks, ranks)) if now > before]
+
+
 def _eval_sets(curve):
     pts = enumerate_points(curve)
     if len(pts) > 200:
@@ -365,7 +373,7 @@ def test_one_elimination_basis_and_parity_check_match_reference(name):
             basis = verified_basis(curve, r, points)
             cand = candidate_monomials(curve, r)
             E = evaluation_matrix(curve, cand.monomials, points)
-            pivots = pivot_columns(F, E.T)
+            pivots = naive_kept_rows(nf, E)
             assert basis.monomials == tuple(cand.monomials[i] for i in pivots)
             assert basis.dropped == tuple(m for i, m in enumerate(cand.monomials) if i not in pivots)
             G, H = basis.rows, basis.parity_check
@@ -377,3 +385,63 @@ def test_one_elimination_basis_and_parity_check_match_reference(name):
             code = build_onepoint_code(curve, r, policy)
             assert np.array_equal(code.generator, G) and np.array_equal(code.parity_check, H)
         assert len(basis) == N  # the last r is past saturation
+
+
+# ---------------------------------------------------------------------------
+# one verified basis read at every r
+
+LADDER_CURVES = {
+    "hermitian-q3": lambda: hermitian_curve(3),
+    "hermitian-q4": lambda: hermitian_curve(4),
+    "hermitian-q5": lambda: hermitian_curve(5),
+    "superelliptic-q3-m3": lambda: superelliptic_curve(3, 3),
+    "superelliptic-q5-m3": lambda: superelliptic_curve(5, 3),
+    "superelliptic-q7-m3": lambda: superelliptic_curve(7, 3),
+}
+
+
+@pytest.mark.parametrize("name", LADDER_CURVES)
+def test_prefix_readings_of_one_basis_match_per_r_builds(name):
+    # Every C_r is a row prefix of the basis at r_max, so one Euclidean Gram
+    # M_e = G G^T and one Hermitian Gram M_h = G conj(G)^T give every
+    # self-orthogonality verdict as a zero leading block.  And
+    # dim(C_r^perp + C_r') = n - k + rank M_e[:k', :k], with k' the prefix
+    # of r', is the rank that decides the duality claim.
+    curve = LADDER_CURVES[name]()
+    F, tower = curve.tower.ext, curve.tower
+    half = (curve.q - 1) * (curve.m - 1) // 2
+    exact_half = (curve.q - 1) * (curve.m - 1) % 2 == 0
+    pts = enumerate_points(curve)
+    verdicts = set()
+    for policy in ["all", "first:7", "exclude-subfield", pts[::-1]]:
+        points = resolve_eval_set(curve, policy)
+        n = len(points)
+        r_top = n + 2 * curve.genus + curve.places_at_infinity
+        # the duality claim at r = -1 reads the prefix of r' = q^2 + half + 1
+        basis = verified_basis(curve, max(r_top, curve.q**2 + half + 1), points)
+        G = basis.rows
+        M_e = matmul(F, G, G.T)
+        M_h = matmul(F, G, tower.vfrobenius(G).T)
+        for r in range(-1, r_top + 1):
+            code = build_onepoint_code(curve, r, policy)
+            k = basis.prefix(r)
+            assert np.array_equal(G[:k], code.generator)
+            assert basis.monomials[:k] == verified_basis(curve, r, points).monomials
+            assert (not M_e[:k, :k].any()) == is_euclidean_self_orthogonal(code)
+            assert (not M_h[:k, :k].any()) == is_hermitian_self_orthogonal(code)
+            verdicts.add(is_hermitian_self_orthogonal(code))
+            claim = check_duality_claim(curve, r, policy)
+            r_prime = curve.q**2 + half - r
+            assert claim.applicable == (exact_half and r_prime >= 0)
+            if not claim.applicable:
+                continue
+            k_prime = basis.prefix(r_prime)
+            dual_sum = n - k + rank(F, M_e[:k_prime, :k])
+            companion = build_onepoint_code(curve, r_prime, policy)
+            assert dual_sum == _dual_sum_rank(code, companion)
+            assert (claim.dim_dual, claim.dim_companion) == (n - k, k_prime)
+            assert claim.row_spaces_equal == (dual_sum == n - k == k_prime)
+            assert claim.companion_inside_dual == (dual_sum == n - k)
+            assert claim.dual_inside_companion == (dual_sum == k_prime)
+        assert k == n  # the last r is past saturation
+    assert verdicts == {True, False}

@@ -27,6 +27,8 @@ from .linalg import _column_table, matmul, rank, right_nullspace
 from .rrspace import dimension_by_cases, verified_basis
 
 DEFAULT_BUDGET = 1 << 20
+# Most rows of one block of `iter_codeword_blocks`.
+CODEWORD_BLOCK = 4096
 # Most digit outputs, q^k * n * e, for which `iter_codeword_blocks` makes
 # all words in one `matmul`; past it the coset path is faster (measured
 # break-even, see its docstring).
@@ -203,7 +205,7 @@ def _orbit_messages(order: int, k: int, skip_zero: bool) -> np.ndarray:
                           + [np.arange(order**t, 2 * order**t, dtype=np.int64) for t in range(k)])
 
 
-def iter_codeword_blocks(code: LinearCode, block: int = 4096, skip_zero: bool = False):
+def iter_codeword_blocks(code: LinearCode, skip_zero: bool = False):
     """Yield one codeword of each scalar orbit, as index matrices.
 
     Message m = sum_i m_i q^i encodes to sum_i m_i G[i].  The messages
@@ -211,7 +213,7 @@ def iter_codeword_blocks(code: LinearCode, block: int = 4096, skip_zero: bool = 
     in GF(q)*} of a nonzero message once, and lambda c has the weight of
     c, so their (q^k - 1)/(q - 1) words carry every nonzero weight.
     Message 0 comes first unless `skip_zero`.  Words come in increasing
-    order of m, in nonempty blocks of at most `block` rows.
+    order of m, in nonempty blocks of at most `block` = CODEWORD_BLOCK rows.
 
     When q^k <= block and either k <= 1 or the q^k * n * e digits of all
     words are at most SINGLE_PRODUCT_DIGITS, all messages (from 1 if
@@ -239,9 +241,7 @@ def iter_codeword_blocks(code: LinearCode, block: int = 4096, skip_zero: bool = 
     cosets: GF(4) n=64 k=3 (8192 digits) 107 vs 119 us, GF(9) n=8 k=3
     (11664) 205 vs 173 us, GF(16) n=64 k=3 6.4 vs 1.15 ms.
     """
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    F, G, q, k = code.field, code.generator, code.field.order, code.k
+    F, G, q, k, block = code.field, code.generator, code.field.order, code.k, CODEWORD_BLOCK
     total = q**k
     if total <= block and (k <= 1 or total * code.n * F.e <= SINGLE_PRODUCT_DIGITS):
         start = int(skip_zero)
@@ -268,6 +268,21 @@ def iter_codeword_blocks(code: LinearCode, block: int = 4096, skip_zero: bool = 
         yield words
         # drop the block just yielded before building the next one
         del words
+
+
+def _fits_budget(code: LinearCode, budget: int) -> bool:
+    """Whether enumerating the q^k codewords of `code` fits `budget`."""
+    return code.k == 0 or code.field.order**code.k <= budget
+
+
+def _orbit_weights(code: LinearCode, skip_zero: bool) -> np.ndarray:
+    """Counts by Hamming weight, 0..n, of the words of `iter_codeword_blocks`:
+    one per scalar orbit, and the zero word unless `skip_zero`."""
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for block in iter_codeword_blocks(code, skip_zero=skip_zero):
+        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=code.n + 1)
+        del block  # else the loop variable holds it while the next is built
+    return counts
 
 
 @dataclass(frozen=True)
@@ -300,14 +315,9 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceResu
         return DistanceResult(d=None, method="empty", lower=None, upper=None)
     if k == n:
         return DistanceResult(d=1, method="full-space", lower=1, upper=1)
-    if F.order**k <= budget:
-        best = n + 1
-        for block in iter_codeword_blocks(code, skip_zero=True):
-            weights = np.count_nonzero(block, axis=1)
-            weights = weights[weights > 0]
-            if len(weights):
-                best = min(best, int(weights.min()))
-            del block  # else the loop variable holds it while the next is built
+    if _fits_budget(code, budget):
+        found = np.flatnonzero(_orbit_weights(code, skip_zero=True)[1:])
+        best = int(found[0]) + 1 if len(found) else n + 1
         return DistanceResult(d=best, method="exhaustive", lower=best, upper=best)
 
     # 0 < k < n, so the parity check has n - k rows and a column table
@@ -334,18 +344,15 @@ def weight_distribution(code: LinearCode, budget: int = DEFAULT_BUDGET) -> np.nd
     that encodes to the zero word (a rank-deficient generator) thus adds
     q - 1 to counts[0].
     """
-    if code.k > 0 and code.field.order**code.k > budget:
+    if not _fits_budget(code, budget):
         raise BudgetExceededError(
             f"{code.field.order}^{code.k} codewords exceed budget {budget}"
         )
-    counts = np.zeros(code.n + 1, dtype=np.int64)
     if code.k == 0:
+        counts = np.zeros(code.n + 1, dtype=np.int64)
         counts[0] = 1
         return counts
-    for block in iter_codeword_blocks(code):
-        w = np.count_nonzero(block, axis=1)
-        counts += np.bincount(w, minlength=code.n + 1)
-        del block  # else the loop variable holds it while the next is built
+    counts = _orbit_weights(code, skip_zero=False)
     counts *= code.field.order - 1
     counts[0] -= code.field.order - 2  # message 0, its own orbit, was counted q - 1 times
     return counts
@@ -515,8 +522,8 @@ class CodeReport:
     weight_distribution: list[int] | None
     duality_claim: dict
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.__dict__, indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
 
 def code_report(curve: CurveSpec, r: int, eval_set="all", budget: int = DEFAULT_BUDGET,
@@ -530,7 +537,7 @@ def code_report(curve: CurveSpec, r: int, eval_set="all", budget: int = DEFAULT_
     eucl = is_euclidean_self_orthogonal(code)
     pred = dimension_by_cases(curve, r)
     wd = None
-    if include_weights and (code.k == 0 or code.field.order**code.k <= budget):
+    if include_weights and _fits_budget(code, budget):
         wd = [int(c) for c in weight_distribution(code, budget)]
     claim = check_duality_claim(curve, r, eval_set).to_dict()
     half = Fraction((q - 1) * (m - 1), 2)

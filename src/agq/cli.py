@@ -132,11 +132,8 @@ def cmd_code_report(args) -> int:
 
 
 def cmd_quantum_table(args) -> int:
-    if args.r_max < args.r_min:
-        rows = []
-    else:
-        known = load_known_codes(args.known) if args.known else ()
-        rows = parameter_table(args.q, args.m, range(args.r_min, args.r_max + 1), known=known)
+    known = load_known_codes(args.known) if args.known else ()
+    rows = parameter_table(args.q, args.m, range(args.r_min, args.r_max + 1), known=known)
     for row in rows:
         p = row.params
         flags = []
@@ -157,7 +154,10 @@ def cmd_quantum_table(args) -> int:
 
 
 def _parse_rates(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+    except ValueError:
+        raise ValueError(f"--rates needs comma-separated numbers, got {text!r}") from None
 
 
 def cmd_simulate(args) -> int:

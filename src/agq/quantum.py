@@ -202,9 +202,9 @@ def write_table_csv(rows: Sequence[TableRow], path) -> None:
             writer.writerow(record)
 
 
-def table_to_json(rows: Sequence[TableRow], indent: int | None = 2) -> str:
+def table_to_json(rows: Sequence[TableRow]) -> str:
     return json.dumps(
         [{"q": row.q, "m": row.m, "r": row.r, **row.params.to_dict()} for row in rows],
-        indent=indent,
+        indent=2,
         sort_keys=True,
     )

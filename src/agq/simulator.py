@@ -12,41 +12,45 @@ syndrome ("corrected"), else reporting "failure".  Both "success" and
 than the transmitted one (possible once errors exceed the search
 radius), without changing the two headline metrics.
 
+Every trial sends the zero word.  That is exact for any codeword c: c
+H^T = 0, so c + e has the syndrome of e, and the decoder's change to a
+word is a function of its syndrome, so it decodes c + e to c plus its
+result on e, with the same status.  Success, failure and miscorrection
+thus depend on the error pattern e alone.  On the zero word the channel
+puts o + 1, the o-th element other than 0, at a hit position with
+replacement offset o, and a nonzero decoded word is a miscorrection.
+`_decoder_table` certifies G H^T = 0, the premise of the reduction,
+once per code.
+
 Randomness: trial t at rate index i reads its own Philox4x64-10 stream
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11),
 keyed by (master_seed, ((i + 1) << 44) | t), so results are bit-identical
 for a given seed however the trials are blocked.  The stream is numpy's
-`Generator(Philox(key))` (`_trial_rng`), which draws k message symbols
-with `integers(0, q)`, n uniforms with `random`, and n replacement
-offsets with `integers(0, q - 1)`.  Every simulation goes through
-`run_sweep`, which runs each rate in chunks of `CHUNK_TRIALS` trials;
-`_draw_shared` computes a chunk's draws at once, with Philox on uint64
-arrays over the block counters 1, 2, ... of each key, in row blocks of
-at most `PHILOX_BLOCKS` blocks.  The key does not name the code, and
-Philox is counter-based, so codes simulated together read one stream
-per trial: each row block of words is computed once, for the code with
-the longest stream, and each code reads its own prefix; the determinism
-check of `agq reproduce` reruns the first sweep code alone, so it
-compares the shared path with the single-code one.  At rate 0 nothing
-is drawn: no uniform in [0, 1) is below 0, so every trial arrives
-intact.  In a stream:
+`Generator(Philox(key))` (`_trial_rng`), which draws n uniforms with
+`random`, then n replacement offsets with `integers(0, q - 1)`.  Every
+simulation goes through `run_sweep`, which runs each rate in chunks of
+`CHUNK_TRIALS` trials; `_draw_shared` computes a chunk's draws at once,
+with Philox on uint64 arrays over the block counters 1, 2, ... of each
+key, in row blocks of at most `PHILOX_BLOCKS` blocks.  The key does not
+name the code, and Philox is counter-based, so codes simulated together
+read one stream per trial: each row block of words is computed once,
+for the code with the longest stream, and each code reads its own
+prefix; the determinism check of `agq reproduce` reruns the first sweep
+code alone, so it compares the shared path with the single-code one.
+At rate 0 nothing is drawn: no uniform in [0, 1) is below 0, so every
+trial arrives intact.  In a stream:
 
-* message and replacement draws are Lemire-bounded uint32s,
-  (u * range) >> 32, taken from the low then the high half of each
-  word; the n uniforms, (word >> 11) * 2^-53, sit between them, and
-  when k is odd the first replacement draw is the buffered high half
-  of the last message word;
-* over GF(2) the replacement range is 1 and consumes no words.
+* the n uniforms, (word >> 11) * 2^-53, take one word each;
+* the replacement draws that follow are Lemire-bounded uint32s,
+  (u * (q - 1)) >> 32, taken from the low then the high half of each
+  word; over GF(2) their range is 1 and they consume no words.
 
-The draw is mask-first.  Every trial gets its message draws, since a
-rejected one (below) would shift its uniforms, and its error mask,
-uniform < rate, read from the uniform words as (word >> 11) <
-rate * 2^53, which is the same comparison.  Only a trial with an error
-gets its replacement draws: they come after the uniforms, so in an
-error-free trial they affect nothing.  An error-free trial is counted
-as decoded, with no miscorrection, without being encoded or decoded:
-its syndrome m G H^T is zero because G H^T = 0, which `_decoder_table`
-certifies once per code before the first draw.
+The draw is mask-first.  Every trial gets its error mask, uniform <
+rate, read from the uniform words as (word >> 11) < rate * 2^53, which
+is the same comparison.  Only a trial with an error gets its replacement
+draws, and only such a trial is decoded: an error-free trial receives
+the zero word, whose syndrome is zero, so it counts as a success with no
+miscorrection.
 
 The ten Philox rounds run in place on arrays allocated once per call,
 and the high word of each 64x64-bit product comes from three 32-bit
@@ -54,9 +58,10 @@ partial products (the `mulhu` identity of Hacker's Delight, section 8-2).
 
 Lemire's method rejects u when the low half of u * range falls below
 (2^32 - range) mod range, which is less than range.  A trial with any
-low half below range among the draws it gets is drawn again from
-`_trial_rng` itself, by `_reference_draw`, so every trial matches numpy
-exactly, not just with high probability.
+replacement draw whose low half is below range gets its offsets again
+from `_trial_rng` itself, by `_reference_draw`; its uniforms come before
+them, so its mask stands, and every trial matches numpy exactly, not
+just with high probability.
 """
 
 from __future__ import annotations
@@ -120,12 +125,11 @@ def _check_stream_range(rate_index: int, trial_stop: int) -> None:
         raise ValueError("trial or rate index out of stream-key range")
 
 
-def _reference_draw(master_seed: int, rate_index: int, trial: int, k: int, n: int, q: int):
-    """(message, uniforms, replacement offsets) of one trial, read literally
-    from `_trial_rng`; `_draw_shared` reproduces these values."""
+def _reference_draw(master_seed: int, rate_index: int, trial: int, n: int, q: int):
+    """(uniforms, replacement offsets) of one trial, read literally from
+    `_trial_rng`; `_draw_shared` reproduces these values."""
     rng = _trial_rng(master_seed, rate_index, trial)
-    message = rng.integers(0, q, size=k) if k else np.zeros(0, dtype=np.int64)
-    return message, rng.random(n), rng.integers(0, q - 1, size=n)
+    return rng.random(n), rng.integers(0, q - 1, size=n)
 
 
 # Philox4x64-10 multipliers, each with its 32-bit halves, and Weyl key
@@ -140,7 +144,7 @@ _SHIFT32 = np.uint64(32)
 # Philox blocks (four uint64 words each) computed at once: the round
 # temporaries stay at 128 KB per array for any code length.
 PHILOX_BLOCKS = 1 << 14
-# Trials drawn, encoded and decoded at once.  Each chunk is split again
+# Trials drawn and decoded at once.  Each chunk is split again
 # into Philox row blocks; a chunk as small as a row block would expand
 # the parity check for many more, smaller decode calls.
 CHUNK_TRIALS = 2048
@@ -221,72 +225,52 @@ class _ChunkDraws:
     block by row block from Philox words that cover at least its own
     `blocks`: block j of a key is the same whoever reads it."""
 
-    def __init__(self, b: int, k: int, n: int, q: int):
-        self.shape = (k, n, q)
-        # word layout of one trial: message words, uniform words, replacement words
-        self.msg_words = (k + 1) // 2
-        repl_words = (k + n + 1) // 2 - self.msg_words if q > 2 else 0
-        self.blocks = -(-(self.msg_words + n + repl_words) // 4)
-        # the replacement draws read n halves, low half first, from the words
-        # after the uniforms; when k is odd the first of them is the buffered
-        # high half of the last message word, so the slice starts one half
-        # early and its first column is replaced
-        self.repl_from = 2 * (self.msg_words + n) - (k & 1)
+    def __init__(self, b: int, n: int, q: int):
+        self.shape = (n, q)
+        # word layout of one trial: n uniform words, then the replacement
+        # draws, two halves to a word
+        self.blocks = -(-(n + ((n + 1) // 2 if q > 2 else 0)) // 4)
         self.rows = np.empty(b, dtype=np.int64)
-        self.messages = np.empty((b, k), dtype=np.int64)
         self.mask = np.empty((b, n), dtype=bool)
         self.repl = np.zeros((b, n), dtype=np.int64)
-        self.suspect = np.empty(b, dtype=bool)
+        self.suspect = np.zeros(b, dtype=bool)
         self.e = 0  # rows filled so far
 
     def take(self, r0: int, words: np.ndarray, halves: np.ndarray, threshold: np.uint64) -> None:
         """Keep the trials r0, r0 + 1, ... of `words` (uint64) and `halves`
-        (its uint32 view) that carry an error or a suspect message draw."""
-        k, n, q = self.shape
-        # every trial's message draws are checked, since a rejection
-        # shifts the uniforms; uint64 before the bound, as a uint32
-        # product u * q would wrap
-        messages, bad = _lemire(halves[:, :k].astype(np.uint64), q)
-        suspect = bad.any(axis=1)
-        mask = (words[:, self.msg_words:self.msg_words + n] >> 11) < threshold
-        at = np.flatnonzero(mask.any(axis=1) | suspect)
+        (its uint32 view) that carry an error."""
+        n, q = self.shape
+        mask = (words[:, :n] >> 11) < threshold
+        at = np.flatnonzero(mask.any(axis=1))
         found = slice(self.e, self.e + len(at))
-        self.rows[found], self.messages[found], self.mask[found] = r0 + at, messages[at], mask[at]
-        self.suspect[found] = suspect[at]
+        self.rows[found], self.mask[found] = r0 + at, mask[at]
         if q > 2:
-            u32 = halves[at, self.repl_from:self.repl_from + n].astype(np.uint64)
-            if k & 1:
-                u32[:, 0] = halves[at, k]
-            self.repl[found], bad = _lemire(u32, q - 1)
-            self.suspect[found] |= bad.any(axis=1)
+            # uint64 before the bound, as a uint32 product u * (q - 1) would wrap
+            self.repl[found], bad = _lemire(halves[at, 2 * n:3 * n].astype(np.uint64), q - 1)
+            self.suspect[found] = bad.any(axis=1)
         self.e = found.stop
 
-    def errors(self, master_seed: int, rate_index: int, lo: int, rate: float):
+    def errors(self, master_seed: int, rate_index: int, lo: int):
         """This code's `_draw_shared` result, once every row block is
-        taken: the suspect trials are drawn again from `_reference_draw`."""
+        taken: the suspect trials' offsets are drawn again from
+        `_reference_draw`."""
         e = self.e
-        rows, messages, mask, repl = self.rows, self.messages, self.mask, self.repl
         for i in np.flatnonzero(self.suspect[:e]):
-            messages[i], uniforms, repl[i] = _reference_draw(
-                master_seed, rate_index, lo + int(rows[i]), *self.shape)
-            mask[i] = uniforms < rate
-        # a redrawn trial may carry no error after all
-        hit = np.flatnonzero(mask[:e].any(axis=1))
-        if len(hit) == e:
-            return rows[:e], messages[:e], mask[:e], repl[:e]
-        return rows[hit], messages[hit], mask[hit], repl[hit]
+            _, self.repl[i] = _reference_draw(master_seed, rate_index, lo + int(self.rows[i]),
+                                              *self.shape)
+        return self.rows[:e], self.mask[:e], self.repl[:e]
 
 
 def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
-                 shapes: Sequence[tuple[int, int, int]], rate: float) -> list:
-    """For each (k, n, q) of `shapes`, the trials among lo..hi-1 that
-    carry an error at `rate`, from one Philox pass.
+                 shapes: Sequence[tuple[int, int]], rate: float) -> list:
+    """For each (n, q) of `shapes`, the trials among lo..hi-1 that carry
+    an error at `rate`, from one Philox pass.
 
-    Each shape's result is (rows, messages, mask, repl): the offsets from
-    lo of those trials, in order, and their messages (e, k), error masks
-    (e, n) and replacement offsets (e, n), where trial lo + rows[i] has
-    the message and replacement offsets of `_reference_draw` and the mask
-    uniforms < rate.  Every other trial's uniforms are all >= rate.
+    Each shape's result is (rows, mask, repl): the offsets from lo of
+    those trials, in order, and their error masks (e, n) and replacement
+    offsets (e, n), where trial lo + rows[i] has the replacement offsets
+    of `_reference_draw` and the mask uniforms < rate.  Every other
+    trial's uniforms are all >= rate.
 
     Each row block's words are computed once, for the shape with the most
     blocks, and every shape reads its own prefix of them, with its own
@@ -294,7 +278,7 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
     """
     _check_stream_range(rate_index, hi)
     b = hi - lo
-    draws = [_ChunkDraws(b, k, n, q) for k, n, q in shapes]
+    draws = [_ChunkDraws(b, n, q) for n, q in shapes]
     blocks = max(d.blocks for d in draws)
     key0 = np.full((1, 1), master_seed, dtype=np.uint64)
     key1 = np.arange(lo, hi, dtype=np.uint64).reshape(-1, 1) | np.uint64((rate_index + 1) << 44)
@@ -307,7 +291,7 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
         halves = words.astype("<u8", copy=False).view("<u4")
         for d in draws:
             d.take(r0, words, halves, threshold)
-    return [d.errors(master_seed, rate_index, lo, rate) for d in draws]
+    return [d.errors(master_seed, rate_index, lo) for d in draws]
 
 
 def _decode_batch(code: LinearCode, received: np.ndarray, table):
@@ -368,10 +352,11 @@ def _check_inputs(rates: Sequence[float], trials: int, master_seed: int) -> None
 def _decoder_table(code: LinearCode):
     """The `_column_table` of the parity check, once G H^T = 0 is certified.
 
-    Only trials with an error are encoded and decoded: an error-free
-    trial receives its codeword c = m G, whose syndrome c H^T = m G H^T
-    is zero, so it decodes as a success to c.  One k x n x (n - k)
-    product certifies that, and a code that fails raises ValueError.
+    Every trial sends the zero word in place of a codeword c = m G.  That
+    is exact because c H^T = m G H^T = 0: c + e has the syndrome of e, so
+    the decoder returns c plus its result on e, with the same status.  One
+    k x n x (n - k) product certifies G H^T = 0, and a code that fails
+    raises ValueError.
     """
     F = code.field
     if matmul(F, code.generator, code.parity_check.T).any():
@@ -387,7 +372,7 @@ def _transmit(codes: Sequence[LinearCode], tables: Sequence, rate: float, trials
     if math.ceil(rate * 2.0**53) == 0:
         # no uniform in [0, 1) is below 0: every trial arrives intact
         return tuple(RateResult(rate, trials, trials, 0, 0, 0) for _ in codes)
-    shapes = [(code.k, code.n, code.field.order) for code in codes]
+    shapes = [(code.n, code.field.order) for code in codes]
     counts = np.zeros((len(codes), 4), dtype=np.int64)
     for lo in range(0, trials, CHUNK_TRIALS):
         hi = min(lo + CHUNK_TRIALS, trials)
@@ -398,16 +383,14 @@ def _transmit(codes: Sequence[LinearCode], tables: Sequence, rate: float, trials
     return tuple(RateResult(rate, trials, *map(int, count)) for count in counts)
 
 
-def _decode_errors(code: LinearCode, table, trials: int, rows, messages, mask, repl):
+def _decode_errors(code: LinearCode, table, trials: int, rows, mask, repl):
     """(successes, uncorrectable, miscorrected, total errors) of `trials`
-    trials, of which the `_draw_shared` rows carry an error; only those
-    are encoded and decoded, and the others count as successes."""
-    codewords = matmul(code.field, messages, code.generator)
-    received = np.where(mask, repl + (repl >= codewords), codewords)
-    decoded, statuses = _decode_batch(code, received, table)
+    trials sending the zero word, of which the `_draw_shared` rows carry
+    an error; only those are decoded, and the others count as successes."""
+    decoded, statuses = _decode_batch(code, np.where(mask, repl + 1, 0), table)
     ok = statuses != FAILURE
     return (trials - len(rows) + int(ok.sum()), int((~ok).sum()),
-            int((ok & (decoded != codewords).any(axis=1)).sum()), int(mask.sum()))
+            int((ok & decoded.any(axis=1)).sum()), int(mask.sum()))
 
 
 def run_sweep(codes: Sequence[LinearCode], rates: Sequence[float], trials: int,

@@ -1,4 +1,3 @@
-import functools
 import tracemalloc
 from fractions import Fraction
 
@@ -309,15 +308,11 @@ def test_codeword_blocks_match_naive_enumeration(pe, n, data):
     assert len(expected) == 1 + (q**k - 1) // (q - 1)
     for block in {1, 2, q - 1, q, q + 1, q * q, q**k - 1, 4096}:
         for skip_zero in (False, True):
-            blocks = list(iter_codeword_blocks(code, block, skip_zero))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(agcode, "CODEWORD_BLOCK", block)
+                blocks = list(iter_codeword_blocks(code, skip_zero=skip_zero))
             assert all(0 < len(words) <= block for words in blocks)
             assert np.array_equal(np.concatenate(blocks), expected[int(skip_zero):])
-
-
-def test_codeword_blocks_reject_nonpositive_block(code_8_3):
-    for block in (0, -3):
-        with pytest.raises(ValueError, match="block"):
-            list(iter_codeword_blocks(code_8_3, block))
 
 
 @pytest.mark.parametrize("pe, k, n", [((2, 2), 1, 5), ((2, 2), 3, 6), ((3, 2), 2, 4), ((2, 3), 2, 7), ((5, 1), 3, 4)])
@@ -336,7 +331,8 @@ def test_single_product_and_cosets_yield_the_same_blocks(pe, k, n):
             for limit in (0, 1 << 60):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(agcode, "SINGLE_PRODUCT_DIGITS", limit)
-                    runs.append(list(iter_codeword_blocks(code, block, skip_zero)))
+                    mp.setattr(agcode, "CODEWORD_BLOCK", block)
+                    runs.append(list(iter_codeword_blocks(code, skip_zero=skip_zero)))
             cosets, single = runs
             assert [len(words) for words in cosets] == [len(words) for words in single]
             assert all(np.array_equal(a, b) for a, b in zip(cosets, single))
@@ -415,9 +411,8 @@ def test_rank_deficient_generator_on_both_paths(pe, n):
 def _assert_macwilliams(code, block):
     """dual(code)'s weights equal the MacWilliams transform of code's, both
     enumerated in blocks of `block` rows."""
-    small = functools.partial(iter_codeword_blocks, block=block)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(agcode, "iter_codeword_blocks", small)
+        mp.setattr(agcode, "CODEWORD_BLOCK", block)
         counts = [int(c) for c in weight_distribution(code)]
         dual_counts = [Fraction(int(c)) for c in weight_distribution(dual(code))]
     assert dual_counts == macwilliams_transform(counts, code.field.order)

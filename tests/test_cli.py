@@ -152,6 +152,15 @@ def test_quantum_table_empty_range(capsys, tmp_path):
     assert len(rows) == 1  # header only
 
 
+def test_quantum_table_empty_range_still_reads_known(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "quantum-table", "--q", "3", "--m", "3",
+                             "--r-min", "5", "--r-max", "4",
+                             "--known", str(tmp_path / "missing.csv"))
+    assert code == 1
+    assert err.startswith("error:") and "missing.csv" in err
+    assert out == ""
+
+
 def test_quantum_table_known_comparison(capsys, tmp_path):
     known = tmp_path / "known.csv"
     known.write_text("9,5,3,tables\n")
@@ -361,6 +370,7 @@ def test_simulate_rejects_empty_rate_list(capsys):
 @pytest.mark.parametrize("argv,message", [
     (["--rates", "0.1,1.5", "--trials", "100"], "error rates must lie in [0, 1]"),
     (["--rates", "0.1", "--trials", "0"], "trials must be >= 1"),
+    (["--rates", "0.1,abc"], "--rates needs comma-separated numbers, got '0.1,abc'"),
 ])
 def test_simulate_rejects_bad_inputs_and_writes_nothing(capsys, tmp_path, argv, message):
     out_path = tmp_path / "res.csv"
@@ -445,8 +455,8 @@ REPRODUCE_SHA256 = {
     "quantum_q3_m3.csv": "a01409952f3fc7c1f100c4596c85ff3cee8b78d5484427443569c36b2996c1ad",
     "quantum_q5_m3.csv": "63fcd1a2ede102bd9e10658d4d9762a51af1ef1937e9646407b58bf1011a9484",
     "dimension_report_q3_m3.json": "fc409f8338fc38ab09ba6dfe4091bd59372f3290947a578fad6e824cf06439b8",
-    "results.csv": "7d7ec56a725eb137fdf52916c291e16949ebc6ca14ac74ad3915e7b042d9b879",
-    "series.csv": "22ecfe552da1f851780062fe4626dbe15fe9ef52fd15f01e30b6140bd6582762",
+    "results.csv": "81d1fb85c7a7210e8bac54b6e670bea686a03ba8774de031421b10026e8c57a1",
+    "series.csv": "cfc4490af66c2c178805cdcd4f6055b137c75c0a58fd80d0e884903690461bc4",
 }
 HERMITIAN_ORTHOGONALITY_LINE = ("[PASS] hermitian-orthogonality-consistency: verdicts for r<=q-1: "
                                 "{0: True, 1: True, 2: False} (threshold claim: all true)")
@@ -502,7 +512,7 @@ def test_reproduce_determinism_check_fails_on_row_block_dependence(capsys, tmp_p
 def test_reproduce_determinism_check_spans_different_row_blocks(capsys, tmp_path, monkeypatch):
     # at 2000 trials the sweep's 14-block streams of the [35,7]_25 code
     # make row blocks of 16384 // 14 = 1170 trials, and the [8,2]_4 code's
-    # 4-block streams alone one block of 2000; rate 0 draws nothing
+    # 3-block streams alone one block of 2000; rate 0 draws nothing
     rows = []
     real = simulator._philox_words
 

@@ -10,6 +10,12 @@ against computed row spaces, never asserted.  A code carries a
 generator G and a parity check H, a basis of the null space of G, so its
 Euclidean dual is the code with G and H traded, and its Hermitian dual
 trades their entrywise conjugates.
+
+A curve object owns its points and one code ladder (`code_ladder`), and
+`build_onepoint_code` reads every code from it: G is a row prefix of the
+ladder's verified basis.  A code at the ladder's top takes the ladder's
+H; any other code, like any code built without H, makes its H on first
+read.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 from .curve import CurveSpec, _lhs_rhs_tables, check_points, enumerate_points
 from .gf import Field, FieldError, QuadraticTower, factor_prime_power, field, quadratic_tower
 from .linalg import _column_table, matmul, rank, right_nullspace
-from .rrspace import dimension_by_cases, verified_basis
+from .rrspace import code_ladder, dimension_by_cases
 
 DEFAULT_BUDGET = 1 << 20
 # Most rows of one block of `iter_codeword_blocks`.
@@ -39,24 +45,43 @@ class BudgetExceededError(Exception):
     """Requested enumeration is larger than the codeword budget."""
 
 
+class _ParityCheck:
+    """`LinearCode.parity_check`: the H supplied, or, when none was, the
+    `right_nullspace` of the generator, made on first read and kept."""
+
+    def __get__(self, code, owner=None):
+        if code is None:
+            return None  # the field's default
+        H = code.__dict__["_parity_check"]
+        if H is None:
+            H = code.__dict__["_parity_check"] = right_nullspace(code.field, code.generator)
+        return H
+
+    def __set__(self, code, H):
+        code.__dict__["_parity_check"] = None if H is None else np.atleast_2d(np.asarray(H, dtype=np.int64))
+
+
 @dataclass(eq=False)
 class LinearCode:
     """A linear [n, k] code over `field`, held as a full-row-rank generator.
 
     `parity_check` is a basis of the dual C^perp: n - k rows whose null
-    space is C.  It is computed from the generator, by `right_nullspace`,
-    when not supplied; a supplied one must meet that contract, which
-    `dual` and `hermitian_dual` rely on.  A built code's comes from the
-    elimination that verified its basis.  Neither is in reduced form:
-    nothing that reads H depends on which basis of C^perp it is.  `tower` is
-    present when the field is a quadratic extension GF(q^2), whose
-    conjugation a -> a^q enables Hermitian operations.  `points` (an (N, 2) index array) and `r`
+    space is C.  When not supplied, it is computed from the generator, by
+    `right_nullspace`, on first read; a supplied one must meet that
+    contract, which `dual` and `hermitian_dual` rely on.  A code built at
+    the top of its curve's ladder takes the H of the elimination that
+    verified its basis; a code read lower on the ladder makes its own.
+    Neither is in reduced form: nothing that reads H depends on which
+    basis of C^perp it is.  A built code's generator is a read-only view
+    of the ladder's rows.  `tower` is present when the field is a
+    quadratic extension GF(q^2), whose conjugation a -> a^q enables
+    Hermitian operations.  `points` (an (N, 2) index array) and `r`
     record provenance for codes built from a curve.
     """
 
     field: Field
     generator: np.ndarray
-    parity_check: np.ndarray | None = None
+    parity_check: np.ndarray | None = _ParityCheck()
     tower: QuadraticTower | None = None
     points: np.ndarray | None = None
     curve: CurveSpec | None = None
@@ -65,10 +90,6 @@ class LinearCode:
 
     def __post_init__(self):
         self.generator = np.atleast_2d(np.asarray(self.generator, dtype=np.int64))
-        if self.parity_check is None:
-            self.parity_check = right_nullspace(self.field, self.generator)
-        else:
-            self.parity_check = np.atleast_2d(np.asarray(self.parity_check, dtype=np.int64))
         if not self.name:
             self.name = f"n{self.n}k{self.k}q{self.field.order}"
 
@@ -93,7 +114,7 @@ class LinearCode:
     def from_generator(cls, F: Field, rows, **kwargs) -> "LinearCode":
         """Construct from explicit rows, rejecting rank-deficient input.
 
-        The rank is read off the null space that construction computes:
+        The rank is read off the null space, computed here at once:
         rank = n - rows of the parity check.
         """
         G = np.atleast_2d(np.asarray(rows, dtype=np.int64))
@@ -145,13 +166,19 @@ def resolve_eval_set(curve: CurveSpec, policy) -> np.ndarray:
 
 
 def build_onepoint_code(curve: CurveSpec, r: int, eval_set="all", name: str = "") -> LinearCode:
-    """Evaluation code of the verified basis of weight <= r at the chosen points."""
+    """Evaluation code of the verified basis of weight <= r at the chosen points.
+
+    The generator is the first `prefix(r)` rows of the curve's code ladder
+    on those points.  When they are all its rows, the code takes the
+    ladder's parity check; otherwise it makes its own on first read.
+    """
     points = resolve_eval_set(curve, eval_set)
-    basis = verified_basis(curve, r, points)
+    basis = code_ladder(curve, r, points)
+    k = basis.prefix(r)
     return LinearCode(
         field=curve.tower.ext,
-        generator=basis.rows,
-        parity_check=basis.parity_check,
+        generator=basis.rows[:k],
+        parity_check=basis.parity_check if k == len(basis) else None,
         tower=curve.tower,
         points=points,
         curve=curve,
@@ -459,9 +486,11 @@ def _dual_sum_rank(code: LinearCode, companion: LinearCode) -> int:
 def check_duality_claim(curve: CurveSpec, r: int, eval_set="all") -> DualityClaim:
     """Compare dual(C_r) with C_{r'} at the same points by one rank.
 
-    Building C_r and C_{r'} makes one elimination each, which gives both
-    their generators and parity checks; `_dual_sum_rank` then ranks the
-    shorter of two stacks whose ranks determine dim(dual(C_r) + C_{r'}).
+    C_r and C_{r'} are read from the curve's code ladder, which makes one
+    elimination at most for each r above its top: none for a code the
+    ladder already reaches.  `_dual_sum_rank` then ranks the shorter of
+    two stacks whose ranks determine dim(dual(C_r) + C_{r'}); it reads
+    the parity check of the larger code, the ladder's H on a fresh curve.
     """
     half = Fraction((curve.q - 1) * (curve.m - 1), 2)
     r_prime_frac = Fraction(curve.q**2) + half - r

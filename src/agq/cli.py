@@ -37,7 +37,7 @@ from .curve import Family, enumerate_points, hermitian_curve, maximality_check, 
 from .gf import FieldError, field
 from .linalg import matmul, rank
 from .quantum import load_known_codes, parameter_table, table_to_json, write_table_csv
-from .rrspace import dimension_report, verified_basis
+from .rrspace import code_ladder, dimension_report
 from .simulator import SimRun, run_simulation, run_sweep, write_results_csv, write_series_csv
 
 DEFAULT_SEED = 123456789
@@ -93,6 +93,11 @@ def _simulate_codes(codes, rates, trials: int, seed: int,
     return runs, records
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"--budget needs a codeword count >= 0, got {budget}")
+
+
 def _curve_from_args(args):
     family = Family(args.family)
     if family is Family.HERMITIAN:
@@ -119,6 +124,7 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_code_report(args) -> int:
+    _check_budget(args.budget)
     curve = _curve_from_args(args)
     report = code_report(
         curve, args.r, eval_set=args.eval_set, budget=args.budget,
@@ -163,6 +169,7 @@ def _parse_rates(text: str) -> tuple[float, ...]:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     rates = _parse_rates(args.rates)
+    _check_budget(args.budget)
     if args.preset == "sweep":
         codes = benchmarks.sweep_codes()
         print("preset sweep: substituted three constructible codes over "
@@ -284,12 +291,13 @@ def cmd_reproduce(args) -> int:
     outputs.append(str(out_dir / "dimension_report_q3_m3.json"))
 
     # Hermitian self-orthogonality for r <= q-1: each C_r is a row prefix of
-    # the basis at r = q-1, so its Gram is a leading block of that basis's
-    # one Gram.  Each verdict must match a direct all-pairs product oracle
+    # the curve's code ladder, which the dimension report took to r = 30, so
+    # its Gram is a leading block of one Gram of the rows at r = q-1.  Each
+    # verdict must match a direct all-pairs product oracle
     herm_ok = True
     verdicts = {}
-    basis = verified_basis(se, se.q - 1, enumerate_points(se))
-    G = basis.rows
+    basis = code_ladder(se, se.q - 1, enumerate_points(se))
+    G = basis.rows[:basis.prefix(se.q - 1)]
     gram = matmul(se.tower.ext, G, se.tower.vfrobenius(G).T)
     for r in range(0, se.q):
         k = basis.prefix(r)

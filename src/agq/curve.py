@@ -14,6 +14,13 @@ and e are derived from (q, n, m); building a curve counts nothing.
 
 A set of points is an (N, 2) int64 array of affine (x, y) field indices;
 the places at infinity are never stored.
+
+A curve object owns its affine points, enumerated on first use, and one
+code ladder (`rrspace.code_ladder`): the verified basis at the largest r
+asked for so far, on the last point set asked for, whose row prefixes
+are the generators of every code at a smaller r.  Both live on the
+object, outside its ==, hash and repr, so equal curves share nothing
+and each new object starts cold.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ class CurveSpec:
     genus: int
     places_at_infinity: int
     tower: QuadraticTower = dc_field(repr=False, compare=False, hash=False, default=None)
+    # this object's points ("points") and code ladder ("ladder"), filled on first use
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def label(self) -> str:
         return f"{self.family.value}-q{self.q}-m{self.m}"
@@ -126,12 +135,16 @@ def check_points(curve: CurveSpec, points) -> np.ndarray:
 
 def enumerate_points(curve: CurveSpec) -> np.ndarray:
     """All affine GF(q^2)-rational points, a read-only (N, 2) array of
-    (x, y) indices in lexicographic order.
+    (x, y) indices in lexicographic order.  It is computed once per curve
+    object, and later calls return the same array.
 
     The y with lhs[y] = v form one run of the stable argsort of lhs, in
     increasing y; each x takes the run of v = rhs[x], found by
     `searchsorted`.
     """
+    pts = curve._cache.get("points")
+    if pts is not None:
+        return pts
     lhs, rhs = _lhs_rhs_tables(curve)
     ys = np.argsort(lhs, kind="stable")
     lo = np.searchsorted(lhs[ys], rhs, side="left")
@@ -141,6 +154,7 @@ def enumerate_points(curve: CurveSpec) -> np.ndarray:
     first = np.cumsum(counts) - counts
     pts = np.column_stack([xs, ys[(lo - first)[xs] + np.arange(len(xs))]])
     pts.setflags(write=False)
+    curve._cache["points"] = pts
     return pts
 
 

@@ -9,13 +9,15 @@ vectors at the chosen points and records what was dropped.  The one
 forward elimination that does so also yields a basis of the null space
 of the kept vectors, the parity check of the code they generate.  The
 verified basis at r is a row prefix of the one at any larger r
-(`MonomialBasis.prefix`), so one basis serves a whole range of r.
+(`MonomialBasis.prefix`), so one basis serves a whole range of r:
+`code_ladder` keeps one such basis on each curve object, and every code
+built on the curve reads it.
 
 `dimension_by_cases` evaluates a five-case closed-form dimension
 prediction exactly as specified (including its fractional /4 term) and
 is intended for comparison reports only; `dimension_report` tabulates
 it against ground-truth ranks and against deg + 1 - g, all read from
-the one verified basis at r_max.  The tests check those readings
+the curve's code ladder at r_max.  The tests check those readings
 against per-r ranks over a naive field.
 """
 
@@ -65,7 +67,12 @@ class MonomialBasis:
         is independent of the rows before it.  That depends only on the
         rows before it, so the kept candidates of r's prefix are the kept
         candidates of self.r inside it, in the same order.
+
+        Past self.r the basis holds too few monomials to tell, so an r above
+        self.r is a ValueError.
         """
+        if r > self.r:
+            raise ValueError(f"prefix({r}) reads past the basis at r={self.r}")
         return bisect_right(self.pole_orders, r)
 
 
@@ -150,6 +157,33 @@ def verified_basis(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasi
     )
 
 
+def code_ladder(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasis:
+    """The curve's code ladder on `points`, read at r: a verified basis at
+    some top r_top >= r, so that `rows[:prefix(r)]` are the rows of
+    `verified_basis(curve, r, points)`.
+
+    A curve object keeps one ladder: the verified basis at the largest r
+    asked for so far, on the last point set asked for.  A request above
+    its top, or on other points, makes one `verified_basis` at r, which
+    becomes the ladder; any other request makes no elimination.  The
+    ladder's arrays are read-only, since the codes read from it share
+    them.
+    """
+    points = check_points(curve, points)
+    held = curve._cache.get("ladder")
+    if held is not None:
+        top_points, basis = held
+        if r <= basis.r and np.array_equal(top_points, points):
+            return basis
+    basis = verified_basis(curve, r, points)
+    if points.flags.writeable:
+        points = points.copy()
+    for array in (points, basis.rows, basis.parity_check):
+        array.setflags(write=False)
+    curve._cache["ladder"] = (points, basis)
+    return basis
+
+
 @dataclass(frozen=True)
 class DimensionPrediction:
     case: int
@@ -202,10 +236,11 @@ def dimension_report(curve: CurveSpec, r_max: int,
                      points: np.ndarray | None = None) -> list[DimensionRow]:
     """Ground-truth ranks vs the case formula for r = 0..r_max.
 
-    Every row reads the one verified basis at r_max: its `prefix(r)` is
+    Every row reads the curve's code ladder at r_max: its `prefix(r)` is
     the size of `verified_basis(curve, r, points)`, which is the rank of
     the candidate evaluation matrix at r, so `rank` and `verified_count`
-    are two readings of one elimination.
+    are two readings of one elimination, or of none when the ladder
+    already reaches r_max on these points.
 
     `riemann_roch` holds l(G) = deg G + 1 - g for the divisor G of r
     where 2g - 2 < deg G < #points, else None.  There evaluation is
@@ -218,7 +253,7 @@ def dimension_report(curve: CurveSpec, r_max: int,
     npts = len(points)
     if r_max < 0:
         return []
-    basis = verified_basis(curve, r_max, points)
+    basis = code_ladder(curve, r_max, points)
     rows = []
     for r in range(0, r_max + 1):
         rk = basis.prefix(r)

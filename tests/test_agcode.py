@@ -28,8 +28,8 @@ from agq.agcode import (
     save_code,
     weight_distribution,
 )
-from agq.curve import hermitian_curve, superelliptic_curve
-from agq.rrspace import dimension_report, evaluation_matrix
+from agq.curve import enumerate_points, hermitian_curve, superelliptic_curve
+from agq.rrspace import code_ladder, dimension_report, evaluation_matrix
 from agq.gf import FieldError, field, quadratic_tower
 from agq.linalg import matmul, rank, right_nullspace
 from oracles import (
@@ -253,7 +253,7 @@ def test_duals_against_naive_oracles(case):
     assert naive_row_space_equal(nf, hermitian_dual(hd).generator, code.generator)
 
 
-def test_duals_make_no_elimination(monkeypatch, code_8_3):
+def _counted_eliminations(monkeypatch) -> list:
     # `rank`, `pivots_and_left_kernel` and so `right_nullspace` reach the
     # one elimination loop through the module global
     calls = []
@@ -264,6 +264,11 @@ def test_duals_make_no_elimination(monkeypatch, code_8_3):
         return eliminate(F, A, *args, **kwargs)
 
     monkeypatch.setattr(agq.linalg, "_eliminate", counted)
+    return calls
+
+
+def test_duals_make_no_elimination(monkeypatch, code_8_3):
+    calls = _counted_eliminations(monkeypatch)
     large = build_onepoint_code(hermitian_curve(5), 24)
     for code in (code_8_3, large):
         calls.clear()
@@ -274,17 +279,53 @@ def test_duals_make_no_elimination(monkeypatch, code_8_3):
     LinearCode.from_generator(field(2, 2), benchmarks.REFERENCE_G_8_3)
     assert len(calls) == 1
     # a built code's basis and parity check come from one elimination, and
-    # the duality claim adds one rank to the two builds
+    # the duality claim adds one rank to its builds: C_24 takes the fresh
+    # curve's ladder to r = 24, and the companion at r' = 11 reads a prefix
     calls.clear()
     build_onepoint_code(hermitian_curve(5), 24)
     assert len(calls) == 1
     calls.clear()
     check_duality_claim(hermitian_curve(5), 24)
-    assert len(calls) == 3
-    # every row of the dimension table reads the one basis at r_max
+    assert len(calls) == 2
+    # every row of the dimension table reads the one basis at r_max, and a
+    # later read lower on the same curve's ladder makes no elimination
     calls.clear()
-    dimension_report(superelliptic_curve(3, 3), 30)
+    se = superelliptic_curve(3, 3)
+    dimension_report(se, 30)
     assert len(calls) == 1
+    code_ladder(se, se.q - 1, enumerate_points(se))
+    assert len(calls) == 1
+
+
+def test_a_prefix_build_eliminates_only_when_its_parity_check_is_read(monkeypatch):
+    calls = _counted_eliminations(monkeypatch)
+    curve = hermitian_curve(4)
+    top = build_onepoint_code(curve, 16)
+    assert len(calls) == 1
+    # the top again: the ladder's rows and parity check, no elimination
+    again = build_onepoint_code(curve, 16)
+    assert again.parity_check is top.parity_check and len(calls) == 1
+    low = build_onepoint_code(curve, 7)
+    assert len(calls) == 1
+    assert np.array_equal(low.generator, top.generator[:low.k])
+    H = low.parity_check
+    assert len(calls) == 2
+    assert low.parity_check is H and len(calls) == 2
+    assert H.shape == (low.n - low.k, low.n) and rank(low.field, H) == low.n - low.k
+    assert not matmul(low.field, low.generator, H.T).any()
+
+
+def test_built_codes_share_read_only_ladder_arrays():
+    curve = superelliptic_curve(3, 3)
+    top = build_onepoint_code(curve, 8)
+    low = build_onepoint_code(curve, 4)
+    for array in (top.generator, top.parity_check, low.generator):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+    assert np.shares_memory(low.generator, top.generator)
+    # a dual's generator is a fresh copy of the parity check
+    dual(top).generator[0, 0] = 1
 
 
 # ---------------------------------------------------------------------------

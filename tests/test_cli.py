@@ -382,6 +382,21 @@ def test_simulate_rejects_bad_inputs_and_writes_nothing(capsys, tmp_path, argv, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["code-report", "--family", "hermitian", "--q", "2", "--r", "3", "--weights"],
+    ["simulate", "--family", "hermitian", "--q", "2", "--r", "3", "--rates", "0.1", "--trials", "10"],
+])
+def test_negative_budget_is_refused(capsys, tmp_path, argv):
+    # a negative budget fits no code, so a report would silently drop its
+    # weights and its exact distance
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, "--budget", "-1", "--out", str(out_path))
+    assert code == 1
+    assert err.strip() == "error: --budget needs a codeword count >= 0, got -1"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--rates", "0.1,1.5", "--trials", "10"], "error rates must lie in [0, 1]"),
     (["--rates", "0.1", "--trials", "0"], "trials must be >= 1"),

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from agq.agcode import resolve_eval_set
+from agq.agcode import build_onepoint_code, resolve_eval_set
 from agq.curve import (
     Family,
     enumerate_points,
@@ -100,6 +100,20 @@ def test_point_counts(se33, herm2):
 
 def test_enumeration_deterministic(se33):
     assert np.array_equal(enumerate_points(se33), enumerate_points(se33))
+
+
+def test_equal_curves_share_no_cached_state():
+    # a curve object owns its points and its code ladder; neither reaches
+    # ==, hash or repr, and an equal curve starts cold
+    a, b = hermitian_curve(3), hermitian_curve(3)
+    pts = enumerate_points(a)
+    assert enumerate_points(a) is pts and not pts.flags.writeable
+    build_onepoint_code(a, 5)
+    assert set(a._cache) == {"points", "ladder"} and b._cache == {}
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    other = enumerate_points(b)
+    assert other is not pts and np.array_equal(other, pts)
+    assert b._cache["points"] is other and a._cache["points"] is pts
 
 
 def test_enumeration_memory_bounded():

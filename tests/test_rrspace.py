@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agq.agcode import (_dual_sum_rank, build_onepoint_code, check_duality_claim,
+from agq.agcode import (_dual_sum_rank, build_onepoint_code, check_duality_claim, code_report,
                         is_euclidean_self_orthogonal, is_hermitian_self_orthogonal, resolve_eval_set)
 from agq.curve import enumerate_points, hermitian_curve, superelliptic_curve
 from agq.linalg import matmul, rank
 from agq.rrspace import (
     candidate_count,
     candidate_monomials,
+    code_ladder,
     dimension_by_cases,
     dimension_report,
     evaluation_matrix,
@@ -445,3 +446,76 @@ def test_prefix_readings_of_one_basis_match_per_r_builds(name):
             assert claim.dual_inside_companion == (dual_sum == k_prime)
         assert k == n  # the last r is past saturation
     assert verdicts == {True, False}
+
+
+def test_prefix_past_the_basis_is_refused(se33):
+    basis = verified_basis(se33, 6, enumerate_points(se33))
+    assert basis.prefix(6) == len(basis)
+    with pytest.raises(ValueError, match="past the basis"):
+        basis.prefix(7)
+
+
+def test_one_ladder_per_curve_on_the_last_point_set():
+    curve = superelliptic_curve(3, 3)
+    pts = np.array(enumerate_points(curve))  # writable, the caller's own
+    top = code_ladder(curve, 10, pts)
+    assert code_ladder(curve, 4, pts) is top and code_ladder(curve, 10, pts.copy()) is top
+    assert not any(a.flags.writeable for a in (top.rows, top.parity_check))
+    assert code_ladder(curve, 12, pts).r == 12
+    # the ladder holds its own copy of the points, so a changed array is
+    # another point set, which replaces the ladder
+    pts[:] = pts[::-1]
+    other = code_ladder(curve, 4, pts)
+    assert other.r == 4 and np.array_equal(other.rows, verified_basis(curve, 4, pts).rows)
+    assert code_ladder(curve, 4, enumerate_points(curve)) is not other
+
+
+# the order in which one curve object is asked for its codes
+R_ORDERS = {
+    "rising": sorted,
+    "falling": lambda rs: sorted(rs, reverse=True),
+    "shuffled": list,
+    "repeated": lambda rs: [r for r in rs for _ in range(2)],
+}
+# small enough that most codes take the bounds path, which reads H
+LADDER_BUDGET = 4096
+
+
+def _drawn_eval_set(curve, kind, data):
+    pts = enumerate_points(curve)
+    if kind == "first":
+        return f"first:{data.draw(st.integers(1, len(pts)), label='N')}"
+    if kind == "explicit":
+        chosen = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, unique=True), label="points")
+        return np.array(pts[chosen])
+    return kind
+
+
+EVAL_SET_KINDS = ["all", "first", "exclude-subfield", "explicit"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(LADDER_CURVES)), st.lists(st.sampled_from(EVAL_SET_KINDS), min_size=1, max_size=2),
+       st.sampled_from(sorted(R_ORDERS)), st.data())
+def test_builds_on_one_curve_match_fresh_curve_builds(name, kinds, order, data):
+    # one curve object answers every build from its code ladder, whatever
+    # the order of r and of its point sets; a fresh curve per build makes
+    # the per-r elimination
+    curve = LADDER_CURVES[name]()
+    F = curve.tower.ext
+    policies = [_drawn_eval_set(curve, kind, data) for kind in kinds]
+    drawn = data.draw(st.lists(st.integers(-1, len(enumerate_points(curve)) + 2 * curve.genus + 1),
+                               min_size=1, max_size=4), label="r")
+    for r in R_ORDERS[order](drawn):
+        policy = policies[data.draw(st.integers(0, len(policies) - 1), label="eval set")]
+        n = len(resolve_eval_set(curve, policy))
+        code = build_onepoint_code(curve, r, policy)
+        fresh = build_onepoint_code(LADDER_CURVES[name](), r, policy)
+        assert np.array_equal(code.generator, fresh.generator)
+        H = code.parity_check
+        assert H.shape == (n - code.k, n) and rank(F, H) == n - code.k
+        assert not matmul(F, code.generator, H.T).any()
+        report = code_report(curve, r, policy, budget=LADDER_BUDGET, include_weights=True)
+        fresh_report = code_report(LADDER_CURVES[name](), r, policy, budget=LADDER_BUDGET,
+                                   include_weights=True)
+        assert report.to_json() == fresh_report.to_json()

@@ -13,9 +13,8 @@ trades their entrywise conjugates.
 
 A curve object owns its points and one code ladder (`code_ladder`), and
 `build_onepoint_code` reads every code from it: G is a row prefix of the
-ladder's verified basis.  A code at the ladder's top takes the ladder's
-H; any other code, like any code built without H, makes its H on first
-read.
+ladder's verified basis and H a row suffix of its elimination's
+transform.  A code given no H makes one at construction.
 """
 
 from __future__ import annotations
@@ -45,43 +44,26 @@ class BudgetExceededError(Exception):
     """Requested enumeration is larger than the codeword budget."""
 
 
-class _ParityCheck:
-    """`LinearCode.parity_check`: the H supplied, or, when none was, the
-    `right_nullspace` of the generator, made on first read and kept."""
-
-    def __get__(self, code, owner=None):
-        if code is None:
-            return None  # the field's default
-        H = code.__dict__["_parity_check"]
-        if H is None:
-            H = code.__dict__["_parity_check"] = right_nullspace(code.field, code.generator)
-        return H
-
-    def __set__(self, code, H):
-        code.__dict__["_parity_check"] = None if H is None else np.atleast_2d(np.asarray(H, dtype=np.int64))
-
-
 @dataclass(eq=False)
 class LinearCode:
     """A linear [n, k] code over `field`, held as a full-row-rank generator.
 
     `parity_check` is a basis of the dual C^perp: n - k rows whose null
     space is C.  When not supplied, it is computed from the generator, by
-    `right_nullspace`, on first read; a supplied one must meet that
-    contract, which `dual` and `hermitian_dual` rely on.  A code built at
-    the top of its curve's ladder takes the H of the elimination that
-    verified its basis; a code read lower on the ladder makes its own.
-    Neither is in reduced form: nothing that reads H depends on which
-    basis of C^perp it is.  A built code's generator is a read-only view
-    of the ladder's rows.  `tower` is present when the field is a
-    quadratic extension GF(q^2), whose conjugation a -> a^q enables
-    Hermitian operations.  `points` (an (N, 2) index array) and `r`
+    `right_nullspace`, at construction; a supplied one must meet that
+    contract, which `dual` and `hermitian_dual` rely on.  A built code's
+    generator and parity check are read-only views of its curve's ladder:
+    a row prefix of its rows and a row suffix of its transform.  No H is
+    in reduced form: nothing that reads H depends on which basis of
+    C^perp it is.  `tower` is present when the field is a quadratic
+    extension GF(q^2), whose conjugation a -> a^q enables Hermitian
+    operations.  `points` (an (N, 2) index array) and `r`
     record provenance for codes built from a curve.
     """
 
     field: Field
     generator: np.ndarray
-    parity_check: np.ndarray | None = _ParityCheck()
+    parity_check: np.ndarray | None = None
     tower: QuadraticTower | None = None
     points: np.ndarray | None = None
     curve: CurveSpec | None = None
@@ -90,6 +72,8 @@ class LinearCode:
 
     def __post_init__(self):
         self.generator = np.atleast_2d(np.asarray(self.generator, dtype=np.int64))
+        H = right_nullspace(self.field, self.generator) if self.parity_check is None else self.parity_check
+        self.parity_check = np.atleast_2d(np.asarray(H, dtype=np.int64))
         if not self.name:
             self.name = f"n{self.n}k{self.k}q{self.field.order}"
 
@@ -114,7 +98,7 @@ class LinearCode:
     def from_generator(cls, F: Field, rows, **kwargs) -> "LinearCode":
         """Construct from explicit rows, rejecting rank-deficient input.
 
-        The rank is read off the null space, computed here at once:
+        The rank is read off the null space computed at construction:
         rank = n - rows of the parity check.
         """
         G = np.atleast_2d(np.asarray(rows, dtype=np.int64))
@@ -168,9 +152,9 @@ def resolve_eval_set(curve: CurveSpec, policy) -> np.ndarray:
 def build_onepoint_code(curve: CurveSpec, r: int, eval_set="all", name: str = "") -> LinearCode:
     """Evaluation code of the verified basis of weight <= r at the chosen points.
 
-    The generator is the first `prefix(r)` rows of the curve's code ladder
-    on those points.  When they are all its rows, the code takes the
-    ladder's parity check; otherwise it makes its own on first read.
+    With k = `prefix(r)` on the curve's code ladder on those points, the
+    generator is the ladder's first k rows and the parity check the rows
+    of its transform from k on.
     """
     points = resolve_eval_set(curve, eval_set)
     basis = code_ladder(curve, r, points)
@@ -178,7 +162,7 @@ def build_onepoint_code(curve: CurveSpec, r: int, eval_set="all", name: str = ""
     return LinearCode(
         field=curve.tower.ext,
         generator=basis.rows[:k],
-        parity_check=basis.parity_check if k == len(basis) else None,
+        parity_check=basis.transform[k:],
         tower=curve.tower,
         points=points,
         curve=curve,
@@ -486,11 +470,11 @@ def _dual_sum_rank(code: LinearCode, companion: LinearCode) -> int:
 def check_duality_claim(curve: CurveSpec, r: int, eval_set="all") -> DualityClaim:
     """Compare dual(C_r) with C_{r'} at the same points by one rank.
 
-    C_r and C_{r'} are read from the curve's code ladder, which makes one
-    elimination at most for each r above its top: none for a code the
-    ladder already reaches.  `_dual_sum_rank` then ranks the shorter of
-    two stacks whose ranks determine dim(dual(C_r) + C_{r'}); it reads
-    the parity check of the larger code, the ladder's H on a fresh curve.
+    C_r and C_{r'} are read from the curve's code ladder, the larger r
+    first: its build makes one elimination at most, none when the ladder
+    already reaches it, and the other build makes none.  `_dual_sum_rank`
+    then ranks the shorter of two stacks whose ranks determine
+    dim(dual(C_r) + C_{r'}).
     """
     half = Fraction((curve.q - 1) * (curve.m - 1), 2)
     r_prime_frac = Fraction(curve.q**2) + half - r
@@ -501,8 +485,8 @@ def check_duality_claim(curve: CurveSpec, r: int, eval_set="all") -> DualityClai
             applicable=False,
         )
     r_prime = int(r_prime_frac)
-    code = build_onepoint_code(curve, r, eval_set)
-    companion = build_onepoint_code(curve, r_prime, eval_set)
+    built = [build_onepoint_code(curve, s, eval_set) for s in sorted((r, r_prime), reverse=True)]
+    code, companion = built if r >= r_prime else built[::-1]
     code_dual = dual(code)
     stacked_rank = _dual_sum_rank(code, companion)
     # dim(U + V) = dim U = dim V holds iff U = V: the stacked rank decides
@@ -558,6 +542,8 @@ class CodeReport:
 def code_report(curve: CurveSpec, r: int, eval_set="all", budget: int = DEFAULT_BUDGET,
                 include_weights: bool = False) -> CodeReport:
     """Full verification record for the one-point code at r."""
+    # the claim first: its builds take the curve's ladder to max(r, r')
+    claim = check_duality_claim(curve, r, eval_set).to_dict()
     code = build_onepoint_code(curve, r, eval_set)
     dist = min_distance(code, budget)
     designed = code.designed_distance
@@ -568,7 +554,6 @@ def code_report(curve: CurveSpec, r: int, eval_set="all", budget: int = DEFAULT_
     wd = None
     if include_weights and _fits_budget(code, budget):
         wd = [int(c) for c in weight_distribution(code, budget)]
-    claim = check_duality_claim(curve, r, eval_set).to_dict()
     half = Fraction((q - 1) * (m - 1), 2)
     return CodeReport(
         name=code.name,

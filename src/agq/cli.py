@@ -161,15 +161,20 @@ def cmd_quantum_table(args) -> int:
 
 def _parse_rates(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+        rates = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         raise ValueError(f"--rates needs comma-separated numbers, got {text!r}") from None
+    if not rates:
+        raise ValueError(f"--rates needs at least one rate, got {text!r}")
+    return rates
 
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     rates = _parse_rates(args.rates)
     _check_budget(args.budget)
+    if args.manifest and not (args.out or args.series_out):
+        raise ValueError("--manifest needs --out or --series-out: it records the CSVs a run writes")
     if args.preset == "sweep":
         codes = benchmarks.sweep_codes()
         print("preset sweep: substituted three constructible codes over "

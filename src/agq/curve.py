@@ -18,9 +18,9 @@ the places at infinity are never stored.
 A curve object owns its affine points, enumerated on first use, and one
 code ladder (`rrspace.code_ladder`): the verified basis at the largest r
 asked for so far, on the last point set asked for, whose row prefixes
-are the generators of every code at a smaller r.  Both live on the
-object, outside its ==, hash and repr, so equal curves share nothing
-and each new object starts cold.
+and its transform's row suffixes are the G and H of every code at a
+smaller r.  Both live on the object, outside its ==, hash and repr, so
+equal curves share nothing and each new object starts cold.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Dense linear algebra over a Field, on numpy index matrices."""
+"""Dense linear algebra over a Field, on numpy index matrices: one forward
+elimination gives every rank, and its recorded transform every null space."""
 
 from __future__ import annotations
 
@@ -163,26 +164,27 @@ def _eliminate(F: Field, A, transform: bool = False):
     return (R, pivots, origin) if transform else (R, pivots)
 
 
-def pivots_and_left_kernel(F: Field, A):
-    """(pivots, K): the pivot columns of the (m, n) matrix A, and K, an
-    (m - rank, m) basis of its left kernel {h : h A = 0}.
+def pivots_and_transform(F: Field, A):
+    """(pivots, T): the pivot columns of the (m, n) matrix A, and an
+    invertible (m, m) T with T A = R[:, :n], the row echelon form of one
+    forward elimination of A with `transform`.  By its W and origin, with
+    r = len(pivots), T[:, origin[:r]] = W[:, :r] and T[i, origin[i]] = 1
+    for i >= r.  Up to column order T is [[W_p, 0], [W_z, I]], with W_p unit
+    lower triangular, so T is invertible.
 
-    Both come from one forward elimination of A with `transform`.  There
-    a row i at or past the rank r is zero in A's columns, and equals row
-    origin[i] of A plus sum_t W[i, t] times row origin[t], W = R[:, n:].
-    So h = e_origin[i] + sum_{t < r} W[i, t] e_origin[t] has h A = 0.
-    These m - r rows are the identity on the non-pivot rows' origins,
-    hence independent, so they span the left kernel, of dimension m - r.
-    K is not in reduced row echelon form.
+    If the first c columns of A hold k pivots, rows k onward of R are zero
+    there once the elimination passes them, and later steps only swap and
+    combine those rows.  So T[k:] is a basis of the left kernel
+    {h : h A[:, :c] = 0}, and T[r:] one of A's.  T is not reduced.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     m, n = A.shape
     R, pivots, origin = _eliminate(F, A, transform=True)
     r = len(pivots)
-    K = np.zeros((m - r, m), dtype=np.int64)
-    K[np.arange(m - r), origin[r:]] = 1
-    K[:, origin[:r]] = R[r:, n:n + r]
-    return pivots, K
+    T = np.zeros((m, m), dtype=np.int64)
+    T[:, origin[:r]] = R[:, n:n + r]
+    T[np.arange(r, m), origin[r:]] = 1
+    return pivots, T
 
 
 def rank(F: Field, A) -> int:
@@ -193,10 +195,11 @@ def rank(F: Field, A) -> int:
 def right_nullspace(F: Field, A):
     """Basis of {v : A v^T = 0}, as rows of an (n - rank, n) matrix.
 
-    It is the left kernel of A^T, from `pivots_and_left_kernel`, and so
-    is not in reduced row echelon form.
+    It is the left kernel of A^T, the rows of its `pivots_and_transform`
+    past the rank, and so is not in reduced row echelon form.
     """
-    return pivots_and_left_kernel(F, np.atleast_2d(np.asarray(A, dtype=np.int64)).T)[1]
+    pivots, T = pivots_and_transform(F, np.atleast_2d(np.asarray(A, dtype=np.int64)).T)
+    return T[len(pivots):]
 
 
 def normalize_rows(F: Field, A):

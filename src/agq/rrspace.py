@@ -5,13 +5,12 @@ i*n + j*m <= r and 0 <= j <= q-1.  That j-range is known to
 overcount for the superelliptic family (y already satisfies a relation
 of degree n = (q+1)/2 over GF(q^2)(x)), so candidates are never used as
 a basis directly: `verified_basis` rank-filters their evaluation
-vectors at the chosen points and records what was dropped.  The one
-forward elimination that does so also yields a basis of the null space
-of the kept vectors, the parity check of the code they generate.  The
+vectors at the chosen points and records what was dropped.  The
 verified basis at r is a row prefix of the one at any larger r
-(`MonomialBasis.prefix`), so one basis serves a whole range of r:
-`code_ladder` keeps one such basis on each curve object, and every code
-built on the curve reads it.
+(`MonomialBasis.prefix`), and the parity check of the code it generates
+is a row suffix of the transform of the elimination that verified it.
+So one basis serves a whole range of r: `code_ladder` keeps one on each
+curve object, and every code built on the curve reads it.
 
 `dimension_by_cases` evaluates a five-case closed-form dimension
 prediction exactly as specified (including its fractional /4 term) and
@@ -31,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .curve import CurveSpec, check_points, enumerate_points
-from .linalg import pivots_and_left_kernel, rank as matrix_rank  # noqa: F401 (matrix_rank stays public)
+from .linalg import pivots_and_transform, rank as matrix_rank  # noqa: F401 (matrix_rank stays public)
 
 @dataclass(frozen=True)
 class MonomialBasis:
@@ -39,9 +38,9 @@ class MonomialBasis:
     (`pole_orders`: e times the pole order at each place at infinity).
 
     A verified basis also carries `rows`, the evaluation vectors of its
-    monomials at the points it was verified on, and `parity_check`, a
-    basis of the null space of `rows` from the elimination that verified
-    them.
+    monomials at the points it was verified on, and `transform`, the T of
+    the elimination that verified them: `transform[prefix(r):]` is a basis
+    of the null space of `rows[:prefix(r)]`, the code at r's parity check.
     """
 
     r: int
@@ -50,7 +49,7 @@ class MonomialBasis:
     verified: bool
     dropped: tuple[tuple[int, int], ...] = ()
     rows: np.ndarray | None = field(default=None, compare=False, repr=False)
-    parity_check: np.ndarray | None = field(default=None, compare=False, repr=False)
+    transform: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -138,13 +137,19 @@ def verified_basis(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasi
     is independent of the rows before it, i.e. iff it is a pivot column
     of E^T.
 
-    The same forward elimination of E^T gives `parity_check`, a basis of
-    its left kernel {h : h E^T = 0}: the null space of E, which is that
-    of `rows`, since the kept rows span the row space of E.
+    The same elimination gives `transform`, its T from
+    `pivots_and_transform`.  The candidates of weight <= s are the first
+    columns of E^T, so `transform[prefix(s):]` is a basis of the null
+    space of `rows[:prefix(s)]`.
+
+    Candidates stop at r* = (q^2 - 1) n + (q - 1) m.  Past it x^i y^j has
+    i >= q^2 (j < q), and x^(q^2) = x on GF(q^2), so it evaluates as
+    x^(i - q^2 + 1) y^j, of smaller weight: never kept, it is a column with
+    no pivot, which changes nothing.  `dropped` lists those up to r*.
     """
-    cand = candidate_monomials(curve, r)
+    cand = candidate_monomials(curve, min(r, (curve.q**2 - 1) * curve.n + (curve.q - 1) * curve.m))
     E = evaluation_matrix(curve, cand.monomials, points)
-    pivots, H = pivots_and_left_kernel(curve.tower.ext, E.T)
+    pivots, T = pivots_and_transform(curve.tower.ext, E.T)
     kept = set(pivots)
     return MonomialBasis(
         r=r,
@@ -153,7 +158,7 @@ def verified_basis(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasi
         verified=True,
         dropped=tuple(m for k, m in enumerate(cand.monomials) if k not in kept),
         rows=E[pivots],
-        parity_check=H,
+        transform=T,
     )
 
 
@@ -178,7 +183,7 @@ def code_ladder(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasis:
     basis = verified_basis(curve, r, points)
     if points.flags.writeable:
         points = points.copy()
-    for array in (points, basis.rows, basis.parity_check):
+    for array in (points, basis.rows, basis.transform):
         array.setflags(write=False)
     curve._cache["ladder"] = (points, basis)
     return basis

@@ -254,7 +254,7 @@ def test_duals_against_naive_oracles(case):
 
 
 def _counted_eliminations(monkeypatch) -> list:
-    # `rank`, `pivots_and_left_kernel` and so `right_nullspace` reach the
+    # `rank`, `pivots_and_transform` and so `right_nullspace` reach the
     # one elimination loop through the module global
     calls = []
     eliminate = agq.linalg._eliminate
@@ -297,29 +297,57 @@ def test_duals_make_no_elimination(monkeypatch, code_8_3):
     assert len(calls) == 1
 
 
-def test_a_prefix_build_eliminates_only_when_its_parity_check_is_read(monkeypatch):
+def test_a_prefix_build_makes_no_elimination_and_shares_the_ladders_transform(monkeypatch):
     calls = _counted_eliminations(monkeypatch)
     curve = hermitian_curve(4)
     top = build_onepoint_code(curve, 16)
     assert len(calls) == 1
-    # the top again: the ladder's rows and parity check, no elimination
+    basis = code_ladder(curve, 16, enumerate_points(curve))
+    # the top again, and a code below it: G a prefix of the ladder's rows,
+    # H a suffix of its transform, read with no elimination
     again = build_onepoint_code(curve, 16)
-    assert again.parity_check is top.parity_check and len(calls) == 1
     low = build_onepoint_code(curve, 7)
-    assert len(calls) == 1
-    assert np.array_equal(low.generator, top.generator[:low.k])
     H = low.parity_check
-    assert len(calls) == 2
-    assert low.parity_check is H and len(calls) == 2
+    assert len(calls) == 1
+    assert np.array_equal(again.parity_check, top.parity_check)
+    assert np.array_equal(low.generator, top.generator[:low.k])
+    assert np.array_equal(H, basis.transform[low.k:])
+    for code in (top, again, low):
+        assert np.shares_memory(code.parity_check, basis.transform)
+    assert not H.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        H[0, 0] = 1
     assert H.shape == (low.n - low.k, low.n) and rank(low.field, H) == low.n - low.k
     assert not matmul(low.field, low.generator, H.T).any()
+    assert len(calls) == 2  # the rank just above
+
+
+# fresh curves whose duality claim applies, with r' below and above r
+REPORT_ELIMINATION_CASES = {
+    "hermitian-q5-r24": (lambda: hermitian_curve(5), 24, 11),
+    "superelliptic-q7-m3-r6": (lambda: superelliptic_curve(7, 3), 6, 49),
+    "hermitian-q2-r3": (lambda: hermitian_curve(2), 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_ELIMINATION_CASES)
+def test_a_report_makes_one_ladder_elimination_and_one_rank(monkeypatch, name):
+    # the claim builds the larger of C_r and C_r' first, whose elimination
+    # takes the fresh curve's ladder to both; `_dual_sum_rank` ranks one
+    # stack; the report's own build and every H read are free
+    make, r, r_prime = REPORT_ELIMINATION_CASES[name]
+    curve = make()
+    calls = _counted_eliminations(monkeypatch)
+    report = code_report(curve, r, include_weights=True)
+    assert report.duality_claim["applicable"] and report.duality_claim["r_prime"] == r_prime
+    assert len(calls) == 2
 
 
 def test_built_codes_share_read_only_ladder_arrays():
     curve = superelliptic_curve(3, 3)
     top = build_onepoint_code(curve, 8)
     low = build_onepoint_code(curve, 4)
-    for array in (top.generator, top.parity_check, low.generator):
+    for array in (top.generator, top.parity_check, low.generator, low.parity_check):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1

@@ -301,10 +301,17 @@ def test_simulate_writes_a_manifest_with_either_csv(capsys, tmp_path):
     assert code == 0
     manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
     assert manifest["outputs"] == [str(tmp_path / "r.csv"), str(series)]
-    # a run that writes no CSV writes no manifest
-    before = sorted(tmp_path.iterdir())
-    code, _, _ = run_cli(capsys, *common, "--manifest", str(tmp_path / "none.json"))
-    assert code == 0 and sorted(tmp_path.iterdir()) == before
+
+
+def test_simulate_refuses_a_manifest_without_a_csv(capsys, tmp_path):
+    # the manifest records the CSVs of a run, so a run that writes none is
+    # refused before it simulates, and writes nothing
+    code, out, err = run_cli(capsys, "simulate", "--family", "hermitian", "--q", "2", "--r", "3",
+                             "--rates", "0,0.1", "--trials", "100",
+                             "--manifest", str(tmp_path / "none.json"))
+    assert code == 1
+    assert err.strip() == "error: --manifest needs --out or --series-out: it records the CSVs a run writes"
+    assert "success=" not in out and list(tmp_path.iterdir()) == []
 
 
 def test_simulate_manifest_records_distance_and_counts(capsys, tmp_path):
@@ -360,11 +367,12 @@ def assert_code_records(records, results_csv):
 
 
 def test_simulate_rejects_empty_rate_list(capsys):
-    code, out, err = run_cli(capsys, "simulate", "--family", "hermitian", "--q", "2",
-                             "--r", "3", "--rates", "", "--trials", "100")
-    assert code == 1
-    assert err.strip() == "error: error_rates must name at least one rate"
-    assert "success=" not in out
+    for rates in ("", ",", " , "):
+        code, out, err = run_cli(capsys, "simulate", "--family", "hermitian", "--q", "2",
+                                 "--r", "3", "--rates", rates, "--trials", "100")
+        assert code == 1
+        assert err.strip() == f"error: --rates needs at least one rate, got {rates!r}"
+        assert "success=" not in out
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -401,7 +409,8 @@ def test_negative_budget_is_refused(capsys, tmp_path, argv):
     (["--rates", "0.1,1.5", "--trials", "10"], "error rates must lie in [0, 1]"),
     (["--rates", "0.1", "--trials", "0"], "trials must be >= 1"),
     (["--rates", "0.1,nan"], "error rates must lie in [0, 1]"),
-    (["--rates", ""], "error_rates must name at least one rate"),
+    (["--rates", ""], "--rates needs at least one rate, got ''"),
+    (["--rates", ","], "--rates needs at least one rate, got ','"),
 ])
 def test_simulate_checks_inputs_before_the_distance(capsys, monkeypatch, argv, message):
     # [64, 5] over GF(16): a distance would enumerate 2^20 codewords first

@@ -11,7 +11,7 @@ from agq.linalg import (
     _eliminate,
     matmul,
     normalize_rows,
-    pivots_and_left_kernel,
+    pivots_and_transform,
     rank,
     right_nullspace,
 )
@@ -86,7 +86,7 @@ def test_greedy_filter_matches_full_rank():
     for _ in range(20):
         A = rng.integers(0, 9, size=(6, 5))
         # pivot columns of A^T: the rows independent of those before them
-        kept = pivots_and_left_kernel(F, A.T)[0]
+        kept = pivots_and_transform(F, A.T)[0]
         assert kept == [i for i in range(len(A)) if rank(F, A[: i + 1]) > rank(F, A[:i])]
         assert len(kept) == rank(F, A)
         # the kept subset itself has full rank
@@ -261,7 +261,7 @@ def test_pivot_columns_and_rank_match_naive_pivots(case):
     F, nf, A = case
     for M in (A, A.T):
         want = naive_rref(nf, M.tolist())[1]
-        assert pivots_and_left_kernel(F, M)[0] == want
+        assert pivots_and_transform(F, M)[0] == want
         assert rank(F, M) == len(want)
 
 
@@ -296,7 +296,7 @@ def test_rref_and_pivots_match_naive_on_larger_seeded_matrices(pe):
         A[:, rng.integers(n)] = 0
         want, want_pivots = naive_rref(nf, A.tolist())
         R, pivots = _eliminate(F, A)
-        assert pivots == want_pivots and pivots_and_left_kernel(F, A)[0] == want_pivots
+        assert pivots == want_pivots and pivots_and_transform(F, A)[0] == want_pivots
         # a row echelon form: row i leads at pivot i, the rows past the rank
         # are zero, and it keeps the row space, so its rref is A's
         assert not R[len(pivots):].any()
@@ -316,11 +316,12 @@ def test_row_tables_are_built_on_first_elimination():
     assert F._row_tables is None
 
 
-@pytest.mark.parametrize("eliminate", [rank, pivots_and_left_kernel])
+@pytest.mark.parametrize("eliminate", [rank, pivots_and_transform])
 def test_elimination_memory_is_bounded(eliminate):
     # 512 x 512 over GF(256): R is held as uint8, 256 KiB, or 512 KiB with
-    # the transform's extra columns.  The field's tables, built once per
-    # field, are built before measuring.
+    # the transform's extra columns, and the transform T itself is 2 MiB of
+    # int64.  The field's tables, built once per field, are built before
+    # measuring.
     F = field(2, 8)
     A = np.random.default_rng(6).integers(0, 256, size=(512, 512))
     rank(F, A[:2])
@@ -334,21 +335,31 @@ def test_elimination_memory_is_bounded(eliminate):
 
 
 # ---------------------------------------------------------------------------
-# pivots and left kernel from one elimination
+# pivots and transform from one elimination: past the pivots of each column
+# prefix, the rows of T are a basis of that prefix's left kernel
 
 
-def _check_left_kernel(F, nf, M, naive_ranks=True):
-    pivots, K = pivots_and_left_kernel(F, M)
-    m = M.shape[0]
-    assert K.shape == (m - len(pivots), m) and K.dtype == np.int64
-    assert not any(any(row) for row in naive_matmul(nf, K, M))
+def _check_transform(F, nf, M, naive_ranks=True):
+    pivots, T = pivots_and_transform(F, M)
+    m, n = M.shape
+    assert T.shape == (m, m) and T.dtype == np.int64
+    TM = np.array(naive_matmul(nf, T, M), dtype=np.int64).reshape(m, n)
+    # a row echelon form: row i leads at pivot i
+    for i, col in enumerate(pivots):
+        assert TM[i, col] and not TM[i, :col].any()
+    # the rows past the k pivots left of column c are zero left of it, so
+    # T[k:] annihilates M[:, :c]; at c = n, T[rank:] annihilates M
+    for c in range(n + 1):
+        k = sum(col < c for col in pivots)
+        assert not TM[k:, :c].any()
+    # T is invertible, so those m - k rows are independent
     if naive_ranks:
         assert pivots == naive_rref(nf, M.tolist())[1]
-        assert naive_rank(nf, K.tolist()) == len(K)
+        assert naive_rank(nf, T.tolist()) == m
     else:
         # the pivots of rank's elimination and `rank` are checked against
         # the oracle above
-        assert pivots == _eliminate(F, M)[1] and rank(F, K) == len(K)
+        assert pivots == _eliminate(F, M)[1] and rank(F, T) == m
 
 
 @settings(max_examples=200, deadline=None)
@@ -356,7 +367,7 @@ def _check_left_kernel(F, nf, M, naive_ranks=True):
 def test_left_kernel_annihilates_and_has_complementary_rank(case):
     F, nf, A = case
     for M in (A, A.T):
-        _check_left_kernel(F, nf, M)
+        _check_transform(F, nf, M)
 
 
 @pytest.mark.parametrize("pe", RREF_FIELDS)
@@ -368,4 +379,4 @@ def test_left_kernel_matches_naive_on_larger_seeded_matrices(pe):
         A = matmul(F, rng.integers(0, F.order, size=(m, r)), rng.integers(0, F.order, size=(r, n)))
         A[rng.integers(m)] = 0
         A[:, rng.integers(n)] = 0
-        _check_left_kernel(F, nf, A, naive_ranks=False)
+        _check_transform(F, nf, A, naive_ranks=False)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from agq.agcode import (_dual_sum_rank, build_onepoint_code, check_duality_claim, code_report,
                         is_euclidean_self_orthogonal, is_hermitian_self_orthogonal, resolve_eval_set)
 from agq.curve import enumerate_points, hermitian_curve, superelliptic_curve
-from agq.linalg import matmul, rank
+from agq.linalg import matmul, pivots_and_transform, rank
 from agq.rrspace import (
     candidate_count,
     candidate_monomials,
@@ -98,7 +98,9 @@ def test_saturation_retains_point_count(herm2):
     pts = enumerate_points(herm2)
     basis = verified_basis(herm2, 30, pts)
     assert len(basis) == len(pts) == 8
-    assert len(basis.dropped) == candidate_count(herm2, 30) - 8
+    # candidates stop at weight r* = (q^2 - 1) n + (q - 1) m = 9, past
+    # which none is kept, so `dropped` lists those up to 9 only
+    assert len(basis.dropped) == candidate_count(herm2, 9) - 8
 
 
 def test_retained_count_equals_independent_rank(se33):
@@ -376,8 +378,11 @@ def test_one_elimination_basis_and_parity_check_match_reference(name):
             E = evaluation_matrix(curve, cand.monomials, points)
             pivots = naive_kept_rows(nf, E)
             assert basis.monomials == tuple(cand.monomials[i] for i in pivots)
-            assert basis.dropped == tuple(m for i, m in enumerate(cand.monomials) if i not in pivots)
-            G, H = basis.rows, basis.parity_check
+            # `dropped` stops at r*, past which no candidate is kept
+            r_star = (curve.q**2 - 1) * curve.n + (curve.q - 1) * curve.m
+            assert basis.dropped == tuple(m for i, m in enumerate(cand.monomials)
+                                          if i not in pivots and cand.pole_orders[i] <= r_star)
+            G, H = basis.rows, basis.transform[len(basis):]
             assert np.array_equal(G, E[pivots])
             assert H.shape == (N - len(pivots), N)
             assert not any(any(row) for row in naive_matmul(nf, G, H.T))
@@ -448,6 +453,32 @@ def test_prefix_readings_of_one_basis_match_per_r_builds(name):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("name", LADDER_CURVES)
+def test_candidates_stop_at_the_weight_past_which_none_is_kept(name):
+    # past r* = (q^2 - 1) n + (q - 1) m a candidate x^i y^j has i >= q^2 and
+    # evaluates as x^(i - q^2 + 1) y^j, of smaller weight, so an
+    # elimination over the candidates up to 2 r* keeps those of r*
+    curve = LADDER_CURVES[name]()
+    F, q = curve.tower.ext, curve.q
+    r_star = (q * q - 1) * curve.n + (q - 1) * curve.m
+    pts = enumerate_points(curve)
+    cand = candidate_monomials(curve, 2 * r_star)
+    E = evaluation_matrix(curve, cand.monomials, pts)
+    for (i, j), po, row in zip(cand.monomials, cand.pole_orders, E):
+        if po > r_star:
+            assert i >= q * q
+            assert np.array_equal(row, evaluation_matrix(curve, [(i - q * q + 1, j)], pts)[0])
+    pivots, T = pivots_and_transform(F, E.T)
+    at = verified_basis(curve, r_star, pts)
+    assert at.monomials == tuple(cand.monomials[t] for t in pivots)
+    assert np.array_equal(at.rows, E[pivots]) and np.array_equal(at.transform, T)
+    # a huge r reads the basis at r*, with the r it was asked for
+    huge = verified_basis(curve, 10**9, pts)
+    assert (huge.r, huge.prefix(10**9)) == (10**9, len(at))
+    assert (huge.monomials, huge.dropped) == (at.monomials, at.dropped)
+    assert np.array_equal(huge.rows, at.rows) and np.array_equal(huge.transform, at.transform)
+
+
 def test_prefix_past_the_basis_is_refused(se33):
     basis = verified_basis(se33, 6, enumerate_points(se33))
     assert basis.prefix(6) == len(basis)
@@ -460,7 +491,7 @@ def test_one_ladder_per_curve_on_the_last_point_set():
     pts = np.array(enumerate_points(curve))  # writable, the caller's own
     top = code_ladder(curve, 10, pts)
     assert code_ladder(curve, 4, pts) is top and code_ladder(curve, 10, pts.copy()) is top
-    assert not any(a.flags.writeable for a in (top.rows, top.parity_check))
+    assert not any(a.flags.writeable for a in (top.rows, top.transform))
     assert code_ladder(curve, 12, pts).r == 12
     # the ladder holds its own copy of the points, so a changed array is
     # another point set, which replaces the ladder
@@ -512,7 +543,10 @@ def test_builds_on_one_curve_match_fresh_curve_builds(name, kinds, order, data):
         code = build_onepoint_code(curve, r, policy)
         fresh = build_onepoint_code(LADDER_CURVES[name](), r, policy)
         assert np.array_equal(code.generator, fresh.generator)
+        # H is the suffix of the ladder's transform past the code's prefix
+        basis = code_ladder(curve, r, resolve_eval_set(curve, policy))
         H = code.parity_check
+        assert np.array_equal(H, basis.transform[basis.prefix(r):])
         assert H.shape == (n - code.k, n) and rank(F, H) == n - code.k
         assert not matmul(F, code.generator, H.T).any()
         report = code_report(curve, r, policy, budget=LADDER_BUDGET, include_weights=True)

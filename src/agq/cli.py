@@ -38,7 +38,14 @@ from .gf import FieldError, field
 from .linalg import matmul, rank
 from .quantum import load_known_codes, parameter_table, table_to_json, write_table_csv
 from .rrspace import code_ladder, dimension_report
-from .simulator import SimRun, run_simulation, run_sweep, write_results_csv, write_series_csv
+from .simulator import (
+    SimRun,
+    _check_inputs,
+    run_simulation,
+    run_sweep,
+    write_results_csv,
+    write_series_csv,
+)
 
 DEFAULT_SEED = 123456789
 
@@ -223,6 +230,10 @@ def _check(results: list, name: str, ok: bool, detail: str = "") -> None:
 
 def cmd_reproduce(args) -> int:
     seed = _resolve_seed(args.seed)
+    rates = (0.0, 0.05, 0.1, 0.2)
+    # the manifest records the trials under --skip-sim too, so they are
+    # checked, with the simulation's own messages, before the first output
+    _check_inputs(rates, args.trials, seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results: list[tuple[str, bool, str]] = []
@@ -314,7 +325,6 @@ def cmd_reproduce(args) -> int:
            f"verdicts for r<=q-1: {verdicts} (threshold claim: all true)")
 
     if not args.skip_sim:
-        rates = (0.0, 0.05, 0.1, 0.2)
         sweep = benchmarks.sweep_codes()
         runs, records = _simulate_codes(sweep, rates, args.trials, seed, DEFAULT_BUDGET)
         write_results_csv(runs, out_dir / "results.csv")

@@ -29,28 +29,25 @@ for a given seed however the trials are blocked.  The stream is numpy's
 `Generator(Philox(key))` (`_trial_rng`), which draws n uniforms with
 `random`, then n replacement offsets with `integers(0, q - 1)`.  Every
 simulation goes through `run_sweep`, which runs each rate in chunks of
-`CHUNK_TRIALS` trials; `_draw_shared` computes a chunk's draws at once,
-with Philox on uint64 arrays over the block counters 1, 2, ... of each
-key, in row blocks of at most `PHILOX_BLOCKS` blocks.  The key does not
-name the code, and Philox is counter-based, so codes simulated together
-read one stream per trial: each row block of words is computed once,
-for the code with the longest stream, and each code reads its own
+`CHUNK_TRIALS` trials; `_draw_shared` computes a chunk's error matrix at
+once, with Philox on uint64 arrays over the block counters 1, 2, ... of
+each key, in row blocks of at most `PHILOX_BLOCKS` blocks.  The key does
+not name the code, and Philox is counter-based, so codes simulated
+together read one stream per trial: each row block of words is computed
+once, for the code with the longest stream, and each code reads its own
 prefix; the determinism check of `agq reproduce` reruns the first sweep
 code alone, so it compares the shared path with the single-code one.
 At rate 0 nothing is drawn: no uniform in [0, 1) is below 0, so every
-trial arrives intact.  In a stream:
+trial arrives intact.  `_draw_shared` states the word layout of a
+stream.
 
-* the n uniforms, (word >> 11) * 2^-53, take one word each;
-* the replacement draws that follow are Lemire-bounded uint32s,
-  (u * (q - 1)) >> 32, taken from the low then the high half of each
-  word; over GF(2) their range is 1 and they consume no words.
-
-The draw is mask-first.  Every trial gets its error mask, uniform <
-rate, read from the uniform words as (word >> 11) < rate * 2^53, which
-is the same comparison.  Only a trial with an error gets its replacement
-draws, and only such a trial is decoded: an error-free trial receives
-the zero word, whose syndrome is zero, so it counts as a success with no
-miscorrection.
+A trial is its error pattern: row t of the error matrix holds 0 where
+trial t's uniform is >= rate and o + 1 where it is below, o the
+replacement offset there.  The uniform test is read from the uniform
+words as (word >> 11) < rate * 2^53, which is the same comparison.  Only
+a trial with an error reads its replacement draws, and only a nonzero
+row is decoded: an error-free trial receives the zero word, whose
+syndrome is zero, so it counts as a success with no miscorrection.
 
 The ten Philox rounds run in place on arrays allocated once per call,
 and the high word of each 64x64-bit product comes from three 32-bit
@@ -60,8 +57,8 @@ Lemire's method rejects u when the low half of u * range falls below
 (2^32 - range) mod range, which is less than range.  A trial with any
 replacement draw whose low half is below range gets its offsets again
 from `_trial_rng` itself, by `_reference_draw`; its uniforms come before
-them, so its mask stands, and every trial matches numpy exactly, not
-just with high probability.
+them, so its error positions stand, and every trial matches numpy
+exactly, not just with high probability.
 """
 
 from __future__ import annotations
@@ -213,64 +210,24 @@ def _philox_words(key0: np.ndarray, key1: np.ndarray, blocks: int) -> np.ndarray
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(-1, 4 * blocks)
 
 
-def _lemire(u32: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's bounded draw in [0, bound) from uint32s, and a mask of the
-    draws that Lemire's method might have rejected."""
-    product = u32 * bound
-    return (product >> 32).astype(np.int64), (product & _LOW32) < bound
-
-
-class _ChunkDraws:
-    """One code's draws for the trials lo..hi-1 of one rate, gathered row
-    block by row block from Philox words that cover at least its own
-    `blocks`: block j of a key is the same whoever reads it."""
-
-    def __init__(self, b: int, n: int, q: int):
-        self.shape = (n, q)
-        # word layout of one trial: n uniform words, then the replacement
-        # draws, two halves to a word
-        self.blocks = -(-(n + ((n + 1) // 2 if q > 2 else 0)) // 4)
-        self.rows = np.empty(b, dtype=np.int64)
-        self.mask = np.empty((b, n), dtype=bool)
-        self.repl = np.zeros((b, n), dtype=np.int64)
-        self.suspect = np.zeros(b, dtype=bool)
-        self.e = 0  # rows filled so far
-
-    def take(self, r0: int, words: np.ndarray, halves: np.ndarray, threshold: np.uint64) -> None:
-        """Keep the trials r0, r0 + 1, ... of `words` (uint64) and `halves`
-        (its uint32 view) that carry an error."""
-        n, q = self.shape
-        mask = (words[:, :n] >> 11) < threshold
-        at = np.flatnonzero(mask.any(axis=1))
-        found = slice(self.e, self.e + len(at))
-        self.rows[found], self.mask[found] = r0 + at, mask[at]
-        if q > 2:
-            # uint64 before the bound, as a uint32 product u * (q - 1) would wrap
-            self.repl[found], bad = _lemire(halves[at, 2 * n:3 * n].astype(np.uint64), q - 1)
-            self.suspect[found] = bad.any(axis=1)
-        self.e = found.stop
-
-    def errors(self, master_seed: int, rate_index: int, lo: int):
-        """This code's `_draw_shared` result, once every row block is
-        taken: the suspect trials' offsets are drawn again from
-        `_reference_draw`."""
-        e = self.e
-        for i in np.flatnonzero(self.suspect[:e]):
-            _, self.repl[i] = _reference_draw(master_seed, rate_index, lo + int(self.rows[i]),
-                                              *self.shape)
-        return self.rows[:e], self.mask[:e], self.repl[:e]
+def _lemire(u: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw in [0, bound) from the uint32 values of the
+    uint64 array u, which it overwrites, and a mask of the draws that
+    Lemire's method might have rejected."""
+    u *= np.uint64(bound)
+    bad = (u & _LOW32) < bound
+    u >>= _SHIFT32
+    return u.view(np.int64), bad
 
 
 def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
-                 shapes: Sequence[tuple[int, int]], rate: float) -> list:
-    """For each (n, q) of `shapes`, the trials among lo..hi-1 that carry
-    an error at `rate`, from one Philox pass.
+                 shapes: Sequence[tuple[int, int]], rate: float) -> list[np.ndarray]:
+    """For each (n, q) of `shapes`, the (hi - lo, n) int64 error matrix of
+    the trials lo..hi-1 at `rate`, from one Philox pass.
 
-    Each shape's result is (rows, mask, repl): the offsets from lo of
-    those trials, in order, and their error masks (e, n) and replacement
-    offsets (e, n), where trial lo + rows[i] has the replacement offsets
-    of `_reference_draw` and the mask uniforms < rate.  Every other
-    trial's uniforms are all >= rate.
+    Row t is the error pattern of trial lo + t.  With the uniforms and
+    replacement offsets of `_reference_draw`, it holds 0 where the uniform
+    is >= rate and o + 1 where it is below, o the replacement offset.
 
     Each row block's words are computed once, for the shape with the most
     blocks, and every shape reads its own prefix of them, with its own
@@ -278,20 +235,39 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
     """
     _check_stream_range(rate_index, hi)
     b = hi - lo
-    draws = [_ChunkDraws(b, n, q) for n, q in shapes]
-    blocks = max(d.blocks for d in draws)
+    # the word layout of a trial's stream, four words to a block: n uniform
+    # words, (word >> 11) * 2^-53 each, then the replacement draws, Lemire-
+    # bounded uint32s (u * (q - 1)) >> 32 from the low then the high half
+    # of each word; over GF(2) their range is 1 and they take no words
+    blocks = max(-(-(n + ((n + 1) // 2 if q > 2 else 0)) // 4) for n, q in shapes)
+    errors = [np.zeros((b, n), dtype=np.int64) for n, _ in shapes]
     key0 = np.full((1, 1), master_seed, dtype=np.uint64)
     key1 = np.arange(lo, hi, dtype=np.uint64).reshape(-1, 1) | np.uint64((rate_index + 1) << 44)
     # (w >> 11) * 2^-53 < rate holds for the integer w >> 11 exactly when
     # w >> 11 < ceil(rate * 2^53), and rate * 2^53 is exact
     threshold = np.uint64(math.ceil(rate * 2.0**53))
+    longest = max(n for n, _ in shapes)
     step = max(1, PHILOX_BLOCKS // max(blocks, 1))
     for r0 in range(0, b, step):
         words = _philox_words(key0, key1[r0:r0 + step], blocks)
         halves = words.astype("<u8", copy=False).view("<u4")
-        for d in draws:
-            d.take(r0, words, halves, threshold)
-    return [d.errors(master_seed, rate_index, lo) for d in draws]
+        # each shape compares its own prefix of the longest uniform run
+        uniforms = words[:, :longest] >> 11
+        for (n, q), error in zip(shapes, errors):
+            hit = uniforms[:, :n] < threshold
+            at = np.flatnonzero(hit.any(axis=1))
+            pattern = hit[at]  # over GF(2) every offset is 0
+            if q > 2:
+                # uint64 before the bound, as a uint32 product u * (q - 1) would wrap
+                offsets, bad = _lemire(halves[at, 2 * n:3 * n].astype(np.uint64), q - 1)
+                for i in np.flatnonzero(bad.any(axis=1)):
+                    _, offsets[i] = _reference_draw(master_seed, rate_index,
+                                                    lo + r0 + int(at[i]), n, q)
+                offsets += 1
+                offsets *= pattern
+                pattern = offsets
+            error[r0 + at] = pattern
+    return errors
 
 
 def _decode_batch(code: LinearCode, received: np.ndarray, table):
@@ -340,7 +316,7 @@ def _decode_batch(code: LinearCode, received: np.ndarray, table):
 
 def _check_inputs(rates: Sequence[float], trials: int, master_seed: int) -> None:
     if not rates:
-        raise ValueError("error_rates must name at least one rate")
+        raise ValueError("rates must name at least one rate")
     if not all(0.0 <= rate <= 1.0 for rate in rates):  # NaN fails this too
         raise ValueError("error rates must lie in [0, 1]")
     if trials < 1:
@@ -378,19 +354,23 @@ def _transmit(codes: Sequence[LinearCode], tables: Sequence, rate: float, trials
         hi = min(lo + CHUNK_TRIALS, trials)
         drawn = _draw_shared(master_seed, rate_index, lo, hi, shapes, rate)
         for i, (code, table) in enumerate(zip(codes, tables)):
-            # each code's draws are released once it is decoded
-            counts[i] += _decode_errors(code, table, hi - lo, *drawn.pop(0))
+            # each code's error matrix is released once it is decoded
+            counts[i] += _decode_errors(code, table, drawn.pop(0))
     return tuple(RateResult(rate, trials, *map(int, count)) for count in counts)
 
 
-def _decode_errors(code: LinearCode, table, trials: int, rows, mask, repl):
-    """(successes, uncorrectable, miscorrected, total errors) of `trials`
-    trials sending the zero word, of which the `_draw_shared` rows carry
-    an error; only those are decoded, and the others count as successes."""
-    decoded, statuses = _decode_batch(code, np.where(mask, repl + 1, 0), table)
+def _decode_errors(code: LinearCode, table, errors: np.ndarray):
+    """(successes, uncorrectable, miscorrected, total errors) of the trials
+    sending the zero word whose error patterns are the rows of the
+    `_draw_shared` matrix `errors`; only the nonzero rows are decoded, and
+    the others count as successes."""
+    # the entries are >= 0, so a row is nonzero exactly when its sum is;
+    # einsum's row sums take a third of the time of any(axis=1) on short rows
+    received = errors.compress(np.einsum("ij->i", errors) > 0, axis=0)
+    decoded, statuses = _decode_batch(code, received, table)
     ok = statuses != FAILURE
-    return (trials - len(rows) + int(ok.sum()), int((~ok).sum()),
-            int((ok & decoded.any(axis=1)).sum()), int(mask.sum()))
+    return (len(errors) - len(received) + int(ok.sum()), int((~ok).sum()),
+            int((ok & decoded.any(axis=1)).sum()), np.count_nonzero(errors))
 
 
 def run_sweep(codes: Sequence[LinearCode], rates: Sequence[float], trials: int,

@@ -458,6 +458,17 @@ def test_reproduce_skip_sim(capsys, tmp_path):
     assert "codes" not in manifest
 
 
+@pytest.mark.parametrize("argv", [["--trials", "0"], ["--trials", "-5", "--skip-sim"]])
+def test_reproduce_rejects_too_few_trials_before_any_output(capsys, tmp_path, argv):
+    # the manifest records the trials with or without the simulation, so
+    # no check runs and nothing is written until they are known to be valid
+    code, out, err = run_cli(capsys, "reproduce", "--out-dir", str(tmp_path), *argv)
+    assert code == 1
+    assert err.strip() == "error: trials must be >= 1"
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_reproduce_with_sim_byte_identical_csvs(capsys, tmp_path):
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"

@@ -94,21 +94,17 @@ DRAW_RATES = [0.0, 0.05, 0.5, 1.0]
 
 
 def assert_draw_matches_reference(seed, rate_index, lo, hi, n, q):
-    """`_draw_shared` of one shape at each of DRAW_RATES: its rows are exactly the
-    trials with a reference uniform below the rate, with the exact error
-    count, and each row's draws are the reference's."""
-    reference = [_reference_draw(seed, rate_index, t, n, q) for t in range(lo, hi)]
+    """`_draw_shared` of one shape at each of DRAW_RATES: every row of its
+    error matrix, an error-free one included, is the reference trial's
+    offsets + 1 where its uniform is below the rate and 0 elsewhere."""
+    uniforms, offsets = map(np.array, zip(*(_reference_draw(seed, rate_index, t, n, q)
+                                            for t in range(lo, hi))))
     for rate in DRAW_RATES:
-        rows, mask, repl = _draw_shared(seed, rate_index, lo, hi, [(n, q)], rate)[0]
-        hits = [uniforms < rate for uniforms, _ in reference]
+        errors = _draw_shared(seed, rate_index, lo, hi, [(n, q)], rate)[0]
         context = (seed, rate_index, lo, n, q, rate)
-        assert rows.tolist() == [t for t, hit in enumerate(hits) if hit.any()], context
-        assert int(mask.sum()) == sum(int(hit.sum()) for hit in hits), context
-        assert (mask.dtype, repl.dtype) == (bool, np.int64)
-        for i, t in enumerate(rows):
-            _, offsets = reference[t]
-            assert np.array_equal(mask[i], hits[t]), (t, context)
-            assert np.array_equal(repl[i], offsets), (t, context)
+        assert (errors.shape, errors.dtype) == ((hi - lo, n), np.int64), context
+        wrong = np.flatnonzero((errors != np.where(uniforms < rate, offsets + 1, 0)).any(axis=1))
+        assert len(wrong) == 0, (lo + wrong[:5], context)
 
 
 # (n, q): even and odd n (an odd n leaves the high half of its last
@@ -147,8 +143,7 @@ def test_draw_rows_do_not_depend_on_philox_block_size(monkeypatch):
     monkeypatch.setattr(simulator, "PHILOX_BLOCKS", 7)
     parts = [_draw_shared(5, 1, 100, 400, [(35, 25)], rate)[0] for rate in DRAW_RATES]
     for a, b in zip(whole, parts):
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
+        assert np.array_equal(a, b)
 
 
 KEY_WORDS = [0, 2**63 - 1, 2**63, 2**64 - 1]
@@ -173,7 +168,7 @@ def test_philox_words_equal_numpys_raw_stream(key0, key1):
 
 def test_draw_temporaries_are_bounded():
     # a Hermitian q=8 sized chunk: n = 512 over GF(4096), at a rate that
-    # puts an error in every trial; the outputs are 9 MB, while one
+    # puts an error in every trial; the output is 8 MB, while one
     # unblocked Philox pass would hold 12 MB of words.  The same chunk
     # then shares its row blocks with two shorter shapes, still holding
     # one row block of words at a time.
@@ -186,7 +181,7 @@ def test_draw_temporaries_are_bounded():
             outputs, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(a.nbytes for draw in drawn for a in draw) <= outputs
+        assert sum(errors.nbytes for errors in drawn) <= outputs
         assert peak - outputs < 8 << 20, shapes
 
 
@@ -221,8 +216,8 @@ def test_lemire_rejections_are_redrawn_from_the_reference(monkeypatch):
     exercised = 0
     for rate in DRAW_RATES:
         redrawn.clear()
-        rows, mask, repl = _draw_shared(seed, 0, 0, trials, [(n, q)], rate)[0]
-        errors = set(rows.tolist())
+        matrix = _draw_shared(seed, 0, 0, trials, [(n, q)], rate)[0]
+        errors = set(np.flatnonzero(matrix.any(axis=1)).tolist())
         # a rejection is redrawn where an error reads its replacement
         # draws, and only a trial with an error is redrawn at all
         assert rejected & errors <= set(redrawn) <= errors
@@ -230,10 +225,7 @@ def test_lemire_rejections_are_redrawn_from_the_reference(monkeypatch):
         for t in rejected | set(redrawn[:20]):
             uniforms, offsets = numpy_draw(seed, 0, t, n, q)
             assert (t in errors) == bool((uniforms < rate).any()), (t, rate)
-            if t in errors:
-                i = int(np.searchsorted(rows, t))
-                assert np.array_equal(mask[i], uniforms < rate)
-                assert np.array_equal(repl[i], offsets)
+            assert np.array_equal(matrix[t], np.where(uniforms < rate, offsets + 1, 0)), (t, rate)
     assert exercised, "no trial exercises the redraw"
 
 
@@ -261,8 +253,7 @@ def test_shared_draws_redraw_each_shapes_own_rejections(monkeypatch):
         assert sorted(redrawn) == redrawn_alone, rate
         exercised |= {shape for shape, _ in redrawn}
         for shape, a, b in zip(shapes, alone, shared):
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y), (shape, rate)
+            assert np.array_equal(a, b), (shape, rate)
     assert exercised >= {shapes[0], shapes[2]}
 
 

@@ -1,18 +1,16 @@
 #!/usr/bin/env python3
 """Survey one-point codes on a curve across a range of r.
 
-For each r: computed dimension vs the closed-form prediction, designed
-and brute-forced distances, self-orthogonality verdicts, and the dual
-index comparison.  Useful for spotting where the closed forms and the
-computed ground truth part ways.
+For each r, one `code_report` row: computed dimension vs the closed-form
+prediction, designed and brute-forced distances, self-orthogonality
+verdicts, and the dual index comparison.  Useful for spotting where the
+closed forms and the computed ground truth part ways.
 """
 
 import argparse
 
-from agq.agcode import (DEFAULT_BUDGET, build_onepoint_code, check_duality_claim,
-                        is_euclidean_self_orthogonal, is_hermitian_self_orthogonal, min_distance)
+from agq.agcode import DEFAULT_BUDGET, code_report
 from agq.curve import hermitian_curve, superelliptic_curve
-from agq.rrspace import dimension_by_cases
 
 
 def main() -> None:
@@ -33,20 +31,18 @@ def main() -> None:
     print(f"{'r':>3} {'n':>4} {'k':>3} {'pred':>6} {'d*':>4} {'d':>8} "
           f"{'eucl':>5} {'herm':>5}  dual-index")
     for r in range(0, args.r_max + 1):
-        code = build_onepoint_code(curve, r)
-        pred = dimension_by_cases(curve, r)
-        dist = min_distance(code, args.budget)
-        d_str = str(dist.d) if dist.exact else f"[{dist.lower},{dist.upper}]"
-        claim = check_duality_claim(curve, r)
-        if claim.applicable:
-            dual_str = (f"r'={claim.r_prime} dims {claim.dim_dual}/{claim.dim_companion} "
-                        f"equal={claim.row_spaces_equal}")
+        rep = code_report(curve, r, budget=args.budget)
+        d_str = str(rep.d) if rep.d is not None else f"[{rep.d_lower},{rep.d_upper}]"
+        claim = rep.duality_claim
+        if claim["applicable"]:
+            dual_str = (f"r'={claim['r_prime']} dims {claim['dim_dual']}/{claim['dim_companion']} "
+                        f"equal={claim['row_spaces_equal']}")
         else:
             dual_str = "n/a"
-        print(f"{r:>3} {code.n:>4} {code.k:>3} {str(pred.value):>6} "
-              f"{code.designed_distance:>4} {d_str:>8} "
-              f"{str(is_euclidean_self_orthogonal(code)):>5} "
-              f"{str(is_hermitian_self_orthogonal(code)):>5}  {dual_str}")
+        print(f"{r:>3} {rep.n:>4} {rep.k:>3} {rep.dimension_predicted:>6} "
+              f"{rep.d_designed:>4} {d_str:>8} "
+              f"{str(rep.euclidean_self_orthogonal):>5} "
+              f"{str(rep.hermitian_self_orthogonal):>5}  {dual_str}")
 
 
 if __name__ == "__main__":

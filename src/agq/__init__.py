@@ -18,6 +18,7 @@ from .agcode import (
     save_code,
     weight_distribution,
 )
+from .claims import candidate_count, dimension_by_cases
 from .curve import (
     CurveSpec,
     Family,
@@ -28,11 +29,5 @@ from .curve import (
 )
 from .gf import Field, FieldError, field, quadratic_tower
 from .quantum import designed_params, params_from_code, parameter_table
-from .rrspace import (
-    MonomialBasis,
-    candidate_count,
-    candidate_monomials,
-    dimension_by_cases,
-    verified_basis,
-)
+from .rrspace import MonomialBasis, candidate_monomials, verified_basis
 from .simulator import encode, run_simulation

@@ -5,11 +5,11 @@ weight <= r at a chosen set of affine points.  Everything
 the construction claims about a code (dimension, minimum distance,
 duality, self-orthogonality) is checked by explicit linear algebra at
 desk scale rather than assumed: distances are brute-forced within a
-codeword budget, and the closed-form duality relation is compared
-against computed row spaces, never asserted.  A code carries a
-generator G and a parity check H, a basis of the null space of G, so its
-Euclidean dual is the code with G and H traded, and its Hermitian dual
-trades their entrywise conjugates.
+codeword budget, and the paper's closed forms, read from `claims`, are
+compared against computed ranks and row spaces, never asserted.  A code
+carries a generator G and a parity check H, a basis of the null space
+of G, so its Euclidean dual is the code with G and H traded, and its
+Hermitian dual trades their entrywise conjugates.
 
 A curve object owns its points and one code ladder (`code_ladder`), and
 `build_onepoint_code` reads every code from it: G is a row prefix of the
@@ -22,14 +22,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 import numpy as np
 
+from . import claims
 from .curve import CurveSpec, _lhs_rhs_tables, check_points, enumerate_points
 from .gf import Field, FieldError, QuadraticTower, factor_prime_power, field, quadratic_tower
 from .linalg import _column_table, matmul, rank, right_nullspace
-from .rrspace import code_ladder, dimension_by_cases
+from .rrspace import code_ladder
 
 DEFAULT_BUDGET = 1 << 20
 # Most rows of one block of `iter_codeword_blocks`.
@@ -433,8 +433,8 @@ def hermitian_dual(code: LinearCode) -> LinearCode:
 
 @dataclass(frozen=True)
 class DualityClaim:
-    """Computed comparison of dual(C_r) with C_{r'} for
-    r' = q^2 + (q-1)(m-1)/2 - r.  Reports, never asserts."""
+    """Computed comparison of dual(C_r) with C_{r'}, r' the companion of
+    `claims.companion`.  Reports, never asserts."""
 
     q: int
     m: int
@@ -476,15 +476,10 @@ def check_duality_claim(curve: CurveSpec, r: int, eval_set="all") -> DualityClai
     then ranks the shorter of two stacks whose ranks determine
     dim(dual(C_r) + C_{r'}).
     """
-    half = Fraction((curve.q - 1) * (curve.m - 1), 2)
-    r_prime_frac = Fraction(curve.q**2) + half - r
-    if r_prime_frac < 0 or r_prime_frac.denominator != 1:
-        return DualityClaim(
-            q=curve.q, m=curve.m, r=r,
-            r_prime=None if r_prime_frac.denominator != 1 else int(r_prime_frac),
-            applicable=False,
-        )
-    r_prime = int(r_prime_frac)
+    r_prime = claims.companion(curve.q, curve.m, r)
+    r_prime = int(r_prime) if r_prime.denominator == 1 else None
+    if r_prime is None or r_prime < 0:
+        return DualityClaim(q=curve.q, m=curve.m, r=r, r_prime=r_prime, applicable=False)
     built = [build_onepoint_code(curve, s, eval_set) for s in sorted((r, r_prime), reverse=True)]
     code, companion = built if r >= r_prime else built[::-1]
     code_dual = dual(code)
@@ -547,14 +542,12 @@ def code_report(curve: CurveSpec, r: int, eval_set="all", budget: int = DEFAULT_
     code = build_onepoint_code(curve, r, eval_set)
     dist = min_distance(code, budget)
     designed = code.designed_distance
-    q, m = curve.q, curve.m
     herm = is_hermitian_self_orthogonal(code)
     eucl = is_euclidean_self_orthogonal(code)
-    pred = dimension_by_cases(curve, r)
+    pred = claims.dimension_by_cases(curve, r)
     wd = None
     if include_weights and _fits_budget(code, budget):
         wd = [int(c) for c in weight_distribution(code, budget)]
-    half = Fraction((q - 1) * (m - 1), 2)
     return CodeReport(
         name=code.name,
         n=code.n,
@@ -568,11 +561,7 @@ def code_report(curve: CurveSpec, r: int, eval_set="all", budget: int = DEFAULT_
         goppa_bound_ok=(dist.d >= designed) if (dist.exact and designed is not None and designed > 0) else None,
         euclidean_self_orthogonal=eucl,
         hermitian_self_orthogonal=herm,
-        euclidean_threshold_holds=bool(2 * r <= q * q + half),
-        hermitian_threshold_r=bool(r <= q - 1),
-        hermitian_threshold_pole=bool(r <= (q - 1) * (q + 1)),
-        length_claimed=q * q,
-        designed_distance_claimed=q * q - r * (q + 1),
+        **claims.report_claims(curve.q, curve.m, r),
         dimension_case=pred.case,
         dimension_predicted=str(pred.value),
         dimension_prediction_matches=bool(pred.is_integer and pred.value == code.k),

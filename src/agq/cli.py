@@ -108,6 +108,8 @@ def _check_budget(budget: int) -> None:
 def _curve_from_args(args):
     family = Family(args.family)
     if family is Family.HERMITIAN:
+        if args.m is not None and args.m != args.q + 1:
+            raise ValueError(f"--m {args.m} differs from q+1 = {args.q + 1}, the Hermitian curve's exponent of x")
         return hermitian_curve(args.q)
     if args.m is None:
         raise ValueError("--m is required for the superelliptic family")

@@ -4,13 +4,10 @@ A q-ary [[n, n-2k, d]] stabilizer code exists for every Hermitian
 self-orthogonal [n, k] code over GF(q^2) whose Hermitian dual has
 minimum distance d.  `params_from_code` derives the triple from an
 actual code (brute-forcing the dual distance within a budget, and
-reporting no distance past it);
-`designed_params` evaluates the closed-form family
-
-    [[q^2, q^2 + (q-1)(m-1)/2 - 2 - 2r, r - (q-1)(m-1)/2 + 2]]_q
-
-exactly as printed, flagging fractional intermediates, out-of-range r,
-and quantum-Singleton violations instead of correcting them.
+reporting no distance past it); `designed_params` records the
+closed-form family of `claims.quantum_family`, flagging fractional
+intermediates, out-of-range r, and quantum-Singleton violations instead
+of correcting them.
 """
 
 from __future__ import annotations
@@ -18,9 +15,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import claims
 from .agcode import (
     DEFAULT_BUDGET,
     LinearCode,
@@ -111,29 +108,17 @@ def params_from_code(code: LinearCode, budget: int = DEFAULT_BUDGET) -> QuantumP
 def designed_params(q: int, m: int, r: int) -> QuantumParams:
     """The closed-form [[n, k, d]]_q triple for the curve parameters (q, m, r).
 
-    Valid range of r is q-1 <= r <= 2(q-1); outside it the record is
-    returned with range_ok=False rather than rejected.
+    Outside the proven range of r the record is returned with
+    range_ok=False rather than rejected.  FieldError when q is not a
+    prime power or m < 2.
     """
-    half = Fraction((q - 1) * (m - 1), 2)
-    n = Fraction(q * q)
-    k = n + half - 2 - 2 * r
-    d = r - half + 2
+    n, k, d, range_ok = claims.quantum_family(q, m, r)
     fractional = not (k.denominator == 1 and d.denominator == 1)
-    n_i, k_i, d_i = int(n), int(k) if k.denominator == 1 else 0, (
-        int(d) if d.denominator == 1 else None
-    )
-    return QuantumParams(
-        q=q,
-        n=n_i,
-        k=k_i,
-        d=d_i,
-        source="formula",
-        d_verified=False,
-        singleton_ok=_singleton_ok(n_i, k_i, d_i) if not fractional else None,
-        k_nonnegative=k >= 0,
-        range_ok=q - 1 <= r <= 2 * (q - 1),
-        fractional=fractional,
-    )
+    k_i = int(k) if k.denominator == 1 else 0
+    d_i = int(d) if d.denominator == 1 else None
+    return QuantumParams(q=q, n=int(n), k=k_i, d=d_i, source="formula", d_verified=False,
+                         singleton_ok=None if fractional else _singleton_ok(int(n), k_i, d_i),
+                         k_nonnegative=k >= 0, range_ok=range_ok, fractional=fractional)
 
 
 @dataclass(frozen=True)

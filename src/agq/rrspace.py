@@ -12,23 +12,21 @@ is a row suffix of the transform of the elimination that verified it.
 So one basis serves a whole range of r: `code_ladder` keeps one on each
 curve object, and every code built on the curve reads it.
 
-`dimension_by_cases` evaluates a five-case closed-form dimension
-prediction exactly as specified (including its fractional /4 term) and
-is intended for comparison reports only; `dimension_report` tabulates
-it against ground-truth ranks and against deg + 1 - g, all read from
-the curve's code ladder at r_max.  The tests check those readings
-against per-r ranks over a naive field.
+`dimension_report` tabulates the closed-form dimension of
+`claims.dimension_by_cases` against ground-truth ranks and against
+deg + 1 - g, all read from the curve's code ladder at r_max.  The tests
+check those readings against per-r ranks over a naive field.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
+from . import claims
 from .curve import CurveSpec, check_points, enumerate_points
 from .linalg import pivots_and_transform, rank as matrix_rank  # noqa: F401 (matrix_rank stays public)
 
@@ -94,20 +92,6 @@ def candidate_monomials(curve: CurveSpec, r: int) -> MonomialBasis:
         pole_orders=tuple(po for po, _, _ in found),
         verified=False,
     )
-
-
-def candidate_count(curve: CurveSpec, r) -> int:
-    """Size of the candidate set, counted arithmetically (no list built)."""
-    n, m = curve.n, curve.m
-    if r < 0:
-        return 0
-    total = 0
-    for j in range(0, curve.q):
-        rem = r - j * m
-        if rem < 0:
-            break
-        total += int(rem // n) + 1
-    return total
 
 
 def evaluation_matrix(curve: CurveSpec, monomials: Sequence[tuple[int, int]],
@@ -190,42 +174,6 @@ def code_ladder(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasis:
 
 
 @dataclass(frozen=True)
-class DimensionPrediction:
-    case: int
-    value: Fraction
-    is_integer: bool
-
-
-def dimension_by_cases(curve: CurveSpec, r: int) -> DimensionPrediction:
-    """Five-case closed-form dimension prediction, evaluated verbatim.
-
-    Case 3 is r(q+1) - (q-1)(m-1)/4, which can be fractional; the value
-    is returned as a Fraction with a flag rather than rounded.
-    """
-    q, m = curve.q, curve.m
-    half = Fraction((q - 1) * (m - 1), 2)
-    quarter = Fraction((q - 1) * (m - 1), 4)
-    qq = q * q
-    if r < 0:
-        val = Fraction(0)
-        case = 1
-    elif r <= half:
-        val = Fraction(candidate_count(curve, r))
-        case = 2
-    elif r < qq:
-        val = Fraction(r * (q + 1)) - quarter
-        case = 3
-    elif r <= qq + half:
-        arg = Fraction(qq) + half - r
-        val = Fraction(qq - candidate_count(curve, arg))
-        case = 4
-    else:
-        val = Fraction(qq)
-        case = 5
-    return DimensionPrediction(case=case, value=val, is_integer=val.denominator == 1)
-
-
-@dataclass(frozen=True)
 class DimensionRow:
     r: int
     candidates: int
@@ -262,19 +210,10 @@ def dimension_report(curve: CurveSpec, r_max: int,
     rows = []
     for r in range(0, r_max + 1):
         rk = basis.prefix(r)
-        pred = dimension_by_cases(curve, r)
+        pred = claims.dimension_by_cases(curve, r)
         deg = curve.divisor_degree(r)
         rr = deg + 1 - g if 2 * g - 2 < deg < npts else None
-        rows.append(
-            DimensionRow(
-                r=r,
-                candidates=candidate_count(curve, r),
-                rank=rk,
-                verified_count=rk,
-                case=pred.case,
-                predicted=str(pred.value),
-                riemann_roch=rr,
-                prediction_matches_rank=pred.is_integer and pred.value == rk,
-            )
-        )
+        rows.append(DimensionRow(r=r, candidates=claims.candidate_count(curve, r), rank=rk,
+                                 verified_count=rk, case=pred.case, predicted=str(pred.value),
+                                 riemann_roch=rr, prediction_matches_rank=pred.is_integer and pred.value == rk))
     return rows

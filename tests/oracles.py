@@ -388,3 +388,53 @@ def macwilliams_transform(counts, q: int) -> list[Fraction]:
     size = sum(counts)
     return [Fraction(sum(a * krawtchouk(j, i, n, q) for i, a in enumerate(counts)), size)
             for j in range(n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# the paper's closed forms for y^n = x^m + x over GF(q^2), as it states them
+
+
+def paper_monomial_count(q: int, n: int, m: int, bound) -> int:
+    """#{(i, j) : i >= 0, 0 <= j <= q-1, i*n + j*m <= bound}, by listing them."""
+    top = max(0, math.floor(bound))
+    return len([(i, j) for j in range(q) for i in range(top + 1) if i * n + j * m <= bound])
+
+
+def paper_dimension(q: int, n: int, m: int, r: int) -> tuple[int, Fraction]:
+    """(case, k) of the five-case dimension: 0 for r < 0; the monomial count
+    for r <= (q-1)(m-1)/2; r(q+1) - (q-1)(m-1)/4 for r < q^2;
+    q^2 minus the count at r' = q^2 + (q-1)(m-1)/2 - r for
+    r <= q^2 + (q-1)(m-1)/2; q^2 past it."""
+    if r < 0:
+        return 1, Fraction(0)
+    if r <= Fraction((q - 1) * (m - 1), 2):
+        return 2, Fraction(paper_monomial_count(q, n, m, r))
+    if r < q**2:
+        return 3, r * (q + 1) - Fraction((q - 1) * (m - 1), 4)
+    if r <= q**2 + Fraction((q - 1) * (m - 1), 2):
+        return 4, Fraction(q**2 - paper_monomial_count(q, n, m, q**2 + Fraction((q - 1) * (m - 1), 2) - r))
+    return 5, Fraction(q**2)
+
+
+def paper_stabilizer_family(q: int, m: int, r: int) -> tuple[Fraction, Fraction, Fraction, bool]:
+    """[[q^2, q^2 + (q-1)(m-1)/2 - 2 - 2r, r - (q-1)(m-1)/2 + 2]]_q, and
+    whether r is in the range q-1 <= r <= 2(q-1) where it is proven."""
+    n = Fraction(q**2)
+    k = q**2 + Fraction((q - 1) * (m - 1), 2) - 2 - 2 * r
+    d = r - Fraction((q - 1) * (m - 1), 2) + 2
+    return n, k, d, q - 1 <= r <= 2 * (q - 1)
+
+
+def paper_report_claims(q: int, m: int, r: int) -> dict:
+    """The claims a code report sets beside its computed values: Euclidean
+    self-orthogonality when 2r <= q^2 + (q-1)(m-1)/2, Hermitian when
+    r <= q-1 and when r <= q^2 - 1, length q^2, designed distance
+    q^2 - r(q+1), and the duality companion r' = q^2 + (q-1)(m-1)/2 - r."""
+    return {
+        "euclidean_threshold_holds": 2 * r <= q**2 + Fraction((q - 1) * (m - 1), 2),
+        "hermitian_threshold_r": r <= q - 1,
+        "hermitian_threshold_pole": r <= q**2 - 1,
+        "length_claimed": q**2,
+        "designed_distance_claimed": q**2 - r * (q + 1),
+        "r_prime": q**2 + Fraction((q - 1) * (m - 1), 2) - r,
+    }

@@ -122,6 +122,16 @@ def test_code_report_huge_q_fails_at_once(capsys):
     assert err.startswith("error:") and "GF(100000007^2)" in err
 
 
+@pytest.mark.parametrize("command", [["code-report"], ["simulate", "--rates", "0", "--trials", "10"]])
+def test_hermitian_family_rejects_an_m_other_than_q_plus_1(capsys, command):
+    # the Hermitian curve y^q + y = x^(q+1) has m = q + 1; any other --m was ignored
+    code, out, err = run_cli(capsys, *command, "--family", "hermitian", "--q", "3", "--m", "5", "--r", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--m 5" in err and "q+1 = 4" in err
+    code, out, _ = run_cli(capsys, *command, "--family", "hermitian", "--q", "3", "--m", "4", "--r", "4")
+    assert code == 0 and "hermitian-q3-m4-r4" in out
+
+
 # ---------------------------------------------------------------------------
 # quantum-table
 
@@ -159,6 +169,18 @@ def test_quantum_table_empty_range_still_reads_known(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:") and "missing.csv" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("q, m, named", [("10", "3", "q=10"), ("9", "1", "m=1"), ("4", "0", "m=0"),
+                                         ("4294967311", "3", "q=4294967311")])
+def test_quantum_table_rejects_parameters_of_no_curve(capsys, tmp_path, q, m, named):
+    # there is no GF(10), and the curves need m >= 2: no record, no file, exit 1
+    json_path = tmp_path / "t.json"
+    code, out, err = run_cli(capsys, "quantum-table", "--q", q, "--m", m,
+                             "--r-min", "9", "--r-max", "9", "--json", str(json_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and named in err
+    assert not json_path.exists()
 
 
 def test_quantum_table_known_comparison(capsys, tmp_path):

@@ -9,11 +9,10 @@ from agq.agcode import (_dual_sum_rank, build_onepoint_code, check_duality_claim
                         is_euclidean_self_orthogonal, is_hermitian_self_orthogonal, resolve_eval_set)
 from agq.curve import enumerate_points, hermitian_curve, superelliptic_curve
 from agq.linalg import matmul, pivots_and_transform, rank
+from agq.claims import candidate_count, dimension_by_cases
 from agq.rrspace import (
-    candidate_count,
     candidate_monomials,
     code_ladder,
-    dimension_by_cases,
     dimension_report,
     evaluation_matrix,
     verified_basis,

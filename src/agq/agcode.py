@@ -29,7 +29,7 @@ from . import claims
 from .curve import CurveSpec, _lhs_rhs_tables, check_points, enumerate_points
 from .gf import Field, FieldError, QuadraticTower, factor_prime_power, field, quadratic_tower
 from .linalg import _column_table, matmul, rank, right_nullspace
-from .rrspace import code_ladder
+from .rrspace import code_ladder, ladder_gram
 
 DEFAULT_BUDGET = 1 << 20
 # Most rows of one block of `iter_codeword_blocks`.
@@ -413,10 +413,17 @@ def is_hermitian_self_orthogonal(code: LinearCode) -> bool:
     return not _hermitian_gram(code).any()
 
 
+def _euclidean_gram(a: LinearCode, b: LinearCode) -> np.ndarray:
+    """G_a G_b^T, a block of `ladder_gram` when both are row prefixes of a's curve's ladder."""
+    held = a.curve._cache.get("ladder") if a.curve is not None else None
+    if held is not None and all(np.array_equal(G, held[1].rows[:len(G)]) for G in (a.generator, b.generator)):
+        return ladder_gram(a.curve, b.k)[:a.k, :b.k]
+    return matmul(a.field, a.generator, b.generator.T)
+
+
 def is_euclidean_self_orthogonal(code: LinearCode) -> bool:
-    if code.k == 0:
-        return True
-    return not np.any(matmul(code.field, code.generator, code.generator.T))
+    """All pairwise products of generator rows vanish, a block of the ladder's Gram."""
+    return not _euclidean_gram(code, code).any()
 
 
 def hermitian_dual(code: LinearCode) -> LinearCode:
@@ -453,18 +460,10 @@ class DualityClaim:
 
 
 def _dual_sum_rank(code: LinearCode, companion: LinearCode) -> int:
-    """dim(C^perp + V) for C = `code` and V = `companion`.
-
-    With G, H and G_c, H_c the generators and parity checks of C and V,
-    both dim(C^perp + V) and dim(C + V^perp) + k' - k equal
-    n - k + rank(G_c G^T), since dim(C^perp cap V) = k' - rank(G_c G^T).
-    So one elimination ranks whichever stack has fewer rows: [H; G_c],
-    of n - k + k' rows, or [H_c; G], of n - k' + k.
-    """
-    if companion.k <= code.k:
-        return rank(code.field, np.vstack([code.parity_check, companion.generator]))
-    stacked = np.vstack([companion.parity_check, code.generator])
-    return rank(code.field, stacked) + companion.k - code.k
+    """dim(C^perp + V) = n - k + rank(G_c G^T) for C = `code` and V = `companion`,
+    of generators G and G_c: x G_c lies in C^perp iff x G_c G^T = 0.  G_c G^T
+    is k' x k, a block of the ladder's Gram when both codes read one ladder."""
+    return code.n - code.k + rank(code.field, _euclidean_gram(companion, code))
 
 
 def check_duality_claim(curve: CurveSpec, r: int, eval_set="all") -> DualityClaim:
@@ -473,8 +472,8 @@ def check_duality_claim(curve: CurveSpec, r: int, eval_set="all") -> DualityClai
     C_r and C_{r'} are read from the curve's code ladder, the larger r
     first: its build makes one elimination at most, none when the ladder
     already reaches it, and the other build makes none.  `_dual_sum_rank`
-    then ranks the shorter of two stacks whose ranks determine
-    dim(dual(C_r) + C_{r'}).
+    then ranks the k' x k block of the ladder's Gram that determines
+    dim(dual(C_r) + C_{r'}), before `dual` copies C_r's parity check.
     """
     r_prime = claims.companion(curve.q, curve.m, r)
     r_prime = int(r_prime) if r_prime.denominator == 1 else None
@@ -482,9 +481,9 @@ def check_duality_claim(curve: CurveSpec, r: int, eval_set="all") -> DualityClai
         return DualityClaim(q=curve.q, m=curve.m, r=r, r_prime=r_prime, applicable=False)
     built = [build_onepoint_code(curve, s, eval_set) for s in sorted((r, r_prime), reverse=True)]
     code, companion = built if r >= r_prime else built[::-1]
+    dual_sum = _dual_sum_rank(code, companion)
     code_dual = dual(code)
-    stacked_rank = _dual_sum_rank(code, companion)
-    # dim(U + V) = dim U = dim V holds iff U = V: the stacked rank decides
+    # dim(U + V) = dim U = dim V holds iff U = V: the one rank decides
     # equality as well as both containments, with no further elimination
     return DualityClaim(
         q=curve.q,
@@ -495,9 +494,9 @@ def check_duality_claim(curve: CurveSpec, r: int, eval_set="all") -> DualityClai
         dim_code=code.k,
         dim_dual=code_dual.k,
         dim_companion=companion.k,
-        row_spaces_equal=stacked_rank == code_dual.k == companion.k,
-        companion_inside_dual=stacked_rank == code_dual.k,
-        dual_inside_companion=stacked_rank == companion.k,
+        row_spaces_equal=dual_sum == code_dual.k == companion.k,
+        companion_inside_dual=dual_sum == code_dual.k,
+        dual_inside_companion=dual_sum == companion.k,
     )
 
 

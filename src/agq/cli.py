@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, benchmarks
+from . import __version__, benchmarks, claims
 from .agcode import (
     DEFAULT_BUDGET,
     build_onepoint_code,
@@ -308,16 +308,17 @@ def cmd_reproduce(args) -> int:
     )
     outputs.append(str(out_dir / "dimension_report_q3_m3.json"))
 
-    # Hermitian self-orthogonality for r <= q-1: each C_r is a row prefix of
-    # the curve's code ladder, which the dimension report took to r = 30, so
-    # its Gram is a leading block of one Gram of the rows at r = q-1.  Each
-    # verdict must match a direct all-pairs product oracle
+    # Hermitian self-orthogonality at the report's r within the claimed
+    # threshold: each C_r is a row prefix of the code ladder, which the report
+    # took to r = 30, so its Gram is a leading block of one Gram of the rows
+    # at the largest such r.  Each verdict must match an all-pairs oracle
     herm_ok = True
     verdicts = {}
-    basis = code_ladder(se, se.q - 1, enumerate_points(se))
-    G = basis.rows[:basis.prefix(se.q - 1)]
+    threshold = [row.r for row in dim_rows if claims.report_claims(se.q, se.m, row.r)["hermitian_threshold_r"]]
+    basis = code_ladder(se, threshold[-1], enumerate_points(se))
+    G = basis.rows[:basis.prefix(threshold[-1])]
     gram = matmul(se.tower.ext, G, se.tower.vfrobenius(G).T)
-    for r in range(0, se.q):
+    for r in threshold:
         k = basis.prefix(r)
         verdict = not gram[:k, :k].any()
         direct = all(hermitian_inner(se.tower, gi, gj) == 0 for gi in G[:k] for gj in G[:k])

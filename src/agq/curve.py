@@ -50,7 +50,7 @@ class CurveSpec:
     genus: int
     places_at_infinity: int
     tower: QuadraticTower = dc_field(repr=False, compare=False, hash=False, default=None)
-    # this object's points ("points") and code ladder ("ladder"), filled on first use
+    # this object's "points", code "ladder" and its "gram", filled on first use
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     def label(self) -> str:

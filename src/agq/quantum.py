@@ -156,6 +156,7 @@ class TableRow:
 def parameter_table(q: int, m: int, r_values: Iterable[int],
                     known: Sequence[KnownCode] = ()) -> list[TableRow]:
     """One record per r, sorted by r, with optional known-code comparisons."""
+    claims.quantum_family(q, m, 0)  # FieldError for a (q, m) of no curve, even on an empty range
     rows = []
     for r in sorted(set(int(r) for r in r_values)):
         params = designed_params(q, m, r)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import claims
 from .curve import CurveSpec, check_points, enumerate_points
-from .linalg import pivots_and_transform, rank as matrix_rank  # noqa: F401 (matrix_rank stays public)
+from .linalg import matmul, pivots_and_transform, rank as matrix_rank  # noqa: F401 (perfbench's tests read matrix_rank)
 
 @dataclass(frozen=True)
 class MonomialBasis:
@@ -154,9 +154,9 @@ def code_ladder(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasis:
     A curve object keeps one ladder: the verified basis at the largest r
     asked for so far, on the last point set asked for.  A request above
     its top, or on other points, makes one `verified_basis` at r, which
-    becomes the ladder; any other request makes no elimination.  The
-    ladder's arrays are read-only, since the codes read from it share
-    them.
+    becomes the ladder and drops the old ladder's `ladder_gram`; any other
+    request makes no elimination.  The ladder's arrays are read-only,
+    since the codes read from it share them.
     """
     points = check_points(curve, points)
     held = curve._cache.get("ladder")
@@ -170,7 +170,21 @@ def code_ladder(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasis:
     for array in (points, basis.rows, basis.transform):
         array.setflags(write=False)
     curve._cache["ladder"] = (points, basis)
+    curve._cache.pop("gram", None)
     return basis
+
+
+def ladder_gram(curve: CurveSpec, columns: int) -> np.ndarray:
+    """B B[:c]^T for the K rows B of the curve's code ladder, c >= `columns`
+    the most read since the ladder was made: G' G^T is its [:k', :k] block
+    for codes read from the ladder.  One `matmul`, read-only; never K x K,
+    whose digit expansion would take 450 MB at q=16 r=40 (K = 217)."""
+    gram = curve._cache.get("gram")
+    if gram is None or gram.shape[1] < columns:
+        rows = curve._cache["ladder"][1].rows
+        curve._cache["gram"] = gram = matmul(curve.tower.ext, rows, rows[:columns].T)
+        gram.setflags(write=False)
+    return gram
 
 
 @dataclass(frozen=True)

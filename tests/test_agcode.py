@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import agq.linalg
+import agq.rrspace
 from agq import agcode, benchmarks
 from agq.agcode import (
     BudgetExceededError,
@@ -334,13 +335,68 @@ REPORT_ELIMINATION_CASES = {
 def test_a_report_makes_one_ladder_elimination_and_one_rank(monkeypatch, name):
     # the claim builds the larger of C_r and C_r' first, whose elimination
     # takes the fresh curve's ladder to both; `_dual_sum_rank` ranks one
-    # stack; the report's own build and every H read are free
+    # block of the ladder's Gram; the report's own build and every H read
+    # are free
     make, r, r_prime = REPORT_ELIMINATION_CASES[name]
     curve = make()
     calls = _counted_eliminations(monkeypatch)
     report = code_report(curve, r, include_weights=True)
     assert report.duality_claim["applicable"] and report.duality_claim["r_prime"] == r_prime
     assert len(calls) == 2
+
+
+def _recorded_products(monkeypatch, module) -> list:
+    # (rows, inner, columns) of each `matmul` the module makes
+    shapes = []
+    product = module.matmul
+
+    def recorded(F, A, B):
+        shapes.append((*np.shape(A), np.shape(B)[1]))
+        return product(F, A, B)
+
+    monkeypatch.setattr(module, "matmul", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("name", REPORT_ELIMINATION_CASES)
+def test_a_reports_euclidean_products_are_blocks_of_one_ladder_gram(monkeypatch, name):
+    # the duality claim and the Euclidean verdict read one K x k Gram of the
+    # fresh ladder, K = max(k, k'), and the claim's rank eliminates its
+    # k' x k block; agcode's one product is the Hermitian Gram (budget 0:
+    # no enumeration)
+    make, r, r_prime = REPORT_ELIMINATION_CASES[name]
+    calls = _counted_eliminations(monkeypatch)
+    ladder = _recorded_products(monkeypatch, agq.rrspace)
+    own = _recorded_products(monkeypatch, agcode)
+    report = code_report(make(), r, budget=0)
+    n, k, k_prime = report.n, report.k, report.duality_claim["dim_companion"]
+    assert ladder == [(max(k, k_prime), n, k)]
+    assert own == [(k, n, k)]
+    assert len(calls) == 2 and calls[1] == (k_prime, k)
+
+
+def test_codes_on_two_point_sets_of_one_curve_share_no_gram_block(monkeypatch):
+    # a code read from the ladder on the old points is no prefix of the
+    # ladder on the new ones, whose replacement dropped the old Gram: each
+    # pair with it makes its own product, and every rank matches the stack's
+    curve = hermitian_curve(3)
+    old = build_onepoint_code(curve, 7)
+    verdict = is_euclidean_self_orthogonal(old)
+    assert "gram" in curve._cache
+    new = build_onepoint_code(curve, 7, enumerate_points(curve)[::-1])
+    assert "gram" not in curve._cache
+    ladder = _recorded_products(monkeypatch, agq.rrspace)
+    own = _recorded_products(monkeypatch, agcode)
+    for a, b in ((old, new), (new, old), (old, old)):
+        assert agcode._dual_sum_rank(a, b) == _long_stack_rank(dual(a), b)
+    assert ladder == [] and len(own) == 3
+    assert agcode._dual_sum_rank(new, new) == _long_stack_rank(dual(new), new)
+    assert ladder == [(new.k, new.n, new.k)] and len(own) == 3
+    assert is_euclidean_self_orthogonal(old) == verdict
+    for code in (old, new):
+        G = code.generator
+        assert is_euclidean_self_orthogonal(code) == (not matmul(code.field, G, G.T).any())
+    assert len(ladder) == 1 and len(own) == 5
 
 
 def test_built_codes_share_read_only_ladder_arrays():
@@ -788,8 +844,9 @@ DUALITY_STACK_CASES = (DUALITY_FAMILIES + [(hermitian_curve, (3,), -1)]
                        + [(hermitian_curve, (5,), r) for r in (16, 24, 32)])
 
 
-# (k, k') at cases that give k < k', k = k', k > k' and k = 0, so both
-# stacks are ranked; the test below checks each where it builds the claim
+# (k, k') at cases that give k < k', k = k', k > k' and k = 0, so the
+# Gram block is wide, square, tall and empty; the test below checks each
+# where it builds the claim
 STACK_DIMENSIONS = {(hermitian_curve, (3,), -1): (0, 11), (hermitian_curve, (3,), 6): (4, 4),
                     (hermitian_curve, (3,), 7): (5, 3), (hermitian_curve, (5,), 32): (23, 1)}
 
@@ -812,7 +869,8 @@ def test_shorter_duality_stack_ranks_as_the_long_one(make, args, r):
     companion = build_onepoint_code(curve, claim.r_prime)
     code_dual = dual(code)
     want = _long_stack_rank(code_dual, companion)
-    # both stacks, whichever is shorter: dim(C^perp + V) = dim(C + V^perp) + k' - k
+    # the two stacks agree, dim(C^perp + V) = dim(C + V^perp) + k' - k, and
+    # the rank of the k' x k Gram block gives both
     other = rank(code.field, np.vstack([companion.parity_check, code.generator]))
     assert want == other + companion.k - code.k
     assert agcode._dual_sum_rank(code, companion) == want

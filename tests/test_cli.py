@@ -183,6 +183,17 @@ def test_quantum_table_rejects_parameters_of_no_curve(capsys, tmp_path, q, m, na
     assert not json_path.exists()
 
 
+@pytest.mark.parametrize("q, m, named", [("10", "3", "q=10"), ("9", "1", "m=1")])
+def test_quantum_table_rejects_parameters_of_no_curve_on_an_empty_range(capsys, tmp_path, q, m, named):
+    # (q, m) is checked before the range is walked: no header-only file
+    out_path = tmp_path / "e.csv"
+    code, out, err = run_cli(capsys, "quantum-table", "--q", q, "--m", m,
+                             "--r-min", "5", "--r-max", "4", "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and named in err
+    assert not out_path.exists()
+
+
 def test_quantum_table_known_comparison(capsys, tmp_path):
     known = tmp_path / "known.csv"
     known.write_text("9,5,3,tables\n")

@@ -2,19 +2,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agq.agcode import (_dual_sum_rank, build_onepoint_code, check_duality_claim, code_report,
                         is_euclidean_self_orthogonal, is_hermitian_self_orthogonal, resolve_eval_set)
 from agq.curve import enumerate_points, hermitian_curve, superelliptic_curve
 from agq.linalg import matmul, pivots_and_transform, rank
-from agq.claims import candidate_count, dimension_by_cases
+from agq.claims import candidate_count, companion, dimension_by_cases
 from agq.rrspace import (
     candidate_monomials,
     code_ladder,
     dimension_report,
     evaluation_matrix,
+    ladder_gram,
     verified_basis,
 )
 from oracles import (NaiveField, TabledField, naive_matmul, naive_prefix_ranks, naive_rank,
@@ -552,3 +553,98 @@ def test_builds_on_one_curve_match_fresh_curve_builds(name, kinds, order, data):
         fresh_report = code_report(LADDER_CURVES[name](), r, policy, budget=LADDER_BUDGET,
                                    include_weights=True)
         assert report.to_json() == fresh_report.to_json()
+
+
+# ---------------------------------------------------------------------------
+# one Euclidean Gram of the ladder read by every report
+
+# the curves of the report families
+GRAM_CURVES = {
+    "hermitian-q2": lambda: hermitian_curve(2),
+    "hermitian-q3": lambda: hermitian_curve(3),
+    "hermitian-q4": lambda: hermitian_curve(4),
+    "superelliptic-q3-m3": lambda: superelliptic_curve(3, 3),
+    "superelliptic-q5-m3": lambda: superelliptic_curve(5, 3),
+    "superelliptic-q7-m3": lambda: superelliptic_curve(7, 3),
+}
+GRAM_POLICIES = ["all", "first:7", "exclude-subfield"]
+
+
+def _naive_report_verdicts(make, r, policy):
+    """From per-r builds on fresh curves: G and G_c, the Euclidean
+    self-orthogonality verdict from the naive G G^T and, where r' is a
+    weight, the three duality verdicts from the naive rank of [H; G_c], a
+    spanning set of dual(C_r) + C_r'."""
+    code = build_onepoint_code(make(), r, policy)
+    F, n, k = code.field, code.n, code.k
+    nf = TabledField(F.p, F.e, F.modulus)
+    G = code.generator
+    so = not any(any(row) for row in naive_matmul(nf, G, G.T))
+    r_prime = companion(code.curve.q, code.curve.m, r)
+    if r_prime.denominator != 1 or r_prime < 0:
+        return G, None, so, None
+    Gc = build_onepoint_code(make(), int(r_prime), policy).generator
+    dual_sum = ([0] + naive_prefix_ranks(nf, np.vstack([code.parity_check, Gc])))[-1]
+    kc = len(Gc)
+    return G, Gc, so, (dual_sum == n - k == kc, dual_sum == n - k, dual_sum == kc)
+
+
+def _verdicts(curve, r, policy):
+    claim = check_duality_claim(curve, r, policy)
+    so = is_euclidean_self_orthogonal(build_onepoint_code(curve, r, policy))
+    if not claim.applicable:
+        return so, None
+    return so, (claim.row_spaces_equal, claim.companion_inside_dual, claim.dual_inside_companion)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(GRAM_CURVES)), st.sampled_from(GRAM_POLICIES),
+       st.sampled_from(["fresh", "grown", "replaced"]), st.integers(0, 10**6))
+# a ladder grown past both codes: K = 16 points > k' = 9 > k = 2
+@example("superelliptic-q3-m3", "all", "grown", 3)
+# the k = 0 code at r = -1, read after the ladder went to other points and back
+@example("hermitian-q3", "exclude-subfield", "replaced", 0)
+def test_report_verdicts_read_blocks_of_the_ladders_one_gram(name, policy, setup, t):
+    # every Euclidean product a report makes, G G^T for self-orthogonality
+    # and G_c G^T for the duality claim, is a block of the ladder's Gram:
+    # K rows against the first c, K the ladder's rows and c the largest k
+    # read.  The blocks and verdicts match naive products and ranks of
+    # per-r builds on fresh curves, whatever the ladder held before
+    make = GRAM_CURVES[name]
+    curve = make()
+    q, m = curve.q, curve.m
+    r_star = (q * q - 1) * curve.n + (q - 1) * m
+    r = t % (r_star + 4) - 1  # -1 to past r*
+    points = resolve_eval_set(curve, policy)
+    r_prime = companion(q, m, r)
+    if setup == "grown":
+        top = max(r_star, r, int(r_prime))
+        dimension_report(curve, top, points)
+    if setup == "replaced":
+        # a Gram on these points, then a ladder and Gram on others, then
+        # these points again: each replacement drops the Gram it held
+        _verdicts(curve, r, policy)
+        assert "gram" in curve._cache
+        other = GRAM_POLICIES[(GRAM_POLICIES.index(policy) + 1) % len(GRAM_POLICIES)]
+        build_onepoint_code(curve, r, other)
+        assert "gram" not in curve._cache
+        _verdicts(curve, r, other)
+        assert "gram" in curve._cache
+    so, duality = _verdicts(curve, r, policy)
+    G, Gc, want_so, want_duality = _naive_report_verdicts(make, r, policy)
+    assert (so, duality) == (want_so, want_duality)
+    held_points, basis = curve._cache["ladder"]
+    assert np.array_equal(held_points, points)
+    gram = curve._cache["gram"]
+    assert gram is ladder_gram(curve, len(G)) and not gram.flags.writeable
+    K, k = len(basis.rows), len(G)
+    assert np.array_equal(basis.rows[:k], G)
+    assert gram.shape == (K, k) and K >= max(k, 0 if Gc is None else len(Gc))
+    if setup == "grown":
+        assert basis.r == top  # the reads left the grown ladder in place
+    nf = TabledField(curve.tower.ext.p, curve.tower.ext.e, curve.tower.ext.modulus)
+    assert gram[:k].tolist() == naive_matmul(nf, G, G.T)
+    if Gc is not None:
+        assert gram[:len(Gc)].tolist() == naive_matmul(nf, Gc, G.T)
+        fresh = check_duality_claim(make(), r, policy)
+        assert (fresh.row_spaces_equal, fresh.companion_inside_dual, fresh.dual_inside_companion) == duality

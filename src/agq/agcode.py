@@ -414,10 +414,10 @@ def is_hermitian_self_orthogonal(code: LinearCode) -> bool:
 
 
 def _euclidean_gram(a: LinearCode, b: LinearCode) -> np.ndarray:
-    """G_a G_b^T, a block of `ladder_gram` when both are row prefixes of a's curve's ladder."""
+    """G_a G_b^T, a block of `ladder_gram` (then holding G_b G_b^T too) when both are row prefixes of a's ladder."""
     held = a.curve._cache.get("ladder") if a.curve is not None else None
     if held is not None and all(np.array_equal(G, held[1].rows[:len(G)]) for G in (a.generator, b.generator)):
-        return ladder_gram(a.curve, b.k)[:a.k, :b.k]
+        return ladder_gram(a.curve, max(a.k, b.k), b.k)[:a.k, :b.k]
     return matmul(a.field, a.generator, b.generator.T)
 
 

@@ -174,15 +174,15 @@ def code_ladder(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasis:
     return basis
 
 
-def ladder_gram(curve: CurveSpec, columns: int) -> np.ndarray:
-    """B B[:c]^T for the K rows B of the curve's code ladder, c >= `columns`
-    the most read since the ladder was made: G' G^T is its [:k', :k] block
-    for codes read from the ladder.  One `matmul`, read-only; never K x K,
-    whose digit expansion would take 450 MB at q=16 r=40 (K = 217)."""
-    gram = curve._cache.get("gram")
-    if gram is None or gram.shape[1] < columns:
-        rows = curve._cache["ladder"][1].rows
-        curve._cache["gram"] = gram = matmul(curve.tower.ext, rows, rows[:columns].T)
+def ladder_gram(curve: CurveSpec, rows: int, columns: int) -> np.ndarray:
+    """B[:R] B[:C]^T, B the rows of the curve's code ladder, R >= `rows` and C >= `columns`
+    the most read since the ladder was made: G' G^T is its [:k', :k] block for codes
+    read from it.  One read-only `matmul` of the rows read, never a grown ladder's K."""
+    gram = curve._cache.get("gram", np.zeros((0, 0), dtype=np.int64))
+    R, C = max(rows, gram.shape[0]), max(columns, gram.shape[1])
+    if gram.shape != (R, C):
+        B = curve._cache["ladder"][1].rows
+        curve._cache["gram"] = gram = matmul(curve.tower.ext, B[:R], B[:C].T)
         gram.setflags(write=False)
     return gram
 

@@ -358,13 +358,19 @@ def _recorded_products(monkeypatch, module) -> list:
     return shapes
 
 
-@pytest.mark.parametrize("name", REPORT_ELIMINATION_CASES)
+# and the [4096,6] code over GF(256) whose companion has k' = 217: its
+# claim ranked a 3885 x 4096 stack, which took 7.5 s on a 2-vCPU machine,
+# and now ranks a 217 x 6 block
+GRAM_CASES = {**REPORT_ELIMINATION_CASES, "hermitian-q16-r40": (lambda: hermitian_curve(16), 40, 336)}
+
+
+@pytest.mark.parametrize("name", GRAM_CASES)
 def test_a_reports_euclidean_products_are_blocks_of_one_ladder_gram(monkeypatch, name):
     # the duality claim and the Euclidean verdict read one K x k Gram of the
     # fresh ladder, K = max(k, k'), and the claim's rank eliminates its
     # k' x k block; agcode's one product is the Hermitian Gram (budget 0:
     # no enumeration)
-    make, r, r_prime = REPORT_ELIMINATION_CASES[name]
+    make, r, r_prime = GRAM_CASES[name]
     calls = _counted_eliminations(monkeypatch)
     ladder = _recorded_products(monkeypatch, agq.rrspace)
     own = _recorded_products(monkeypatch, agcode)
@@ -373,6 +379,23 @@ def test_a_reports_euclidean_products_are_blocks_of_one_ladder_gram(monkeypatch,
     assert ladder == [(max(k, k_prime), n, k)]
     assert own == [(k, n, k)]
     assert len(calls) == 2 and calls[1] == (k_prime, k)
+
+
+def test_a_report_on_a_grown_ladder_takes_the_gram_of_the_rows_it_reads(monkeypatch):
+    # dimension_report took the ladder to all n rows; the report's one
+    # Euclidean product is still max(k, k') x n x k, and its claim's rank
+    # the only elimination
+    curve = superelliptic_curve(7, 3)
+    points = enumerate_points(curve)
+    dimension_report(curve, len(points) + 2 * curve.genus)
+    K = len(code_ladder(curve, 0, points).rows)
+    calls = _counted_eliminations(monkeypatch)
+    ladder = _recorded_products(monkeypatch, agq.rrspace)
+    report = code_report(curve, 6, budget=0)
+    n, k, k_prime = report.n, report.k, report.duality_claim["dim_companion"]
+    assert K == n > max(k, k_prime)
+    assert ladder == [(max(k, k_prime), n, k)]
+    assert calls == [(k_prime, k)]
 
 
 def test_codes_on_two_point_sets_of_one_curve_share_no_gram_block(monkeypatch):

@@ -607,8 +607,8 @@ def _verdicts(curve, r, policy):
 def test_report_verdicts_read_blocks_of_the_ladders_one_gram(name, policy, setup, t):
     # every Euclidean product a report makes, G G^T for self-orthogonality
     # and G_c G^T for the duality claim, is a block of the ladder's Gram:
-    # K rows against the first c, K the ladder's rows and c the largest k
-    # read.  The blocks and verdicts match naive products and ranks of
+    # its first max(k, k') rows against its first k, however far past them
+    # the ladder's K rows reach.  The blocks and verdicts match naive products and ranks of
     # per-r builds on fresh curves, whatever the ladder held before
     make = GRAM_CURVES[name]
     curve = make()
@@ -636,10 +636,10 @@ def test_report_verdicts_read_blocks_of_the_ladders_one_gram(name, policy, setup
     held_points, basis = curve._cache["ladder"]
     assert np.array_equal(held_points, points)
     gram = curve._cache["gram"]
-    assert gram is ladder_gram(curve, len(G)) and not gram.flags.writeable
+    assert gram is ladder_gram(curve, 0, len(G)) and not gram.flags.writeable
     K, k = len(basis.rows), len(G)
     assert np.array_equal(basis.rows[:k], G)
-    assert gram.shape == (K, k) and K >= max(k, 0 if Gc is None else len(Gc))
+    assert gram.shape == (max(k, 0 if Gc is None else len(Gc)), k) and K >= len(gram)
     if setup == "grown":
         assert basis.r == top  # the reads left the grown ladder in place
     nf = TabledField(curve.tower.ext.p, curve.tower.ext.e, curve.tower.ext.modulus)

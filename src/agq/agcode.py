@@ -308,19 +308,40 @@ class DistanceResult:
         return self.d is not None
 
 
+def distance_lower_bound(code: LinearCode, table=None) -> int:
+    """A proven lower bound on the minimum distance of a code with
+    0 < k <= n, with no enumeration.
+
+    It is the designed distance when that is at least 3.  Otherwise it
+    reads the parity-check columns from `table`, their `_column_table`,
+    which is built here when not given: a zero column (or a parity check
+    with no rows) is a codeword of weight 1, so d = 1; two parallel
+    columns give one of weight 2, so d = 2; with neither, no codeword
+    has weight 1 or 2, so d >= 3.  The columns are not read when the
+    designed distance is at least 3, as they could only show d <= 2.
+    """
+    designed = code.designed_distance
+    if designed is not None and designed >= 3:
+        return designed
+    if table is None:
+        table = _column_table(code.field, code.parity_check)
+    if table is None or len(table[1]) < code.n:
+        return 1
+    keys = table[0]
+    return 2 if (keys[1:] == keys[:-1]).any() else 3
+
+
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceResult:
     """Exact minimum distance when q^k fits the budget, bounds otherwise.
 
     Within budget, d is the least nonzero weight of the words of
-    `iter_codeword_blocks`, one per scalar orbit.  Over budget, weight-1
-    and weight-2 codewords are still detected exactly from the
-    parity-check columns (zero or pairwise-parallel columns).  Beyond
-    that the bounds are the designed distance (at least 3) and
-    Singleton: where they meet, the distance is proven and returned as
-    `bounds-meet`; otherwise the result is an explicit bounds-only
-    report, never an estimate.
+    `iter_codeword_blocks`, one per scalar orbit.  Over budget the lower
+    bound is `distance_lower_bound`: below 3 it is d itself, read from
+    the parity-check columns (a zero or two parallel columns); from 3 on
+    it meets the Singleton bound n - k + 1 or not.  Where they meet, the
+    distance is proven and returned as `bounds-meet`; otherwise the
+    result is an explicit bounds-only report, never an estimate.
     """
-    F = code.field
     n, k = code.n, code.k
     if k == 0:
         return DistanceResult(d=None, method="empty", lower=None, upper=None)
@@ -331,15 +352,9 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceResu
         best = int(found[0]) + 1 if len(found) else n + 1
         return DistanceResult(d=best, method="exhaustive", lower=best, upper=best)
 
-    # 0 < k < n, so the parity check has n - k rows and a column table
-    keys, positions = _column_table(F, code.parity_check)
-    if len(positions) < n:  # a zero column
-        return DistanceResult(d=1, method="parity-columns", lower=1, upper=1)
-    if (keys[1:] == keys[:-1]).any():  # two parallel columns
-        return DistanceResult(d=2, method="parity-columns", lower=2, upper=2)
-
-    designed = code.designed_distance
-    lower = max(3, designed) if designed is not None and designed > 0 else 3
+    lower = distance_lower_bound(code)
+    if lower < 3:
+        return DistanceResult(d=lower, method="parity-columns", lower=lower, upper=lower)
     upper = n - k + 1
     if lower == upper:
         return DistanceResult(d=lower, method="bounds-meet", lower=lower, upper=upper)

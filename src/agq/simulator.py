@@ -45,9 +45,18 @@ A trial is its error pattern: row t of the error matrix holds 0 where
 trial t's uniform is >= rate and o + 1 where it is below, o the
 replacement offset there.  The uniform test is read from the uniform
 words as (word >> 11) < rate * 2^53, which is the same comparison.  Only
-a trial with an error reads its replacement draws, and only a nonzero
-row is decoded: an error-free trial receives the zero word, whose
-syndrome is zero, so it counts as a success with no miscorrection.
+a trial with an error reads its replacement draws.
+
+Only an error heavy enough to reach another codeword needs a syndrome.
+`_decoder_table` gives each code a proven lower bound d_lb on its
+distance, with no enumeration, and `_decode_errors` sorts the rows by
+their weight w.  A row with w = 0 is a success.  With w = 1 it is a
+success whose outcome depends only on its position: it decodes back to
+zero, or it is a miscorrection.  With 2 <= w <= d_lb - 2 it is a
+failure: a zero syndrome, or one that a substitution at position j
+kills, would make e, or e minus that substitution, a nonzero codeword of
+weight at most w + 1 < d.  Only the rows with w >= max(2, d_lb - 1) are
+decoded, and any of them that decodes is a miscorrection.
 
 The ten Philox rounds run in place on arrays allocated once per call,
 and the high word of each 64x64-bit product comes from three 32-bit
@@ -66,11 +75,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .agcode import LinearCode
+from .agcode import LinearCode, distance_lower_bound
 from .linalg import _column_table, _row_bytes, matmul, normalize_rows
 
 SUCCESS, CORRECTED, FAILURE = 0, 1, 2
@@ -325,19 +334,39 @@ def _check_inputs(rates: Sequence[float], trials: int, master_seed: int) -> None
         raise ValueError("master_seed must be a 64-bit unsigned integer")
 
 
-def _decoder_table(code: LinearCode):
-    """The `_column_table` of the parity check, once G H^T = 0 is certified.
+class DecoderTable(NamedTuple):
+    """What `_decode_errors` reads of one code, built once by `_decoder_table`."""
+
+    columns: tuple | None  # the `_column_table` of the parity check
+    exact: np.ndarray  # exact[i]: a weight-1 error at i decodes back to zero
+    d_lb: int  # a proven lower bound on d, `agcode.distance_lower_bound`
+
+
+def _decoder_table(code: LinearCode) -> DecoderTable:
+    """The code's `DecoderTable`, once G H^T = 0 is certified.
 
     Every trial sends the zero word in place of a codeword c = m G.  That
     is exact because c H^T = m G H^T = 0: c + e has the syndrome of e, so
     the decoder returns c plus its result on e, with the same status.  One
     k x n x (n - k) product certifies G H^T = 0, and a code that fails
     raises ValueError.
+
+    The other two entries read the one column table.  A weight-1 error
+    at i decodes back to zero exactly when column i is nonzero and the
+    first of its parallel class: the decoder substitutes at the first
+    position whose column is parallel to the syndrome.  d_lb needs no
+    enumeration: it is the designed distance when that is at least 3, else
+    1, 2 or 3 from the zero and parallel columns.
     """
     F = code.field
     if matmul(F, code.generator, code.parity_check.T).any():
         raise ValueError("the parity check does not annihilate the generator")
-    return _column_table(F, code.parity_check)
+    columns = _column_table(F, code.parity_check)
+    exact = np.zeros(code.n, dtype=bool)
+    if columns is not None and len(columns[1]):
+        keys, positions = columns
+        exact[positions[np.r_[True, keys[1:] != keys[:-1]]]] = True
+    return DecoderTable(columns, exact, distance_lower_bound(code, columns))
 
 
 def _transmit(codes: Sequence[LinearCode], tables: Sequence, rate: float, trials: int,
@@ -359,18 +388,31 @@ def _transmit(codes: Sequence[LinearCode], tables: Sequence, rate: float, trials
     return tuple(RateResult(rate, trials, *map(int, count)) for count in counts)
 
 
-def _decode_errors(code: LinearCode, table, errors: np.ndarray):
+def _decode_errors(code: LinearCode, decoder: DecoderTable, errors: np.ndarray):
     """(successes, uncorrectable, miscorrected, total errors) of the trials
     sending the zero word whose error patterns are the rows of the
-    `_draw_shared` matrix `errors`; only the nonzero rows are decoded, and
-    the others count as successes."""
-    # the entries are >= 0, so a row is nonzero exactly when its sum is;
-    # einsum's row sums take a third of the time of any(axis=1) on short rows
-    received = errors.compress(np.einsum("ij->i", errors) > 0, axis=0)
-    decoded, statuses = _decode_batch(code, received, table)
-    ok = statuses != FAILURE
-    return (len(errors) - len(received) + int(ok.sum()), int((~ok).sum()),
-            int((ok & decoded.any(axis=1)).sum()), np.count_nonzero(errors))
+    `_draw_shared` matrix `errors`, sorted by their weight w:
+
+    - w = 0 is a success;
+    - w = 1 at position i is a success, and a miscorrection unless
+      `decoder.exact[i]`;
+    - 2 <= w <= d_lb - 2 is a failure: a zero syndrome, or one that a
+      substitution kills, would make e, or e minus that substitution, a
+      nonzero codeword of weight at most w + 1 < d;
+    - only rows with w >= max(2, d_lb - 1) are decoded, by `_decode_batch`,
+      and each of its successes is a miscorrection: the word it returns,
+      e or e with one symbol changed, is nonzero as w >= 2.
+    """
+    weights = np.count_nonzero(errors, axis=1)
+    ones = weights == 1
+    single = int(ones.sum())
+    # the entries are >= 0, so a weight-1 row's largest entry is its error
+    exact = int(decoder.exact[errors[ones].argmax(axis=1)].sum())
+    heavy = errors[weights >= max(2, decoder.d_lb - 1)]
+    _, statuses = _decode_batch(code, heavy, decoder.columns)
+    decoded = int((statuses != FAILURE).sum())
+    successes = int((weights == 0).sum()) + single + decoded
+    return successes, len(errors) - successes, single - exact + decoded, int(weights.sum())
 
 
 def run_sweep(codes: Sequence[LinearCode], rates: Sequence[float], trials: int,

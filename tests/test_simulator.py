@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agq import benchmarks, simulator
-from agq.agcode import LinearCode, build_onepoint_code, dual, hermitian_dual
+from agq.agcode import LinearCode, build_onepoint_code, dual, hermitian_dual, min_distance
 from agq.curve import hermitian_curve, superelliptic_curve
 from agq.gf import field, quadratic_tower
 from agq.linalg import _column_table, right_nullspace
@@ -25,7 +26,8 @@ from agq.simulator import (
     write_results_csv,
     write_series_csv,
 )
-from oracles import TabledField, apply_random_errors, decode_word, naive_codewords
+from oracles import (TabledField, apply_random_errors, decode_word, naive_codewords,
+                     naive_min_distance)
 
 
 @pytest.fixture(scope="module")
@@ -483,18 +485,22 @@ def test_batch_decoder_first_of_duplicate_columns_wins():
 def test_batch_decoder_matches_reference_with_repeated_columns(fe, seed):
     F = field(*fe)
     rng = np.random.default_rng(seed)
+    code = repeated_column_code(F, rng)
+    words = rng.integers(0, F.order, size=(24, code.n))
+    assert_batch_matches_reference(code, words)
+
+
+def repeated_column_code(F, rng):
+    """A code of length 8 whose parity check has random columns, scaled
+    repeats of earlier ones, and zero columns."""
     r = int(rng.integers(1, 4))
     base = rng.integers(0, F.order, size=(r, 3))
-    # columns: random, scaled repeats of earlier ones, and zero columns
     cols = [base[:, 0], np.zeros(r, dtype=np.int64), base[:, 1]]
     for _ in range(4):
         src = cols[int(rng.integers(0, len(cols)))]
         cols.append(F.vmul(int(rng.integers(1, F.order)), src))
     cols.append(base[:, 2])
-    H = np.stack(cols, axis=1)
-    code = code_with_parity_check(F, H)
-    words = rng.integers(0, F.order, size=(24, H.shape[1]))
-    assert_batch_matches_reference(code, words)
+    return code_with_parity_check(F, np.stack(cols, axis=1))
 
 
 @functools.cache
@@ -524,6 +530,143 @@ def test_decoding_a_codeword_plus_errors_adds_the_codeword(seed):
         shifted, shifted_statuses = _decode_batch(code, F.vadd(words, errors), table)
         assert np.array_equal(shifted_statuses, statuses), code.name
         assert np.array_equal(shifted, F.vadd(words, decoded)), code.name
+
+
+# ---------------------------------------------------------------------------
+# decoding by error weight
+
+
+WEIGHT_FIELDS = [(2, 1), (2, 2), (3, 2), (5, 2), (3, 3)]
+
+
+def random_generator_code(fe, rng, k_max=None):
+    """A random [n, k] code over GF(p^e), n <= 10 and 1 <= k <= min(n,
+    k_max), k = n included: [I | A] with its columns permuted."""
+    F = field(*fe)
+    n = int(rng.integers(1, 11))
+    k = int(rng.integers(1, min(n, k_max or n) + 1))
+    G = np.hstack([np.eye(k, dtype=np.int64), rng.integers(0, F.order, size=(k, n - k))])
+    return LinearCode.from_generator(F, G[:, rng.permutation(n)])
+
+
+@functools.cache
+def designed_curve_codes():
+    # one-point codes whose designed distance, at least 3, is their d_lb:
+    # the sweep codes among them, and the zero code at r = -1, whose
+    # designed distance exceeds n
+    return (*benchmarks.sweep_codes(),
+            *(build_onepoint_code(hermitian_curve(2), r) for r in (3, 4, 5)),
+            *(build_onepoint_code(superelliptic_curve(3, 3), r) for r in (-1, 4, 8, 9)),
+            build_onepoint_code(hermitian_curve(3), 11))
+
+
+def test_curve_codes_bound_d_by_their_designed_distance():
+    for code in designed_curve_codes():
+        assert code.designed_distance >= 3, code.name
+        assert simulator._decoder_table(code).d_lb == code.designed_distance, code.name
+    assert [simulator._decoder_table(code).d_lb for code in benchmarks.sweep_codes()] == [6, 13, 28]
+
+
+def test_decoder_table_reads_zero_and_parallel_columns():
+    # GF(4): column 0 is zero, columns 1, 2 and 4 are parallel, column 3
+    # stands alone; a weight-1 error decodes to zero only at 1 and 3
+    code = code_with_parity_check(field(2, 2), [[0, 1, 2, 0, 1], [0, 1, 2, 1, 1]])
+    table = simulator._decoder_table(code)
+    assert table.exact.tolist() == [False, True, False, True, False]
+    assert table.d_lb == 1
+    full = build_onepoint_code(hermitian_curve(2), 30)
+    assert full.k == full.n
+    table = simulator._decoder_table(full)
+    assert not table.exact.any() and table.d_lb == 1
+
+
+def decode_every_nonzero_row(code, errors):
+    """`_decode_errors`'s four counts with every nonzero row decoded."""
+    nonzero = errors.any(axis=1)
+    decoded, statuses = _decode_batch(code, errors[nonzero],
+                                      _column_table(code.field, code.parity_check))
+    ok = statuses != simulator.FAILURE
+    successes = int((~nonzero).sum() + ok.sum())
+    return (successes, len(errors) - successes, int((ok & decoded.any(axis=1)).sum()),
+            int(np.count_nonzero(errors)))
+
+
+def weight_case_code(kind, rng):
+    if kind == "curve":
+        codes = designed_curve_codes()
+        return codes[int(rng.integers(0, len(codes)))]
+    if kind == "columns":
+        return repeated_column_code(field(*WEIGHT_FIELDS[int(rng.integers(0, len(WEIGHT_FIELDS)))]), rng)
+    return random_generator_code(kind, rng)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["curve", "columns", *WEIGHT_FIELDS]),
+       st.sampled_from([0.05, 0.3, 0.7, 1.0]), st.integers(0, 2**32 - 1))
+def test_decoding_by_weight_counts_as_decoding_every_nonzero_row(kind, rate, seed):
+    # random generators over GF(2), GF(4), GF(9), GF(25) and GF(27), k = n
+    # among them; parity checks with zero and parallel columns; and curve
+    # codes whose d_lb is the designed distance.  Besides the rows drawn
+    # at the rate, one row of each weight 0..n
+    rng = np.random.default_rng(seed)
+    code = weight_case_code(kind, rng)
+    n, q = code.n, code.field.order
+    hit = np.vstack([rng.random((200, n)) < rate,
+                     rng.permuted(np.tri(n + 1, n, -1, dtype=bool), axis=1)])
+    errors = np.where(hit, rng.integers(1, q, size=hit.shape), 0)
+    table = simulator._decoder_table(code)
+    assert simulator._decode_errors(code, table, errors) == decode_every_nonzero_row(code, errors)
+
+
+# the report-exhaustive families: Hermitian q=3, superelliptic q=3 m=3
+# and Hermitian q=4, every r from 0 while the code fits the budget
+EXHAUSTIVE_FAMILIES = [(hermitian_curve, (3,)), (superelliptic_curve, (3, 3)),
+                       (hermitian_curve, (4,))]
+
+
+@pytest.mark.parametrize("make,args", EXHAUSTIVE_FAMILIES)
+def test_decoder_distance_bound_holds_on_the_report_exhaustive_families(make, args):
+    curve, r, checked = make(*args), 0, 0
+    while True:
+        code = build_onepoint_code(curve, r)
+        exact = min_distance(code)
+        if exact.method != "exhaustive":
+            break
+        assert simulator._decoder_table(code).d_lb <= exact.d, (code.name, exact.d)
+        r, checked = r + 1, checked + 1
+    assert checked >= 7
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WEIGHT_FIELDS), st.integers(0, 2**32 - 1))
+def test_decoder_distance_bound_holds_on_random_codes(fe, seed):
+    rng = np.random.default_rng(seed)
+    code = random_generator_code(fe, rng, k_max=max(1, int(math.log(4096, fe[0] ** fe[1]))))
+    F = code.field
+    d = naive_min_distance(_tabled(F.p, F.e, F.modulus), code.generator.tolist())
+    assert simulator._decoder_table(code).d_lb <= d
+
+
+def test_only_rows_heavy_enough_to_reach_another_codeword_are_decoded(monkeypatch):
+    # a row of weight 2..d_lb - 2 fails without a syndrome and one of
+    # weight 1 is read from the exact table, so the syndrome decoder sees
+    # only rows of weight >= max(2, d_lb - 1): none of [35,7]_25's at 0.1
+    # and 0.2, where its d_lb = 28
+    seen = []
+    real = simulator._decode_batch
+
+    def spy(code, received, columns):
+        seen.append((code.name, np.count_nonzero(received, axis=1)))
+        return real(code, received, columns)
+
+    monkeypatch.setattr(simulator, "_decode_batch", spy)
+    codes = benchmarks.sweep_codes()
+    run_sweep(codes, (0.05, 0.1, 0.2), 2000, 7)
+    floors = {code.name: max(2, simulator._decoder_table(code).d_lb - 1) for code in codes}
+    assert [name for name, _ in seen] == [code.name for code in codes] * 3
+    for name, weights in seen:
+        assert (weights >= floors[name]).all(), name
+    assert [len(weights) for name, weights in seen[5::3]] == [0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -309,8 +309,8 @@ class DistanceResult:
 
 
 def distance_lower_bound(code: LinearCode, table=None) -> int:
-    """A proven lower bound on the minimum distance of a code with
-    0 < k <= n, with no enumeration.
+    """A proven lower bound on the minimum distance, with no enumeration;
+    any value bounds a code with k = 0, which has no nonzero codeword.
 
     It is the designed distance when that is at least 3.  Otherwise it
     reads the parity-check columns from `table`, their `_column_table`,

@@ -347,7 +347,7 @@ def cmd_reproduce(args) -> int:
         # the first code at rates 0 and 0.05 over at most 2000 trials, run
         # alone, against the same trials read from the streams shared with
         # the longer codes: up to 2000 trials the sweep's own first two
-        # rows, above that a 2000-trial sweep.  From 1171 trials the two
+        # rows, above that a 2000-trial sweep.  From 1821 trials the two
         # sides also split the trials into different Philox row blocks.
         first, n_first = sweep[0], min(args.trials, 2000)
         rerun = run_simulation(first, rates[:2], n_first, seed)

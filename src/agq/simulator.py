@@ -29,23 +29,28 @@ for a given seed however the trials are blocked.  The stream is numpy's
 `Generator(Philox(key))` (`_trial_rng`), which draws n uniforms with
 `random`, then n replacement offsets with `integers(0, q - 1)`.  Every
 simulation goes through `run_sweep`, which runs each rate in chunks of
-`CHUNK_TRIALS` trials; `_draw_shared` computes a chunk's error matrix at
-once, with Philox on uint64 arrays over the block counters 1, 2, ... of
-each key, in row blocks of at most `PHILOX_BLOCKS` blocks.  The key does
-not name the code, and Philox is counter-based, so codes simulated
-together read one stream per trial: each row block of words is computed
-once, for the code with the longest stream, and each code reads its own
-prefix; the determinism check of `agq reproduce` reruns the first sweep
-code alone, so it compares the shared path with the single-code one.
-At rate 0 nothing is drawn: no uniform in [0, 1) is below 0, so every
-trial arrives intact.  `_draw_shared` states the word layout of a
-stream.
+`CHUNK_TRIALS` trials; `_draw_shared` draws a chunk at once, with Philox
+on uint64 arrays over the block counters of each key, in row blocks of
+at most `PHILOX_BLOCKS` blocks.  The key does not name the code, and
+Philox is counter-based, so codes simulated together read one stream
+per trial: each row block's uniform words are computed once, for the
+code with the most symbols, and each code reads its own prefix; the
+determinism check of `agq reproduce` reruns the first sweep code alone,
+so it compares the shared path with the single-code one.  At rate 0
+nothing is drawn: no uniform in [0, 1) is below 0, so every trial
+arrives intact.  `_draw_shared` states the word layout of a stream.
 
-A trial is its error pattern: row t of the error matrix holds 0 where
-trial t's uniform is >= rate and o + 1 where it is below, o the
-replacement offset there.  The uniform test is read from the uniform
-words as (word >> 11) < rate * 2^53, which is the same comparison.  Only
-a trial with an error reads its replacement draws.
+A trial is its error pattern: 0 where its uniform is >= rate and o + 1
+where it is below, o the replacement offset there.  The uniform
+test is read from the uniform words as (word >> 11) < rate * 2^53, which
+is the same comparison.  Every trial's uniforms are drawn, into one bool
+hit matrix per code, but only a row heavy enough to be decoded needs its
+replacement offsets: its floor, max(2, d_lb - 1) below, is passed to the
+draw, and only the rows that reach it get replacement words, Lemire
+checks and an int64 pattern.  The replacement words of a shorter code
+lie in the uniform words of the longest; where a code's run past them,
+only the tail blocks are computed, and only for its heavy rows.  A floor
+of 1 draws the pattern of every row with an error.
 
 Only an error heavy enough to reach another codeword needs a syndrome.
 `_decoder_table` gives each code a proven lower bound d_lb on its
@@ -150,9 +155,9 @@ _SHIFT32 = np.uint64(32)
 # Philox blocks (four uint64 words each) computed at once: the round
 # temporaries stay at 128 KB per array for any code length.
 PHILOX_BLOCKS = 1 << 14
-# Trials drawn and decoded at once.  Each chunk is split again
-# into Philox row blocks; a chunk as small as a row block would expand
-# the parity check for many more, smaller decode calls.
+# Trials drawn and decoded at once: a chunk holds one bool hit matrix per
+# code and the int64 patterns of its heavy rows.  Each chunk is split
+# again into Philox row blocks of `PHILOX_BLOCKS` // blocks per trial.
 CHUNK_TRIALS = 2048
 
 
@@ -188,8 +193,10 @@ def _mulhilo(a: np.ndarray, m: tuple, hi: np.ndarray, lo: np.ndarray,
     hi += s
 
 
-def _philox_words(key0: np.ndarray, key1: np.ndarray, blocks: int) -> np.ndarray:
-    """The first 4 * blocks words of the Philox4x64-10 stream of each key.
+def _philox_words(key0: np.ndarray, key1: np.ndarray, blocks: int,
+                  first: int = 0) -> np.ndarray:
+    """The words of blocks first..first + blocks - 1 of the Philox4x64-10
+    stream of each key.
 
     key0 and key1 are uint64 arrays of shape (b, 1) or (1, 1); the result
     is (b, 4 * blocks).  Block j is the cipher of the counter (j + 1, 0,
@@ -203,7 +210,7 @@ def _philox_words(key0: np.ndarray, key1: np.ndarray, blocks: int) -> np.ndarray
     """
     shape = (key1.shape[0], blocks)
     c0 = np.empty(shape, dtype=np.uint64)
-    c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
+    c0[:] = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)
     c1, c2, c3 = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
     hi0, lo0, hi1, lo1, s, s2 = (np.empty(shape, dtype=np.uint64) for _ in range(6))
     for r in range(_PHILOX_ROUNDS):
@@ -229,18 +236,32 @@ def _lemire(u: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return u.view(np.int64), bad
 
 
+class Drawn(NamedTuple):
+    """One code's draw over a chunk of trials, from `_draw_shared`."""
+
+    hit: np.ndarray  # (trials, n) bool: the symbols whose uniform is below the rate
+    rows: np.ndarray  # the rows whose weight reaches the floor, ascending
+    errors: np.ndarray  # (len(rows), n) int64: their patterns, 0 or offset + 1
+
+
 def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
-                 shapes: Sequence[tuple[int, int]], rate: float) -> list[np.ndarray]:
-    """For each (n, q) of `shapes`, the (hi - lo, n) int64 error matrix of
-    the trials lo..hi-1 at `rate`, from one Philox pass.
+                 shapes: Sequence[tuple[int, int]], rate: float,
+                 floors: Sequence[int]) -> list[Drawn]:
+    """For each (n, q) of `shapes`, with its floor, the `Drawn` of the
+    trials lo..hi-1 at `rate`, from one Philox pass.
 
-    Row t is the error pattern of trial lo + t.  With the uniforms and
-    replacement offsets of `_reference_draw`, it holds 0 where the uniform
-    is >= rate and o + 1 where it is below, o the replacement offset.
+    With the uniforms and replacement offsets of `_reference_draw`, row t
+    of the hit matrix is True where trial lo + t's uniform is below the
+    rate.  The rows of weight at least the floor get their error pattern:
+    0 where not hit and o + 1 where hit, o the replacement offset.  Only
+    they read their replacement draws; a floor of 1 gives every row with
+    an error.
 
-    Each row block's words are computed once, for the shape with the most
-    blocks, and every shape reads its own prefix of them, with its own
-    Lemire checks and redraws.
+    Each row block's uniform words are computed once, for the longest
+    shape, and every shape compares its own prefix of them.  A shape whose
+    replacement words run past those words reads the rest from tail
+    blocks, computed only for the union of the rows that need them.
+    Every shape makes its own Lemire checks and redraws.
     """
     _check_stream_range(rate_index, hi)
     b = hi - lo
@@ -248,35 +269,57 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
     # words, (word >> 11) * 2^-53 each, then the replacement draws, Lemire-
     # bounded uint32s (u * (q - 1)) >> 32 from the low then the high half
     # of each word; over GF(2) their range is 1 and they take no words
-    blocks = max(-(-(n + ((n + 1) // 2 if q > 2 else 0)) // 4) for n, q in shapes)
-    errors = [np.zeros((b, n), dtype=np.int64) for n, _ in shapes]
+    ends = [n + ((n + 1) // 2 if q > 2 else 0) for n, q in shapes]
+    # every trial gets the head blocks, the cut words that hold the longest
+    # shape's uniforms; a heavy row whose replacement words run past them
+    # gets the tail blocks too
+    longest = max(n for n, _ in shapes)
+    head = -(-longest // 4)
+    cut = 4 * head
+    tail = -(-max(ends) // 4) - head
     key0 = np.full((1, 1), master_seed, dtype=np.uint64)
     key1 = np.arange(lo, hi, dtype=np.uint64).reshape(-1, 1) | np.uint64((rate_index + 1) << 44)
     # (w >> 11) * 2^-53 < rate holds for the integer w >> 11 exactly when
     # w >> 11 < ceil(rate * 2^53), and rate * 2^53 is exact
     threshold = np.uint64(math.ceil(rate * 2.0**53))
-    longest = max(n for n, _ in shapes)
-    step = max(1, PHILOX_BLOCKS // max(blocks, 1))
+    hit = np.empty((b, longest), dtype=bool)
+    # per shape, each row block's heavy rows and their replacement words:
+    # half the bytes of their int64 patterns
+    picks = [[] for _ in shapes]
+    step = max(1, PHILOX_BLOCKS // max(head, 1))
     for r0 in range(0, b, step):
-        words = _philox_words(key0, key1[r0:r0 + step], blocks)
-        halves = words.astype("<u8", copy=False).view("<u4")
-        # each shape compares its own prefix of the longest uniform run
-        uniforms = words[:, :longest] >> 11
-        for (n, q), error in zip(shapes, errors):
-            hit = uniforms[:, :n] < threshold
-            at = np.flatnonzero(hit.any(axis=1))
-            pattern = hit[at]  # over GF(2) every offset is 0
-            if q > 2:
+        words = _philox_words(key0, key1[r0:r0 + step], head)
+        block = hit[r0:r0 + step]
+        np.less(words[:, :longest] >> 11, threshold, out=block)
+        picked = [np.flatnonzero(np.count_nonzero(block[:, :n], axis=1) >= floor)
+                  for (n, _), floor in zip(shapes, floors)]
+        need = np.unique(np.concatenate([at for at, end in zip(picked, ends) if end > cut]
+                                        or [np.empty(0, dtype=np.intp)]))
+        past = (_philox_words(key0, key1[r0 + need], tail, first=head) if len(need)
+                else np.empty((0, 4 * tail), dtype=np.uint64))
+        for (n, _), end, at, parts in zip(shapes, ends, picked, picks):
+            own = words[at, n:min(end, cut)]
+            if end > cut:
+                own = np.hstack([own, past[np.searchsorted(need, at), :end - cut]])
+            parts.append((r0 + at, own))
+    drawn = []
+    for (n, q), parts in zip(shapes, picks):
+        rows = np.concatenate([at for at, _ in parts])
+        errors = hit[rows, :n].astype(np.int64)  # over GF(2) every offset is 0
+        if q > 2:
+            start = 0
+            for at, own in parts:
+                halves = own.astype("<u8", copy=False).view("<u4")[:, :n]
                 # uint64 before the bound, as a uint32 product u * (q - 1) would wrap
-                offsets, bad = _lemire(halves[at, 2 * n:3 * n].astype(np.uint64), q - 1)
+                offsets, bad = _lemire(halves.astype(np.uint64), q - 1)
                 for i in np.flatnonzero(bad.any(axis=1)):
                     _, offsets[i] = _reference_draw(master_seed, rate_index,
-                                                    lo + r0 + int(at[i]), n, q)
+                                                    lo + int(at[i]), n, q)
                 offsets += 1
-                offsets *= pattern
-                pattern = offsets
-            error[r0 + at] = pattern
-    return errors
+                errors[start:start + len(at)] *= offsets
+                start += len(at)
+        drawn.append(Drawn(hit[:, :n], rows, errors))
+    return drawn
 
 
 def _decode_batch(code: LinearCode, received: np.ndarray, table):
@@ -341,6 +384,11 @@ class DecoderTable(NamedTuple):
     exact: np.ndarray  # exact[i]: a weight-1 error at i decodes back to zero
     d_lb: int  # a proven lower bound on d, `agcode.distance_lower_bound`
 
+    @property
+    def floor(self) -> int:
+        """The least error weight that needs a syndrome, max(2, d_lb - 1)."""
+        return max(2, self.d_lb - 1)
+
 
 def _decoder_table(code: LinearCode) -> DecoderTable:
     """The code's `DecoderTable`, once G H^T = 0 is certified.
@@ -369,29 +417,31 @@ def _decoder_table(code: LinearCode) -> DecoderTable:
     return DecoderTable(columns, exact, distance_lower_bound(code, columns))
 
 
-def _transmit(codes: Sequence[LinearCode], tables: Sequence, rate: float, trials: int,
-              master_seed: int, rate_index: int) -> tuple[RateResult, ...]:
+def _transmit(codes: Sequence[LinearCode], tables: Sequence[DecoderTable], rate: float,
+              trials: int, master_seed: int, rate_index: int) -> tuple[RateResult, ...]:
     """One `RateResult` per code at one rate, on checked inputs with each
-    code's `_decoder_table`; the codes share each chunk's streams."""
+    code's `_decoder_table`; the codes share each chunk's streams, and
+    each draws the error patterns of the rows its decoder reads."""
     _check_stream_range(rate_index, trials)
     if math.ceil(rate * 2.0**53) == 0:
         # no uniform in [0, 1) is below 0: every trial arrives intact
         return tuple(RateResult(rate, trials, trials, 0, 0, 0) for _ in codes)
     shapes = [(code.n, code.field.order) for code in codes]
+    floors = [table.floor for table in tables]
     counts = np.zeros((len(codes), 4), dtype=np.int64)
     for lo in range(0, trials, CHUNK_TRIALS):
         hi = min(lo + CHUNK_TRIALS, trials)
-        drawn = _draw_shared(master_seed, rate_index, lo, hi, shapes, rate)
-        for i, (code, table) in enumerate(zip(codes, tables)):
-            # each code's error matrix is released once it is decoded
-            counts[i] += _decode_errors(code, table, drawn.pop(0))
+        drawn = _draw_shared(master_seed, rate_index, lo, hi, shapes, rate, floors)
+        for i, (code, table, (hit, _, heavy)) in enumerate(zip(codes, tables, drawn)):
+            counts[i] += _decode_errors(code, table, hit, heavy)
     return tuple(RateResult(rate, trials, *map(int, count)) for count in counts)
 
 
-def _decode_errors(code: LinearCode, decoder: DecoderTable, errors: np.ndarray):
+def _decode_errors(code: LinearCode, decoder: DecoderTable, hit: np.ndarray,
+                   heavy: np.ndarray):
     """(successes, uncorrectable, miscorrected, total errors) of the trials
-    sending the zero word whose error patterns are the rows of the
-    `_draw_shared` matrix `errors`, sorted by their weight w:
+    sending the zero word whose hit positions are the rows of the bool
+    matrix `hit`, sorted by their weight w:
 
     - w = 0 is a success;
     - w = 1 at position i is a success, and a miscorrection unless
@@ -399,20 +449,21 @@ def _decode_errors(code: LinearCode, decoder: DecoderTable, errors: np.ndarray):
     - 2 <= w <= d_lb - 2 is a failure: a zero syndrome, or one that a
       substitution kills, would make e, or e minus that substitution, a
       nonzero codeword of weight at most w + 1 < d;
-    - only rows with w >= max(2, d_lb - 1) are decoded, by `_decode_batch`,
+    - only rows with w >= `decoder.floor` are decoded, by `_decode_batch`,
       and each of its successes is a miscorrection: the word it returns,
       e or e with one symbol changed, is nonzero as w >= 2.
+
+    `heavy` holds the int64 error patterns of the rows with w >= the
+    floor, in any order, as `_draw_shared` draws them at that floor.
     """
-    weights = np.count_nonzero(errors, axis=1)
+    weights = np.count_nonzero(hit, axis=1)
     ones = weights == 1
     single = int(ones.sum())
-    # the entries are >= 0, so a weight-1 row's largest entry is its error
-    exact = int(decoder.exact[errors[ones].argmax(axis=1)].sum())
-    heavy = errors[weights >= max(2, decoder.d_lb - 1)]
+    exact = int(decoder.exact[hit[ones].argmax(axis=1)].sum())
     _, statuses = _decode_batch(code, heavy, decoder.columns)
     decoded = int((statuses != FAILURE).sum())
     successes = int((weights == 0).sum()) + single + decoded
-    return successes, len(errors) - successes, single - exact + decoded, int(weights.sum())
+    return successes, len(hit) - successes, single - exact + decoded, int(weights.sum())
 
 
 def run_sweep(codes: Sequence[LinearCode], rates: Sequence[float], trials: int,
@@ -421,8 +472,8 @@ def run_sweep(codes: Sequence[LinearCode], rates: Sequence[float], trials: int,
 
     Trial t at rate index i reads the stream keyed by (master_seed,
     ((i + 1) << 44) | t) whatever the code, so the codes read one stream
-    per trial: each row block of Philox words is computed once, for the
-    code with the longest stream, and the others read its prefix.  Every
+    per trial: each row block's uniform words are computed once, for the
+    code with the most symbols, and the others read its prefix.  Every
     input, and every code, is checked before the first draw.
     """
     codes = list(codes)

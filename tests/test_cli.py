@@ -566,33 +566,35 @@ def test_reproduce_determinism_check_fails_on_chunk_dependence(capsys, tmp_path,
 
 def test_reproduce_determinism_check_fails_on_row_block_dependence(capsys, tmp_path, monkeypatch):
     # each Philox row block reads the streams of the trials one block
-    # length on: the sweep's row blocks of 1170 and 830 trials then read
+    # length on: the sweep's row blocks of 1820 and 180 trials then read
     # other streams than the rerun's one block of 2000
     real = simulator._philox_words
 
-    def block_dependent(key0, key1, blocks):
-        return real(key0, key1 + np.uint64(key1.shape[0]), blocks)
+    def block_dependent(key0, key1, blocks, first=0):
+        return real(key0, key1 + np.uint64(key1.shape[0]), blocks, first)
 
     monkeypatch.setattr(simulator, "_philox_words", block_dependent)
     assert reproduce_determinism_fails(capsys, tmp_path, "2001")
 
 
 def test_reproduce_determinism_check_spans_different_row_blocks(capsys, tmp_path, monkeypatch):
-    # at 2000 trials the sweep's 14-block streams of the [35,7]_25 code
-    # make row blocks of 16384 // 14 = 1170 trials, and the [8,2]_4 code's
-    # 3-block streams alone one block of 2000; rate 0 draws nothing
+    # at 2000 trials the sweep's 9 uniform blocks, for the [35,7]_25
+    # code, make row blocks of 16384 // 9 = 1820 trials, and the [8,2]_4
+    # code's 2 blocks alone one block of 2000; rate 0 draws nothing.  Tail
+    # blocks, drawn for heavy rows only, start past the uniform blocks
     rows = []
     real = simulator._philox_words
 
-    def spy(key0, key1, blocks):
-        rows.append(key1.shape[0])
-        return real(key0, key1, blocks)
+    def spy(key0, key1, blocks, first=0):
+        if not first:
+            rows.append(key1.shape[0])
+        return real(key0, key1, blocks, first)
 
     monkeypatch.setattr(simulator, "_philox_words", spy)
     code, out, _ = run_cli(capsys, "reproduce", "--out-dir", str(tmp_path),
                            "--trials", "2000", "--seed", "5")
     assert code == 0, out
-    assert rows == [1170, 830] * 3 + [2000]
+    assert rows == [1820, 180] * 3 + [2000]
 
 
 def test_reproduce_simulates_each_sweep_code_once_plus_one_rerun(capsys, tmp_path, monkeypatch):

@@ -96,17 +96,26 @@ DRAW_RATES = [0.0, 0.05, 0.5, 1.0]
 
 
 def assert_draw_matches_reference(seed, rate_index, lo, hi, n, q):
-    """`_draw_shared` of one shape at each of DRAW_RATES: every row of its
-    error matrix, an error-free one included, is the reference trial's
-    offsets + 1 where its uniform is below the rate and 0 elsewhere."""
+    """`_draw_shared` of one shape at each of DRAW_RATES, at floors 1 and
+    3: every row of its hit matrix, an error-free one included, is where
+    the reference trial's uniforms are below the rate; its rows are those
+    of weight at least the floor, and each has the reference offsets + 1
+    where hit and 0 elsewhere.  At floor 1 that is every row with a hit."""
     uniforms, offsets = map(np.array, zip(*(_reference_draw(seed, rate_index, t, n, q)
                                             for t in range(lo, hi))))
     for rate in DRAW_RATES:
-        errors = _draw_shared(seed, rate_index, lo, hi, [(n, q)], rate)[0]
-        context = (seed, rate_index, lo, n, q, rate)
-        assert (errors.shape, errors.dtype) == ((hi - lo, n), np.int64), context
-        wrong = np.flatnonzero((errors != np.where(uniforms < rate, offsets + 1, 0)).any(axis=1))
-        assert len(wrong) == 0, (lo + wrong[:5], context)
+        want = uniforms < rate
+        patterns = np.where(want, offsets + 1, 0)
+        for floor in (1, 3):
+            hit, rows, errors = _draw_shared(seed, rate_index, lo, hi, [(n, q)], rate, [floor])[0]
+            context = (seed, rate_index, lo, n, q, rate, floor)
+            assert (hit.shape, hit.dtype) == ((hi - lo, n), np.bool_), context
+            wrong = np.flatnonzero((hit != want).any(axis=1))
+            assert len(wrong) == 0, (lo + wrong[:5], context)
+            assert np.array_equal(rows, np.flatnonzero(want.sum(axis=1) >= floor)), context
+            assert (errors.shape, errors.dtype) == ((len(rows), n), np.int64), context
+            wrong = np.flatnonzero((errors != patterns[rows]).any(axis=1))
+            assert len(wrong) == 0, (lo + rows[wrong[:5]], context)
 
 
 # (n, q): even and odd n (an odd n leaves the high half of its last
@@ -140,12 +149,31 @@ def test_reference_draw_is_numpys_stream():
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+# a shape alone at floor 1, and four shapes sharing its streams at
+# floors that pick different rows at rate 0.5: the shapes of n = 35 and
+# n = 33 read tail blocks past the 9 uniform ones, the shorter two read
+# their replacement words from those
+BLOCKING_DRAWS = [([(35, 25)], [1]), ([(35, 25), (33, 9), (15, 9), (7, 2)], [18, 14, 8, 2])]
+
+
 def test_draw_rows_do_not_depend_on_philox_block_size(monkeypatch):
-    whole = [_draw_shared(5, 1, 100, 400, [(35, 25)], rate)[0] for rate in DRAW_RATES]
+    # 7 Philox blocks make row blocks of one trial.  Each shape's shared
+    # draw is also its draw alone, where its own heavy rows are the only
+    # ones that read tail blocks
+    def draws():
+        return [_draw_shared(5, 1, 100, 400, shapes, rate, floors)
+                for shapes, floors in BLOCKING_DRAWS for rate in DRAW_RATES]
+
+    whole = draws()
+    shapes, floors = BLOCKING_DRAWS[1]
+    for rate, shared in zip(DRAW_RATES, whole[len(DRAW_RATES):]):
+        for shape, floor, drawn in zip(shapes, floors, shared):
+            alone = _draw_shared(5, 1, 100, 400, [shape], rate, [floor])[0]
+            assert all(map(np.array_equal, drawn, alone)), (shape, rate)
     monkeypatch.setattr(simulator, "PHILOX_BLOCKS", 7)
-    parts = [_draw_shared(5, 1, 100, 400, [(35, 25)], rate)[0] for rate in DRAW_RATES]
-    for a, b in zip(whole, parts):
-        assert np.array_equal(a, b)
+    for a, b in zip(whole, draws()):
+        for drawn_a, drawn_b in zip(a, b):
+            assert all(map(np.array_equal, drawn_a, drawn_b))
 
 
 KEY_WORDS = [0, 2**63 - 1, 2**63, 2**64 - 1]
@@ -156,35 +184,82 @@ KEY_WORDS = [0, 2**63 - 1, 2**63, 2**64 - 1]
 def test_philox_words_equal_numpys_raw_stream(key0, key1):
     # both key words at the edges of the uint64 range, so the Weyl key
     # increments between rounds wrap; one key, and 50 keys counting up
-    # from key1 (wrapping past 2^64 - 1)
+    # from key1 (wrapping past 2^64 - 1); the stream from its first block,
+    # and tails of it from later first blocks
     keys1 = (key1 + np.arange(50, dtype=object)) % 2**64
-    for blocks in range(1, 17):
-        for ks in (keys1[:1], keys1):
-            got = simulator._philox_words(np.full((1, 1), key0, dtype=np.uint64),
-                                          np.array(ks, dtype=np.uint64).reshape(-1, 1), blocks)
-            assert got.shape == (len(ks), 4 * blocks)
-            for row, k1 in zip(got, ks):
-                key = np.array([key0, k1], dtype=np.uint64)
-                assert np.array_equal(row, np.random.Philox(key=key).random_raw(4 * blocks))
+    for first in (0, 1, 9):
+        for blocks in range(1, 17):
+            for ks in (keys1[:1], keys1):
+                got = simulator._philox_words(np.full((1, 1), key0, dtype=np.uint64),
+                                              np.array(ks, dtype=np.uint64).reshape(-1, 1),
+                                              blocks, first)
+                assert got.shape == (len(ks), 4 * blocks)
+                for row, k1 in zip(got, ks):
+                    stream = np.random.Philox(key=np.array([key0, k1], dtype=np.uint64))
+                    assert np.array_equal(row, stream.random_raw(4 * (first + blocks))[4 * first:])
+
+
+def test_draw_computes_tail_blocks_only_for_the_heavy_rows_that_read_them(monkeypatch):
+    # the sweep codes share 9 uniform blocks per trial, for n = 35; only
+    # [35,7]_25's replacement words run past them, to block 14, so only
+    # its heavy rows get the 5 tail blocks.  Its whole stream is 14
+    # blocks; no rate computes more per trial, and at rate 1, where every
+    # row is heavy, exactly that
+    calls, heavy = [], []
+    real_words, real_decode = simulator._philox_words, simulator._decode_batch
+
+    def words(key0, key1, blocks, first=0):
+        calls.append((int(key1[0, 0]) >> 44, len(key1), blocks, first))
+        return real_words(key0, key1, blocks, first)
+
+    def decode(code, received, columns):
+        heavy.append((code.n, len(received)))
+        return real_decode(code, received, columns)
+
+    monkeypatch.setattr(simulator, "_philox_words", words)
+    monkeypatch.setattr(simulator, "_decode_batch", decode)
+    codes = benchmarks.sweep_codes()
+    rates = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0)
+    trials = 3000
+    run_sweep(codes, rates, trials, 7)
+    longest = [rows for n, rows in heavy if n == 35]
+    assert len(longest) == 2 * len(rates)  # two chunks per rate
+    for i, rate in enumerate(rates):
+        mine = [call for call in calls if call[0] == i + 1]
+        uniform = [(rows, blocks) for _, rows, blocks, first in mine if first == 0]
+        tail = [(rows, blocks, first) for _, rows, blocks, first in mine if first]
+        assert sum(rows for rows, _ in uniform) == trials and {b for _, b in uniform} == {9}
+        assert {(blocks, first) for _, blocks, first in tail} <= {(5, 9)}
+        assert sum(rows for rows, _, _ in tail) == sum(longest[2 * i:2 * i + 2]), rate
+        assert sum(rows * blocks for _, rows, blocks, _ in mine) <= 14 * trials, rate
+    assert sum(rows for rows, _, _ in tail) == trials  # rate 1
 
 
 def test_draw_temporaries_are_bounded():
     # a Hermitian q=8 sized chunk: n = 512 over GF(4096), at a rate that
-    # puts an error in every trial; the output is 8 MB, while one
-    # unblocked Philox pass would hold 12 MB of words.  The same chunk
-    # then shares its row blocks with two shorter shapes, still holding
-    # one row block of words at a time.
+    # puts an error in every trial and draws every row's pattern: 8 MB,
+    # while one unblocked Philox pass would hold 12 MB of words.  The same
+    # chunk then shares its row blocks with two shorter shapes, still
+    # holding one row block of words at a time.  At a low rate the chunk
+    # holds its bool hit matrix and a few heavy rows: no trials x n int64
+    # matrix, which alone would be 8 MB
     import tracemalloc
 
-    for shapes in ([(512, 4096)], [(35, 25), (512, 4096), (8, 4)]):
+    def traced(shapes, rate, floors):
         tracemalloc.start()
         try:
-            drawn = _draw_shared(3, 0, 0, 2048, shapes, 0.5)
-            outputs, peak = tracemalloc.get_traced_memory()
+            drawn = _draw_shared(3, 0, 0, 2048, shapes, rate, floors)
+            return (drawn, *tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert sum(errors.nbytes for errors in drawn) <= outputs
+
+    for shapes in ([(512, 4096)], [(35, 25), (512, 4096), (8, 4)]):
+        drawn, outputs, peak = traced(shapes, 0.5, [1] * len(shapes))
+        assert sum(errors.nbytes for _, _, errors in drawn) + (2048 * 512) <= outputs
         assert peak - outputs < 8 << 20, shapes
+        drawn, outputs, peak = traced(shapes, 0.002, [4] * len(shapes))
+        assert all(len(rows) < 100 for _, rows, _ in drawn), shapes
+        assert peak < 4 << 20, shapes
 
 
 def lemire_rejected(seed, rate_index, trial, n, q):
@@ -218,17 +293,27 @@ def test_lemire_rejections_are_redrawn_from_the_reference(monkeypatch):
     exercised = 0
     for rate in DRAW_RATES:
         redrawn.clear()
-        matrix = _draw_shared(seed, 0, 0, trials, [(n, q)], rate)[0]
-        errors = set(np.flatnonzero(matrix.any(axis=1)).tolist())
-        # a rejection is redrawn where an error reads its replacement
-        # draws, and only a trial with an error is redrawn at all
+        hit, rows, matrix = _draw_shared(seed, 0, 0, trials, [(n, q)], rate, [1])[0]
+        errors = set(rows.tolist())
+        # at floor 1 a rejection is redrawn where an error reads its
+        # replacement draws, and only a trial with an error is redrawn
         assert rejected & errors <= set(redrawn) <= errors
         exercised += len(rejected & errors)
         for t in rejected | set(redrawn[:20]):
             uniforms, offsets = numpy_draw(seed, 0, t, n, q)
+            assert np.array_equal(hit[t], uniforms < rate), (t, rate)
             assert (t in errors) == bool((uniforms < rate).any()), (t, rate)
-            assert np.array_equal(matrix[t], np.where(uniforms < rate, offsets + 1, 0)), (t, rate)
+            if t in errors:
+                assert np.array_equal(matrix[np.searchsorted(rows, t)],
+                                      np.where(uniforms < rate, offsets + 1, 0)), (t, rate)
     assert exercised, "no trial exercises the redraw"
+    # at rate 0.05 the weights spread around 10: a floor of 12 redraws the
+    # rejections of the rows that reach it, and never a lighter row's
+    redrawn.clear()
+    _, rows, _ = _draw_shared(seed, 0, 0, trials, [(n, q)], 0.05, [12])[0]
+    heavy = set(rows.tolist())
+    assert 0 < len(heavy) < trials // 2
+    assert rejected & heavy <= set(redrawn) <= heavy and rejected - heavy
 
 
 def test_shared_draws_redraw_each_shapes_own_rejections(monkeypatch):
@@ -248,14 +333,14 @@ def test_shared_draws_redraw_each_shapes_own_rejections(monkeypatch):
     exercised = set()
     for rate in DRAW_RATES:
         redrawn.clear()
-        alone = [_draw_shared(seed, 0, 0, trials, [shape], rate)[0] for shape in shapes]
+        alone = [_draw_shared(seed, 0, 0, trials, [shape], rate, [1])[0] for shape in shapes]
         redrawn_alone = sorted(redrawn)
         redrawn.clear()
-        shared = _draw_shared(seed, 0, 0, trials, shapes, rate)
+        shared = _draw_shared(seed, 0, 0, trials, shapes, rate, [1] * len(shapes))
         assert sorted(redrawn) == redrawn_alone, rate
         exercised |= {shape for shape, _ in redrawn}
         for shape, a, b in zip(shapes, alone, shared):
-            assert np.array_equal(a, b), (shape, rate)
+            assert all(map(np.array_equal, a, b)), (shape, rate)
     assert exercised >= {shapes[0], shapes[2]}
 
 
@@ -283,9 +368,9 @@ def test_stream_key_range_is_checked():
     with pytest.raises(ValueError):
         _trial_rng(0, 0, 1 << 44)
     with pytest.raises(ValueError):
-        _draw_shared(0, (1 << 20) - 1, 0, 1, [(8, 4)], 0.1)
+        _draw_shared(0, (1 << 20) - 1, 0, 1, [(8, 4)], 0.1, [1])
     with pytest.raises(ValueError):
-        _draw_shared(0, 0, (1 << 44) - 1, (1 << 44) + 1, [(8, 4)], 0.1)
+        _draw_shared(0, 0, (1 << 44) - 1, (1 << 44) + 1, [(8, 4)], 0.1, [1])
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +700,9 @@ def test_decoding_by_weight_counts_as_decoding_every_nonzero_row(kind, rate, see
                      rng.permuted(np.tri(n + 1, n, -1, dtype=bool), axis=1)])
     errors = np.where(hit, rng.integers(1, q, size=hit.shape), 0)
     table = simulator._decoder_table(code)
-    assert simulator._decode_errors(code, table, errors) == decode_every_nonzero_row(code, errors)
+    heavy = errors[np.count_nonzero(errors, axis=1) >= table.floor]
+    got = simulator._decode_errors(code, table, errors != 0, heavy)
+    assert got == decode_every_nonzero_row(code, errors)
 
 
 # the report-exhaustive families: Hermitian q=3, superelliptic q=3 m=3

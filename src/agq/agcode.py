@@ -32,7 +32,7 @@ from .linalg import _column_table, matmul, rank, right_nullspace
 from .rrspace import code_ladder, ladder_gram
 
 DEFAULT_BUDGET = 1 << 20
-# Most rows of one block of `iter_codeword_blocks`.
+# Most words of one block of `iter_codeword_blocks`.
 CODEWORD_BLOCK = 4096
 # Most digit outputs, q^k * n * e, for which `iter_codeword_blocks` makes
 # all words in one `matmul`; past it the coset path is faster (measured
@@ -217,68 +217,65 @@ def _orbit_messages(order: int, k: int, skip_zero: bool) -> np.ndarray:
 
 
 def iter_codeword_blocks(code: LinearCode, skip_zero: bool = False):
-    """Yield one codeword of each scalar orbit, as index matrices.
+    """Yield one codeword of each scalar orbit, as coset blocks (H, L) of
+    index matrices whose words are H[t] + L[s], t major.
 
     Message m = sum_i m_i q^i encodes to sum_i m_i G[i].  The messages
     whose highest nonzero digit is 1 meet each orbit {lambda m : lambda
     in GF(q)*} of a nonzero message once, and lambda c has the weight of
     c, so their (q^k - 1)/(q - 1) words carry every nonzero weight.
     Message 0 comes first unless `skip_zero`.  Words come in increasing
-    order of m, in nonempty blocks of at most `block` = CODEWORD_BLOCK rows.
+    order of m, in nonempty blocks of at most `block` = CODEWORD_BLOCK
+    words.  No block's words are formed: wt(h + l) is the Hamming
+    distance d(-h, l), which `_orbit_weights` counts from H and L.
 
     When q^k <= block and either k <= 1 or the q^k * n * e digits of all
     words are at most SINGLE_PRODUCT_DIGITS, all messages (from 1 if
-    `skip_zero`) are one `matmul`, whose orbit rows form the one block.
-    Otherwise the code is the union of the cosets h + C_low, where C_low
-    is spanned by the first j rows of G, j the largest with
-    q^(j+1) <= block (0 if q > block) and at most k - 1.  The low table
-    L of all q^j words of C_low is one `matmul`.  Message h q^j + s with
-    h != 0 is a representative when h is one, whatever s, so the blocks
-    are the orbit rows of L (h = 0), then, for each chunk of
-    c = block // q^j representative high messages, the c offsets H of
-    one `matmul` with G[j:] and the words H[t] + L[s] for all (t, s), one
-    field addition per symbol.  The rows of L join the first chunk's
-    block when both fit in `block` rows, so a code of at most `block`
-    words is one block on either path.  Memory: L holds at most block/q
-    rows, and each step allocates only its c offsets and one block with
-    the temporaries of its `vadd` (the first block one copy more, when
-    it takes in L's rows); no q^k-row array exists.
+    `skip_zero`) are one `matmul`, and the one block is its orbit rows
+    with a zero row for L.  Otherwise the code is the union of the
+    cosets h + C_low, where C_low is spanned by the first j rows of G, j
+    the largest with q^(j+1) <= block (0 if q > block) and at most k - 1.
+    The low table L of all q^j words of C_low is built from the zero row
+    by j steps, each adding the q multiples of one row of G (`vmul`) to
+    the table so far (`vadd`).  Message h q^j + s with h != 0 is a
+    representative when h is one, whatever s, so the blocks are (zero
+    row, the orbit rows of L), for h = 0, then, for each chunk of c =
+    block // q^j representative high messages, (H, L) with the c offsets
+    H of one `matmul` with G[j:].  Memory: L holds at most block/q rows
+    and each chunk only its c offsets; the coset path forms no word, and
+    no q^k-row array exists on either path.
 
     The boundary is a cost, not a size: `matmul` reduces and recombines
-    e float digits per output symbol, where a coset block adds once per
-    symbol, so past a few thousand digits the two small products and
-    the additions win even for one block.  Measured for one drained
-    enumeration of all q^k words with weights, single product against
-    cosets: GF(4) n=64 k=3 (8192 digits) 107 vs 119 us, GF(9) n=8 k=3
-    (11664) 205 vs 173 us, GF(16) n=64 k=3 6.4 vs 1.15 ms.
+    e float digits per output symbol, where a coset block compares
+    symbols of two small tables.  Measured on random generators for one
+    `_orbit_weights` of all orbit words, one BLAS thread on a 2-vCPU VM,
+    single product against cosets: GF(4) n=8 k=3 (1024 digits) 44 vs
+    57 us, GF(4) n=64 k=3 (8192) 69 vs 66 us, GF(9) n=8 k=3 (11664) 96
+    vs 63 us, GF(9) n=27 k=3 (39366) 467 vs 69 us.
     """
     F, G, q, k, block = code.field, code.generator, code.field.order, code.k, CODEWORD_BLOCK
     total = q**k
+    zero = np.zeros((1, code.n), dtype=np.int64)
     if total <= block and (k <= 1 or total * code.n * F.e <= SINGLE_PRODUCT_DIGITS):
         start = int(skip_zero)
         if start < total:
             words = matmul(F, _message_digits(q, k, np.arange(start, total)), G)
-            yield words[_orbit_messages(q, k, skip_zero) - start]
+            yield words[_orbit_messages(q, k, skip_zero) - start], zero
         return
     j = 0
     while q ** (j + 2) <= block and j < k - 1:
         j += 1
-    low = matmul(F, _message_digits(q, j, np.arange(q**j)), G[:j])
+    low = zero
+    scalars = np.arange(q, dtype=np.int64)[:, None]
+    for row in G[:j]:
+        low = F.vadd(F.vmul(scalars, row)[:, None, :], low[None, :, :]).reshape(-1, code.n)
     lead = low[_orbit_messages(q, j, skip_zero)]
+    if len(lead):
+        yield zero, lead
     highs = _orbit_messages(q, k - j, skip_zero=True)
     chunk = block // q**j
     for lo in range(0, len(highs), chunk):
-        offsets = matmul(F, _message_digits(q, k - j, highs[lo:lo + chunk]), G[j:])
-        words = F.vadd(offsets[:, None, :], low[None, :, :]).reshape(-1, code.n)
-        if len(lead):
-            if len(lead) + len(words) <= block:
-                words = np.concatenate([lead, words])
-            else:
-                yield lead
-            lead = lead[:0]
-        yield words
-        # drop the block just yielded before building the next one
-        del words
+        yield matmul(F, _message_digits(q, k - j, highs[lo:lo + chunk]), G[j:]), low
 
 
 def _fits_budget(code: LinearCode, budget: int) -> bool:
@@ -288,11 +285,24 @@ def _fits_budget(code: LinearCode, budget: int) -> bool:
 
 def _orbit_weights(code: LinearCode, skip_zero: bool) -> np.ndarray:
     """Counts by Hamming weight, 0..n, of the words of `iter_codeword_blocks`:
-    one per scalar orbit, and the zero word unless `skip_zero`."""
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for block in iter_codeword_blocks(code, skip_zero=skip_zero):
-        counts += np.bincount(np.count_nonzero(block, axis=1), minlength=code.n + 1)
-        del block  # else the loop variable holds it while the next is built
+    one per scalar orbit, and the zero word unless `skip_zero`.
+
+    A word H[t] + L[s] of a coset block is zero at i exactly where L[s, i]
+    is -H[t, i], so its weight is the Hamming distance d(-H[t], L[s]),
+    counted without forming it: one (n, len(H), len(L)) bool comparison
+    of the symbols in their least dtype, summed over its first axis in
+    the least dtype that holds n.  That comparison, at most n x
+    CODEWORD_BLOCK bytes, is the only array of a block's size.
+    """
+    F, n = code.field, code.n
+    symbols, sums = np.min_scalar_type(F.order - 1), np.min_scalar_type(n)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for H, L in iter_codeword_blocks(code, skip_zero=skip_zero):
+        # C order: numpy would otherwise lay the broadcast result out
+        # transposed, which makes the sum over its first axis much slower
+        differ = np.not_equal(F.vneg(H).T.astype(symbols)[:, :, None],
+                              L.T.astype(symbols)[:, None, :], order="C")
+        counts += np.bincount(differ.sum(axis=0, dtype=sums).ravel(), minlength=n + 1)
     return counts
 
 

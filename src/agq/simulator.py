@@ -55,12 +55,13 @@ of 1 draws the pattern of every row with an error.
 Only an error heavy enough to reach another codeword needs a syndrome.
 `_decoder_table` gives each code a proven lower bound d_lb on its
 distance, with no enumeration, and `_decode_errors` sorts the rows by
-their weight w.  A row with w = 0 is a success.  With w = 1 it is a
-success whose outcome depends only on its position: it decodes back to
-zero, or it is a miscorrection.  With 2 <= w <= d_lb - 2 it is a
-failure: a zero syndrome, or one that a substitution at position j
-kills, would make e, or e minus that substitution, a nonzero codeword of
-weight at most w + 1 < d.  Only the rows with w >= max(2, d_lb - 1) are
+their weight w, which the draw counted once to find the heavy rows.  A
+row with w = 0 is a success.  With w = 1 it is a success whose outcome
+depends only on its position: it decodes back to zero, or it is a
+miscorrection.  With 2 <= w <= d_lb - 2 it is a failure: a zero
+syndrome, or one that a substitution at position j kills, would make e,
+or e minus that substitution, a nonzero codeword of weight at most
+w + 1 < d.  Only the rows with w >= max(2, d_lb - 1) are
 decoded, and any of them that decodes is a miscorrection.
 
 The ten Philox rounds run in place on arrays allocated once per call,
@@ -240,6 +241,7 @@ class Drawn(NamedTuple):
     """One code's draw over a chunk of trials, from `_draw_shared`."""
 
     hit: np.ndarray  # (trials, n) bool: the symbols whose uniform is below the rate
+    weights: np.ndarray  # (trials,): the weight of each row of hit
     rows: np.ndarray  # the rows whose weight reaches the floor, ascending
     errors: np.ndarray  # (len(rows), n) int64: their patterns, 0 or offset + 1
 
@@ -255,7 +257,7 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
     rate.  The rows of weight at least the floor get their error pattern:
     0 where not hit and o + 1 where hit, o the replacement offset.  Only
     they read their replacement draws; a floor of 1 gives every row with
-    an error.
+    an error.  Each `Drawn` carries every row's weight, counted once here.
 
     Each row block's uniform words are computed once, for the longest
     shape, and every shape compares its own prefix of them.  A shape whose
@@ -283,6 +285,7 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
     # w >> 11 < ceil(rate * 2^53), and rate * 2^53 is exact
     threshold = np.uint64(math.ceil(rate * 2.0**53))
     hit = np.empty((b, longest), dtype=bool)
+    weights = np.empty((len(shapes), b), dtype=np.intp)
     # per shape, each row block's heavy rows and their replacement words:
     # half the bytes of their int64 patterns
     picks = [[] for _ in shapes]
@@ -291,8 +294,10 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
         words = _philox_words(key0, key1[r0:r0 + step], head)
         block = hit[r0:r0 + step]
         np.less(words[:, :longest] >> 11, threshold, out=block)
-        picked = [np.flatnonzero(np.count_nonzero(block[:, :n], axis=1) >= floor)
-                  for (n, _), floor in zip(shapes, floors)]
+        picked = []
+        for (n, _), floor, row_weights in zip(shapes, floors, weights):
+            row_weights[r0:r0 + step] = np.count_nonzero(block[:, :n], axis=1)
+            picked.append(np.flatnonzero(row_weights[r0:r0 + step] >= floor))
         need = np.unique(np.concatenate([at for at, end in zip(picked, ends) if end > cut]
                                         or [np.empty(0, dtype=np.intp)]))
         past = (_philox_words(key0, key1[r0 + need], tail, first=head) if len(need)
@@ -303,7 +308,7 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
                 own = np.hstack([own, past[np.searchsorted(need, at), :end - cut]])
             parts.append((r0 + at, own))
     drawn = []
-    for (n, q), parts in zip(shapes, picks):
+    for (n, q), row_weights, parts in zip(shapes, weights, picks):
         rows = np.concatenate([at for at, _ in parts])
         errors = hit[rows, :n].astype(np.int64)  # over GF(2) every offset is 0
         if q > 2:
@@ -318,7 +323,7 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
                 offsets += 1
                 errors[start:start + len(at)] *= offsets
                 start += len(at)
-        drawn.append(Drawn(hit[:, :n], rows, errors))
+        drawn.append(Drawn(hit[:, :n], row_weights, rows, errors))
     return drawn
 
 
@@ -432,16 +437,16 @@ def _transmit(codes: Sequence[LinearCode], tables: Sequence[DecoderTable], rate:
     for lo in range(0, trials, CHUNK_TRIALS):
         hi = min(lo + CHUNK_TRIALS, trials)
         drawn = _draw_shared(master_seed, rate_index, lo, hi, shapes, rate, floors)
-        for i, (code, table, (hit, _, heavy)) in enumerate(zip(codes, tables, drawn)):
-            counts[i] += _decode_errors(code, table, hit, heavy)
+        for i, (code, table, (hit, weights, _, heavy)) in enumerate(zip(codes, tables, drawn)):
+            counts[i] += _decode_errors(code, table, hit, weights, heavy)
     return tuple(RateResult(rate, trials, *map(int, count)) for count in counts)
 
 
 def _decode_errors(code: LinearCode, decoder: DecoderTable, hit: np.ndarray,
-                   heavy: np.ndarray):
+                   weights: np.ndarray, heavy: np.ndarray):
     """(successes, uncorrectable, miscorrected, total errors) of the trials
     sending the zero word whose hit positions are the rows of the bool
-    matrix `hit`, sorted by their weight w:
+    matrix `hit`, sorted by their weight w, read from `weights`:
 
     - w = 0 is a success;
     - w = 1 at position i is a success, and a miscorrection unless
@@ -456,7 +461,6 @@ def _decode_errors(code: LinearCode, decoder: DecoderTable, hit: np.ndarray,
     `heavy` holds the int64 error patterns of the rows with w >= the
     floor, in any order, as `_draw_shared` draws them at that floor.
     """
-    weights = np.count_nonzero(hit, axis=1)
     ones = weights == 1
     single = int(ones.sum())
     exact = int(decoder.exact[hit[ones].argmax(axis=1)].sum())

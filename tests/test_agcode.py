@@ -439,8 +439,15 @@ def test_built_codes_share_read_only_ladder_arrays():
 # codeword enumeration
 
 # p in {2, 3, 5, 7} with e <= 3 covers the XOR and add-table paths of
-# `vadd`; GF(3^6), of odd order above 256, covers its digit path
+# `vadd`; GF(3^6), of odd order above 256, covers its digit path and,
+# with GF(7^3), the uint16 symbols of `_orbit_weights`
 ENUMERATION_FIELDS = [(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3)] + [(3, 6)]
+
+
+def coset_words(F, blocks):
+    """The words H[t] + L[s] of the coset blocks (H, L), t major, in one array."""
+    return np.concatenate([F.vadd(H[:, None, :], L[None, :, :]).reshape(-1, H.shape[1])
+                           for H, L in blocks])
 
 
 @settings(max_examples=40, deadline=None)
@@ -459,15 +466,64 @@ def test_codeword_blocks_match_naive_enumeration(pe, n, data):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(agcode, "CODEWORD_BLOCK", block)
                 blocks = list(iter_codeword_blocks(code, skip_zero=skip_zero))
-            assert all(0 < len(words) <= block for words in blocks)
-            assert np.array_equal(np.concatenate(blocks), expected[int(skip_zero):])
+            assert all(0 < len(H) * len(L) <= block for H, L in blocks)
+            assert np.array_equal(coset_words(F, blocks), expected[int(skip_zero):])
+
+
+# CODEWORD_BLOCK and SINGLE_PRODUCT_DIGITS pairs: the single product of a
+# code of at most 4096 words, the coset path at the default block when
+# k >= 2, and the coset path with j = 0, a zero low table and one-word
+# blocks
+COUNT_PATHS = [(4096, 1 << 60), (4096, 0), (1, 0)]
+
+
+def assert_counts_match_orbit_weights(code, nf):
+    """`weight_distribution` and `min_distance` on every path of COUNT_PATHS
+    against the weights of the naive orbit words: q - 1 words for each
+    nonzero message, one for message 0."""
+    q, n = code.field.order, code.n
+    words = list(naive_orbit_codewords(nf, code.generator.tolist()))
+    weights = [sum(1 for v in word if v) for word in words]
+    expected = np.bincount(weights, minlength=n + 1) * (q - 1)
+    expected[weights[0]] -= q - 2
+    nonzero = [w for w in weights[1:] if w]
+    for block, limit in COUNT_PATHS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(agcode, "CODEWORD_BLOCK", block)
+            mp.setattr(agcode, "SINGLE_PRODUCT_DIGITS", limit)
+            assert weight_distribution(code).tolist() == expected.tolist(), (block, limit)
+            if code.k < n:
+                assert min_distance(code).d == min(nonzero, default=n + 1), (block, limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(ENUMERATION_FIELDS), st.data())
+def test_weight_counts_match_naive_orbit_words(pe, data):
+    F = field(*pe)
+    q = F.order
+    k = data.draw(st.integers(1, max(k for k in range(1, 5) if q**k <= 1024 or k == 1)))
+    n = data.draw(st.integers(k, 6))
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=k * n, max_size=k * n))
+    code = LinearCode(field=F, generator=np.array(entries, dtype=np.int64).reshape(k, n))
+    assert_counts_match_orbit_weights(code, NaiveField(F.p, F.e, F.modulus))
+
+
+def test_weight_of_a_256_symbol_word_does_not_wrap():
+    # the all-ones word of length 256 has weight 256, which a uint8 sum of
+    # its 256 differing symbols would count as 0
+    for pe in ((2, 1), (3, 1)):
+        F = field(*pe)
+        code = LinearCode(field=F, generator=np.ones((1, 256), dtype=np.int64))
+        assert weight_distribution(code)[256] == F.order - 1
+        assert_counts_match_orbit_weights(code, NaiveField(F.p, F.e, F.modulus))
 
 
 @pytest.mark.parametrize("pe, k, n", [((2, 2), 1, 5), ((2, 2), 3, 6), ((3, 2), 2, 4), ((2, 3), 2, 7), ((5, 1), 3, 4)])
 def test_single_product_and_cosets_yield_the_same_blocks(pe, k, n):
     # SINGLE_PRODUCT_DIGITS at 0 sends every code with k >= 2 down the coset
     # path, and at a huge value every code of at most `block` words down the
-    # single product; both must give the naive words in the same blocks
+    # single product, one block of words over a zero row; both must give
+    # the naive words in the same order
     F = field(*pe)
     q = F.order
     G = np.random.default_rng(q * 100 + k * 10 + n).integers(0, q, (k, n))
@@ -481,12 +537,12 @@ def test_single_product_and_cosets_yield_the_same_blocks(pe, k, n):
                     mp.setattr(agcode, "SINGLE_PRODUCT_DIGITS", limit)
                     mp.setattr(agcode, "CODEWORD_BLOCK", block)
                     runs.append(list(iter_codeword_blocks(code, skip_zero=skip_zero)))
-            cosets, single = runs
-            assert [len(words) for words in cosets] == [len(words) for words in single]
-            assert all(np.array_equal(a, b) for a, b in zip(cosets, single))
-            assert np.array_equal(np.concatenate(single), expected[int(skip_zero):])
+            for blocks in runs:
+                assert all(0 < len(H) * len(L) <= block for H, L in blocks)
+                assert np.array_equal(coset_words(F, blocks), expected[int(skip_zero):])
+            single = runs[1]
             if q**k <= block:
-                assert len(single) == 1
+                assert len(single) == 1 and not single[0][1].any()
 
 
 def _matmul_rows(monkeypatch):
@@ -510,9 +566,12 @@ def test_small_code_enumerates_in_one_product(monkeypatch, code_8_3):
 
 
 def test_coset_path_shrinks_the_products_of_a_one_block_code(monkeypatch):
-    # Hermitian q=4 r=5, [64, 3] over GF(16): 4096 words, one block either way,
-    # but the cosets need 256 low messages and the one high representative
-    # against 4096; the block holds 1 + 4095/15 = 274 words
+    # Hermitian q=4 r=5, [64, 3] over GF(16): 4096 words, in 1 + 4095/15 =
+    # 274 orbits.  The cosets need one product, of the one high
+    # representative, against 4096 messages; the low table of 256 words
+    # comes from the first two generator rows with no product.  Its 18
+    # orbit rows over a zero row are the first block, and the
+    # representative's offset over the whole table the second
     code = build_onepoint_code(hermitian_curve(4), 5)
     assert (code.n, code.k, code.field.order) == (64, 3, 16)
     shapes = _matmul_rows(monkeypatch)
@@ -520,20 +579,21 @@ def test_coset_path_shrinks_the_products_of_a_one_block_code(monkeypatch):
     F = code.field
     expected = np.array(list(naive_orbit_codewords(TabledField(F.p, F.e, F.modulus),
                                                    code.generator.tolist())))
-    assert len(blocks) == 1 and np.array_equal(blocks[0], expected)
-    assert [rows for rows, _ in shapes] == [256, 1]
+    assert [(len(H), len(L)) for H, L in blocks] == [(1, 18), (1, 256)]
+    assert not blocks[0][0].any() and np.array_equal(coset_words(F, blocks), expected)
+    assert [rows for rows, _ in shapes] == [1]
 
 
 def test_enumeration_forms_one_word_per_scalar_orbit(monkeypatch):
     # Hermitian q=4 r=8, [64, 4] over GF(16): (16^4 - 1)/15 = 4369 orbits
-    # and the zero word, from 256 low messages and 17 high representatives
-    # (1 and 16..31, 16 to a 4096-row block) against the 256 high messages
-    # of all 65536 words
+    # and the zero word, from 17 high representatives (1 and 16..31, 16 to
+    # a 4096-word block) against the 256 high messages of all 65536 words;
+    # the 256 low words take no product
     code = build_onepoint_code(hermitian_curve(4), 8)
     assert (code.n, code.k, code.field.order) == (64, 4, 16)
     shapes = _matmul_rows(monkeypatch)
-    assert sum(len(words) for words in iter_codeword_blocks(code)) == 4370
-    assert [rows for rows, _ in shapes] == [256, 16, 1]
+    assert sum(len(H) * len(L) for H, L in iter_codeword_blocks(code)) == 4370
+    assert [rows for rows, _ in shapes] == [16, 1]
 
 
 @pytest.mark.parametrize("pe, n", [((2, 2), 6), ((3, 2), 5), ((5, 1), 4)])
@@ -599,12 +659,26 @@ def test_weight_distribution_memory_is_bounded():
     assert peak < 48 << 20
 
 
+def test_weight_counts_form_no_words():
+    # [512, 3] over GF(64): one block's 4096 words of 512 int64 symbols
+    # would take 16 MiB; its comparison of uint8 symbols takes 2 MiB
+    code = build_onepoint_code(hermitian_curve(8), 9)
+    assert (code.n, code.k) == (512, 3)
+    tracemalloc.start()
+    try:
+        weight_distribution(code)
+        min_distance(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+
+
 def test_enumeration_holds_one_block_at_a_time():
-    # one 4096 x 512 int64 block is 16 MiB; holding the previous block
-    # while the next is built would take the peak past 32 MiB.  r = 9 gives
-    # [512, 3] over GF(64), 4162 words (one per scalar orbit, and zero) in
-    # three blocks; r = 8 gives [512, 2], whose 66 words are one block,
-    # made from cosets
+    # the words of one block, 4096 x 512 int64, would take 16 MiB, and
+    # those of two blocks at once past 32 MiB.  r = 9 gives [512, 3] over
+    # GF(64), 4162 words (one per scalar orbit, and zero) in three blocks;
+    # r = 8 gives [512, 2], whose 66 words are two coset blocks
     for r, k in ((9, 3), (8, 2)):
         code = build_onepoint_code(hermitian_curve(8), r)
         assert (code.n, code.k) == (512, k)

@@ -98,20 +98,22 @@ DRAW_RATES = [0.0, 0.05, 0.5, 1.0]
 def assert_draw_matches_reference(seed, rate_index, lo, hi, n, q):
     """`_draw_shared` of one shape at each of DRAW_RATES, at floors 1 and
     3: every row of its hit matrix, an error-free one included, is where
-    the reference trial's uniforms are below the rate; its rows are those
-    of weight at least the floor, and each has the reference offsets + 1
-    where hit and 0 elsewhere.  At floor 1 that is every row with a hit."""
+    the reference trial's uniforms are below the rate, and its weight is
+    their count; its rows are those of weight at least the floor, and each
+    has the reference offsets + 1 where hit and 0 elsewhere.  At floor 1
+    that is every row with a hit."""
     uniforms, offsets = map(np.array, zip(*(_reference_draw(seed, rate_index, t, n, q)
                                             for t in range(lo, hi))))
     for rate in DRAW_RATES:
         want = uniforms < rate
         patterns = np.where(want, offsets + 1, 0)
         for floor in (1, 3):
-            hit, rows, errors = _draw_shared(seed, rate_index, lo, hi, [(n, q)], rate, [floor])[0]
+            hit, weights, rows, errors = _draw_shared(seed, rate_index, lo, hi, [(n, q)], rate, [floor])[0]
             context = (seed, rate_index, lo, n, q, rate, floor)
             assert (hit.shape, hit.dtype) == ((hi - lo, n), np.bool_), context
             wrong = np.flatnonzero((hit != want).any(axis=1))
             assert len(wrong) == 0, (lo + wrong[:5], context)
+            assert np.array_equal(weights, want.sum(axis=1)), context
             assert np.array_equal(rows, np.flatnonzero(want.sum(axis=1) >= floor)), context
             assert (errors.shape, errors.dtype) == ((len(rows), n), np.int64), context
             wrong = np.flatnonzero((errors != patterns[rows]).any(axis=1))
@@ -255,10 +257,10 @@ def test_draw_temporaries_are_bounded():
 
     for shapes in ([(512, 4096)], [(35, 25), (512, 4096), (8, 4)]):
         drawn, outputs, peak = traced(shapes, 0.5, [1] * len(shapes))
-        assert sum(errors.nbytes for _, _, errors in drawn) + (2048 * 512) <= outputs
+        assert sum(errors.nbytes for *_, errors in drawn) + (2048 * 512) <= outputs
         assert peak - outputs < 8 << 20, shapes
         drawn, outputs, peak = traced(shapes, 0.002, [4] * len(shapes))
-        assert all(len(rows) < 100 for _, rows, _ in drawn), shapes
+        assert all(len(rows) < 100 for _, _, rows, _ in drawn), shapes
         assert peak < 4 << 20, shapes
 
 
@@ -293,7 +295,7 @@ def test_lemire_rejections_are_redrawn_from_the_reference(monkeypatch):
     exercised = 0
     for rate in DRAW_RATES:
         redrawn.clear()
-        hit, rows, matrix = _draw_shared(seed, 0, 0, trials, [(n, q)], rate, [1])[0]
+        hit, _, rows, matrix = _draw_shared(seed, 0, 0, trials, [(n, q)], rate, [1])[0]
         errors = set(rows.tolist())
         # at floor 1 a rejection is redrawn where an error reads its
         # replacement draws, and only a trial with an error is redrawn
@@ -310,7 +312,7 @@ def test_lemire_rejections_are_redrawn_from_the_reference(monkeypatch):
     # at rate 0.05 the weights spread around 10: a floor of 12 redraws the
     # rejections of the rows that reach it, and never a lighter row's
     redrawn.clear()
-    _, rows, _ = _draw_shared(seed, 0, 0, trials, [(n, q)], 0.05, [12])[0]
+    _, _, rows, _ = _draw_shared(seed, 0, 0, trials, [(n, q)], 0.05, [12])[0]
     heavy = set(rows.tolist())
     assert 0 < len(heavy) < trials // 2
     assert rejected & heavy <= set(redrawn) <= heavy and rejected - heavy
@@ -701,7 +703,7 @@ def test_decoding_by_weight_counts_as_decoding_every_nonzero_row(kind, rate, see
     errors = np.where(hit, rng.integers(1, q, size=hit.shape), 0)
     table = simulator._decoder_table(code)
     heavy = errors[np.count_nonzero(errors, axis=1) >= table.floor]
-    got = simulator._decode_errors(code, table, errors != 0, heavy)
+    got = simulator._decode_errors(code, table, errors != 0, np.count_nonzero(errors, axis=1), heavy)
     assert got == decode_every_nonzero_row(code, errors)
 
 

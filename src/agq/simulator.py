@@ -41,9 +41,10 @@ nothing is drawn: no uniform in [0, 1) is below 0, so every trial
 arrives intact.  `_draw_shared` states the word layout of a stream.
 
 A trial is its error pattern: 0 where its uniform is >= rate and o + 1
-where it is below, o the replacement offset there.  The uniform
-test is read from the uniform words as (word >> 11) < rate * 2^53, which
-is the same comparison.  Every trial's uniforms are drawn, into one bool
+where it is below, o the replacement offset there.  A uniform is
+(word >> 11) * 2^-53, so the test is word < T << 11 with T = ceil(rate *
+2^53), made on each of a block's four counter words straight into the
+hit columns that word fills.  Every trial's uniforms are drawn, into one bool
 hit matrix per code, but only a row heavy enough to be decoded needs its
 replacement offsets: its floor, max(2, d_lb - 1) below, is passed to the
 draw, and only the rows that reach it get replacement words, Lemire
@@ -64,9 +65,15 @@ or e minus that substitution, a nonzero codeword of weight at most
 w + 1 < d.  Only the rows with w >= max(2, d_lb - 1) are
 decoded, and any of them that decodes is a miscorrection.
 
-The ten Philox rounds run in place on arrays allocated once per call,
-and the high word of each 64x64-bit product comes from three 32-bit
-partial products (the `mulhu` identity of Hacker's Delight, section 8-2).
+Every block starts from the counter (j + 1, 0, 0, 0) under a seed that
+all trials share, so `_philox_words` runs round 0 once per block on one
+row and round 1's first product once from the seed: of a block's 20
+64x64-bit products, 17 run on (trials, blocks) arrays.  The rounds run in
+place on arrays allocated once per call, and the high word of each
+product comes from three 32-bit partial products (the `mulhu` identity of
+Hacker's Delight, section 8-2).  The kernel returns one array per counter
+word; only the heavy rows' replacement words are interleaved into stream
+order.
 
 Lemire's method rejects u when the low half of u * range falls below
 (2^32 - range) mod range, which is less than range.  A trial with any
@@ -195,36 +202,70 @@ def _mulhilo(a: np.ndarray, m: tuple, hi: np.ndarray, lo: np.ndarray,
 
 
 def _philox_words(key0: np.ndarray, key1: np.ndarray, blocks: int,
-                  first: int = 0) -> np.ndarray:
+                  first: int = 0) -> tuple[np.ndarray, ...]:
     """The words of blocks first..first + blocks - 1 of the Philox4x64-10
-    stream of each key.
+    stream of each key, as four (b, blocks) arrays: the i-th holds word i
+    of each block, so that row t of the stream reads, in order, the [t, j]
+    entries of arrays 0..3 for each block j.
 
-    key0 and key1 are uint64 arrays of shape (b, 1) or (1, 1); the result
-    is (b, 4 * blocks).  Block j is the cipher of the counter (j + 1, 0,
-    0, 0), the order in which numpy's Philox increments its counter
-    before each block.
+    key0 is a (1, 1) uint64 array and key1 one of shape (b, 1).  Block j
+    is the cipher of the counter (j + 1, 0, 0, 0), the order in which
+    numpy's Philox increments its counter before each block.  A round
+    maps (c0, c1, c2, c3) under the key (k0, k1) to
 
-    The rounds run in place on ten (b, blocks) arrays allocated once: the
-    four counter words, the four products that become the next round's
-    counter words, and two scratch arrays.  After a round the spent
+        (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)),
+
+    and the key takes its Weyl increments before each later round.  On
+    that counter the first two rounds need little of the (b, blocks)
+    work.  Round 0's M1 product is zero and its M0 product depends on the
+    block alone: it is computed once, on a (1, blocks) row, and the round
+    gives (k0, 0, hi ^ k1, lo).  Round 1's M0 product is then that of k0,
+    one (1, 1) product, and only its M1 product runs on full arrays.  So
+    a block takes 17 full-width products, not 20.  key0 stays a (1, 1)
+    array, not a numpy scalar, so that its sums wrap without a warning.
+
+    The rounds from round 2 on run in place on eight (b, blocks) arrays,
+    one allocation: the four counter words and the four products that
+    become the next round's counter words.  The M0 product takes the M1
+    product's output arrays as scratch, and the M1 product takes the
+    spent c0 and, once it is xored in, c3.  After a round the spent
     counter words are renamed to hold the next round's products.
     """
-    shape = (key1.shape[0], blocks)
-    c0 = np.empty(shape, dtype=np.uint64)
-    c0[:] = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)
-    c1, c2, c3 = (np.zeros(shape, dtype=np.uint64) for _ in range(3))
-    hi0, lo0, hi1, lo1, s, s2 = (np.empty(shape, dtype=np.uint64) for _ in range(6))
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
-        _mulhilo(c0, _PHILOX_M[0], hi0, lo0, s, s2)
-        _mulhilo(c2, _PHILOX_M[1], hi1, lo1, s, s2)
-        hi1 ^= c1
-        hi1 ^= key0
+    m0, m1 = _PHILOX_M
+    row = np.arange(first + 1, first + blocks + 1, dtype=np.uint64).reshape(1, -1)
+    row_hi, row_lo = np.empty_like(row), np.empty_like(row)
+    _mulhilo(row, m0, row_hi, row_lo, np.empty_like(row), np.empty_like(row))
+    seed_hi, seed_lo = np.empty_like(key0), np.empty_like(key0)
+    _mulhilo(key0.copy(), m0, seed_hi, seed_lo, np.empty_like(key0), np.empty_like(key0))
+    c0, c1, c2, c3, *spare = np.empty((8, key1.shape[0], blocks), dtype=np.uint64)
+    np.bitwise_xor(row_hi, key1, out=c2)  # round 0 leaves (k0, 0, c2, row_lo)
+    key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+    _mulhilo(c2, m1, c0, c1, *spare[:2])
+    c0 ^= key0
+    np.bitwise_xor(row_lo, seed_hi ^ key1, out=c2)
+    c3[:] = seed_lo
+    for _ in range(2, _PHILOX_ROUNDS):
+        key0, key1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+        hi0, lo0, hi1, lo1 = spare
+        _mulhilo(c0, m0, hi0, lo0, hi1, lo1)
         hi0 ^= c3
         hi0 ^= key1
-        c0, c1, c2, c3, hi0, lo0, hi1, lo1 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(-1, 4 * blocks)
+        _mulhilo(c2, m1, hi1, lo1, c0, c3)
+        hi1 ^= c1
+        hi1 ^= key0
+        c0, c1, c2, c3, spare = hi1, lo1, hi0, lo0, [c0, c1, c2, c3]
+    return c0, c1, c2, c3
+
+
+def _stream_words(words: tuple[np.ndarray, ...], rows: np.ndarray, start: int,
+                  stop: int) -> np.ndarray:
+    """Words start..stop - 1 of the given rows' streams, in stream order,
+    from the four word arrays of `_philox_words`."""
+    j0, j1 = start // 4, -(-stop // 4)
+    out = np.empty((len(rows), j1 - j0, 4), dtype=np.uint64)
+    for i, word in enumerate(words):
+        out[:, :, i] = word[rows, j0:j1]
+    return out.reshape(len(rows), 4 * (j1 - j0))[:, start - 4 * j0:stop - 4 * j0]
 
 
 def _lemire(u: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,10 +301,13 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
     an error.  Each `Drawn` carries every row's weight, counted once here.
 
     Each row block's uniform words are computed once, for the longest
-    shape, and every shape compares its own prefix of them.  A shape whose
-    replacement words run past those words reads the rest from tail
-    blocks, computed only for the union of the rows that need them.
-    Every shape makes its own Lemire checks and redraws.
+    shape, one array per counter word; each array is tested against the
+    rate straight into the hit columns it fills, every fourth one, and
+    every shape reads its own prefix of the hit matrix.  Only the heavy
+    rows' replacement words are interleaved into stream order.  A shape
+    whose replacement words run past the uniform blocks reads the rest
+    from tail blocks, computed only for the union of the rows that need
+    them.  Every shape makes its own Lemire checks and redraws.
     """
     _check_stream_range(rate_index, hi)
     b = hi - lo
@@ -282,8 +326,12 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
     key0 = np.full((1, 1), master_seed, dtype=np.uint64)
     key1 = np.arange(lo, hi, dtype=np.uint64).reshape(-1, 1) | np.uint64((rate_index + 1) << 44)
     # (w >> 11) * 2^-53 < rate holds for the integer w >> 11 exactly when
-    # w >> 11 < ceil(rate * 2^53), and rate * 2^53 is exact
-    threshold = np.uint64(math.ceil(rate * 2.0**53))
+    # w >> 11 < T = ceil(rate * 2^53), as rate * 2^53 is exact, that is when
+    # w < T << 11; at rate 1, T << 11 = 2^64 does not fit a uint64, and
+    # every word is at most 2^64 - 1
+    threshold = math.ceil(rate * 2.0**53)
+    test, bound = ((np.less, np.uint64(threshold << 11)) if threshold < 1 << 53
+                   else (np.less_equal, np.uint64(2**64 - 1)))
     hit = np.empty((b, longest), dtype=bool)
     weights = np.empty((len(shapes), b), dtype=np.intp)
     # per shape, each row block's heavy rows and their replacement words:
@@ -293,7 +341,9 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
     for r0 in range(0, b, step):
         words = _philox_words(key0, key1[r0:r0 + step], head)
         block = hit[r0:r0 + step]
-        np.less(words[:, :longest] >> 11, threshold, out=block)
+        for i, word in enumerate(words):
+            out = block[:, i::4]
+            test(word[:, :out.shape[1]], bound, out=out)
         picked = []
         for (n, _), floor, row_weights in zip(shapes, floors, weights):
             row_weights[r0:r0 + step] = np.count_nonzero(block[:, :n], axis=1)
@@ -301,12 +351,13 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
         need = np.unique(np.concatenate([at for at, end in zip(picked, ends) if end > cut]
                                         or [np.empty(0, dtype=np.intp)]))
         past = (_philox_words(key0, key1[r0 + need], tail, first=head) if len(need)
-                else np.empty((0, 4 * tail), dtype=np.uint64))
+                else (np.empty((0, tail), dtype=np.uint64),) * 4)
         for (n, _), end, at, parts in zip(shapes, ends, picked, picks):
-            own = words[at, n:min(end, cut)]
+            own = _stream_words(words, at, n, min(end, cut))
             if end > cut:
-                own = np.hstack([own, past[np.searchsorted(need, at), :end - cut]])
+                own = np.hstack([own, _stream_words(past, np.searchsorted(need, at), 0, end - cut)])
             parts.append((r0 + at, own))
+        del words, past  # not held while the next row block's words are computed
     drawn = []
     for (n, q), row_weights, parts in zip(shapes, weights, picks):
         rows = np.concatenate([at for at, _ in parts])

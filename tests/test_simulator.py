@@ -95,8 +95,8 @@ def numpy_draw(seed, rate_index, trial, n, q):
 DRAW_RATES = [0.0, 0.05, 0.5, 1.0]
 
 
-def assert_draw_matches_reference(seed, rate_index, lo, hi, n, q):
-    """`_draw_shared` of one shape at each of DRAW_RATES, at floors 1 and
+def assert_draw_matches_reference(seed, rate_index, lo, hi, n, q, rates=DRAW_RATES):
+    """`_draw_shared` of one shape at each of `rates`, at floors 1 and
     3: every row of its hit matrix, an error-free one included, is where
     the reference trial's uniforms are below the rate, and its weight is
     their count; its rows are those of weight at least the floor, and each
@@ -104,7 +104,7 @@ def assert_draw_matches_reference(seed, rate_index, lo, hi, n, q):
     that is every row with a hit."""
     uniforms, offsets = map(np.array, zip(*(_reference_draw(seed, rate_index, t, n, q)
                                             for t in range(lo, hi))))
-    for rate in DRAW_RATES:
+    for rate in rates:
         want = uniforms < rate
         patterns = np.where(want, offsets + 1, 0)
         for floor in (1, 3):
@@ -178,6 +178,43 @@ def test_draw_rows_do_not_depend_on_philox_block_size(monkeypatch):
             assert all(map(np.array_equal, drawn_a, drawn_b))
 
 
+# rates at the ends of the uniform threshold T = ceil(rate * 2^53): 2^53,
+# whose T << 11 = 2^64 does not fit a uint64, 2^53 - 1, and 1, the least
+# positive threshold, at 2^-53 and at 1e-17 below it
+EDGE_RATES = [1.0, math.nextafter(1.0, 0.0), 2.0**-53, 1e-17]
+
+
+def test_draw_matches_the_reference_at_the_threshold_edges():
+    # the sweep shapes and a GF(2) shape, at the largest seed
+    for i, (n, q) in enumerate([(8, 4), (15, 9), (35, 25), (9, 2)]):
+        assert_draw_matches_reference(2**64 - 1, i, 300, 700, n, q, EDGE_RATES)
+
+
+def test_uniform_test_is_exact_on_either_side_of_each_threshold(monkeypatch):
+    # every stream reads the words on either side of T << 11 for the
+    # threshold T of each rate, and the ends of the uint64 range, in place
+    # of its Philox words: each hit is numpy's (w >> 11) * 2^-53 < rate
+    rates = [*EDGE_RATES, 0.0, 0.05, 0.5]
+    values = {0, 1, 2**64 - 1}
+    for rate in rates:
+        edge = math.ceil(rate * 2.0**53) << 11
+        values |= {w for w in (edge - 1, edge) if 0 <= w < 2**64}
+    stream = np.array(sorted(values), dtype=np.uint64)
+    n = len(stream)
+    padded = np.append(stream, np.zeros(-n % 4, dtype=np.uint64))
+
+    def words(key0, key1, blocks, first=0):
+        assert (blocks, first) == (len(padded) // 4, 0)
+        return tuple(np.tile(padded[i::4], (len(key1), 1)) for i in range(4))
+
+    monkeypatch.setattr(simulator, "_philox_words", words)
+    for rate in rates:
+        want = (stream >> np.uint64(11)) * 2.0**-53 < rate
+        (hit, weights, rows, _), = _draw_shared(0, 0, 0, 3, [(n, 2)], rate, [1])
+        assert all(np.array_equal(row, want) for row in hit), rate
+        assert list(weights) == [want.sum()] * 3 and len(rows) == 3 * want.any(), rate
+
+
 KEY_WORDS = [0, 2**63 - 1, 2**63, 2**64 - 1]
 
 
@@ -187,15 +224,18 @@ def test_philox_words_equal_numpys_raw_stream(key0, key1):
     # both key words at the edges of the uint64 range, so the Weyl key
     # increments between rounds wrap; one key, and 50 keys counting up
     # from key1 (wrapping past 2^64 - 1); the stream from its first block,
-    # and tails of it from later first blocks
+    # and tails of it from later first blocks.  The kernel returns one
+    # array per counter word, interleaved here into stream order
     keys1 = (key1 + np.arange(50, dtype=object)) % 2**64
     for first in (0, 1, 9):
         for blocks in range(1, 17):
             for ks in (keys1[:1], keys1):
-                got = simulator._philox_words(np.full((1, 1), key0, dtype=np.uint64),
-                                              np.array(ks, dtype=np.uint64).reshape(-1, 1),
-                                              blocks, first)
-                assert got.shape == (len(ks), 4 * blocks)
+                words = simulator._philox_words(np.full((1, 1), key0, dtype=np.uint64),
+                                                np.array(ks, dtype=np.uint64).reshape(-1, 1),
+                                                blocks, first)
+                assert len(words) == 4
+                assert all((w.shape, w.dtype) == ((len(ks), blocks), np.uint64) for w in words)
+                got = np.stack(words, axis=-1).reshape(len(ks), 4 * blocks)
                 for row, k1 in zip(got, ks):
                     stream = np.random.Philox(key=np.array([key0, k1], dtype=np.uint64))
                     assert np.array_equal(row, stream.random_raw(4 * (first + blocks))[4 * first:])
@@ -937,6 +977,45 @@ def test_success_rate_lower_bound_at_low_rate(code):
     floor = (1 - p) ** n + n * p * (1 - p) ** (n - 1)
     sigma = (floor * (1 - floor) / trials) ** 0.5
     assert res.success_rate >= floor - 5 * sigma
+
+
+@functools.cache
+def sweep_distances():
+    """A distance, or a proven lower bound on it, of each sweep code: by
+    brute force for [8,2]_4 and [15,2]_9, and for [35,7]_25, built at
+    r = 7 on a curve with one place at infinity, the Goppa bound n - r."""
+    codes = benchmarks.sweep_codes()
+    brute = [naive_min_distance(_tabled(c.field.p, c.field.e, c.field.modulus), c.generator.tolist())
+             for c in codes[:2]]
+    assert codes[2].name == "super-q5-m2-r7"
+    return (*brute, codes[2].n - 7)
+
+
+@pytest.mark.parametrize("seed", [7, 123456789])
+def test_sweep_successes_lie_in_the_decoders_binomial_band(seed):
+    # the substitution decoder counts every error of weight w <= 1 as a
+    # success and every one of weight 2 <= w <= d - 2 as a failure, so a
+    # trial succeeds with probability in [P(w <= 1), P(w <= 1) +
+    # P(w >= max(2, d - 1))], w ~ Binomial(n, p); every sweep row's
+    # successes lie within 5 sigma of that band.  A
+    # decoder that corrects nothing succeeds only on weight 0: it falls
+    # 13-55 sigma below the band on every row but [35,7]_25 at p = 0.2,
+    # where P(w <= 1) is 0.4 % and it falls 1.4 and 2.5 sigma below
+    trials = 2000
+    codes = benchmarks.sweep_codes()
+    assert sweep_distances() == (6, 13, 28)
+    rows = run_sweep(codes, (0.05, 0.1, 0.2), trials, seed)
+    for code, d, per_rate in zip(codes, sweep_distances(), rows):
+        n = code.n
+        for row in per_rate:
+            p = row.rate
+            pmf = [math.comb(n, w) * p**w * (1 - p) ** (n - w) for w in range(n + 1)]
+            low = pmf[0] + pmf[1]
+            high = low + sum(pmf[max(2, d - 1):])
+            sigma = [math.sqrt(trials * x * (1 - x)) for x in (low, high)]
+            context = (code.name, p, row.successes, trials * low, trials * high)
+            assert row.successes >= trials * low - 5 * sigma[0], context
+            assert row.successes <= trials * high + 5 * sigma[1], context
 
 
 def test_run_simulation_orders_rates(code):

@@ -15,6 +15,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -29,15 +30,16 @@ from .agcode import (
     code_report,
     dual,
     hermitian_inner,
+    is_hermitian_self_orthogonal,
     load_code,
     min_distance,
     weight_distribution,
 )
-from .curve import Family, enumerate_points, hermitian_curve, maximality_check, superelliptic_curve
+from .curve import Family, hermitian_curve, maximality_check, superelliptic_curve
 from .gf import FieldError, field
 from .linalg import matmul, rank
 from .quantum import load_known_codes, parameter_table, table_to_json, write_table_csv
-from .rrspace import code_ladder, dimension_report
+from .rrspace import dimension_report
 from .simulator import (
     SimRun,
     _check_inputs,
@@ -230,6 +232,25 @@ def _check(results: list, name: str, ok: bool, detail: str = "") -> None:
     print(f"[{status}] {name}" + (f": {detail}" if detail else ""))
 
 
+def _in_decoder_band(n: int, d: int, row) -> bool:
+    """Whether a row's successes lie within 7 sigma of the band that the
+    decoder allows a code of length n and distance at least d.
+
+    Every error of weight w <= 1 is a success and every one of weight
+    2 <= w <= d - 2 a failure, so a trial succeeds with probability in
+    [P(w <= 1), P(w <= 1) + P(w >= max(2, d - 1))], w ~ Binomial(n, rate);
+    sigma is that of the trials' success count at each edge.  A decoder
+    that corrected nothing would succeed on weight 0 alone."""
+    p, trials = row.rate, row.trials
+    pmf = [math.comb(n, w) * p**w * (1 - p) ** (n - w) for w in range(n + 1)]
+    low, fail = pmf[0] + pmf[1], sum(pmf[2:max(2, d - 1)])
+    # a count at probability x has variance trials * x * (1 - x); 1 - x is
+    # summed from the pmf, not subtracted, so that it is not below 0
+    low_sd = math.sqrt(trials * low * sum(pmf[2:]))
+    high_sd = math.sqrt(trials * (1 - fail) * fail)
+    return trials * low - 7 * low_sd <= row.successes <= trials * (1 - fail) + 7 * high_sd
+
+
 def cmd_reproduce(args) -> int:
     seed = _resolve_seed(args.seed)
     rates = (0.0, 0.05, 0.1, 0.2)
@@ -309,20 +330,18 @@ def cmd_reproduce(args) -> int:
     outputs.append(str(out_dir / "dimension_report_q3_m3.json"))
 
     # Hermitian self-orthogonality at the report's r within the claimed
-    # threshold: each C_r is a row prefix of the code ladder, which the report
-    # took to r = 30, so its Gram is a leading block of one Gram of the rows
-    # at the largest such r.  Each verdict must match an all-pairs oracle
+    # threshold: the library's verdict on each C_r must match an all-pairs
+    # oracle over its generator rows
     herm_ok = True
     verdicts = {}
-    threshold = [row.r for row in dim_rows if claims.report_claims(se.q, se.m, row.r)["hermitian_threshold_r"]]
-    basis = code_ladder(se, threshold[-1], enumerate_points(se))
-    G = basis.rows[:basis.prefix(threshold[-1])]
-    gram = matmul(se.tower.ext, G, se.tower.vfrobenius(G).T)
-    for r in threshold:
-        k = basis.prefix(r)
-        verdict = not gram[:k, :k].any()
-        direct = all(hermitian_inner(se.tower, gi, gj) == 0 for gi in G[:k] for gj in G[:k])
-        verdicts[r] = verdict
+    for row in dim_rows:
+        if not claims.report_claims(se.q, se.m, row.r)["hermitian_threshold_r"]:
+            continue
+        c_r = build_onepoint_code(se, row.r)
+        verdict = is_hermitian_self_orthogonal(c_r)
+        G = c_r.generator
+        direct = all(hermitian_inner(se.tower, gi, gj) == 0 for gi in G for gj in G)
+        verdicts[row.r] = verdict
         herm_ok = herm_ok and (verdict == direct)
     _check(results, "hermitian-orthogonality-consistency", herm_ok,
            f"verdicts for r<=q-1: {verdicts} (threshold claim: all true)")
@@ -337,18 +356,18 @@ def cmd_reproduce(args) -> int:
         zero_ok = all(run.rows[0].success_rate == 1.0 and run.rows[0].avg_errors == 0.0
                       for run in runs)
         _check(results, "simulation-zero-rate", zero_ok)
-        bands_ok = True
-        for run in runs:
-            for row in run.rows[1:]:
-                sigma = (run.n * row.rate * (1 - row.rate) / row.trials) ** 0.5
-                if abs(row.avg_errors - run.n * row.rate) > 5 * sigma:
-                    bands_ok = False
+        # each nonzero rate's average error count within 5 sigma of n * rate,
+        # and its successes within the decoder's band
+        bands_ok = all(abs(row.avg_errors - run.n * row.rate)
+                       <= 5 * (run.n * row.rate * (1 - row.rate) / row.trials) ** 0.5
+                       and _in_decoder_band(run.n, run.d, row)
+                       for run in runs for row in run.rows[1:])
         _check(results, "simulation-error-bands", bands_ok)
         # the first code at rates 0 and 0.05 over at most 2000 trials, run
         # alone, against the same trials read from the streams shared with
         # the longer codes: up to 2000 trials the sweep's own first two
         # rows, above that a 2000-trial sweep.  From 1821 trials the two
-        # sides also split the trials into different Philox row blocks.
+        # sides also split the trials into different chunks.
         first, n_first = sweep[0], min(args.trials, 2000)
         rerun = run_simulation(first, rates[:2], n_first, seed)
         base = runs[0].rows if args.trials <= 2000 else run_sweep(sweep, rates[:2], n_first, seed)[0]

@@ -29,16 +29,18 @@ for a given seed however the trials are blocked.  The stream is numpy's
 `Generator(Philox(key))` (`_trial_rng`), which draws n uniforms with
 `random`, then n replacement offsets with `integers(0, q - 1)`.  Every
 simulation goes through `run_sweep`, which runs each rate in chunks of
-`CHUNK_TRIALS` trials; `_draw_shared` draws a chunk at once, with Philox
-on uint64 arrays over the block counters of each key, in row blocks of
-at most `PHILOX_BLOCKS` blocks.  The key does not name the code, and
-Philox is counter-based, so codes simulated together read one stream
-per trial: each row block's uniform words are computed once, for the
-code with the most symbols, and each code reads its own prefix; the
-determinism check of `agq reproduce` reruns the first sweep code alone,
-so it compares the shared path with the single-code one.  At rate 0
-nothing is drawn: no uniform in [0, 1) is below 0, so every trial
-arrives intact.  `_draw_shared` states the word layout of a stream.
+`PHILOX_BLOCKS` // `_head_blocks` trials, where the head blocks, ceil(n /
+4) of them, hold the longest code's n uniform words; `_draw_shared`
+draws a chunk in one pass, with Philox on uint64 arrays over the block
+counters of each key, so one constant bounds every array a chunk holds.
+The key does not name the code, and Philox is counter-based, so codes
+simulated together read one stream per trial: each chunk's uniform
+words are computed once, for the code with the most symbols, and each
+code reads its own prefix; the determinism check of `agq reproduce`
+reruns the first sweep code alone, so it compares the shared path with
+the single-code one.  At rate 0 nothing is drawn: no uniform in [0, 1)
+is below 0, so every trial arrives intact.  `_draw_shared` states the
+word layout of a stream.
 
 A trial is its error pattern: 0 where its uniform is >= rate and o + 1
 where it is below, o the replacement offset there.  A uniform is
@@ -160,13 +162,10 @@ _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-# Philox blocks (four uint64 words each) computed at once: the round
-# temporaries stay at 128 KB per array for any code length.
+# Philox blocks (four uint64 words each) of uniform words computed at
+# once: a chunk of trials is `PHILOX_BLOCKS` // `_head_blocks` trials, so
+# the round temporaries stay at 128 KB per array for any code length.
 PHILOX_BLOCKS = 1 << 14
-# Trials drawn and decoded at once: a chunk holds one bool hit matrix per
-# code and the int64 patterns of its heavy rows.  Each chunk is split
-# again into Philox row blocks of `PHILOX_BLOCKS` // blocks per trial.
-CHUNK_TRIALS = 2048
 
 
 def _mulhilo(a: np.ndarray, m: tuple, hi: np.ndarray, lo: np.ndarray,
@@ -287,6 +286,13 @@ class Drawn(NamedTuple):
     errors: np.ndarray  # (len(rows), n) int64: their patterns, 0 or offset + 1
 
 
+def _head_blocks(shapes: Sequence[tuple[int, int]]) -> int:
+    """The Philox blocks of every trial's stream that hold the uniform
+    words of the longest (n, q) of `shapes`, at least one.  `_transmit`
+    draws `PHILOX_BLOCKS` // this many trials at a time."""
+    return max(1, -(-max(n for n, _ in shapes) // 4))
+
+
 def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
                  shapes: Sequence[tuple[int, int]], rate: float,
                  floors: Sequence[int]) -> list[Drawn]:
@@ -300,17 +306,18 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
     they read their replacement draws; a floor of 1 gives every row with
     an error.  Each `Drawn` carries every row's weight, counted once here.
 
-    Each row block's uniform words are computed once, for the longest
+    The head blocks' uniform words are computed once, for the longest
     shape, one array per counter word; each array is tested against the
     rate straight into the hit columns it fills, every fourth one, and
     every shape reads its own prefix of the hit matrix.  Only the heavy
-    rows' replacement words are interleaved into stream order.  A shape
-    whose replacement words run past the uniform blocks reads the rest
-    from tail blocks, computed only for the union of the rows that need
-    them.  Every shape makes its own Lemire checks and redraws.
+    rows' replacement words are interleaved into stream order.  Where a
+    shape's replacement words run past the head blocks, one more call
+    computes the tail blocks, only for the union of the rows that read
+    them.  Every shape makes its own Lemire checks and redraws, and a
+    shape with no heavy row reads no replacement word.  The pass holds
+    all hi - lo trials' words at once; `_transmit` bounds hi - lo.
     """
     _check_stream_range(rate_index, hi)
-    b = hi - lo
     # the word layout of a trial's stream, four words to a block: n uniform
     # words, (word >> 11) * 2^-53 each, then the replacement draws, Lemire-
     # bounded uint32s (u * (q - 1)) >> 32 from the low then the high half
@@ -319,10 +326,8 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
     # every trial gets the head blocks, the cut words that hold the longest
     # shape's uniforms; a heavy row whose replacement words run past them
     # gets the tail blocks too
-    longest = max(n for n, _ in shapes)
-    head = -(-longest // 4)
+    head = _head_blocks(shapes)
     cut = 4 * head
-    tail = -(-max(ends) // 4) - head
     key0 = np.full((1, 1), master_seed, dtype=np.uint64)
     key1 = np.arange(lo, hi, dtype=np.uint64).reshape(-1, 1) | np.uint64((rate_index + 1) << 44)
     # (w >> 11) * 2^-53 < rate holds for the integer w >> 11 exactly when
@@ -332,49 +337,32 @@ def _draw_shared(master_seed: int, rate_index: int, lo: int, hi: int,
     threshold = math.ceil(rate * 2.0**53)
     test, bound = ((np.less, np.uint64(threshold << 11)) if threshold < 1 << 53
                    else (np.less_equal, np.uint64(2**64 - 1)))
-    hit = np.empty((b, longest), dtype=bool)
-    weights = np.empty((len(shapes), b), dtype=np.intp)
-    # per shape, each row block's heavy rows and their replacement words:
-    # half the bytes of their int64 patterns
-    picks = [[] for _ in shapes]
-    step = max(1, PHILOX_BLOCKS // max(head, 1))
-    for r0 in range(0, b, step):
-        words = _philox_words(key0, key1[r0:r0 + step], head)
-        block = hit[r0:r0 + step]
-        for i, word in enumerate(words):
-            out = block[:, i::4]
-            test(word[:, :out.shape[1]], bound, out=out)
-        picked = []
-        for (n, _), floor, row_weights in zip(shapes, floors, weights):
-            row_weights[r0:r0 + step] = np.count_nonzero(block[:, :n], axis=1)
-            picked.append(np.flatnonzero(row_weights[r0:r0 + step] >= floor))
-        need = np.unique(np.concatenate([at for at, end in zip(picked, ends) if end > cut]
-                                        or [np.empty(0, dtype=np.intp)]))
-        past = (_philox_words(key0, key1[r0 + need], tail, first=head) if len(need)
-                else (np.empty((0, tail), dtype=np.uint64),) * 4)
-        for (n, _), end, at, parts in zip(shapes, ends, picked, picks):
+    words = _philox_words(key0, key1, head)
+    hit = np.empty((hi - lo, max(n for n, _ in shapes)), dtype=bool)
+    for i, word in enumerate(words):
+        out = hit[:, i::4]
+        test(word[:, :out.shape[1]], bound, out=out)
+    weights = [np.count_nonzero(hit[:, :n], axis=1) for n, _ in shapes]
+    picked = [np.flatnonzero(w >= floor) for w, floor in zip(weights, floors)]
+    need = np.unique(np.concatenate([at for at, end in zip(picked, ends) if end > cut]
+                                    or [np.empty(0, dtype=np.intp)]))
+    if len(need):
+        past = _philox_words(key0, key1[need], -(-max(ends) // 4) - head, first=head)
+    drawn = []
+    for (n, q), end, row_weights, at in zip(shapes, ends, weights, picked):
+        errors = hit[at, :n].astype(np.int64)  # over GF(2) every offset is 0
+        if q > 2 and len(at):
             own = _stream_words(words, at, n, min(end, cut))
             if end > cut:
                 own = np.hstack([own, _stream_words(past, np.searchsorted(need, at), 0, end - cut)])
-            parts.append((r0 + at, own))
-        del words, past  # not held while the next row block's words are computed
-    drawn = []
-    for (n, q), row_weights, parts in zip(shapes, weights, picks):
-        rows = np.concatenate([at for at, _ in parts])
-        errors = hit[rows, :n].astype(np.int64)  # over GF(2) every offset is 0
-        if q > 2:
-            start = 0
-            for at, own in parts:
-                halves = own.astype("<u8", copy=False).view("<u4")[:, :n]
-                # uint64 before the bound, as a uint32 product u * (q - 1) would wrap
-                offsets, bad = _lemire(halves.astype(np.uint64), q - 1)
-                for i in np.flatnonzero(bad.any(axis=1)):
-                    _, offsets[i] = _reference_draw(master_seed, rate_index,
-                                                    lo + int(at[i]), n, q)
-                offsets += 1
-                errors[start:start + len(at)] *= offsets
-                start += len(at)
-        drawn.append(Drawn(hit[:, :n], row_weights, rows, errors))
+            halves = own.astype("<u8", copy=False).view("<u4")[:, :n]
+            # uint64 before the bound, as a uint32 product u * (q - 1) would wrap
+            offsets, bad = _lemire(halves.astype(np.uint64), q - 1)
+            for i in np.flatnonzero(bad.any(axis=1)):
+                _, offsets[i] = _reference_draw(master_seed, rate_index, lo + int(at[i]), n, q)
+            offsets += 1
+            errors *= offsets
+        drawn.append(Drawn(hit[:, :n], row_weights, at, errors))
     return drawn
 
 
@@ -477,17 +465,21 @@ def _transmit(codes: Sequence[LinearCode], tables: Sequence[DecoderTable], rate:
               trials: int, master_seed: int, rate_index: int) -> tuple[RateResult, ...]:
     """One `RateResult` per code at one rate, on checked inputs with each
     code's `_decoder_table`; the codes share each chunk's streams, and
-    each draws the error patterns of the rows its decoder reads."""
+    each draws the error patterns of the rows its decoder reads.
+
+    A chunk is `PHILOX_BLOCKS` // `_head_blocks` trials, one `_draw_shared`
+    pass: its uniform words fill `PHILOX_BLOCKS` blocks, and that one
+    constant bounds every array the chunk holds, whatever the code length."""
     _check_stream_range(rate_index, trials)
     if math.ceil(rate * 2.0**53) == 0:
         # no uniform in [0, 1) is below 0: every trial arrives intact
         return tuple(RateResult(rate, trials, trials, 0, 0, 0) for _ in codes)
     shapes = [(code.n, code.field.order) for code in codes]
     floors = [table.floor for table in tables]
+    step = max(1, PHILOX_BLOCKS // _head_blocks(shapes))
     counts = np.zeros((len(codes), 4), dtype=np.int64)
-    for lo in range(0, trials, CHUNK_TRIALS):
-        hi = min(lo + CHUNK_TRIALS, trials)
-        drawn = _draw_shared(master_seed, rate_index, lo, hi, shapes, rate, floors)
+    for lo in range(0, trials, step):
+        drawn = _draw_shared(master_seed, rate_index, lo, min(lo + step, trials), shapes, rate, floors)
         for i, (code, table, (hit, weights, _, heavy)) in enumerate(zip(codes, tables, drawn)):
             counts[i] += _decode_errors(code, table, hit, weights, heavy)
     return tuple(RateResult(rate, trials, *map(int, count)) for count in counts)
@@ -510,13 +502,16 @@ def _decode_errors(code: LinearCode, decoder: DecoderTable, hit: np.ndarray,
       e or e with one symbol changed, is nonzero as w >= 2.
 
     `heavy` holds the int64 error patterns of the rows with w >= the
-    floor, in any order, as `_draw_shared` draws them at that floor.
+    floor, in any order, as `_draw_shared` draws them at that floor; with
+    none, no syndrome is computed.
     """
     ones = weights == 1
     single = int(ones.sum())
     exact = int(decoder.exact[hit[ones].argmax(axis=1)].sum())
-    _, statuses = _decode_batch(code, heavy, decoder.columns)
-    decoded = int((statuses != FAILURE).sum())
+    decoded = 0
+    if len(heavy):
+        _, statuses = _decode_batch(code, heavy, decoder.columns)
+        decoded = int((statuses != FAILURE).sum())
     successes = int((weights == 0).sum()) + single + decoded
     return successes, len(hit) - successes, single - exact + decoded, int(weights.sum())
 
@@ -527,7 +522,7 @@ def run_sweep(codes: Sequence[LinearCode], rates: Sequence[float], trials: int,
 
     Trial t at rate index i reads the stream keyed by (master_seed,
     ((i + 1) << 44) | t) whatever the code, so the codes read one stream
-    per trial: each row block's uniform words are computed once, for the
+    per trial: each chunk's uniform words are computed once, for the
     code with the most symbols, and the others read its prefix.  Every
     input, and every code, is checked before the first draw.
     """

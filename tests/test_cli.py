@@ -289,8 +289,8 @@ def test_reproduce_rejects_non_integer_seed_env(capsys, tmp_path, monkeypatch):
 
 
 def test_simulate_preset_sweep(capsys, tmp_path):
-    # the three codes share each trial's stream, over two chunks and, for
-    # the [35,7]_25 code's 14-block streams, several Philox row blocks;
+    # the three codes share each trial's stream, over chunks of 1820 and
+    # 1180 trials, and the [35,7]_25 code's heavy rows read tail blocks;
     # rate 0 draws nothing and rate 1 puts an error on every symbol.  The
     # CSV holds each code's rows simulated alone.
     out_path = tmp_path / "sweep.csv"
@@ -565,9 +565,9 @@ def test_reproduce_determinism_check_fails_on_chunk_dependence(capsys, tmp_path,
 
 
 def test_reproduce_determinism_check_fails_on_row_block_dependence(capsys, tmp_path, monkeypatch):
-    # each Philox row block reads the streams of the trials one block
-    # length on: the sweep's row blocks of 1820 and 180 trials then read
-    # other streams than the rerun's one block of 2000
+    # each Philox call reads the streams of the trials one call length on:
+    # the sweep's chunks of 1820 and 180 trials then read other streams
+    # than the rerun's one chunk of 2000
     real = simulator._philox_words
 
     def block_dependent(key0, key1, blocks, first=0):
@@ -579,8 +579,8 @@ def test_reproduce_determinism_check_fails_on_row_block_dependence(capsys, tmp_p
 
 def test_reproduce_determinism_check_spans_different_row_blocks(capsys, tmp_path, monkeypatch):
     # at 2000 trials the sweep's 9 uniform blocks, for the [35,7]_25
-    # code, make row blocks of 16384 // 9 = 1820 trials, and the [8,2]_4
-    # code's 2 blocks alone one block of 2000; rate 0 draws nothing.  Tail
+    # code, make chunks of 16384 // 9 = 1820 trials, and the [8,2]_4
+    # code's 2 blocks alone one chunk of 2000; rate 0 draws nothing.  Tail
     # blocks, drawn for heavy rows only, start past the uniform blocks
     rows = []
     real = simulator._philox_words
@@ -595,6 +595,47 @@ def test_reproduce_determinism_check_spans_different_row_blocks(capsys, tmp_path
                            "--trials", "2000", "--seed", "5")
     assert code == 0, out
     assert rows == [1820, 180] * 3 + [2000]
+
+
+def test_reproduce_error_bands_fail_for_a_decoder_that_corrects_nothing(capsys, tmp_path, monkeypatch):
+    # a decoder that counts only the error-free trials as successes keeps
+    # every average error count, but its successes fall below the band
+    # [P(w <= 1), P(w <= 1) + P(w >= max(2, d - 1))] less 7 sigma
+    real = simulator._decode_errors
+
+    def corrects_nothing(code, decoder, hit, weights, heavy):
+        _, _, miscorrected, errors = real(code, decoder, hit, weights, heavy)
+        successes = int((weights == 0).sum())
+        return successes, len(hit) - successes, miscorrected, errors
+
+    monkeypatch.setattr(simulator, "_decode_errors", corrects_nothing)
+    code, out, _ = run_cli(capsys, "reproduce", "--out-dir", str(tmp_path),
+                           "--trials", "2000", "--seed", "7")
+    assert code == 1
+    assert "[FAIL] simulation-error-bands" in out.splitlines()
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
+        "[FAIL] simulation-error-bands"]
+
+
+def test_reproduce_hermitian_check_compares_the_librarys_verdicts(capsys, tmp_path, monkeypatch):
+    # the check asks `is_hermitian_self_orthogonal` about C_0, C_1 and C_2
+    # on the superelliptic q=3 m=3 curve, and a library that calls every
+    # code self-orthogonal disagrees with the all-pairs oracle at r = 2
+    asked = []
+    real = cli.is_hermitian_self_orthogonal
+
+    def spy(code):
+        asked.append(code.r)
+        return real(code)
+
+    monkeypatch.setattr(cli, "is_hermitian_self_orthogonal", spy)
+    code, out, _ = run_cli(capsys, "reproduce", "--skip-sim", "--out-dir", str(tmp_path / "a"))
+    assert code == 0 and asked == [0, 1, 2]
+    monkeypatch.setattr(cli, "is_hermitian_self_orthogonal", lambda code: True)
+    code, out, _ = run_cli(capsys, "reproduce", "--skip-sim", "--out-dir", str(tmp_path / "b"))
+    assert code == 1
+    assert "[FAIL] hermitian-orthogonality-consistency: verdicts for r<=q-1: " \
+           "{0: True, 1: True, 2: True} (threshold claim: all true)" in out.splitlines()
 
 
 def test_reproduce_simulates_each_sweep_code_once_plus_one_rerun(capsys, tmp_path, monkeypatch):

@@ -159,23 +159,42 @@ BLOCKING_DRAWS = [([(35, 25)], [1]), ([(35, 25), (33, 9), (15, 9), (7, 2)], [18,
 
 
 def test_draw_rows_do_not_depend_on_philox_block_size(monkeypatch):
-    # 7 Philox blocks make row blocks of one trial.  Each shape's shared
-    # draw is also its draw alone, where its own heavy rows are the only
-    # ones that read tail blocks
-    def draws():
-        return [_draw_shared(5, 1, 100, 400, shapes, rate, floors)
-                for shapes, floors in BLOCKING_DRAWS for rate in DRAW_RATES]
-
-    whole = draws()
+    # each shape's shared draw is also its draw alone, where its own heavy
+    # rows are the only ones that read tail blocks.  Then `run_sweep`'s
+    # chunks, glued together, are one draw of all its trials: 7 Philox
+    # blocks make chunks of one trial, and 100 chunks of 11 trials for the
+    # mixed codes, which do not divide the 300 trials; rate 0 draws nothing
     shapes, floors = BLOCKING_DRAWS[1]
-    for rate, shared in zip(DRAW_RATES, whole[len(DRAW_RATES):]):
+    for rate in DRAW_RATES:
+        shared = _draw_shared(5, 1, 100, 400, shapes, rate, floors)
         for shape, floor, drawn in zip(shapes, floors, shared):
             alone = _draw_shared(5, 1, 100, 400, [shape], rate, [floor])[0]
             assert all(map(np.array_equal, drawn, alone)), (shape, rate)
-    monkeypatch.setattr(simulator, "PHILOX_BLOCKS", 7)
-    for a, b in zip(whole, draws()):
-        for drawn_a, drawn_b in zip(a, b):
-            assert all(map(np.array_equal, drawn_a, drawn_b))
+    chunks = {}
+    real = simulator._draw_shared
+
+    def spy(seed, rate_index, lo, hi, shapes, rate, floors):
+        drawn = real(seed, rate_index, lo, hi, shapes, rate, floors)
+        chunks.setdefault(rate_index, []).append((lo, hi, drawn))
+        return drawn
+
+    codes = mixed_codes()
+    shapes = [(code.n, code.field.order) for code in codes]
+    floors = [simulator._decoder_table(code).floor for code in codes]
+    monkeypatch.setattr(simulator, "_draw_shared", spy)
+    for philox_blocks, size in [(7, 1), (100, 11)]:
+        chunks.clear()
+        monkeypatch.setattr(simulator, "PHILOX_BLOCKS", philox_blocks)
+        run_sweep(codes, DRAW_RATES, 300, 5)
+        for i, rate in enumerate(DRAW_RATES[1:], 1):
+            bounds = [(lo, hi) for lo, hi, _ in chunks[i]]
+            assert bounds == [(lo, min(lo + size, 300)) for lo in range(0, 300, size)], rate
+            whole = real(5, i, 0, 300, shapes, rate, floors)
+            for j, drawn in enumerate(whole):
+                glued = [np.concatenate(parts) for parts in zip(*(
+                    (part[j].hit, part[j].weights, lo + part[j].rows, part[j].errors)
+                    for lo, _, part in chunks[i]))]
+                assert all(map(np.array_equal, drawn, glued)), (shapes[j], rate, philox_blocks)
 
 
 # rates at the ends of the uniform threshold T = ceil(rate * 2^53): 2^53,
@@ -242,9 +261,11 @@ def test_philox_words_equal_numpys_raw_stream(key0, key1):
 
 
 def test_draw_computes_tail_blocks_only_for_the_heavy_rows_that_read_them(monkeypatch):
-    # the sweep codes share 9 uniform blocks per trial, for n = 35; only
-    # [35,7]_25's replacement words run past them, to block 14, so only
-    # its heavy rows get the 5 tail blocks.  Its whole stream is 14
+    # the sweep codes share 9 uniform blocks per trial, for n = 35, in
+    # chunks of 16384 // 9 = 1820 trials: 1820 and 1180 at 3000 trials.
+    # Only [35,7]_25's replacement words run past them, to block 14, so
+    # only its heavy rows get the 5 tail blocks, in one call per chunk
+    # that has any, and only they are decoded.  Its whole stream is 14
     # blocks; no rate computes more per trial, and at rate 1, where every
     # row is heavy, exactly that
     calls, heavy = [], []
@@ -264,44 +285,72 @@ def test_draw_computes_tail_blocks_only_for_the_heavy_rows_that_read_them(monkey
     rates = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8, 1.0)
     trials = 3000
     run_sweep(codes, rates, trials, 7)
-    longest = [rows for n, rows in heavy if n == 35]
-    assert len(longest) == 2 * len(rates)  # two chunks per rate
+    tails = [(i, rows) for i, rows, blocks, first in calls if first]
+    assert [(blocks, first) for _, _, blocks, first in calls if first] == [(5, 9)] * len(tails)
+    # rates 0.5, 0.8 and 1: 1 + 3, 1393 + 851 and 1820 + 1180 heavy rows
+    assert tails == [(5, 1), (5, 3), (6, 1393), (6, 851), (7, 1820), (7, 1180)]
+    assert [rows for n, rows in heavy if n == 35] == [rows for _, rows in tails]
     for i, rate in enumerate(rates):
         mine = [call for call in calls if call[0] == i + 1]
-        uniform = [(rows, blocks) for _, rows, blocks, first in mine if first == 0]
-        tail = [(rows, blocks, first) for _, rows, blocks, first in mine if first]
-        assert sum(rows for rows, _ in uniform) == trials and {b for _, b in uniform} == {9}
-        assert {(blocks, first) for _, blocks, first in tail} <= {(5, 9)}
-        assert sum(rows for rows, _, _ in tail) == sum(longest[2 * i:2 * i + 2]), rate
+        assert [(rows, blocks) for _, rows, blocks, first in mine if not first] == [(1820, 9), (1180, 9)]
         assert sum(rows * blocks for _, rows, blocks, _ in mine) <= 14 * trials, rate
-    assert sum(rows for rows, _, _ in tail) == trials  # rate 1
 
 
 def test_draw_temporaries_are_bounded():
-    # a Hermitian q=8 sized chunk: n = 512 over GF(4096), at a rate that
-    # puts an error in every trial and draws every row's pattern: 8 MB,
-    # while one unblocked Philox pass would hold 12 MB of words.  The same
-    # chunk then shares its row blocks with two shorter shapes, still
-    # holding one row block of words at a time.  At a low rate the chunk
-    # holds its bool hit matrix and a few heavy rows: no trials x n int64
-    # matrix, which alone would be 8 MB
+    # a Hermitian q=8 sized chunk, as `_transmit` draws it: n = 512 over
+    # GF(4096) fills 128 uniform blocks per trial, so a chunk is 16384 //
+    # 128 = 128 trials.  At a rate that puts an error in every trial and
+    # draws every row's pattern, the whole draw, outputs included, peaks
+    # under 8 MB; the same chunk shared with two shorter shapes too.  At a
+    # low rate the chunk holds its bool hit matrix and a few heavy rows,
+    # under 4 MB
     import tracemalloc
 
-    def traced(shapes, rate, floors):
+    def traced(shapes, trials, rate, floors):
         tracemalloc.start()
         try:
-            drawn = _draw_shared(3, 0, 0, 2048, shapes, rate, floors)
+            drawn = _draw_shared(3, 0, 0, trials, shapes, rate, floors)
             return (drawn, *tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
 
     for shapes in ([(512, 4096)], [(35, 25), (512, 4096), (8, 4)]):
-        drawn, outputs, peak = traced(shapes, 0.5, [1] * len(shapes))
-        assert sum(errors.nbytes for *_, errors in drawn) + (2048 * 512) <= outputs
-        assert peak - outputs < 8 << 20, shapes
-        drawn, outputs, peak = traced(shapes, 0.002, [4] * len(shapes))
-        assert all(len(rows) < 100 for _, _, rows, _ in drawn), shapes
+        trials = simulator.PHILOX_BLOCKS // simulator._head_blocks(shapes)
+        assert trials == 128
+        drawn, outputs, peak = traced(shapes, trials, 0.5, [1] * len(shapes))
+        assert sum(errors.nbytes for *_, errors in drawn) + (trials * 512) <= outputs
+        assert peak < 8 << 20, shapes
+        drawn, outputs, peak = traced(shapes, trials, 0.002, [4] * len(shapes))
+        assert all(len(rows) < 20 for _, _, rows, _ in drawn), shapes
         assert peak < 4 << 20, shapes
+
+
+def test_transmit_draws_at_most_one_philox_pass_of_trials(monkeypatch):
+    # every chunk that `_transmit` passes to `_draw_shared` is at most
+    # PHILOX_BLOCKS // ceil(n_max / 4) trials, and the chunks tile the
+    # trials in order: the sweep (9 blocks, 1820 trials), an n = 512 code
+    # over GF(64) (128 blocks, 128 trials) and a GF(2) code with no
+    # replacement words (2 blocks, 8192 trials)
+    chunks = []
+    real = simulator._draw_shared
+
+    def spy(seed, rate_index, lo, hi, shapes, rate, floors):
+        chunks.append((rate_index, lo, hi))
+        return real(seed, rate_index, lo, hi, shapes, rate, floors)
+
+    monkeypatch.setattr(simulator, "_draw_shared", spy)
+    long_code = build_onepoint_code(hermitian_curve(8), 9)
+    assert (long_code.n, long_code.field.order) == (512, 64)
+    for codes, trials, limit in [(benchmarks.sweep_codes(), 2000, 1820), ([long_code], 300, 128),
+                                 ([gf2_hamming_7_4()], 20000, 8192)]:
+        chunks.clear()
+        run_sweep(codes, (0.0, 0.01, 0.3), trials, 3)
+        n_max = max(code.n for code in codes)
+        assert limit == simulator.PHILOX_BLOCKS // -(-n_max // 4)
+        assert {i for i, *_ in chunks} == {1, 2}  # rate 0 draws nothing
+        for i in (1, 2):
+            mine = [(lo, hi) for j, lo, hi in chunks if j == i]
+            assert mine == [(lo, min(lo + limit, trials)) for lo in range(0, trials, limit)], n_max
 
 
 def lemire_rejected(seed, rate_index, trial, n, q):
@@ -779,8 +828,11 @@ def test_decoder_distance_bound_holds_on_random_codes(fe, seed):
 def test_only_rows_heavy_enough_to_reach_another_codeword_are_decoded(monkeypatch):
     # a row of weight 2..d_lb - 2 fails without a syndrome and one of
     # weight 1 is read from the exact table, so the syndrome decoder sees
-    # only rows of weight >= max(2, d_lb - 1): none of [35,7]_25's at 0.1
-    # and 0.2, where its d_lb = 28
+    # only rows of weight >= max(2, d_lb - 1), and a chunk with none makes
+    # no call.  At these rates only [8,2]_4 (d_lb = 6) has any, in the
+    # first of each rate's chunks of 1820 and 180 trials: 2, 25 and 4
+    # rows, 31 of the 18 000 trials.  [15,2]_9 and [35,7]_25 (d_lb = 13
+    # and 28) have none
     seen = []
     real = simulator._decode_batch
 
@@ -792,10 +844,10 @@ def test_only_rows_heavy_enough_to_reach_another_codeword_are_decoded(monkeypatc
     codes = benchmarks.sweep_codes()
     run_sweep(codes, (0.05, 0.1, 0.2), 2000, 7)
     floors = {code.name: max(2, simulator._decoder_table(code).d_lb - 1) for code in codes}
-    assert [name for name, _ in seen] == [code.name for code in codes] * 3
+    assert [(name, len(weights)) for name, weights in seen] == [("herm-q2-r2", 2), ("herm-q2-r2", 25),
+                                                                ("herm-q2-r2", 4)]
     for name, weights in seen:
         assert (weights >= floors[name]).all(), name
-    assert [len(weights) for name, weights in seen[5::3]] == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -822,9 +874,10 @@ def test_transmission_matches_literal_trials(monkeypatch, rate_index, rate):
     # channel on the zero word, then decoded by the oracle decoder: once as
     # received, and once with a codeword c from an independent generator
     # added, where a decode other than c is a miscorrection.  Both agree
-    # exactly with the simulator; 300 trials in three chunks
+    # exactly with the simulator; 300 trials in three chunks, as 256
+    # Philox blocks make chunks of 128 trials for n = 7 and n = 8
     trials, seed = 300, 31
-    monkeypatch.setattr(simulator, "CHUNK_TRIALS", 128)
+    monkeypatch.setattr(simulator, "PHILOX_BLOCKS", 256)
     independent = np.random.default_rng(rate_index)
     for code in transmission_codes():
         F, q = code.field, code.field.order
@@ -847,8 +900,10 @@ def test_transmission_matches_literal_trials(monkeypatch, rate_index, rate):
 
 
 def test_sweep_makes_no_encoding_product(monkeypatch):
-    # one G H^T certificate per code, then one syndrome product per code
-    # and nonzero rate; no trial is encoded
+    # one G H^T certificate per code, then one syndrome product per chunk
+    # in which a code has a heavy row: at seed 7 only [8,2]_4 has any, 3, 1
+    # and 19 rows at the three nonzero rates, each in the first chunk of
+    # 1820 trials.  No trial is encoded
     shapes = []
     real = simulator.matmul
 
@@ -860,7 +915,7 @@ def test_sweep_makes_no_encoding_product(monkeypatch):
     codes = benchmarks.sweep_codes()
     run_sweep(codes, (0.0, 0.05, 0.1, 0.2), 2000, 7)
     assert shapes[:3] == [(code.k, code.n) for code in codes]
-    assert [n for _, n in shapes[3:]] == [code.n for code in codes] * 3
+    assert shapes[3:] == [(3, 8), (1, 8), (19, 8)]
 
 
 def test_rate_zero_exact(code):
@@ -876,7 +931,7 @@ def test_rate_zero_draws_nothing(code, monkeypatch):
     monkeypatch.setattr(simulator, "_philox_words", forbidden_draw)
     assert at_rate_index(code, 0.0, 5000, 3, 7) == RateResult(0.0, 5000, 5000, 0, 0, 0)
     zero = RateResult(0.0, 300, 300, 0, 0, 0)
-    monkeypatch.setattr(simulator, "CHUNK_TRIALS", 137)
+    monkeypatch.setattr(simulator, "PHILOX_BLOCKS", 274)  # chunks of 137 trials
     assert run_simulation(code, (0.0, 0.0), 300, 4) == (zero, zero)
     assert run_sweep([code, code], (0.0,), 300, 4) == ((zero,), (zero,))
     table = simulator._decoder_table(code)
@@ -896,9 +951,11 @@ def test_counts_partition_trials(code):
 
 
 def test_seeded_determinism_and_chunk_invariance(code, monkeypatch):
+    # n = 8 fills 2 uniform blocks per trial: chunks of 2048 and 137
+    # trials, then one chunk of all 3000 at the default 16384 blocks
     runs = []
-    for chunk in (2048, 137, 3000):
-        monkeypatch.setattr(simulator, "CHUNK_TRIALS", chunk)
+    for blocks in (4096, 274, 16384):
+        monkeypatch.setattr(simulator, "PHILOX_BLOCKS", blocks)
         runs.append(at_rate_index(code, 0.1, 3000, 13, 2))
     assert runs[0] == runs[1] == runs[2]
     assert at_rate_index(code, 0.1, 3000, 14, 2) != runs[0]
@@ -917,12 +974,16 @@ SWEEP_PINS = [
 ]
 
 
-@pytest.mark.parametrize("chunk_trials", [2048, 199])
-def test_sweep_results_are_pinned(monkeypatch, chunk_trials):
-    monkeypatch.setattr(simulator, "CHUNK_TRIALS", chunk_trials)
-    for sweep_code, pins in zip(benchmarks.sweep_codes(), SWEEP_PINS):
-        rows = run_simulation(sweep_code, (0.0, 0.05, 0.1, 0.2), 2000, 2**64 - 1)
-        assert [dataclasses.astuple(row) for row in rows] == pins, sweep_code.name
+@pytest.mark.parametrize("philox_blocks", [2048, 199])
+def test_sweep_results_are_pinned(monkeypatch, philox_blocks):
+    # at the default Philox blocks, [8,2]_4, [15,2]_9 and [35,7]_25 run
+    # alone in chunks of 8192, 4096 and 1820 trials; 2048 blocks make
+    # chunks of 1024, 512 and 227, and 199 blocks chunks of 99, 49 and 22
+    for blocks in (simulator.PHILOX_BLOCKS, philox_blocks):
+        monkeypatch.setattr(simulator, "PHILOX_BLOCKS", blocks)
+        for sweep_code, pins in zip(benchmarks.sweep_codes(), SWEEP_PINS):
+            rows = run_simulation(sweep_code, (0.0, 0.05, 0.1, 0.2), 2000, 2**64 - 1)
+            assert [dataclasses.astuple(row) for row in rows] == pins, (sweep_code.name, blocks)
 
 
 def gf2_hamming_7_4():
@@ -943,23 +1004,25 @@ def mixed_codes():
 
 
 @functools.cache
-def mixed_alone():
-    return tuple(run_simulation(code, MIXED_RATES, 501, 2**64 - 3) for code in mixed_codes())
+def mixed_alone(trials):
+    return tuple(run_simulation(code, MIXED_RATES, trials, 2**64 - 3) for code in mixed_codes())
 
 
-@pytest.mark.parametrize("chunk_trials, philox_blocks", [
+@pytest.mark.parametrize("trials, philox_blocks", [
     (2048, None), (199, None), (137, None), (199, 7), (2048, 100), (137, 100)])
-def test_sweep_equals_per_code_simulations(monkeypatch, chunk_trials, philox_blocks):
-    # 7 Philox blocks make row blocks of one trial; 100 make row blocks of
-    # 7 trials for the mixed codes and 25 for [8,2]_4 alone, which divide
-    # neither the chunks nor the 501 trials
-    alone = mixed_alone()
-    monkeypatch.setattr(simulator, "CHUNK_TRIALS", chunk_trials)
+def test_sweep_equals_per_code_simulations(monkeypatch, trials, philox_blocks):
+    # the codes alone run at the default 16384 Philox blocks: chunks of
+    # 1820 trials for [35,7]_25, of 4096 or more for the others.  Together,
+    # the mixed codes fill 9 blocks per trial, so 2048 trials are two
+    # chunks; 7 blocks make chunks of one trial
+    # trials for the mixed codes and of 3 for [8,2]_4 alone; 100 make
+    # chunks of 11 and 50, which divide none of the trial counts
+    alone = mixed_alone(trials)
     if philox_blocks:
         monkeypatch.setattr(simulator, "PHILOX_BLOCKS", philox_blocks)
-    assert run_sweep(mixed_codes(), MIXED_RATES, 501, 2**64 - 3) == alone
+    assert run_sweep(mixed_codes(), MIXED_RATES, trials, 2**64 - 3) == alone
     codes = benchmarks.sweep_codes()[:1]
-    assert run_sweep(codes, MIXED_RATES, 501, 2**64 - 3) == alone[:1]
+    assert run_sweep(codes, MIXED_RATES, trials, 2**64 - 3) == alone[:1]
 
 
 def test_sweep_result_shape_and_checks(code):
@@ -1083,8 +1146,8 @@ def test_a_parity_check_that_does_not_annihilate_the_generator_is_refused(code, 
 
 
 def test_csv_outputs_are_deterministic(tmp_path, monkeypatch, code):
-    def emit(tag, chunk):
-        monkeypatch.setattr(simulator, "CHUNK_TRIALS", chunk)
+    def emit(tag, blocks):
+        monkeypatch.setattr(simulator, "PHILOX_BLOCKS", blocks)
         rows = run_simulation(code, (0.0, 0.1), 500, 21)
         run = SimRun(code_name=code.name, n=code.n, k=code.k, d=5, master_seed=21, rows=rows)
         out = tmp_path / f"res_{tag}.csv"
@@ -1093,8 +1156,8 @@ def test_csv_outputs_are_deterministic(tmp_path, monkeypatch, code):
         write_series_csv([run], series)
         return out.read_bytes(), series.read_bytes()
 
-    first = emit("a", 2048)
-    second = emit("b", 173)
+    first = emit("a", 16384)  # one chunk of 500 trials
+    second = emit("b", 346)  # chunks of 173
     assert first == second
 
 

@@ -55,16 +55,13 @@ class LinearCode:
     generator and parity check are read-only views of its curve's ladder:
     a row prefix of its rows and a row suffix of its transform.  No H is
     in reduced form: nothing that reads H depends on which basis of
-    C^perp it is.  `tower` is present when the field is a quadratic
-    extension GF(q^2), whose conjugation a -> a^q enables Hermitian
-    operations.  `points` (an (N, 2) index array) and `r`
-    record provenance for codes built from a curve.
+    C^perp it is.  `points` (an (N, 2) index array) and `r` record
+    provenance for codes built from a curve.
     """
 
     field: Field
     generator: np.ndarray
     parity_check: np.ndarray | None = None
-    tower: QuadraticTower | None = None
     points: np.ndarray | None = None
     curve: CurveSpec | None = None
     r: int | None = None
@@ -86,6 +83,14 @@ class LinearCode:
         return self.generator.shape[0]
 
     @property
+    def tower(self) -> QuadraticTower:
+        """GF(q) < GF(q^2) = `field`, whose conjugation a -> a^q enables Hermitian operations."""
+        F = self.field
+        if F.e % 2:
+            raise FieldError(f"{F!r} carries no designated quadratic subfield; Hermitian operations are unavailable")
+        return quadratic_tower(F.p ** (F.e // 2))
+
+    @property
     def designed_distance(self) -> int | None:
         """n - deg G, G the divisor of the code at r, a multiple of the sum
         of the places at infinity: a nonzero f in L(G) has at most deg G
@@ -104,8 +109,6 @@ class LinearCode:
         G = np.atleast_2d(np.asarray(rows, dtype=np.int64))
         if np.any((G < 0) | (G >= F.order)):
             raise ValueError(f"matrix entries must be indices in [0, {F.order})")
-        if kwargs.get("tower") is None and F.e % 2 == 0:
-            kwargs["tower"] = quadratic_tower(F.p ** (F.e // 2))
         code = cls(field=F, generator=G, **kwargs)
         rk = code.n - len(code.parity_check)
         if rk != code.k:
@@ -163,7 +166,6 @@ def build_onepoint_code(curve: CurveSpec, r: int, eval_set="all", name: str = ""
         field=curve.tower.ext,
         generator=basis.rows[:k],
         parity_check=basis.transform[k:],
-        tower=curve.tower,
         points=points,
         curve=curve,
         r=r,
@@ -184,7 +186,6 @@ def _traded(code: LinearCode, generator, parity_check, prefix: str) -> LinearCod
         field=code.field,
         generator=generator,
         parity_check=parity_check,
-        tower=code.tower,
         points=code.points,
         curve=code.curve,
         name=f"{prefix}-{code.name}",
@@ -408,18 +409,7 @@ def hermitian_inner(tower: QuadraticTower, a, b) -> int:
 
 
 def _hermitian_gram(code: LinearCode) -> np.ndarray:
-    tower = _require_tower(code)
-    G = code.generator
-    return matmul(code.field, G, tower.vfrobenius(G).T)
-
-
-def _require_tower(code: LinearCode) -> QuadraticTower:
-    if code.tower is None:
-        raise FieldError(
-            f"{code.field!r} carries no designated quadratic subfield; "
-            "Hermitian operations are unavailable"
-        )
-    return code.tower
+    return matmul(code.field, code.generator, code.tower.vfrobenius(code.generator).T)
 
 
 def hermitian_violation(code: LinearCode) -> tuple[int, int] | None:
@@ -455,7 +445,7 @@ def hermitian_dual(code: LinearCode) -> LinearCode:
     """Hermitian dual C^perp_h = (C^q)^perp.  Frobenius is a field
     automorphism, so conj(G) generates C^q and conj(H) checks it: the dual
     is the code with the conjugated generator and parity check traded."""
-    tower = _require_tower(code)
+    tower = code.tower
     return _traded(code, tower.vfrobenius(code.parity_check), tower.vfrobenius(code.generator), "hdual")
 
 

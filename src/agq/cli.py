@@ -35,11 +35,11 @@ from .agcode import (
     min_distance,
     weight_distribution,
 )
-from .curve import Family, hermitian_curve, maximality_check, superelliptic_curve
+from .curve import Family, enumerate_points, hermitian_curve, maximality_check, superelliptic_curve
 from .gf import FieldError, field
 from .linalg import matmul, rank
 from .quantum import load_known_codes, parameter_table, table_to_json, write_table_csv
-from .rrspace import dimension_report
+from .rrspace import candidate_monomials, dimension_report, evaluation_matrix
 from .simulator import (
     SimRun,
     _check_inputs,
@@ -316,10 +316,15 @@ def cmd_reproduce(args) -> int:
     write_table_csv(rows5, out_dir / "quantum_q5_m3.csv")
     outputs += [str(out_dir / "quantum_q3_m3.csv"), str(out_dir / "quantum_q5_m3.csv")]
 
-    # dimension ground truth vs the case formula
+    # dimension ground truth vs the case formula; the ladder's readings
+    # against the rank of the candidate matrix itself, next to where the
+    # formula changes case (r = 2, 9, 11) and at r_max
     se = superelliptic_curve(3, 3)
     dim_rows = dimension_report(se, 30)
-    rank_ok = all(row.rank == row.verified_count for row in dim_rows)
+    points = enumerate_points(se)
+    rank_ok = all(dim_rows[r].rank
+                  == rank(se.tower.ext, evaluation_matrix(se, candidate_monomials(se, r).monomials, points))
+                  for r in (2, 9, 11, 30))
     rr_ok = all(row.riemann_roch is None or row.riemann_roch == row.rank for row in dim_rows)
     disagreements = [row.r for row in dim_rows if not row.prediction_matches_rank]
     _check(results, "dimension-vs-rank", rank_ok and rr_ok,
@@ -460,7 +465,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FieldError, ValueError, OSError) as exc:
+    except (FieldError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

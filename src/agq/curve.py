@@ -49,9 +49,12 @@ class CurveSpec:
     m: int
     genus: int
     places_at_infinity: int
-    tower: QuadraticTower = dc_field(repr=False, compare=False, hash=False, default=None)
     # this object's "points", code "ladder" and its "gram", filled on first use
     _cache: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
+
+    @property
+    def tower(self) -> QuadraticTower:
+        return quadratic_tower(self.q)
 
     def label(self) -> str:
         return f"{self.family.value}-q{self.q}-m{self.m}"
@@ -90,13 +93,12 @@ def superelliptic_curve(q: int, m: int) -> CurveSpec:
         m=m,
         genus=((n - 1) * t + 1 - e) // 2,
         places_at_infinity=e,
-        tower=tower,
     )
 
 
 def hermitian_curve(q: int) -> CurveSpec:
     """y^q + y = x^(q+1) over GF(q^2)."""
-    tower = quadratic_tower(q)
+    quadratic_tower(q)  # FieldError for a q that is no field's order
     return CurveSpec(
         family=Family.HERMITIAN,
         q=q,
@@ -104,7 +106,6 @@ def hermitian_curve(q: int) -> CurveSpec:
         m=q + 1,
         genus=q * (q - 1) // 2,
         places_at_infinity=1,
-        tower=tower,
     )
 
 
@@ -162,8 +163,11 @@ def enumerate_points(curve: CurveSpec) -> np.ndarray:
 class MaximalityReport:
     count_points: int
     expected: int
-    is_maximal: bool
     genus: int
+
+    @property
+    def is_maximal(self) -> bool:
+        return self.count_points == self.expected
 
 
 def maximality_check(curve: CurveSpec) -> MaximalityReport:
@@ -174,6 +178,5 @@ def maximality_check(curve: CurveSpec) -> MaximalityReport:
     return MaximalityReport(
         count_points=count,
         expected=expected,
-        is_maximal=count == expected,
         genus=curve.genus,
     )

@@ -39,10 +39,14 @@ def matmul(F: Field, A, B):
     mod p and carried into the next.  The reduction gathers from a
     residue table (a bit mask for p = 2).
 
-    Memory: A is taken in blocks of rows whose float temporaries, rows x
-    k*e and rows x n*e, hold about BLOCK_ENTRIES entries each.  Besides
-    the (m, n) result and the (k*e, n*e) expansion of B, nothing larger is
-    allocated; no m*k*n array exists.
+    Memory: only the smaller side is expanded.  When the (k*e, n*e)
+    expansion of B exceeds the (k*e, m*e) one of A^T by more than
+    BLOCK_ENTRIES entries, A and B trade roles, and B^T A^T is written
+    into the transpose of the C-contiguous (m, n) result.  The side not
+    expanded is taken in blocks of rows whose float temporaries, rows x
+    k*e and rows x e times the other side's columns, hold about
+    BLOCK_ENTRIES entries each.  Besides the result and the one
+    expansion, nothing larger is allocated; no m*k*n array exists.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.int64))
     B = np.atleast_2d(np.asarray(B, dtype=np.int64))
@@ -52,6 +56,9 @@ def matmul(F: Field, A, B):
     out = np.zeros((m, n), dtype=np.int64)
     if out.size == 0 or k == 0:
         return out
+    target = out
+    if (n - m) * k * e * e > BLOCK_ENTRIES:
+        A, B, m, n, target = B.T, A.T, n, m, out.T
     # np.take, not fancy indexing: several times faster gathering table rows
     B_hat = np.take(F._digit_floats, np.take(F._x_multiples, B, axis=0), axis=0)
     B_hat = B_hat.transpose(0, 2, 1, 3).reshape(k * e, n * e)
@@ -74,7 +81,7 @@ def matmul(F: Field, A, B):
                 digits = np.take(residues, digits)
             else:
                 digits %= p
-        out[r0:r0 + rows] = digits.reshape(-1, n, e) @ F._pows
+        target[r0:r0 + rows] = digits.reshape(-1, n, e) @ F._pows
     return out
 
 

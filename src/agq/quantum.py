@@ -87,13 +87,12 @@ def params_from_code(code: LinearCode, budget: int = DEFAULT_BUDGET) -> QuantumP
             f"code is not Hermitian self-orthogonal: generator rows {pair[0]} and {pair[1]} "
             "have nonzero Hermitian product"
         )
-    tower = code.tower
     dual_code = hermitian_dual(code)
     dist = min_distance(dual_code, budget)
     d = dist.d if dist.exact else None
     n, k = code.n, code.n - 2 * code.k
     return QuantumParams(
-        q=tower.q,
+        q=code.tower.q,
         n=n,
         k=k,
         d=d,
@@ -147,10 +146,13 @@ def load_known_codes(path) -> list[KnownCode]:
 
 @dataclass(frozen=True)
 class TableRow:
-    q: int
     m: int
     r: int
     params: QuantumParams
+
+    @property
+    def q(self) -> int:
+        return self.params.q
 
 
 def parameter_table(q: int, m: int, r_values: Iterable[int],
@@ -167,7 +169,7 @@ def parameter_table(q: int, m: int, r_values: Iterable[int],
         ]
         if notes:
             params = QuantumParams(**{**params.__dict__, "comparison": "; ".join(notes)})
-        rows.append(TableRow(q=q, m=m, r=r, params=params))
+        rows.append(TableRow(m=m, r=r, params=params))
     return rows
 
 

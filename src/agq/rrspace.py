@@ -35,19 +35,22 @@ class MonomialBasis:
     """Exponent pairs (i, j) for x^i y^j, with weights i*n + j*m
     (`pole_orders`: e times the pole order at each place at infinity).
 
-    A verified basis also carries `rows`, the evaluation vectors of its
-    monomials at the points it was verified on, and `transform`, the T of
-    the elimination that verified them: `transform[prefix(r):]` is a basis
+    A basis is verified when it carries `rows`, the evaluation vectors of
+    its monomials at the points it was verified on, and `transform`, the T
+    of the elimination that verified them: `transform[prefix(r):]` is a basis
     of the null space of `rows[:prefix(r)]`, the code at r's parity check.
     """
 
     r: int
     monomials: tuple[tuple[int, int], ...]
     pole_orders: tuple[int, ...]
-    verified: bool
     dropped: tuple[tuple[int, int], ...] = ()
     rows: np.ndarray | None = field(default=None, compare=False, repr=False)
     transform: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def verified(self) -> bool:
+        return self.rows is not None
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -90,7 +93,6 @@ def candidate_monomials(curve: CurveSpec, r: int) -> MonomialBasis:
         r=r,
         monomials=tuple((i, j) for _, i, j in found),
         pole_orders=tuple(po for po, _, _ in found),
-        verified=False,
     )
 
 
@@ -139,7 +141,6 @@ def verified_basis(curve: CurveSpec, r: int, points: np.ndarray) -> MonomialBasi
         r=r,
         monomials=tuple(m for k, m in enumerate(cand.monomials) if k in kept),
         pole_orders=tuple(po for k, po in enumerate(cand.pole_orders) if k in kept),
-        verified=True,
         dropped=tuple(m for k, m in enumerate(cand.monomials) if k not in kept),
         rows=E[pivots],
         transform=T,

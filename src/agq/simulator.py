@@ -102,14 +102,17 @@ SUCCESS, CORRECTED, FAILURE = 0, 1, 2
 
 @dataclass(frozen=True)
 class RateResult:
-    """Exact trial counts for one error rate (rates are derived views)."""
+    """Exact trial counts for one error rate (uncorrectable and the rates are derived views)."""
 
     rate: float
     trials: int
     successes: int
-    uncorrectable: int
     miscorrected: int
     total_errors: int
+
+    @property
+    def uncorrectable(self) -> int:
+        return self.trials - self.successes
 
     @property
     def success_rate(self) -> float:
@@ -473,11 +476,11 @@ def _transmit(codes: Sequence[LinearCode], tables: Sequence[DecoderTable], rate:
     _check_stream_range(rate_index, trials)
     if math.ceil(rate * 2.0**53) == 0:
         # no uniform in [0, 1) is below 0: every trial arrives intact
-        return tuple(RateResult(rate, trials, trials, 0, 0, 0) for _ in codes)
+        return tuple(RateResult(rate, trials, trials, 0, 0) for _ in codes)
     shapes = [(code.n, code.field.order) for code in codes]
     floors = [table.floor for table in tables]
     step = max(1, PHILOX_BLOCKS // _head_blocks(shapes))
-    counts = np.zeros((len(codes), 4), dtype=np.int64)
+    counts = np.zeros((len(codes), 3), dtype=np.int64)
     for lo in range(0, trials, step):
         drawn = _draw_shared(master_seed, rate_index, lo, min(lo + step, trials), shapes, rate, floors)
         for i, (code, table, (hit, weights, _, heavy)) in enumerate(zip(codes, tables, drawn)):
@@ -487,7 +490,7 @@ def _transmit(codes: Sequence[LinearCode], tables: Sequence[DecoderTable], rate:
 
 def _decode_errors(code: LinearCode, decoder: DecoderTable, hit: np.ndarray,
                    weights: np.ndarray, heavy: np.ndarray):
-    """(successes, uncorrectable, miscorrected, total errors) of the trials
+    """(successes, miscorrected, total errors) of the trials
     sending the zero word whose hit positions are the rows of the bool
     matrix `hit`, sorted by their weight w, read from `weights`:
 
@@ -513,7 +516,7 @@ def _decode_errors(code: LinearCode, decoder: DecoderTable, hit: np.ndarray,
         _, statuses = _decode_batch(code, heavy, decoder.columns)
         decoded = int((statuses != FAILURE).sum())
     successes = int((weights == 0).sum()) + single + decoded
-    return successes, len(hit) - successes, single - exact + decoded, int(weights.sum())
+    return successes, single - exact + decoded, int(weights.sum())
 
 
 def run_sweep(codes: Sequence[LinearCode], rates: Sequence[float], trials: int,

@@ -222,15 +222,14 @@ def test_dual_of_full_code_is_zero_code():
 @st.composite
 def full_rank_codes(draw):
     """A random full-rank [n, k] code over GF(4), GF(9) or GF(25), n <= 7,
-    carrying its tower, with the naive field of its extension."""
-    tower = quadratic_tower(draw(st.sampled_from([2, 3, 5])))
-    F = tower.ext
+    built directly, with the naive field of its extension."""
+    F = quadratic_tower(draw(st.sampled_from([2, 3, 5]))).ext
     nf = NaiveField(F.p, F.e, F.modulus)
     n = draw(st.integers(1, 7))
     k = draw(st.integers(0, n))
     G = _matrix(draw, F, k, n)
     assume(naive_rank(nf, G.tolist()) == k)
-    return nf, LinearCode(field=F, generator=G, tower=tower)
+    return nf, LinearCode(field=F, generator=G)
 
 
 @settings(max_examples=80, deadline=None)
@@ -846,7 +845,7 @@ def test_row_scaling_keeps_hermitian_verdict(se33):
                     for gi in G.tolist()
                     for gj in G.tolist()
                 )
-                scaled = LinearCode(field=F, generator=G, tower=code.tower)
+                scaled = LinearCode(field=F, generator=G)
                 assert is_hermitian_self_orthogonal(scaled) is direct is verdict
 
 
@@ -875,6 +874,70 @@ def test_hermitian_requires_tower():
     code = LinearCode(field=F, generator=np.array([[1, 2, 0]], dtype=np.int64))
     with pytest.raises(FieldError):
         is_hermitian_self_orthogonal(code)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_a_codes_tower_is_read_from_its_field(q, tmp_path):
+    # GF(4), GF(9) and GF(16): every way of making a code gives the tower
+    # whose extension is the code's field
+    curve = hermitian_curve(q)
+    built = build_onepoint_code(curve, q)
+    save_code(built, tmp_path / "code.txt")
+    F = built.field
+    direct = LinearCode(field=F, generator=built.generator)
+    codes = [built, load_code(tmp_path / "code.txt"), LinearCode.from_generator(F, built.generator),
+             dual(built), hermitian_dual(built), direct, dual(direct), hermitian_dual(direct)]
+    for code in codes:
+        assert code.tower.ext is code.field is F
+        assert code.tower.q == q
+    with pytest.raises(TypeError):
+        LinearCode(field=F, generator=built.generator, tower=curve.tower)
+
+
+def test_a_code_over_a_field_of_odd_degree_has_no_tower():
+    F = field(2, 3)
+    code = LinearCode.from_generator(F, [[1, 2, 3, 4], [0, 1, 5, 7]])
+    for ask in (lambda c: c.tower, is_hermitian_self_orthogonal, hermitian_violation, hermitian_dual):
+        with pytest.raises(FieldError, match="carries no designated quadratic subfield"):
+            ask(code)
+    # the Euclidean operations need no tower
+    assert dual(code).k == 2
+
+
+def _all_pairs_hermitian(code) -> bool:
+    F, q = code.field, code.tower.q
+    nf = NaiveField(F.p, F.e, F.modulus)
+    G = code.generator.tolist()
+    return all(naive_hermitian_inner(nf, q, gi, gj) == 0 for gi in G for gj in G)
+
+
+def test_a_directly_built_gf4_code_gets_the_hermitian_verdict_of_its_own_field():
+    # the conjugation is GF(4)'s own, a -> a^2; GF(9)'s would map these
+    # indices outside GF(4)
+    code = LinearCode(field=field(2, 2), generator=[[1, 2, 3, 0], [0, 1, 1, 1]])
+    assert is_hermitian_self_orthogonal(code) is _all_pairs_hermitian(code)
+    # a row pair of nonzero product: <(1, 1), (1, 1)> = 1 + 1 = 0 in
+    # characteristic 2, while <(1, 0), (1, 0)> = 1
+    assert is_hermitian_self_orthogonal(LinearCode(field=field(2, 2), generator=[[1, 1]]))
+    assert not is_hermitian_self_orthogonal(LinearCode(field=field(2, 2), generator=[[1, 0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2), (2, 4)]), st.data())
+def test_a_directly_built_codes_hermitian_verdict_matches_the_all_pairs_oracle(pe, data):
+    # random generators over GF(4), GF(9) and GF(16), and, so that both
+    # verdicts occur, rows of a self-orthogonal curve code mixed in
+    F = field(*pe)
+    n = data.draw(st.integers(1, 6))
+    k = data.draw(st.integers(1, 3))
+    G = _matrix(data.draw, F, k, n)
+    code = LinearCode(field=F, generator=G)
+    assert is_hermitian_self_orthogonal(code) is _all_pairs_hermitian(code)
+    herm = build_onepoint_code(hermitian_curve(F.p ** (F.e // 2)), 1)
+    assert is_hermitian_self_orthogonal(herm)
+    rows = data.draw(st.lists(st.integers(0, herm.k - 1), min_size=1, max_size=3))
+    mixed = LinearCode(field=F, generator=herm.generator[rows])
+    assert is_hermitian_self_orthogonal(mixed) is _all_pairs_hermitian(mixed) is True
 
 
 def test_hermitian_dual_dimension_and_membership(code_8_3):

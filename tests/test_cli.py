@@ -122,6 +122,19 @@ def test_code_report_huge_q_fails_at_once(capsys):
     assert err.startswith("error:") and "GF(100000007^2)" in err
 
 
+def test_a_report_past_the_memory_limit_fails_with_one_error_line(capsys, monkeypatch):
+    # numpy's MemoryError names the array it could not allocate
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array with shape "
+                          "(1048576, 1048576) and data type float64")
+
+    monkeypatch.setattr(cli, "code_report", too_large)
+    code, out, err = run_cli(capsys, "code-report", "--family", "hermitian", "--q", "2", "--r", "3")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: Unable to allocate 8.00 TiB for an array with shape "
+                                "(1048576, 1048576) and data type float64"]
+
+
 @pytest.mark.parametrize("command", [["code-report"], ["simulate", "--rates", "0", "--trials", "10"]])
 def test_hermitian_family_rejects_an_m_other_than_q_plus_1(capsys, command):
     # the Hermitian curve y^q + y = x^(q+1) has m = q + 1; any other --m was ignored
@@ -604,9 +617,8 @@ def test_reproduce_error_bands_fail_for_a_decoder_that_corrects_nothing(capsys, 
     real = simulator._decode_errors
 
     def corrects_nothing(code, decoder, hit, weights, heavy):
-        _, _, miscorrected, errors = real(code, decoder, hit, weights, heavy)
-        successes = int((weights == 0).sum())
-        return successes, len(hit) - successes, miscorrected, errors
+        _, miscorrected, errors = real(code, decoder, hit, weights, heavy)
+        return int((weights == 0).sum()), miscorrected, errors
 
     monkeypatch.setattr(simulator, "_decode_errors", corrects_nothing)
     code, out, _ = run_cli(capsys, "reproduce", "--out-dir", str(tmp_path),
@@ -615,6 +627,24 @@ def test_reproduce_error_bands_fail_for_a_decoder_that_corrects_nothing(capsys, 
     assert "[FAIL] simulation-error-bands" in out.splitlines()
     assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [
         "[FAIL] simulation-error-bands"]
+
+
+@pytest.mark.parametrize("r", [9, 30])
+def test_reproduce_dimension_check_compares_the_ladder_with_direct_ranks(capsys, tmp_path, monkeypatch, r):
+    # a ladder reading off by one at r fails the check: at r = 9 the
+    # Riemann-Roch value disagrees too, at r = 30 only the direct rank does
+    real = cli.dimension_report
+
+    def off_by_one(curve, r_max, points=None):
+        rows = real(curve, r_max, points)
+        rows[r] = dataclasses.replace(rows[r], rank=rows[r].rank + 1, verified_count=rows[r].rank + 1)
+        return rows
+
+    monkeypatch.setattr(cli, "dimension_report", off_by_one)
+    code, out, _ = run_cli(capsys, "reproduce", "--skip-sim", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("[FAIL]")] == [
+        "[FAIL] dimension-vs-rank"]
 
 
 def test_reproduce_hermitian_check_compares_the_librarys_verdicts(capsys, tmp_path, monkeypatch):

@@ -5,13 +5,15 @@ import pytest
 
 from agq.agcode import build_onepoint_code, resolve_eval_set
 from agq.curve import (
+    CurveSpec,
     Family,
+    MaximalityReport,
     enumerate_points,
     hermitian_curve,
     maximality_check,
     superelliptic_curve,
 )
-from agq.gf import FieldError
+from agq.gf import FieldError, quadratic_tower
 from oracles import NaiveField, TabledField, projective_points, superelliptic_form
 
 
@@ -178,6 +180,20 @@ def test_maximality_flags_rather_than_aborts():
     assert rep.expected == 36
     assert rep.is_maximal
     assert rep.genus == 1
+
+
+@pytest.mark.parametrize("make, q", [(lambda: superelliptic_curve(3, 3), 3), (lambda: hermitian_curve(4), 4),
+                                     (lambda: superelliptic_curve(7, 5), 7)])
+def test_a_curves_tower_and_maximality_are_derived(make, q):
+    curve = make()
+    assert curve.tower is quadratic_tower(q)
+    with pytest.raises(TypeError):
+        CurveSpec(Family.HERMITIAN, q, q, q + 1, 0, 1, tower=curve.tower)
+    rep = maximality_check(curve)
+    assert rep.is_maximal is (rep.count_points == rep.expected)
+    assert not MaximalityReport(count_points=10, expected=11, genus=1).is_maximal
+    with pytest.raises(TypeError):
+        MaximalityReport(count_points=11, expected=11, genus=1, is_maximal=False)
 
 
 def naive_curve_points(q, m):

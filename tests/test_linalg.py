@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agq.linalg
+from agq.agcode import build_onepoint_code
+from agq.curve import hermitian_curve
 from agq.gf import Field, field
 from agq.linalg import (
     _eliminate,
@@ -225,6 +227,64 @@ def test_matmul_row_block_temporaries_are_small():
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes < 1.5 * 2**20
+
+
+def _matmul_peak(F, A, B):
+    tracemalloc.start()
+    try:
+        out = matmul(F, A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("below_rule", [False, True])
+def test_matmul_expands_the_smaller_side(monkeypatch, below_rule):
+    # a row times a 64 x 64 matrix over GF(256): B's expansion is 512 x 512
+    # floats, 2 MiB, and A^T's 512 x 8.  It is traded when the difference,
+    # (n - m) k e^2 = 63 * 64 * 64 entries, exceeds BLOCK_ENTRIES, and not
+    # when it equals it.  Either way the product is the schoolbook's, and a
+    # C-contiguous (m, n) array; transposed views go in as well
+    F = field(2, 8)
+    difference = 63 * 64 * 64
+    monkeypatch.setattr(agq.linalg, "BLOCK_ENTRIES", difference - 1 + below_rule)
+    rng = np.random.default_rng(6)
+    A = rng.integers(0, 256, size=(1, 64))
+    B = rng.integers(0, 256, size=(64, 64)).T
+    matmul(F, A, B)  # the field's digit tables, built once
+    out, peak = _matmul_peak(F, A, B)
+    assert out.shape == (1, 64) and out.flags.c_contiguous
+    assert out.tolist() == naive_matmul(NaiveField(2, 8, F.modulus), A, B)
+    assert (peak > 2 << 20) if below_rule else (peak < 1 << 20)
+
+
+@pytest.mark.parametrize("pe", [(2, 2), (3, 2), (5, 1), (2, 4)])
+def test_matmul_is_the_schoolbook_product_on_both_sides_of_the_trade(pe):
+    # at the default block size, with m = 3 and k = 16: n = n0 sits on the
+    # rule, (n - m) k e^2 = BLOCK_ENTRIES, and n0 + 1 is past it
+    F = field(*pe)
+    tf = TabledField(F.p, F.e, F.modulus)
+    m, k = 3, 16
+    n0 = m + agq.linalg.BLOCK_ENTRIES // (k * F.e**2)
+    rng = np.random.default_rng(F.order)
+    for n in (n0, n0 + 1):
+        A = rng.integers(0, F.order, size=(m, k))
+        B = rng.integers(0, F.order, size=(k, n))
+        out = matmul(F, A, B)
+        assert out.shape == (m, n) and out.flags.c_contiguous
+        assert out.tolist() == naive_matmul(tf, A, B)
+
+
+def test_a_certificate_expands_the_generator_not_the_parity_check():
+    # G H^T of [512, 3] over GF(64), as `simulator._decoder_table` makes it:
+    # H^T's expansion would be 3072 x 3054 floats, 75 MB, and G^T's is
+    # 3072 x 18
+    code = build_onepoint_code(hermitian_curve(8), 9)
+    assert (code.n, code.k) == (512, 3)
+    out, peak = _matmul_peak(code.field, code.generator, code.parity_check.T)
+    assert out.shape == (3, 509) and not out.any()
+    assert peak < 8 << 20
 
 
 # ---------------------------------------------------------------------------

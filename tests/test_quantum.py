@@ -8,6 +8,7 @@ from agq.agcode import LinearCode, build_onepoint_code, hermitian_dual, min_dist
 from agq.gf import field
 from agq.quantum import (
     KnownCode,
+    TableRow,
     designed_params,
     load_known_codes,
     parameter_table,
@@ -142,6 +143,14 @@ def test_table_matches_expected_triples():
 
 def test_table_empty_range():
     assert parameter_table(3, 3, []) == []
+
+
+def test_a_table_rows_q_is_its_params_q():
+    for q, m in ((3, 3), (5, 3), (4, 5)):
+        rows = parameter_table(q, m, range(0, 6))
+        assert [row.q for row in rows] == [row.params.q for row in rows] == [q] * 6
+    with pytest.raises(TypeError):
+        TableRow(q=3, m=3, r=2, params=rows[0].params)
 
 
 def test_table_sorted_and_deduplicated():

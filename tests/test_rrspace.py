@@ -11,6 +11,7 @@ from agq.curve import enumerate_points, hermitian_curve, superelliptic_curve
 from agq.linalg import matmul, pivots_and_transform, rank
 from agq.claims import candidate_count, companion, dimension_by_cases
 from agq.rrspace import (
+    MonomialBasis,
     candidate_monomials,
     code_ladder,
     dimension_report,
@@ -92,6 +93,15 @@ def test_hermitian_r3_all_retained(herm2):
     assert basis.verified
     assert basis.monomials == ((0, 0), (1, 0), (0, 1))
     assert basis.dropped == ()
+
+
+def test_a_basis_is_verified_when_it_has_rows(herm2):
+    pts = enumerate_points(herm2)
+    candidates = candidate_monomials(herm2, 3)
+    assert candidates.rows is None and not candidates.verified
+    assert code_ladder(herm2, 3, pts).verified
+    with pytest.raises(TypeError):
+        MonomialBasis(r=0, monomials=((0, 0),), pole_orders=(0,), verified=True)
 
 
 def test_saturation_retains_point_count(herm2):
